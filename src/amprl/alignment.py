@@ -41,10 +41,12 @@ _BLOSUM62_ROWS = """
  0 -3 -3 -3 -1 -2 -2 -3 -3  3  1 -2  1 -1 -2 -2  0 -3 -1  4
 """
 
-BLOSUM62: dict[tuple[str, str], int] = {}
-for _i, _line in enumerate(_BLOSUM62_ROWS.strip().splitlines()):
-    for _j, _v in enumerate(_line.split()):
-        BLOSUM62[(_BLOSUM62_ORDER[_i], _BLOSUM62_ORDER[_j])] = int(_v)
+_SCORES = np.array([line.split() for line in _BLOSUM62_ROWS.strip().splitlines()], dtype=np.float64)
+_CODE = {residue: k for k, residue in enumerate(_BLOSUM62_ORDER)}
+
+BLOSUM62: dict[tuple[str, str], int] = {
+    (x, y): int(_SCORES[i, j]) for x, i in _CODE.items() for y, j in _CODE.items()
+}
 
 GAP_OPEN = 11
 GAP_EXTEND = 1
@@ -82,25 +84,23 @@ class LocalAlignment:
         return self.matches / self.columns
 
 
-def _substitution_grid(a: str, b: str, matrix) -> np.ndarray:
-    grid = np.empty((len(a), len(b)), dtype=np.float64)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            pair = (x, y)
-            if pair not in matrix:
-                raise ValueError(f"no substitution score for residue pair {pair!r}")
-            grid[i, j] = matrix[pair]
-    return grid
+def _codes(seq: str) -> list[int]:
+    try:
+        return [_CODE[r] for r in seq]
+    except KeyError as err:
+        raise ValueError(f"no substitution score for residue {err.args[0]!r}") from None
 
 
-def _fill(a: str, b: str, matrix, gap_open: float, gap_extend: float, local: bool):
+def _fill(a: str, b: str, local: bool):
     """Three-state affine DP. State M aligns a pair, X gaps b, Y gaps a.
 
     Rows are vectorised; the in-row Y recurrence collapses to a running
     maximum because Y[i][j] = max_k (M[i][k] - open - (j-k)*extend).
     """
+    if not a or not b:
+        raise ValueError("cannot align an empty sequence")
     n, m = len(a), len(b)
-    sub = _substitution_grid(a, b, matrix)
+    sub = _SCORES[np.array(_codes(a))[:, None], _codes(b)]
     M = np.full((n + 1, m + 1), _NEG)
     X = np.full((n + 1, m + 1), _NEG)
     Y = np.full((n + 1, m + 1), _NEG)
@@ -109,8 +109,8 @@ def _fill(a: str, b: str, matrix, gap_open: float, gap_extend: float, local: boo
         M[:, 0] = 0.0
     else:
         M[0, 0] = 0.0
-        X[1:, 0] = -(gap_open + gap_extend * np.arange(1, n + 1))
-        Y[0, 1:] = -(gap_open + gap_extend * np.arange(1, m + 1))
+        X[1:, 0] = -(GAP_OPEN + GAP_EXTEND * np.arange(1, n + 1))
+        Y[0, 1:] = -(GAP_OPEN + GAP_EXTEND * np.arange(1, m + 1))
     cols = np.arange(m)
     for i in range(1, n + 1):
         diag = np.maximum(np.maximum(M[i - 1, :-1], X[i - 1, :-1]), Y[i - 1, :-1])
@@ -118,66 +118,68 @@ def _fill(a: str, b: str, matrix, gap_open: float, gap_extend: float, local: boo
         if local:
             row = np.maximum(row, 0.0)
         M[i, 1:] = row
-        X[i, 1:] = np.maximum(M[i - 1, 1:] - gap_open - gap_extend, X[i - 1, 1:] - gap_extend)
-        run = np.maximum.accumulate(M[i, :-1] + gap_extend * cols)
-        Y[i, 1:] = run - gap_open - gap_extend * (cols + 1)
+        X[i, 1:] = np.maximum(M[i - 1, 1:] - GAP_OPEN - GAP_EXTEND, X[i - 1, 1:] - GAP_EXTEND)
+        run = np.maximum.accumulate(M[i, :-1] + GAP_EXTEND * cols)
+        Y[i, 1:] = run - GAP_OPEN - GAP_EXTEND * (cols + 1)
     return sub, M, X, Y
 
 
-def _gap_predecessor(gap_val: float, open_val: float) -> bool:
-    # exact comparison: every score is an integer held in float64
-    return gap_val == open_val
+def _traceback(a: str, b: str, fill, state: int, i: int, j: int, local: bool):
+    """Walk back from cell (i, j) in `state` (0 = M, 1 = X, 2 = Y).
+
+    A global walk stops at (0, 0); a local walk stops after the match step
+    whose predecessor score is 0. Predecessors are found by exact comparison,
+    since every score is an integer held in float64. Returns the aligned
+    (a, b) column pairs, last column first, and the cell where the walk stopped.
+    """
+    sub, M, X, Y = fill
+    columns: list[tuple[str, str]] = []
+    while (i, j) != (0, 0):
+        if state == 0:
+            columns.append((a[i - 1], b[j - 1]))
+            prev = M[i, j] - sub[i - 1, j - 1]
+            i, j = i - 1, j - 1
+            if local and prev == 0.0:
+                break
+            if M[i, j] == prev:
+                state = 0
+            elif X[i, j] == prev:
+                state = 1
+            elif Y[i, j] == prev:
+                state = 2
+            else:
+                raise AssertionError("traceback lost the optimal path")
+        elif state == 1:
+            columns.append((a[i - 1], "-"))
+            state = 0 if X[i, j] == M[i - 1, j] - GAP_OPEN - GAP_EXTEND else 1
+            i -= 1
+        else:
+            columns.append(("-", b[j - 1]))
+            state = 0 if Y[i, j] == M[i, j - 1] - GAP_OPEN - GAP_EXTEND else 2
+            j -= 1
+    return columns, i, j
 
 
-def align_global(a: str, b: str, matrix=BLOSUM62, gap_open: float = GAP_OPEN, gap_extend: float = GAP_EXTEND) -> GlobalAlignment:
+def _matches(columns: list[tuple[str, str]]) -> int:
+    # a gap column never matches: "-" is not a residue
+    return sum(x == y for x, y in columns)
+
+
+def align_global(a: str, b: str) -> GlobalAlignment:
     """Optimal global alignment; traceback follows exact score identities."""
-    if not a or not b:
-        raise ValueError("cannot align an empty sequence")
-    sub, M, X, Y = _fill(a, b, matrix, gap_open, gap_extend, local=False)
+    fill = _fill(a, b, local=False)
+    _, M, X, Y = fill
     n, m = len(a), len(b)
     finals = (M[n, m], X[n, m], Y[n, m])
     state = int(np.argmax(finals))
-    score = finals[state]
-    i, j = n, m
-    out_a: list[str] = []
-    out_b: list[str] = []
-    matches = 0
-    while (i, j) != (0, 0):
-        if state == 0:
-            out_a.append(a[i - 1])
-            out_b.append(b[j - 1])
-            if a[i - 1] == b[j - 1]:
-                matches += 1
-            target = M[i, j] - sub[i - 1, j - 1]
-            i, j = i - 1, j - 1
-            if M[i, j] == target:
-                state = 0
-            elif X[i, j] == target:
-                state = 1
-            elif Y[i, j] == target:
-                state = 2
-            else:
-                raise AssertionError("global traceback lost the optimal path")
-        elif state == 1:
-            out_a.append(a[i - 1])
-            out_b.append("-")
-            opened = _gap_predecessor(X[i, j], M[i - 1, j] - gap_open - gap_extend)
-            i -= 1
-            state = 0 if opened else 1
-        else:
-            out_a.append("-")
-            out_b.append(b[j - 1])
-            opened = _gap_predecessor(Y[i, j], M[i, j - 1] - gap_open - gap_extend)
-            j -= 1
-            state = 0 if opened else 2
-    out_a.reverse()
-    out_b.reverse()
+    columns, _, _ = _traceback(a, b, fill, state, n, m, local=False)
+    columns.reverse()
     return GlobalAlignment(
-        score=float(score),
-        matches=matches,
-        columns=len(out_a),
-        aligned_a="".join(out_a),
-        aligned_b="".join(out_b),
+        score=float(finals[state]),
+        matches=_matches(columns),
+        columns=len(columns),
+        aligned_a="".join(x for x, _ in columns),
+        aligned_b="".join(y for _, y in columns),
     )
 
 
@@ -186,51 +188,19 @@ def identity_global(a: str, b: str) -> float:
     return align_global(a, b).identity
 
 
-def align_local(a: str, b: str, matrix=BLOSUM62, gap_open: float = GAP_OPEN, gap_extend: float = GAP_EXTEND) -> LocalAlignment | None:
+def align_local(a: str, b: str) -> LocalAlignment | None:
     """Best local alignment; None when no pair of segments scores above zero."""
-    if not a or not b:
-        raise ValueError("cannot align an empty sequence")
-    sub, M, X, Y = _fill(a, b, matrix, gap_open, gap_extend, local=True)
-    flat = int(np.argmax(M))
-    end_i, end_j = divmod(flat, M.shape[1])
+    fill = _fill(a, b, local=True)
+    _, M, _, _ = fill
+    end_i, end_j = divmod(int(np.argmax(M)), M.shape[1])
     score = M[end_i, end_j]
     if score <= 0.0:
         return None
-    i, j = end_i, end_j
-    state = 0
-    matches = 0
-    columns = 0
-    while True:
-        if state == 0:
-            columns += 1
-            if a[i - 1] == b[j - 1]:
-                matches += 1
-            target = M[i, j] - sub[i - 1, j - 1]
-            i, j = i - 1, j - 1
-            if target == 0.0:
-                break
-            if M[i, j] == target:
-                state = 0
-            elif X[i, j] == target:
-                state = 1
-            elif Y[i, j] == target:
-                state = 2
-            else:
-                raise AssertionError("local traceback lost the optimal path")
-        elif state == 1:
-            columns += 1
-            opened = _gap_predecessor(X[i, j], M[i - 1, j] - gap_open - gap_extend)
-            i -= 1
-            state = 0 if opened else 1
-        else:
-            columns += 1
-            opened = _gap_predecessor(Y[i, j], M[i, j - 1] - gap_open - gap_extend)
-            j -= 1
-            state = 0 if opened else 2
+    columns, i, j = _traceback(a, b, fill, 0, end_i, end_j, local=True)
     return LocalAlignment(
         score=float(score),
-        matches=matches,
-        columns=columns,
+        matches=_matches(columns),
+        columns=len(columns),
         query_span=(i, end_i),
         target_span=(j, end_j),
     )
@@ -270,24 +240,6 @@ def make_hit(query: Peptide, target: Peptide, aln: LocalAlignment, db_residues: 
         evalue=approximate_evalue(bits, len(query.residues), db_residues),
         bits=bits,
     )
-
-
-def best_hits(queries: Iterable[Peptide], reference: list[Peptide]) -> dict[str, SimilarityHit]:
-    """Best-scoring local hit per query against a reference set, if any."""
-    db_residues = sum(len(t.residues) for t in reference)
-    hits: dict[str, SimilarityHit] = {}
-    for q in queries:
-        best: tuple[float, str, Peptide, LocalAlignment] | None = None
-        for t in reference:
-            aln = align_local(q.residues, t.residues)
-            if aln is None:
-                continue
-            key = (-aln.score, t.id)
-            if best is None or key < (-best[0], best[1]):
-                best = (aln.score, t.id, t, aln)
-        if best is not None:
-            hits[q.id] = make_hit(q, best[2], best[3], db_residues)
-    return hits
 
 
 HIT_COLUMNS = ("Query", "Target", "%Identity", "Length", "E-value", "Bits")

@@ -156,8 +156,11 @@ def embedding_distance_profile(
     ref = np.stack([np.asarray(embed(p.residues), dtype=np.float64) for p in reference])
     if gen.shape[1] != ref.shape[1]:
         raise ValueError("embedding dimensions differ between sets")
-    diff = gen[:, None, :] - ref[None, :, :]
-    dists = np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1)
+    # one generated row at a time keeps memory at the size of the reference matrix
+    dists = np.empty(len(gen))
+    for k, row in enumerate(gen):
+        diff = row - ref
+        dists[k] = np.sqrt(np.sum(diff * diff, axis=1)).min()
     fractions = tuple(float(np.mean(dists <= t)) for t in thresholds)
     return DistanceProfile(
         distances=tuple(float(d) for d in dists),

@@ -30,7 +30,10 @@ LOG_COLUMNS = (
     "mean_pI",
     "entropy",
     "clip_fraction",
+    "approx_kl",
+    "skipped_updates",
 )
+_INTEGER_COLUMNS = ("iteration", "skipped_updates")
 
 
 @dataclass(frozen=True)
@@ -341,7 +344,7 @@ def write_training_log(rows: list[dict], sink: str | Path | IO[str]) -> None:
     for row in rows:
         lines.append(
             "\t".join(
-                str(row[c]) if c == "iteration" else repr(float(row[c])) for c in LOG_COLUMNS
+                str(row[c]) if c in _INTEGER_COLUMNS else repr(float(row[c])) for c in LOG_COLUMNS
             )
         )
     _write_text(sink, "\n".join(lines) + "\n")

@@ -86,12 +86,13 @@ def parse_fasta(stream: str | Path | IO[str] | Iterable[str], source: str = "nat
 
     A plain string is treated as FASTA text; pass a Path to read a file.
 
-    Errors (missing header, empty body, invalid residue) report the offending
-    line number.
+    Errors (missing header, empty body, invalid residue, repeated record id)
+    report the offending line number; record ids must be unique.
     """
     peptides: list[Peptide] = []
     header: str | None = None
     header_line = 0
+    id_lines: dict[str, int] = {}
     body_parts: list[str] = []
 
     def flush() -> None:
@@ -114,6 +115,9 @@ def parse_fasta(stream: str | Path | IO[str] | Iterable[str], source: str = "nat
             name = line[1:].split()[0] if line[1:].split() else ""
             if not name:
                 raise ValueError(f"line {lineno}: header has no identifier")
+            if name in id_lines:
+                raise ValueError(f"line {lineno}: record id {name!r} repeats the header at line {id_lines[name]}")
+            id_lines[name] = lineno
             header = name
             header_line = lineno
         else:

@@ -1,0 +1,141 @@
+"""The scalar alignment kernel that `amprl.alignment` replaced, kept as a test oracle.
+
+It builds the substitution grid with a per-cell dict lookup and has separate
+global and local tracebacks. `test_alignment.py` checks the shared kernel
+against it field for field.
+"""
+import numpy as np
+
+from amprl.alignment import BLOSUM62, GAP_EXTEND, GAP_OPEN, GlobalAlignment, LocalAlignment
+
+_NEG = -1.0e9
+
+
+def _substitution_grid(a, b):
+    grid = np.empty((len(a), len(b)), dtype=np.float64)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            grid[i, j] = BLOSUM62[(x, y)]
+    return grid
+
+
+def _fill(a, b, local):
+    n, m = len(a), len(b)
+    sub = _substitution_grid(a, b)
+    M = np.full((n + 1, m + 1), _NEG)
+    X = np.full((n + 1, m + 1), _NEG)
+    Y = np.full((n + 1, m + 1), _NEG)
+    if local:
+        M[0, :] = 0.0
+        M[:, 0] = 0.0
+    else:
+        M[0, 0] = 0.0
+        X[1:, 0] = -(GAP_OPEN + GAP_EXTEND * np.arange(1, n + 1))
+        Y[0, 1:] = -(GAP_OPEN + GAP_EXTEND * np.arange(1, m + 1))
+    cols = np.arange(m)
+    for i in range(1, n + 1):
+        diag = np.maximum(np.maximum(M[i - 1, :-1], X[i - 1, :-1]), Y[i - 1, :-1])
+        row = diag + sub[i - 1]
+        if local:
+            row = np.maximum(row, 0.0)
+        M[i, 1:] = row
+        X[i, 1:] = np.maximum(M[i - 1, 1:] - GAP_OPEN - GAP_EXTEND, X[i - 1, 1:] - GAP_EXTEND)
+        run = np.maximum.accumulate(M[i, :-1] + GAP_EXTEND * cols)
+        Y[i, 1:] = run - GAP_OPEN - GAP_EXTEND * (cols + 1)
+    return sub, M, X, Y
+
+
+def align_global(a, b):
+    sub, M, X, Y = _fill(a, b, local=False)
+    n, m = len(a), len(b)
+    finals = (M[n, m], X[n, m], Y[n, m])
+    state = int(np.argmax(finals))
+    score = finals[state]
+    i, j = n, m
+    out_a = []
+    out_b = []
+    matches = 0
+    while (i, j) != (0, 0):
+        if state == 0:
+            out_a.append(a[i - 1])
+            out_b.append(b[j - 1])
+            if a[i - 1] == b[j - 1]:
+                matches += 1
+            target = M[i, j] - sub[i - 1, j - 1]
+            i, j = i - 1, j - 1
+            if M[i, j] == target:
+                state = 0
+            elif X[i, j] == target:
+                state = 1
+            elif Y[i, j] == target:
+                state = 2
+            else:
+                raise AssertionError("global traceback lost the optimal path")
+        elif state == 1:
+            out_a.append(a[i - 1])
+            out_b.append("-")
+            opened = X[i, j] == M[i - 1, j] - GAP_OPEN - GAP_EXTEND
+            i -= 1
+            state = 0 if opened else 1
+        else:
+            out_a.append("-")
+            out_b.append(b[j - 1])
+            opened = Y[i, j] == M[i, j - 1] - GAP_OPEN - GAP_EXTEND
+            j -= 1
+            state = 0 if opened else 2
+    out_a.reverse()
+    out_b.reverse()
+    return GlobalAlignment(
+        score=float(score),
+        matches=matches,
+        columns=len(out_a),
+        aligned_a="".join(out_a),
+        aligned_b="".join(out_b),
+    )
+
+
+def align_local(a, b):
+    sub, M, X, Y = _fill(a, b, local=True)
+    flat = int(np.argmax(M))
+    end_i, end_j = divmod(flat, M.shape[1])
+    score = M[end_i, end_j]
+    if score <= 0.0:
+        return None
+    i, j = end_i, end_j
+    state = 0
+    matches = 0
+    columns = 0
+    while True:
+        if state == 0:
+            columns += 1
+            if a[i - 1] == b[j - 1]:
+                matches += 1
+            target = M[i, j] - sub[i - 1, j - 1]
+            i, j = i - 1, j - 1
+            if target == 0.0:
+                break
+            if M[i, j] == target:
+                state = 0
+            elif X[i, j] == target:
+                state = 1
+            elif Y[i, j] == target:
+                state = 2
+            else:
+                raise AssertionError("local traceback lost the optimal path")
+        elif state == 1:
+            columns += 1
+            opened = X[i, j] == M[i - 1, j] - GAP_OPEN - GAP_EXTEND
+            i -= 1
+            state = 0 if opened else 1
+        else:
+            columns += 1
+            opened = Y[i, j] == M[i, j - 1] - GAP_OPEN - GAP_EXTEND
+            j -= 1
+            state = 0 if opened else 2
+    return LocalAlignment(
+        score=float(score),
+        matches=matches,
+        columns=columns,
+        query_span=(i, end_i),
+        target_span=(j, end_j),
+    )

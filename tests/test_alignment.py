@@ -15,13 +15,14 @@ from amprl.alignment import (
     align_local,
     approximate_bits,
     approximate_evalue,
-    best_hits,
     identity_global,
     make_hit,
     write_hit_table,
 )
+from amprl.screening import ScreenConfig, annotate, novelty_filter
 from amprl.sequences import Peptide
 
+import alignment_oracle
 from conftest import RESIDUES
 
 NEG = float("-inf")
@@ -151,6 +152,37 @@ def test_local_score_matches_oracle_on_random_pairs():
     assert hits > 10  # the sampler should produce plenty of positive alignments
 
 
+def _near_copy(rng, seq, max_len=40):
+    # one to three substitutions, insertions or deletions
+    out = list(seq)
+    for _ in range(int(rng.integers(1, 4))):
+        op = int(rng.integers(3))
+        k = int(rng.integers(len(out)))
+        if op == 0:
+            out[k] = rng.choice(list(RESIDUES))
+        elif op == 1 and len(out) < max_len:
+            out.insert(k, rng.choice(list(RESIDUES)))
+        elif op == 2 and len(out) > 1:
+            del out[k]
+    return "".join(out)
+
+
+def test_kernel_matches_scalar_oracle_field_for_field():
+    # the scalar kernel with dict-lookup grids and two tracebacks is the oracle
+    rng = np.random.default_rng(11)
+    pairs = [(_rand_seq(rng, 1, 40), _rand_seq(rng, 1, 40)) for _ in range(1000)]
+    for _ in range(1000):
+        a = _rand_seq(rng, 1, 40)
+        pairs.append((a, _near_copy(rng, a)))
+    local_hits = 0
+    for a, b in pairs:
+        assert align_global(a, b) == alignment_oracle.align_global(a, b), (a, b)
+        expected = alignment_oracle.align_local(a, b)
+        assert align_local(a, b) == expected, (a, b)
+        local_hits += expected is not None
+    assert 1000 < local_hits < len(pairs)  # both outcomes of the local search are exercised
+
+
 def test_local_self_alignment_is_full_length():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -212,15 +244,26 @@ def test_similarity_hit_validation():
         SimilarityHit(query="a", target="b", identity_pct=50.0, length=0, evalue=1.0, bits=1.0)
 
 
+class _FixedScorer:
+    def score(self, p):
+        return 0.9
+
+
+def _best_hits(queries, reference):
+    # novelty_filter is the one best-hit search: it keeps one hit per query
+    _, _, hits = novelty_filter(annotate(queries, _FixedScorer()), reference, ScreenConfig())
+    return {h.query: h for h in hits}
+
+
 def test_best_hits_break_score_ties_by_target_id():
     q = Peptide("q", "KLWKKLLKKW", "generated_sft")
     twin_a = Peptide("tgt_b", "KLWKKLLKKW", "external")
     twin_b = Peptide("tgt_a", "KLWKKLLKKW", "external")
-    hits = best_hits([q], [twin_a, twin_b])
+    hits = _best_hits([q], [twin_a, twin_b])
     assert hits["q"].target == "tgt_a"
 
 
 def test_best_hits_skips_queries_without_alignment():
     q = Peptide("q", "KKKKKKKK", "generated_sft")
-    hits = best_hits([q], [Peptide("t", "DDDDDDDD", "external")])
+    hits = _best_hits([q], [Peptide("t", "DDDDDDDD", "external")])
     assert hits == {}

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from amprl.cli import ENV_OUTPUT_DIR, main
+from amprl.mic import Embedder, MicConfig, MicModel
 from amprl.sequences import Peptide, write_fasta
 
 FASTA = ">p1\nGLWKKILGKIKAGL\n>p2\nKKLLDDAAWWRRHH\n"
@@ -76,6 +77,19 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     bad.write_text(">p1\nGLWBBB\n")  # B is not a residue
     assert main(["props", "--input", str(bad), "--output-dir", str(tmp_path / "o")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_screen_rejects_duplicate_record_ids(tmp_path, capsys):
+    model = tmp_path / "mic.ckpt"
+    embedder = Embedder().fit([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")])
+    MicModel.init(embedder, MicConfig(hidden=(4,)), seed=0).save(model)
+    screen = ["screen", "--mic-model", str(model), "--input"]
+    assert main(screen + [str(_write_fasta(tmp_path)), "--output-dir", str(tmp_path / "ok")]) == 0
+    assert (tmp_path / "ok" / "screened.jsonl").exists()
+    dup = _write_fasta(tmp_path, "dup.fasta", FASTA + ">p1\nKKWWKK\n")
+    assert main(screen + [str(dup), "--output-dir", str(tmp_path / "dup")]) == 1
+    assert not (tmp_path / "dup" / "screened.jsonl").exists()
+    assert "record id 'p1' repeats the header at line 1" in capsys.readouterr().err
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch, capsys):

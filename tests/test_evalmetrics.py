@@ -164,6 +164,20 @@ def test_embedding_distance_profile():
     assert profile.mean == pytest.approx(sum(profile.distances) / len(profile.distances))
 
 
+def test_embedding_distance_profile_matches_broadcast_expression():
+    rng = np.random.default_rng(9)
+    for n_gen, n_ref, dim in ((1, 1, 1), (7, 3, 5), (12, 20, 425)):
+        gen = [_pep(f"g{k}", "K" * (k + 1)) for k in range(n_gen)]
+        ref = [_pep(f"r{k}", "D" * (k + 1)) for k in range(n_ref)]
+        table = {p.residues: rng.normal(size=dim) * rng.uniform(0.1, 10.0) for p in gen + ref}
+        profile = embedding_distance_profile(gen, ref, table.__getitem__)
+        g = np.stack([table[p.residues] for p in gen])
+        r = np.stack([table[p.residues] for p in ref])
+        diff = g[:, None, :] - r[None, :, :]
+        expected = np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1)
+        assert profile.distances == tuple(float(d) for d in expected)
+
+
 def test_compare_sets_report_shape():
     rng = np.random.default_rng(6)
     gen = random_peptides(15, rng, prefix="g", source="generated_sft")

@@ -316,8 +316,12 @@ def test_train_rl_is_seed_deterministic():
 
 def test_ratio_guard_skips_divergent_minibatches():
     cfg = _cfg(ratio_guard=1e-9, epochs=2, iterations=2, lr=5e-2)
-    _, log = train_rl(_policy(6), LysineScorer(), RewardConfig(), cfg, seed=4)
-    assert sum(row["skipped_updates"] for row in log) > 0
+    sink = io.StringIO()
+    _, log = train_rl(_policy(6), LysineScorer(), RewardConfig(), cfg, seed=4, log_sink=sink)
+    header, *rows = [line.split("\t") for line in sink.getvalue().splitlines()]
+    written = [int(row[header.index("skipped_updates")]) for row in rows]
+    assert written == [row["skipped_updates"] for row in log]
+    assert sum(written) > 0
 
 
 def test_write_training_log_format():
@@ -328,4 +332,7 @@ def test_write_training_log_format():
     write_training_log(rows, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0].split("\t") == list(LOG_COLUMNS)
-    assert lines[1].split("\t")[0] == "1"
+    fields = dict(zip(LOG_COLUMNS, lines[1].split("\t")))
+    assert fields["iteration"] == "1"
+    assert fields["skipped_updates"] == "0"
+    assert fields["approx_kl"] == "0.0"

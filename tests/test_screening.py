@@ -120,7 +120,8 @@ def test_screen_config_validation():
 
 
 def test_novelty_removes_exact_duplicates_and_close_variants():
-    reference = [Peptide("ref", "KLWKKLLKKWLKKLWKKLLK", "natural")]
+    # identical references: the best hit breaks the score tie by target id
+    reference = [Peptide(pid, "KLWKKLLKKWLKKLWKKLLK", "natural") for pid in ("ref_b", "ref_a")]
     # two substitutions in a 20-mer: 90% identity at full coverage
     variant = "ALWKKLLKKWLKKLWKKLLA"
     candidates = _records(
@@ -135,6 +136,7 @@ def test_novelty_removes_exact_duplicates_and_close_variants():
     assert [r.peptide.id for r in kept] == ["far"]
     assert all(r.reject_reasons == ("novelty",) for r in removed)
     by_query = {h.query: h for h in hits}
+    assert by_query["dup"].target == "ref_a"
     assert by_query["dup"].identity_pct == 100.0
     assert by_query["dup"].length == 20
 

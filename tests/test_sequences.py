@@ -63,6 +63,8 @@ def test_parse_fasta_errors_are_line_numbered():
         parse_fasta(["ACDEF", ">x"])
     with pytest.raises(ValueError, match="empty sequence body"):
         parse_fasta([">a", ">b", "KKK"])
+    with pytest.raises(ValueError, match=r"line 6: record id 'x' repeats the header at line 1"):
+        parse_fasta([">x desc", "KK", "", ">y", "AA", ">x", "WW"])
 
 
 def test_fasta_round_trip_with_wrapping(tmp_path):
