@@ -269,6 +269,8 @@ class MicModel:
         info["embedder_kind"] = self.embedder.kind
         tensors = dict(self.params)
         if self.embedder.kind == "builtin_features":
+            if self.embedder.mean is None or self.embedder.std is None:
+                raise ValueError("builtin embedder must be fit before saving")
             tensors["embed.mean"] = nm.Tensor(self.embedder.mean)
             tensors["embed.std"] = nm.Tensor(self.embedder.std)
         nm.save_checkpoint(path, tensors, meta=info)

@@ -3,6 +3,11 @@
 Each op builds a node holding its parents and a closure that routes the
 output gradient back to them. backward() walks the graph once in reverse
 topological order. Every op validates that its result is finite.
+
+GELU, LayerNorm, softmax and log-softmax keep their forward in a private
+array function (`_gelu`, `_layer_norm`, `_softmax`, `_log_softmax`) that the
+no-grad decoder behind `amprl.policy.sample` calls too. That decoder builds
+no nodes, so it checks finiteness once per step at the logits, not per op.
 """
 from __future__ import annotations
 
@@ -239,12 +244,26 @@ def sigmoid(a) -> Tensor:
     return _node(data, (a,), backward, "sigmoid")
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-form GELU of an array, and the tanh term its derivative reuses."""
+    t = np.tanh((x + x * x * x * 0.044715) * _GELU_C)
+    return x * 0.5 * (t + 1.0), t
+
+
 def gelu(a) -> Tensor:
     """Tanh-form Gaussian error linear unit."""
     a = _wrap(a)
-    c = np.sqrt(2.0 / np.pi)
-    inner = mul(add(a, mul(_power(a, 3.0), 0.044715)), c)
-    return mul(mul(a, 0.5), add(tanh(inner), 1.0))
+    x = a.data
+    data, t = _gelu(x)
+
+    def backward(g):
+        slope = 0.5 * (t + 1.0) + x * 0.5 * (1.0 - t * t) * _GELU_C * (1.0 + x * x * (3.0 * 0.044715))
+        return ((a, g * slope),)
+
+    return _node(data, (a,), backward, "gelu")
 
 
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -294,11 +313,14 @@ def transpose(a, axes=None) -> Tensor:
     return _node(data, (a,), backward, "transpose")
 
 
+def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = _softmax(a.data, axis)
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
@@ -307,11 +329,14 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _node(data, (a,), backward, "softmax")
 
 
+def _log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
+    data = _log_softmax(a.data, axis)
     probs = np.exp(data)
 
     def backward(g):
@@ -376,14 +401,31 @@ def gather_last(a, ids: np.ndarray) -> Tensor:
     return _node(data, (a,), backward, "gather_last")
 
 
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
+    """LayerNorm of an array's last axis: (output, normalized input, 1/std)."""
+    scale = 1.0 / x.shape[-1]
+    centered = x + x.sum(axis=-1, keepdims=True) * scale * -1.0
+    inv = ((centered * centered).sum(axis=-1, keepdims=True) * scale + eps) ** -0.5
+    normed = centered * inv
+    return normed * gamma + beta, normed, inv
+
+
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale/shift."""
-    x = _wrap(x)
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    centered = add(x, mul(mu, -1.0))
-    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = _power(add(var, eps), -0.5)
-    return add(mul(mul(centered, inv), gamma), beta)
+    x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
+    data, normed, inv = _layer_norm(x.data, gamma.data, beta.data, eps)
+
+    def backward(g):
+        g_normed = g * gamma.data
+        mean_g = g_normed.mean(axis=-1, keepdims=True)
+        mean_gn = (g_normed * normed).mean(axis=-1, keepdims=True)
+        return (
+            (x, inv * (g_normed - mean_g - normed * mean_gn)),
+            (gamma, _unbroadcast(g * normed, gamma.data.shape)),
+            (beta, _unbroadcast(g, beta.data.shape)),
+        )
+
+    return _node(data, (x, gamma, beta), backward, "layer_norm")
 
 
 def causal_mask(t: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .numerics.tensor import reduce_sum, transpose
+from .numerics.tensor import _gelu, _layer_norm, _log_softmax, _softmax, reduce_sum, transpose
 from .rng import substream
 from .sequences import RESIDUES, Peptide
 
@@ -188,6 +188,8 @@ class PolicyModel:
         b, t = ids.shape
         if t > cfg.context_len:
             raise ValueError(f"input length {t} exceeds context {cfg.context_len}")
+        if not np.all(ids[:, 0] == BOS):
+            raise ValueError("the policy expects BOS-prefixed rows")
         d = cfg.embed_dim
         heads = cfg.n_heads
         dh = d // heads
@@ -214,30 +216,22 @@ class PolicyModel:
             x = x + nm.matmul(m, self.params[f"{pre}.mlp.w2"]) + self.params[f"{pre}.mlp.b2"]
         return nm.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
 
-    def forward(self, ids: np.ndarray) -> nm.Tensor:
-        """Raw next-action logits, shape (B, T, 21)."""
-        hidden = self.forward_hidden(ids)
-        return nm.matmul(hidden, self.params["head.w"]) + self.params["head.b"]
+    def _action_head(self, hidden: nm.Tensor) -> nm.Tensor:
+        logits = nm.matmul(hidden, self.params["head.w"]) + self.params["head.b"]
+        return nm.log_softmax(logits + _first_step_eos_mask(hidden.shape[1]), axis=-1)
 
     def action_log_probs(self, ids: np.ndarray) -> nm.Tensor:
         """Log-probabilities over actions at every position.
 
         Rows must start with BOS; the EOS action is masked at position 0.
         """
-        if not np.all(ids[:, 0] == BOS):
-            raise ValueError("action_log_probs expects BOS-prefixed rows")
-        logits = self.forward(ids)
-        return nm.log_softmax(logits + _first_step_eos_mask(ids.shape[1]), axis=-1)
+        return self._action_head(self.forward_hidden(ids))
 
     def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor]:
         """One shared-trunk pass: per-position state values and action log-probs."""
-        if not np.all(ids[:, 0] == BOS):
-            raise ValueError("values_and_log_probs expects BOS-prefixed rows")
         hidden = self.forward_hidden(ids)
-        logits = nm.matmul(hidden, self.params["head.w"]) + self.params["head.b"]
-        log_probs = nm.log_softmax(logits + _first_step_eos_mask(ids.shape[1]), axis=-1)
         values = nm.matmul(hidden, self.params["value.w"]) + self.params["value.b"]
-        return values.reshape(ids.shape), log_probs
+        return values.reshape(ids.shape), self._action_head(hidden)
 
     # --- persistence --------------------------------------------------------
 
@@ -484,6 +478,8 @@ def sample(
     step, so row i's outcome does not depend on when other rows finish. A row
     that exhausts the residue budget has EOS forced as its final action (its
     log-prob is still the model's own), and is flagged as not terminated.
+    Decoding runs on plain arrays through a key/value cache (`_Decoder`) and
+    gives the same logits as the autodiff forward of the whole prefix.
     """
     if not greedy and temperature <= 0.0:
         raise ValueError("temperature must be positive unless decoding greedily")
@@ -491,17 +487,19 @@ def sample(
         raise ValueError("top_k must be >= 1 when given")
     limit = model.config.max_len if max_len is None else min(max_len, model.config.max_len)
     rng = substream(seed, "policy.sample")
+    decoder = _Decoder(model, n, limit + 1)
 
-    rows = np.full((n, 1), BOS, dtype=np.int64)
+    tokens = np.full((n, limit + 1), PAD, dtype=np.int64)
+    lps = np.zeros((n, limit + 1))
+    lengths = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    token_lists: list[list[int]] = [[] for _ in range(n)]
-    lp_lists: list[list[float]] = [[] for _ in range(n)]
+    feed = np.full(n, BOS, dtype=np.int64)
 
     for step in range(limit + 1):
-        logits = model.forward(rows).data[:, -1, :].copy()
+        logits = decoder.step(feed)
         if step == 0:
             logits[:, EOS] = NEG
-        base_lp = _log_softmax_rows(logits)
+        base_lp = _log_softmax(logits)
         sample_logits = logits if greedy else logits / temperature
         if step == limit:
             # residue budget exhausted; EOS is the only remaining action
@@ -514,46 +512,80 @@ def sample(
         if greedy:
             choices = np.argmax(sample_logits, axis=-1)
         else:
-            probs = _softmax_rows(sample_logits)
+            probs = _softmax(sample_logits)
             u = rng.random(n)
             cum = np.cumsum(probs, axis=-1)
             choices = np.minimum((cum < u[:, None]).sum(axis=-1), N_ACTIONS - 1)
-        was_alive = alive.copy()
-        for i in range(n):
-            if not was_alive[i]:
-                continue
-            token = int(choices[i])
-            token_lists[i].append(token)
-            lp_lists[i].append(float(base_lp[i, token]))
-            if token == EOS:
-                alive[i] = False
+        rows = np.flatnonzero(alive)
+        tokens[rows, step] = choices[rows]
+        lps[rows, step] = base_lp[rows, choices[rows]]
+        lengths[rows] += 1
+        feed = np.where(alive, choices, PAD)
+        alive &= choices != EOS
         if not alive.any():
             break
-        col = np.where(was_alive, choices, PAD).astype(np.int64)
-        rows = np.concatenate([rows, col[:, None]], axis=1)
 
     out: list[SampledSequence] = []
     for i in range(n):
-        tokens = np.array(token_lists[i], dtype=np.int64)
-        residues = decode_tokens(tokens)
+        k = int(lengths[i])
+        residues = decode_tokens(tokens[i, :k])
         pep = Peptide(id=f"{id_prefix}{id_start + i}", residues=residues, source=source)
         out.append(
             SampledSequence(
                 peptide=pep,
-                tokens=tokens,
-                log_probs=np.array(lp_lists[i]),
+                tokens=tokens[i, :k].copy(),
+                log_probs=lps[i, :k].copy(),
                 terminated=len(residues) < limit,
             )
         )
     return out
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+class _Decoder:
+    """One token per row per step through the policy, on plain arrays.
 
+    LoRA deltas are merged into the attention weights once, with the same
+    expression as `PolicyModel._weight`. Each layer keeps the keys and
+    values of every position fed so far, so a step attends over the cache
+    instead of re-running the prefix. No autodiff graph is built, so the
+    logits of each step are checked for finiteness here.
+    """
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    def __init__(self, model: PolicyModel, n: int, steps: int):
+        cfg = model.config
+        self.config = cfg
+        self.w = {name: p.data for name, p in model.params.items()}
+        for name, delta in model.lora.items():
+            self.w[name] = self.w[name] + np.matmul(delta.a.data, delta.b.data) * (delta.scaling / delta.rank)
+        dh = cfg.embed_dim // cfg.n_heads
+        self.cache = [
+            (np.zeros((n, cfg.n_heads, steps, dh)), np.zeros((n, cfg.n_heads, steps, dh)))
+            for _ in range(cfg.n_layers)
+        ]
+        self.pos = 0
+
+    def step(self, feed: np.ndarray) -> np.ndarray:
+        """Next-action logits (n, 21) after feeding one token per row."""
+        cfg, w, t = self.config, self.w, self.pos
+        n = feed.shape[0]
+        heads = cfg.n_heads
+        dh = cfg.embed_dim // heads
+        x = w["tok_embed"][feed] + w["pos_embed"][t]
+        for i, (k_cache, v_cache) in enumerate(self.cache):
+            pre = f"layer{i}"
+            h = _layer_norm(x, w[f"{pre}.ln1.g"], w[f"{pre}.ln1.b"])[0]
+            q = (np.matmul(h, w[f"{pre}.attn.wq"]) + w[f"{pre}.attn.qb"]).reshape((n, heads, 1, dh))
+            k_cache[:, :, t] = (np.matmul(h, w[f"{pre}.attn.wk"]) + w[f"{pre}.attn.kb"]).reshape((n, heads, dh))
+            v_cache[:, :, t] = (np.matmul(h, w[f"{pre}.attn.wv"]) + w[f"{pre}.attn.vb"]).reshape((n, heads, dh))
+            scores = np.matmul(q, np.swapaxes(k_cache[:, :, : t + 1], -1, -2)) * (1.0 / np.sqrt(dh))
+            ctx = np.matmul(_softmax(scores), v_cache[:, :, : t + 1]).reshape((n, cfg.embed_dim))
+            x = x + np.matmul(ctx, w[f"{pre}.attn.wo"]) + w[f"{pre}.attn.ob"]
+            h2 = _layer_norm(x, w[f"{pre}.ln2.g"], w[f"{pre}.ln2.b"])[0]
+            m = _gelu(np.matmul(h2, w[f"{pre}.mlp.w1"]) + w[f"{pre}.mlp.b1"])[0]
+            x = x + np.matmul(m, w[f"{pre}.mlp.w2"]) + w[f"{pre}.mlp.b2"]
+        x = _layer_norm(x, w["ln_f.g"], w["ln_f.b"])[0]
+        logits = np.matmul(x, w["head.w"]) + w["head.b"]
+        if not np.all(np.isfinite(logits)):
+            raise FloatingPointError(f"non-finite result in op 'decode.logits' at step {t}")
+        self.pos += 1
+        return logits

@@ -29,6 +29,8 @@ LOG_COLUMNS = (
     "mean_moment",
     "mean_pI",
     "entropy",
+    "policy_loss",
+    "value_loss",
     "clip_fraction",
     "approx_kl",
     "skipped_updates",
@@ -294,6 +296,8 @@ def train_rl(
         compute_advantages(batch, cfg)
 
         shuffle_rng = substream(seed, f"ppo.shuffle.{iteration}")
+        policy_losses: list[float] = []
+        value_losses: list[float] = []
         clip_fracs: list[float] = []
         kls: list[float] = []
         skipped = 0
@@ -308,6 +312,8 @@ def train_rl(
                 opt.zero_grad()
                 losses.total.backward()
                 opt.step()
+                policy_losses.append(losses.policy.item())
+                value_losses.append(losses.value.item())
                 clip_fracs.append(losses.clip_fraction)
                 kls.append(losses.approx_kl)
 
@@ -323,6 +329,8 @@ def train_rl(
             "mean_moment": float(np.mean([p.hydrophobic_moment for p in batch.props])),
             "mean_pI": float(np.mean([p.isoelectric_point for p in batch.props])),
             "entropy": batch.mean_entropy,
+            "policy_loss": float(np.mean(policy_losses)) if policy_losses else 0.0,
+            "value_loss": float(np.mean(value_losses)) if value_losses else 0.0,
             "clip_fraction": float(np.mean(clip_fracs)) if clip_fracs else 0.0,
             "approx_kl": float(np.mean(kls)) if kls else 0.0,
             "skipped_updates": skipped,

@@ -216,6 +216,14 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.score(probe) == pytest.approx(model.score(probe), abs=1e-15)
 
 
+def test_model_save_rejects_unfit_embedder(tmp_path):
+    model = MicModel.init(Embedder(), MicConfig(hidden=(4,)), seed=0)
+    path = tmp_path / "mic.ckpt"
+    with pytest.raises(ValueError, match="builtin embedder must be fit before saving"):
+        model.save(path)
+    assert not path.exists()
+
+
 def test_labeled_tsv_round_trip():
     items = [
         (Peptide("p0", "KKLLWW", "natural"), 1),

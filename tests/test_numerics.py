@@ -6,6 +6,7 @@ import pytest
 
 import amprl.numerics as nm
 from amprl.numerics.optim import Adam
+from amprl.numerics.tensor import _power, add, mul, reduce_mean, tanh
 
 TOL = 1e-4  # relative error bound for central finite differences
 
@@ -125,6 +126,52 @@ def test_layer_norm_output_is_standardized():
     y = nm.layer_norm(x, nm.tensor(np.ones(16)), nm.tensor(np.zeros(16)))
     assert np.allclose(y.data.mean(axis=-1), 0.0, atol=1e-7)
     assert np.allclose(y.data.std(axis=-1), 1.0, atol=1e-3)
+
+
+def _composed_gelu(a):
+    """GELU built from elementary ops, as it was before it became one node."""
+    inner = mul(add(a, mul(_power(a, 3.0), 0.044715)), np.sqrt(2.0 / np.pi))
+    return mul(mul(a, 0.5), add(tanh(inner), 1.0))
+
+
+def _composed_layer_norm(x, gamma, beta, eps=1e-5):
+    """LayerNorm built from elementary ops, as it was before it became one node."""
+    mu = reduce_mean(x, axis=-1, keepdims=True)
+    centered = add(x, mul(mu, -1.0))
+    var = reduce_mean(mul(centered, centered), axis=-1, keepdims=True)
+    return add(mul(mul(centered, _power(add(var, eps), -0.5)), gamma), beta)
+
+
+def test_fused_gelu_matches_composed_ops():
+    rng = np.random.default_rng(21)
+    x = nm.tensor(rng.normal(size=(4, 7, 33)) * 3.0, requires_grad=True)
+    w = rng.normal(size=x.shape)
+    fused = nm.gelu(x)
+    composed = _composed_gelu(x)
+    assert np.max(np.abs(fused.data - composed.data)) <= 1e-14
+    (fused * w).sum().backward()
+    g_fused = x.grad
+    x.grad = None
+    (composed * w).sum().backward()
+    assert np.allclose(g_fused, x.grad, rtol=1e-12, atol=1e-13)
+
+
+def test_fused_layer_norm_matches_composed_ops():
+    rng = np.random.default_rng(22)
+    x = nm.tensor(rng.normal(size=(3, 5, 24)) * 4.0 + 2.0, requires_grad=True)
+    gamma = nm.tensor(rng.uniform(0.5, 1.5, 24), requires_grad=True)
+    beta = nm.tensor(rng.normal(size=24), requires_grad=True)
+    w = rng.normal(size=x.shape)
+    fused = nm.layer_norm(x, gamma, beta)
+    composed = _composed_layer_norm(x, gamma, beta)
+    assert np.array_equal(fused.data, composed.data)
+    (fused * w).sum().backward()
+    grads = [t.grad for t in (x, gamma, beta)]
+    for t in (x, gamma, beta):
+        t.grad = None
+    (composed * w).sum().backward()
+    for g, t in zip(grads, (x, gamma, beta)):
+        assert np.allclose(g, t.grad, rtol=1e-11, atol=1e-12)
 
 
 def test_embedding_and_gather_grads():

@@ -16,14 +16,18 @@ from amprl.policy import (
     log_probs,
     perplexity,
     sample,
+    sequence_log_probs,
     sft_loss,
     train_sft,
 )
 from amprl.sequences import Peptide
 
+import sampler_oracle
 from conftest import RESIDUES, random_peptides
 
 TOY = ModelConfig(embed_dim=16, n_layers=2, n_heads=2, max_len=20, mlp_ratio=2, init_std=0.02)
+# the reduced model of the benchmark workloads
+BENCH = ModelConfig(embed_dim=64, n_layers=2, n_heads=4, max_len=40, mlp_ratio=4, init_std=0.02)
 
 
 def _pep(residues, pid="t"):
@@ -211,3 +215,65 @@ def test_lora_round_trip_through_checkpoint(tmp_path):
     loaded = PolicyModel.load(path)
     assert np.array_equal(tuned.action_log_probs(ids).data, loaded.action_log_probs(ids).data)
     assert not np.allclose(loaded.action_log_probs(ids).data, base_out, atol=1e-9)
+
+
+def _lora_policy(config, seed):
+    """A LoRA-attached policy whose adapters change the function."""
+    model = attach_lora(PolicyModel.init(config, seed=seed), rank=4, scaling=8.0, targets=("wq", "wk", "wv", "wo"), seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, t in model.named_tensors().items():
+        if name.endswith("lora_b"):
+            t.data += rng.normal(0.0, 0.05, size=t.data.shape)
+    return model
+
+
+# (config, LoRA attached, rows, sample keyword arguments)
+DIFFERENTIAL_CASES = {
+    "default": (ModelConfig(), False, 4, {"seed": 1}),
+    "bench": (BENCH, False, 8, {"seed": 2}),
+    "bench_lora_tempered": (BENCH, True, 8, {"seed": 3, "temperature": 0.7}),
+    "toy_lora_top_k": (TOY, True, 12, {"seed": 4, "top_k": 3, "temperature": 1.5}),
+    "toy_greedy": (TOY, True, 5, {"seed": 5, "greedy": True}),
+    "bench_short_cap": (BENCH, True, 10, {"seed": 6, "max_len": 5}),
+    "toy_ids": (TOY, False, 6, {"seed": 7, "id_prefix": "rl", "id_start": 3, "source": "generated_rl"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_cached_sampler_matches_full_prefix_oracle(case):
+    config, lora, n, kwargs = DIFFERENTIAL_CASES[case]
+    model = _lora_policy(config, seed=11) if lora else PolicyModel.init(config, seed=11)
+    got = sample(model, n, **kwargs)
+    want = sampler_oracle.sample(model, n, **kwargs)
+    assert len(got) == len(want) == n
+    for g, w in zip(got, want):
+        assert g.peptide == w.peptide
+        assert np.array_equal(g.tokens, w.tokens)
+        assert g.terminated == w.terminated
+        assert g.log_probs.shape == w.log_probs.shape
+        assert np.max(np.abs(g.log_probs - w.log_probs)) <= 1e-12
+    if "max_len" in kwargs:
+        assert not all(g.terminated for g in got)  # EOS forced at the residue cap
+    elif not kwargs.get("greedy"):
+        # rows finish at different steps, so dead rows are fed PAD while others decode
+        assert len({g.tokens.size for g in got}) > 1
+
+
+def test_sampled_log_probs_match_rescoring():
+    model = _lora_policy(BENCH, seed=12)
+    draws = sample(model, 16, seed=9, temperature=0.8)
+    width = max(d.tokens.size for d in draws) + 1
+    ids = np.full((len(draws), width), PAD, dtype=np.int64)
+    ids[:, 0] = BOS
+    for i, d in enumerate(draws):
+        ids[i, 1 : d.tokens.size + 1] = d.tokens
+    rescored = sequence_log_probs(model, ids)
+    for i, d in enumerate(draws):
+        assert np.max(np.abs(rescored[i, : d.tokens.size] - d.log_probs)) <= 1e-9
+
+
+def test_sample_fails_loudly_on_a_nan_weight():
+    model = PolicyModel.init(TOY, seed=13)
+    model.params["layer1.mlp.w1"].data[3, 5] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        sample(model, 4, seed=0)

@@ -304,6 +304,8 @@ def test_train_rl_freezes_base_and_logs(tmp_path):
     for row in log:
         assert 0.0 <= row["frac_active"] <= 1.0
         assert row["entropy"] >= 0.0
+        assert np.isfinite(row["policy_loss"])
+        assert row["value_loss"] > 0.0
     header = log_path.read_text().splitlines()[0]
     assert header == "\t".join(LOG_COLUMNS)
 
@@ -326,7 +328,8 @@ def test_ratio_guard_skips_divergent_minibatches():
 
 def test_write_training_log_format():
     rows = [
-        {c: (1 if c == "iteration" else 0.5) for c in LOG_COLUMNS} | {"approx_kl": 0.0, "skipped_updates": 0}
+        {c: (1 if c == "iteration" else 0.5) for c in LOG_COLUMNS}
+        | {"approx_kl": 0.0, "skipped_updates": 0, "policy_loss": -0.25, "value_loss": 1.5}
     ]
     buf = io.StringIO()
     write_training_log(rows, buf)
@@ -336,3 +339,6 @@ def test_write_training_log_format():
     assert fields["iteration"] == "1"
     assert fields["skipped_updates"] == "0"
     assert fields["approx_kl"] == "0.0"
+    assert fields["policy_loss"] == "-0.25"
+    assert fields["value_loss"] == "1.5"
+    assert LOG_COLUMNS.index("policy_loss") < LOG_COLUMNS.index("value_loss") < LOG_COLUMNS.index("clip_fraction")
