@@ -1,7 +1,9 @@
 """Pairwise sequence alignment: global and local, affine gaps, BLOSUM62.
 
 Global alignments drive clustering identity; local alignments drive the
-novelty search. A gap of length k costs open + k * extend. Bit scores and
+novelty search. Both searches run `search`, one query against many targets;
+`align_global` and `align_local` give the full alignment of one pair. A gap
+of length k costs open + k * extend. Bit scores and
 E-values use fixed Karlin-Altschul parameters for the gapped BLOSUM62
 (11,1) scheme; they are approximate and not comparable to MMseqs2 output,
 while identity and alignment length are exact.
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -204,6 +206,109 @@ def align_local(a: str, b: str) -> LocalAlignment | None:
         query_span=(i, end_i),
         target_span=(j, end_j),
     )
+
+
+# Targets aligned per numpy row step by `search`; bounds its memory to
+# SEARCH_BLOCK x longest target whatever the number of targets.
+SEARCH_BLOCK = 256
+_PAD = len(_BLOSUM62_ORDER)
+# a padding cell scores _NEG against every residue
+_PADDED_SCORES = np.hstack([_SCORES, np.full((len(_SCORES), 1), _NEG)])
+
+
+def search(query: str, targets: Sequence[str], *, local: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Align `query` against every target: optimal scores, matches and columns.
+
+    Each entry is what `align_local` (local) or `align_global` reports for that
+    pair; a local pair with no alignment scores 0 with 0 matches and 0 columns.
+    Targets are aligned SEARCH_BLOCK at a time, padded to one width, one query
+    row per numpy step. Matches and columns are carried through the fill along
+    the predecessor `_traceback` would take, so no traceback runs.
+    """
+    if not query or not all(targets):
+        raise ValueError("cannot align an empty sequence")
+    codes = np.array(_codes(query))
+    parts = [_search_block(codes, targets[k : k + SEARCH_BLOCK], local) for k in range(0, len(targets), SEARCH_BLOCK)]
+    parts = parts or [(np.zeros(0), np.zeros(0, dtype=np.int64))]
+    scores = np.concatenate([s for s, _ in parts])
+    tallies = np.concatenate([t for _, t in parts])
+    columns, matches = np.divmod(tallies, len(query) + 1)
+    return scores, matches, columns
+
+
+def _search_block(query: np.ndarray, targets: Sequence[str], local: bool) -> tuple[np.ndarray, np.ndarray]:
+    """`_fill`'s recurrence across a padded stack of targets, one row kept.
+
+    Beside each M, X and Y cell runs a tally, columns * (n + 1) + matches, of
+    the walk `_traceback` would make from that cell (matches <= n, the query
+    length). Returns each target's score and the tally of its optimal walk.
+    """
+    n, count = len(query), len(targets)
+    lengths = np.array([len(t) for t in targets])
+    width = int(lengths.max())
+    codes = np.full((count, width), _PAD)
+    for row, target in zip(codes, targets):
+        row[: len(target)] = _codes(target)
+    step = n + 1
+    cols = np.arange(width)
+    rows = np.arange(count)
+    y_gap = GAP_OPEN + GAP_EXTEND * (cols + 1)
+    M, X, Y = (np.full((count, width + 1), _NEG) for _ in range(3))
+    TM, TX, TY = (np.zeros((count, width + 1), dtype=np.int64) for _ in range(3))
+    if local:
+        M[:] = 0.0
+    else:
+        M[:, 0] = 0.0
+        Y[:, 1:] = -y_gap
+        TY[:, 1:] = step * (cols + 1)
+    best = np.zeros(count)
+    best_tally = np.zeros(count, dtype=np.int64)
+    profile = _PADDED_SCORES[query]
+    for i in range(1, n + 1):
+        pM, pX, pY, pTM, pTX, pTY = M, X, Y, TM, TX, TY
+        M, X, Y = (np.empty((count, width + 1)) for _ in range(3))
+        TM, TX, TY = (np.empty((count, width + 1), dtype=np.int64) for _ in range(3))
+        M[:, 0] = 0.0 if local else _NEG
+        X[:, 0] = _NEG if local else -(GAP_OPEN + GAP_EXTEND * i)
+        Y[:, 0] = _NEG
+        TM[:, 0] = 0
+        TX[:, 0] = 0 if local else step * i
+        TY[:, 0] = 0
+
+        diag = np.maximum(np.maximum(pM[:, :-1], pX[:, :-1]), pY[:, :-1])
+        # a match step's predecessor, tested in _traceback's order: M, X, Y
+        pred = np.where(pM[:, :-1] == diag, pTM[:, :-1], np.where(pX[:, :-1] == diag, pTX[:, :-1], pTY[:, :-1]))
+        if local:
+            pred[diag == 0.0] = 0  # the local walk stops where the predecessor scores 0
+        np.add(diag, profile[i - 1][codes], out=M[:, 1:])
+        if local:
+            np.maximum(M[:, 1:], 0.0, out=M[:, 1:])
+        np.add(pred, step + (codes == query[i - 1]), out=TM[:, 1:])
+
+        opened = pM[:, 1:] - GAP_OPEN - GAP_EXTEND
+        np.maximum(opened, pX[:, 1:] - GAP_EXTEND, out=X[:, 1:])
+        np.add(np.where(X[:, 1:] == opened, pTM[:, 1:], pTX[:, 1:]), step, out=TX[:, 1:])
+
+        run_in = M[:, :-1] + GAP_EXTEND * cols
+        run = np.maximum.accumulate(run_in, axis=1)
+        np.subtract(run, y_gap, out=Y[:, 1:])
+        # Y[i, j] opened from M[i, k] at the last k < j where the running maximum is attained
+        k = np.maximum.accumulate(np.where(run_in == run, cols, 0), axis=1)
+        np.add(TM[rows[:, None], k], step * (cols + 1 - k), out=TY[:, 1:])
+
+        if local:
+            # the first maximum cell in row-major order, as np.argmax(M) picks it
+            j = np.argmax(M, axis=1)
+            top = M[rows, j]
+            better = top > best
+            best[better] = top[better]
+            best_tally[better] = TM[rows, j][better]
+    if local:
+        return best, best_tally
+    finals = np.stack([M[rows, lengths], X[rows, lengths], Y[rows, lengths]])
+    state = np.argmax(finals, axis=0)
+    tallies = np.stack([TM[rows, lengths], TX[rows, lengths], TY[rows, lengths]])
+    return finals[state, rows], tallies[state, rows]
 
 
 @dataclass(frozen=True)

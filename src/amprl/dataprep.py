@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
+import numpy as np
+
 from . import rng as _rng
-from .alignment import identity_global
+from .alignment import SEARCH_BLOCK, search
 from .mic import LabeledSet
 from .sequences import Peptide, _write_text
 
@@ -52,23 +54,26 @@ def greedy_cluster(peptides: Sequence[Peptide], identity_threshold: float = 0.40
 
     Each peptide joins the first existing cluster whose representative it
     matches at or above the threshold, else it founds a new cluster. The
-    ordering (length descending, then sequence, then id) makes the result
-    independent of input order.
+    representatives are searched one block at a time in creation order, and
+    the search stops at the first block with a match. The ordering (length
+    descending, then sequence, then id) makes the result independent of input
+    order.
     """
     if not 0.0 < identity_threshold <= 1.0:
         raise ValueError("identity threshold must lie in (0,1]")
     clusters: list[Cluster] = []
+    representatives: list[str] = []
     for pep in _greedy_order(peptides):
         home = None
-        for cluster in clusters:
-            if pep.residues == cluster.representative.residues:
-                home = cluster
-                break
-            if identity_global(pep.residues, cluster.representative.residues) >= identity_threshold:
-                home = cluster
+        for start in range(0, len(clusters), SEARCH_BLOCK):
+            _, matches, columns = search(pep.residues, representatives[start : start + SEARCH_BLOCK], local=False)
+            joins = np.flatnonzero(matches / columns >= identity_threshold)
+            if joins.size:
+                home = clusters[start + int(joins[0])]
                 break
         if home is None:
             clusters.append(Cluster(representative=pep, members=[pep]))
+            representatives.append(pep.residues)
         else:
             home.members.append(pep)
     return clusters

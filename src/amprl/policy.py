@@ -119,40 +119,13 @@ class PolicyModel:
     @classmethod
     def init(cls, config: ModelConfig, seed: int) -> "PolicyModel":
         rng = substream(seed, "policy.init")
-        d = config.embed_dim
-        hidden = config.mlp_ratio * d
         params: dict[str, nm.Tensor] = {}
-
-        def normal(name: str, shape: tuple[int, ...]) -> None:
-            params[name] = nm.Tensor(rng.normal(0.0, config.init_std, size=shape), requires_grad=True)
-
-        def zeros(name: str, shape: tuple[int, ...]) -> None:
-            params[name] = nm.Tensor(np.zeros(shape), requires_grad=True)
-
-        def ones(name: str, shape: tuple[int, ...]) -> None:
-            params[name] = nm.Tensor(np.ones(shape), requires_grad=True)
-
-        normal("tok_embed", (VOCAB, d))
-        normal("pos_embed", (config.context_len, d))
-        for i in range(config.n_layers):
-            pre = f"layer{i}"
-            ones(f"{pre}.ln1.g", (d,))
-            zeros(f"{pre}.ln1.b", (d,))
-            for proj in ("wq", "wk", "wv", "wo"):
-                normal(f"{pre}.attn.{proj}", (d, d))
-                zeros(f"{pre}.attn.{proj[1]}b", (d,))
-            ones(f"{pre}.ln2.g", (d,))
-            zeros(f"{pre}.ln2.b", (d,))
-            normal(f"{pre}.mlp.w1", (d, hidden))
-            zeros(f"{pre}.mlp.b1", (hidden,))
-            normal(f"{pre}.mlp.w2", (hidden, d))
-            zeros(f"{pre}.mlp.b2", (d,))
-        ones("ln_f.g", (d,))
-        zeros("ln_f.b", (d,))
-        normal("head.w", (d, N_ACTIONS))
-        zeros("head.b", (N_ACTIONS,))
-        normal("value.w", (d, 1))
-        zeros("value.b", (1,))
+        for name, shape, fill in _base_parameters(config):
+            if fill == "normal":
+                data = rng.normal(0.0, config.init_std, size=shape)
+            else:
+                data = np.full(shape, 1.0 if fill == "ones" else 0.0)
+            params[name] = nm.Tensor(data, requires_grad=True)
         return cls(config, params)
 
     def parameter_count(self) -> int:
@@ -202,7 +175,7 @@ class PolicyModel:
             pre = f"layer{i}"
             h = nm.layer_norm(x, self.params[f"{pre}.ln1.g"], self.params[f"{pre}.ln1.b"])
             q = nm.matmul(h, self._weight(f"{pre}.attn.wq")) + self.params[f"{pre}.attn.qb"]
-            k = nm.matmul(h, self._weight(f"{pre}.attn.wk")) + self.params[f"{pre}.attn.kb"]
+            k = nm.matmul(h, self._weight(f"{pre}.attn.wk"))
             v = nm.matmul(h, self._weight(f"{pre}.attn.wv")) + self.params[f"{pre}.attn.vb"]
             q = transpose(q.reshape((b, t, heads, dh)), (0, 2, 1, 3))
             k = transpose(k.reshape((b, t, heads, dh)), (0, 2, 1, 3))
@@ -260,6 +233,12 @@ class PolicyModel:
             for name, arr in tensors.items()
             if not name.endswith((".lora_a", ".lora_b"))
         }
+        mismatch = sorted(params.keys() ^ {name for name, _, _ in _base_parameters(config)})
+        if mismatch:
+            name = mismatch[0]
+            if name in params:
+                raise ValueError(f"{path}: checkpoint holds tensor {name!r}, which its model_config does not define")
+            raise ValueError(f"{path}: checkpoint lacks tensor {name!r}, which its model_config defines")
         model = cls(config, params)
         lora_meta = meta.get("lora")
         if lora_meta:
@@ -271,6 +250,41 @@ class PolicyModel:
                     scaling=float(lora_meta["scaling"]),
                 )
         return model
+
+
+def _base_parameters(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """(name, shape, fill) of every base tensor, in the order `init` draws them.
+
+    Keys carry no bias: adding q . b to every score of a softmax row leaves it
+    unchanged, so such a bias would get no gradient.
+    """
+    d = config.embed_dim
+    hidden = config.mlp_ratio * d
+    specs = [("tok_embed", (VOCAB, d), "normal"), ("pos_embed", (config.context_len, d), "normal")]
+    for i in range(config.n_layers):
+        pre = f"layer{i}"
+        specs += [(f"{pre}.ln1.g", (d,), "ones"), (f"{pre}.ln1.b", (d,), "zeros")]
+        for proj in ("wq", "wk", "wv", "wo"):
+            specs.append((f"{pre}.attn.{proj}", (d, d), "normal"))
+            if proj != "wk":
+                specs.append((f"{pre}.attn.{proj[1]}b", (d,), "zeros"))
+        specs += [
+            (f"{pre}.ln2.g", (d,), "ones"),
+            (f"{pre}.ln2.b", (d,), "zeros"),
+            (f"{pre}.mlp.w1", (d, hidden), "normal"),
+            (f"{pre}.mlp.b1", (hidden,), "zeros"),
+            (f"{pre}.mlp.w2", (hidden, d), "normal"),
+            (f"{pre}.mlp.b2", (d,), "zeros"),
+        ]
+    specs += [
+        ("ln_f.g", (d,), "ones"),
+        ("ln_f.b", (d,), "zeros"),
+        ("head.w", (d, N_ACTIONS), "normal"),
+        ("head.b", (N_ACTIONS,), "zeros"),
+        ("value.w", (d, 1), "normal"),
+        ("value.b", (1,), "zeros"),
+    ]
+    return specs
 
 
 def _first_step_eos_mask(t: int) -> np.ndarray:
@@ -575,7 +589,7 @@ class _Decoder:
             pre = f"layer{i}"
             h = _layer_norm(x, w[f"{pre}.ln1.g"], w[f"{pre}.ln1.b"])[0]
             q = (np.matmul(h, w[f"{pre}.attn.wq"]) + w[f"{pre}.attn.qb"]).reshape((n, heads, 1, dh))
-            k_cache[:, :, t] = (np.matmul(h, w[f"{pre}.attn.wk"]) + w[f"{pre}.attn.kb"]).reshape((n, heads, dh))
+            k_cache[:, :, t] = np.matmul(h, w[f"{pre}.attn.wk"]).reshape((n, heads, dh))
             v_cache[:, :, t] = (np.matmul(h, w[f"{pre}.attn.wv"]) + w[f"{pre}.attn.vb"]).reshape((n, heads, dh))
             scores = np.matmul(q, np.swapaxes(k_cache[:, :, : t + 1], -1, -2)) * (1.0 / np.sqrt(dh))
             ctx = np.matmul(_softmax(scores), v_cache[:, :, : t + 1]).reshape((n, cfg.embed_dim))

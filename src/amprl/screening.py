@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .alignment import LocalAlignment, SimilarityHit, align_local, make_hit
+from .alignment import SimilarityHit, align_local, make_hit, search
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
 from .reward import RewardConfig
 from .sequences import AnnotationRecord, Peptide, _write_text, write_fasta, write_records
@@ -130,23 +130,20 @@ def novelty_filter(
     if not reference:
         raise ValueError("reference set must be non-empty")
     db_residues = sum(len(t) for t in reference)
+    targets = [t.residues for t in reference]
     kept: list[AnnotationRecord] = []
     removed: list[AnnotationRecord] = []
     hits: list[SimilarityHit] = []
     for record in records:
         query = record.peptide
-        best: tuple[float, str, Peptide, LocalAlignment] | None = None
-        similar = False
-        for target in reference:
-            aln = align_local(query.residues, target.residues)
-            if aln is None:
-                continue
-            if best is None or (-aln.score, target.id) < (-best[0], best[1]):
-                best = (aln.score, target.id, target, aln)
-            if aln.columns > cfg.novelty_coverage * len(query) and aln.identity >= cfg.novelty_identity:
-                similar = True
-        if best is not None:
-            hits.append(make_hit(query, best[2], best[3], db_residues))
+        scores, matches, columns = search(query.residues, targets, local=True)
+        # columns is 0 only where nothing aligned, and then fails the coverage test
+        identity = matches / np.maximum(columns, 1)
+        similar = bool(np.any((columns > cfg.novelty_coverage * len(query)) & (identity >= cfg.novelty_identity)))
+        aligned = np.flatnonzero(scores > 0.0)
+        if aligned.size:
+            best = reference[min(aligned, key=lambda k: (-scores[k], reference[k].id))]
+            hits.append(make_hit(query, best, align_local(query.residues, best.residues), db_residues))
         if similar:
             removed.append(dataclasses.replace(record, verdict="rejected", reject_reasons=("novelty",)))
         else:

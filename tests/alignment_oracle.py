@@ -1,12 +1,26 @@
-"""The scalar alignment kernel that `amprl.alignment` replaced, kept as a test oracle.
+"""Alignment code that `amprl` replaced, kept as test oracles.
 
-It builds the substitution grid with a per-cell dict lookup and has separate
-global and local tracebacks. `test_alignment.py` checks the shared kernel
-against it field for field.
+The scalar kernel builds the substitution grid with a per-cell dict lookup
+and has separate global and local tracebacks; `test_alignment.py` checks the
+shared kernel and the batched search against it field for field.
+`greedy_cluster` and `novelty_filter` are the per-pair loops that the batched
+search replaced in `amprl.dataprep` and `amprl.screening`.
 """
+import dataclasses
+
 import numpy as np
 
-from amprl.alignment import BLOSUM62, GAP_EXTEND, GAP_OPEN, GlobalAlignment, LocalAlignment
+from amprl.alignment import (
+    BLOSUM62,
+    GAP_EXTEND,
+    GAP_OPEN,
+    GlobalAlignment,
+    LocalAlignment,
+    align_local as scalar_align_local,
+    identity_global,
+    make_hit,
+)
+from amprl.dataprep import Cluster
 
 _NEG = -1.0e9
 
@@ -139,3 +153,45 @@ def align_local(a, b):
         query_span=(i, end_i),
         target_span=(j, end_j),
     )
+
+
+def greedy_cluster(peptides, identity_threshold):
+    clusters = []
+    for pep in sorted(peptides, key=lambda p: (-len(p), p.residues, p.id)):
+        home = None
+        for cluster in clusters:
+            if pep.residues == cluster.representative.residues:
+                home = cluster
+                break
+            if identity_global(pep.residues, cluster.representative.residues) >= identity_threshold:
+                home = cluster
+                break
+        if home is None:
+            clusters.append(Cluster(representative=pep, members=[pep]))
+        else:
+            home.members.append(pep)
+    return clusters
+
+
+def novelty_filter(records, reference, cfg):
+    db_residues = sum(len(t) for t in reference)
+    kept, removed, hits = [], [], []
+    for record in records:
+        query = record.peptide
+        best = None
+        similar = False
+        for target in reference:
+            aln = scalar_align_local(query.residues, target.residues)
+            if aln is None:
+                continue
+            if best is None or (-aln.score, target.id) < (-best[0], best[1]):
+                best = (aln.score, target.id, target, aln)
+            if aln.columns > cfg.novelty_coverage * len(query) and aln.identity >= cfg.novelty_identity:
+                similar = True
+        if best is not None:
+            hits.append(make_hit(query, best[2], best[3], db_residues))
+        if similar:
+            removed.append(dataclasses.replace(record, verdict="rejected", reject_reasons=("novelty",)))
+        else:
+            kept.append(record)
+    return kept, removed, hits

@@ -35,6 +35,21 @@ def unique_random_peptides(n, rng, min_len=8, max_len=30, prefix="pep", source="
     return out
 
 
+def near_copy(rng, seq, max_len=40):
+    """`seq` after one to three substitutions, insertions or deletions."""
+    out = list(seq)
+    for _ in range(int(rng.integers(1, 4))):
+        op = int(rng.integers(3))
+        k = int(rng.integers(len(out)))
+        if op == 0:
+            out[k] = rng.choice(list(RESIDUES))
+        elif op == 1 and len(out) < max_len:
+            out.insert(k, rng.choice(list(RESIDUES)))
+        elif op == 2 and len(out) > 1:
+            del out[k]
+    return "".join(out)
+
+
 @pytest.fixture(autouse=True)
 def _clear_output_env(monkeypatch):
     # keeps CLI output routing independent of the invoking shell

@@ -10,6 +10,7 @@ from amprl.alignment import (
     GAP_EXTEND,
     GAP_OPEN,
     HIT_COLUMNS,
+    SEARCH_BLOCK,
     SimilarityHit,
     align_global,
     align_local,
@@ -17,13 +18,14 @@ from amprl.alignment import (
     approximate_evalue,
     identity_global,
     make_hit,
+    search,
     write_hit_table,
 )
 from amprl.screening import ScreenConfig, annotate, novelty_filter
 from amprl.sequences import Peptide
 
 import alignment_oracle
-from conftest import RESIDUES
+from conftest import RESIDUES, near_copy
 
 NEG = float("-inf")
 
@@ -152,28 +154,13 @@ def test_local_score_matches_oracle_on_random_pairs():
     assert hits > 10  # the sampler should produce plenty of positive alignments
 
 
-def _near_copy(rng, seq, max_len=40):
-    # one to three substitutions, insertions or deletions
-    out = list(seq)
-    for _ in range(int(rng.integers(1, 4))):
-        op = int(rng.integers(3))
-        k = int(rng.integers(len(out)))
-        if op == 0:
-            out[k] = rng.choice(list(RESIDUES))
-        elif op == 1 and len(out) < max_len:
-            out.insert(k, rng.choice(list(RESIDUES)))
-        elif op == 2 and len(out) > 1:
-            del out[k]
-    return "".join(out)
-
-
 def test_kernel_matches_scalar_oracle_field_for_field():
     # the scalar kernel with dict-lookup grids and two tracebacks is the oracle
     rng = np.random.default_rng(11)
     pairs = [(_rand_seq(rng, 1, 40), _rand_seq(rng, 1, 40)) for _ in range(1000)]
     for _ in range(1000):
         a = _rand_seq(rng, 1, 40)
-        pairs.append((a, _near_copy(rng, a)))
+        pairs.append((a, near_copy(rng, a)))
     local_hits = 0
     for a, b in pairs:
         assert align_global(a, b) == alignment_oracle.align_global(a, b), (a, b)
@@ -181,6 +168,49 @@ def test_kernel_matches_scalar_oracle_field_for_field():
         assert align_local(a, b) == expected, (a, b)
         local_hits += expected is not None
     assert 1000 < local_hits < len(pairs)  # both outcomes of the local search are exercised
+
+
+def test_search_matches_scalar_oracle_field_for_field():
+    # each batch is wider than one block and mixes random targets of every
+    # length 1..40 with near-copies and exact copies of the query, so padding,
+    # block edges, score ties and traceback ties all occur
+    rng = np.random.default_rng(12)
+    pairs = 0
+    outcomes = set()
+    for _ in range(7):
+        query = _rand_seq(rng, 1, 40)
+        targets = [_rand_seq(rng, length, length) for length in range(1, 41)]
+        targets += [_rand_seq(rng, 1, 40) for _ in range(110)]
+        targets += [near_copy(rng, query) for _ in range(140)]
+        targets += [query] * 10
+        rng.shuffle(targets)
+        assert len(targets) > SEARCH_BLOCK
+        for local in (False, True):
+            scores, matches, columns = search(query, targets, local=local)
+            assert len(scores) == len(matches) == len(columns) == len(targets)
+            for k, target in enumerate(targets):
+                if local:
+                    aln = alignment_oracle.align_local(query, target)
+                    expected = (0.0, 0, 0) if aln is None else (aln.score, aln.matches, aln.columns)
+                    outcomes.add(aln is None)
+                else:
+                    aln = alignment_oracle.align_global(query, target)
+                    expected = (aln.score, aln.matches, aln.columns)
+                assert (scores[k], matches[k], columns[k]) == expected, (local, query, target)
+                pairs += 1
+    assert pairs >= 4000
+    assert outcomes == {False, True}  # both outcomes of the local search are exercised
+
+
+def test_search_edge_cases():
+    for local in (False, True):
+        with pytest.raises(ValueError, match="cannot align an empty sequence"):
+            search("", ["KLW"], local=local)
+        with pytest.raises(ValueError, match="cannot align an empty sequence"):
+            search("KLW", ["KLW", ""], local=local)
+        with pytest.raises(ValueError, match="substitution"):
+            search("KLW", ["KBW"], local=local)
+        assert [a.shape for a in search("KLW", [], local=local)] == [(0,), (0,), (0,)]
 
 
 def test_local_self_alignment_is_full_length():

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from amprl.alignment import identity_global
+import amprl.dataprep
+from amprl.alignment import SEARCH_BLOCK, identity_global
 from amprl.dataprep import (
     Cluster,
     balance,
@@ -17,7 +18,8 @@ from amprl.dataprep import (
 )
 from amprl.sequences import Peptide
 
-from conftest import random_peptides, unique_random_peptides
+import alignment_oracle
+from conftest import near_copy, random_peptides, unique_random_peptides
 
 
 def _pep(pid, residues):
@@ -88,6 +90,30 @@ def test_greedy_cluster_members_match_their_representative():
     for c in clusters:
         for m in c.members:
             assert identity_global(m.residues, c.representative.residues) >= 0.8
+
+
+def _families(rng):
+    # mutated families, exact duplicates under other ids, and unrelated peptides
+    peps = []
+    for f, base in enumerate(unique_random_peptides(12, rng, min_len=8, max_len=40, prefix="base")):
+        peps.append(base)
+        peps += [_pep(f"fam{f}_{k}", near_copy(rng, base.residues)) for k in range(4)]
+        peps += [_pep(f"dup{f}_{k}", base.residues) for k in range(f % 2)]
+    return peps + unique_random_peptides(20, rng, min_len=8, max_len=40, prefix="solo")
+
+
+@pytest.mark.parametrize("block", [SEARCH_BLOCK, 3])
+@pytest.mark.parametrize("threshold", [0.4, 0.8])
+def test_greedy_cluster_matches_per_pair_oracle(monkeypatch, block, threshold):
+    # blocks of 3 representatives make the walk cross blocks and stop early
+    monkeypatch.setattr(amprl.dataprep, "SEARCH_BLOCK", block)
+    peps = _families(np.random.default_rng(21))
+    got = greedy_cluster(peps, identity_threshold=threshold)
+    want = alignment_oracle.greedy_cluster(peps, threshold)
+    assert len(want) > 3
+    assert [(c.representative.id, [m.id for m in c.members]) for c in got] == [
+        (c.representative.id, [m.id for m in c.members]) for c in want
+    ]
 
 
 def test_greedy_cluster_founding_order_is_longest_first():

@@ -1,8 +1,11 @@
 """Autoregressive policy: tokenization, forward pass, sampling, SFT, LoRA."""
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import amprl.numerics as nm
+from amprl.cli import main
 from amprl.policy import (
     BOS,
     EOS,
@@ -184,6 +187,34 @@ def test_save_load_round_trip(tmp_path):
     loaded = PolicyModel.load(path)
     ids = encode_batch([_pep("ACDEFGH")]).ids
     assert np.array_equal(model.action_log_probs(ids).data, loaded.action_log_probs(ids).data)
+
+
+def test_init_creates_no_key_bias():
+    # a key bias shifts every score of a softmax row alike, so it would get no gradient
+    names = PolicyModel.init(TOY, seed=0).named_tensors()
+    assert not [name for name in names if name.endswith(".kb")]
+    assert "layer0.attn.qb" in names and "layer0.attn.vb" in names
+
+
+@pytest.mark.parametrize("edit", ["extra", "missing"])
+def test_load_rejects_tensor_names_the_config_does_not_define(tmp_path, capsys, edit):
+    model = PolicyModel.init(TOY, seed=11)
+    tensors = {name: t.data for name, t in model.named_tensors().items()}
+    if edit == "extra":  # a checkpoint written while keys still had a bias
+        tensors["layer1.attn.kb"] = np.zeros(TOY.embed_dim)
+        tensors["layer0.attn.kb"] = np.zeros(TOY.embed_dim)
+        named = "layer0.attn.kb"
+    else:
+        named = "layer1.mlp.b2"
+        del tensors[named]
+    path = tmp_path / "policy.ckpt"
+    nm.save_checkpoint(path, tensors, meta={"model_config": asdict(TOY)})
+    with pytest.raises(ValueError, match=named):
+        PolicyModel.load(path)
+    out = tmp_path / "out"
+    assert main(["sample", "--checkpoint", str(path), "--output-dir", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (out / "samples.fasta").exists()
 
 
 def test_lora_attach_preserves_function_and_freezes_base():

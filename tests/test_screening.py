@@ -1,10 +1,12 @@
 """Virtual screening: filters, novelty, prioritization, diversity, library build."""
+import io
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from amprl.alignment import write_hit_table
 from amprl.policy import ModelConfig, PolicyModel
 from amprl.screening import (
     ScreenConfig,
@@ -18,9 +20,10 @@ from amprl.screening import (
     read_external_scores,
     screen,
 )
-from amprl.sequences import Peptide
+from amprl.sequences import Peptide, write_records
 
-from conftest import unique_random_peptides
+import alignment_oracle
+from conftest import near_copy, unique_random_peptides
 
 
 class TableScorer:
@@ -161,6 +164,28 @@ def test_novelty_with_disjoint_reference_keeps_everything():
     kept, removed, hits = novelty_filter(_records([_pep("x", "KKKKKKKKKK")]), reference, ScreenConfig())
     assert [r.peptide.id for r in kept] == ["x"]
     assert removed == [] and hits == []
+
+
+def test_novelty_filter_matches_per_pair_oracle():
+    rng = np.random.default_rng(22)
+    reference = unique_random_peptides(80, rng, min_len=8, max_len=40, prefix="ref", source="external")
+    # one sequence under two ids, listed in reverse id order: a best-hit score tie
+    reference += [Peptide(pid, reference[7].residues, "external") for pid in ("aaa_b", "aaa_a")]
+    picks = rng.choice(len(reference), size=24, replace=False)
+    candidates = [_pep(f"near{k}", near_copy(rng, reference[int(k)].residues)) for k in picks]
+    candidates += [_pep("copy7", reference[7].residues)]
+    candidates += unique_random_peptides(10, rng, min_len=8, max_len=40, prefix="new")
+    records = _records(candidates)
+    outputs = []
+    for run in (novelty_filter, alignment_oracle.novelty_filter):
+        kept, removed, hits = run(records, reference, ScreenConfig())
+        assert kept and removed
+        table, screened = io.StringIO(), io.StringIO()
+        write_hit_table(hits, table)
+        write_records(kept + removed, "jsonl", screened)
+        outputs.append((table.getvalue(), screened.getvalue()))
+    assert outputs[0] == outputs[1]
+    assert "copy7\taaa_a\t" in outputs[0][0]
 
 
 def test_max_identity_by_query():
