@@ -242,6 +242,7 @@ def _search_block(query: np.ndarray, targets: Sequence[str], local: bool) -> tup
     Beside each M, X and Y cell runs a tally, columns * (n + 1) + matches, of
     the walk `_traceback` would make from that cell (matches <= n, the query
     length). Returns each target's score and the tally of its optimal walk.
+    The row arrays are allocated once and swapped between rows.
     """
     n, count = len(query), len(targets)
     lengths = np.array([len(t) for t in targets])
@@ -253,47 +254,62 @@ def _search_block(query: np.ndarray, targets: Sequence[str], local: bool) -> tup
     cols = np.arange(width)
     rows = np.arange(count)
     y_gap = GAP_OPEN + GAP_EXTEND * (cols + 1)
-    M, X, Y = (np.full((count, width + 1), _NEG) for _ in range(3))
-    TM, TX, TY = (np.zeros((count, width + 1), dtype=np.int64) for _ in range(3))
+    y_extend = GAP_EXTEND * cols
+    shape = (count, width + 1)
+    M, X, Y = (np.full(shape, _NEG) for _ in range(3))
+    TM, TX, TY = (np.zeros(shape, dtype=np.int64) for _ in range(3))
     if local:
         M[:] = 0.0
     else:
         M[:, 0] = 0.0
         Y[:, 1:] = -y_gap
         TY[:, 1:] = step * (cols + 1)
+    rows_now = (M, X, Y, TM, TX, TY)
+    # row 0's first column of Y, TM and TY holds for every row
+    spare = tuple(a.copy() for a in rows_now)
+    diag = np.empty((count, width))
+    opened = np.empty((count, width))
+    run = np.empty((count, width))
+    pred = np.empty((count, width), dtype=np.int64)
+    k = np.empty((count, width), dtype=np.int64)
     best = np.zeros(count)
     best_tally = np.zeros(count, dtype=np.int64)
     profile = _PADDED_SCORES[query]
     for i in range(1, n + 1):
-        pM, pX, pY, pTM, pTX, pTY = M, X, Y, TM, TX, TY
-        M, X, Y = (np.empty((count, width + 1)) for _ in range(3))
-        TM, TX, TY = (np.empty((count, width + 1), dtype=np.int64) for _ in range(3))
+        (pM, pX, pY, pTM, pTX, pTY), (M, X, Y, TM, TX, TY) = rows_now, spare
+        rows_now, spare = spare, rows_now
         M[:, 0] = 0.0 if local else _NEG
         X[:, 0] = _NEG if local else -(GAP_OPEN + GAP_EXTEND * i)
-        Y[:, 0] = _NEG
-        TM[:, 0] = 0
         TX[:, 0] = 0 if local else step * i
-        TY[:, 0] = 0
 
-        diag = np.maximum(np.maximum(pM[:, :-1], pX[:, :-1]), pY[:, :-1])
+        np.maximum(pM[:, :-1], pX[:, :-1], out=diag)
+        np.maximum(diag, pY[:, :-1], out=diag)
         # a match step's predecessor, tested in _traceback's order: M, X, Y
-        pred = np.where(pM[:, :-1] == diag, pTM[:, :-1], np.where(pX[:, :-1] == diag, pTX[:, :-1], pTY[:, :-1]))
+        np.copyto(pred, pTY[:, :-1])
+        np.copyto(pred, pTX[:, :-1], where=pX[:, :-1] == diag)
+        np.copyto(pred, pTM[:, :-1], where=pM[:, :-1] == diag)
         if local:
             pred[diag == 0.0] = 0  # the local walk stops where the predecessor scores 0
         np.add(diag, profile[i - 1][codes], out=M[:, 1:])
         if local:
             np.maximum(M[:, 1:], 0.0, out=M[:, 1:])
-        np.add(pred, step + (codes == query[i - 1]), out=TM[:, 1:])
+        np.add(pred, step, out=TM[:, 1:])
+        np.add(TM[:, 1:], codes == query[i - 1], out=TM[:, 1:])
 
-        opened = pM[:, 1:] - GAP_OPEN - GAP_EXTEND
-        np.maximum(opened, pX[:, 1:] - GAP_EXTEND, out=X[:, 1:])
-        np.add(np.where(X[:, 1:] == opened, pTM[:, 1:], pTX[:, 1:]), step, out=TX[:, 1:])
+        np.subtract(pM[:, 1:], GAP_OPEN + GAP_EXTEND, out=opened)
+        np.subtract(pX[:, 1:], GAP_EXTEND, out=X[:, 1:])
+        np.maximum(opened, X[:, 1:], out=X[:, 1:])
+        np.copyto(TX[:, 1:], pTX[:, 1:])
+        np.copyto(TX[:, 1:], pTM[:, 1:], where=X[:, 1:] == opened)
+        np.add(TX[:, 1:], step, out=TX[:, 1:])
 
-        run_in = M[:, :-1] + GAP_EXTEND * cols
-        run = np.maximum.accumulate(run_in, axis=1)
+        run_in = np.add(M[:, :-1], y_extend, out=opened)
+        np.maximum.accumulate(run_in, axis=1, out=run)
         np.subtract(run, y_gap, out=Y[:, 1:])
         # Y[i, j] opened from M[i, k] at the last k < j where the running maximum is attained
-        k = np.maximum.accumulate(np.where(run_in == run, cols, 0), axis=1)
+        k.fill(0)
+        np.copyto(k, cols, where=run_in == run)
+        np.maximum.accumulate(k, axis=1, out=k)
         np.add(TM[rows[:, None], k], step * (cols + 1 - k), out=TY[:, 1:])
 
         if local:

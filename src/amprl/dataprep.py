@@ -16,7 +16,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .alignment import SEARCH_BLOCK, search
+from .alignment import search
 from .mic import LabeledSet
 from .sequences import Peptide, _write_text
 
@@ -53,29 +53,23 @@ def greedy_cluster(peptides: Sequence[Peptide], identity_threshold: float = 0.40
     """Longest-first greedy clustering on global-alignment identity.
 
     Each peptide joins the first existing cluster whose representative it
-    matches at or above the threshold, else it founds a new cluster. The
-    representatives are searched one block at a time in creation order, and
-    the search stops at the first block with a match. The ordering (length
-    descending, then sequence, then id) makes the result independent of input
-    order.
+    matches at or above the threshold, else it founds a new cluster. One
+    search aligns the peptide against every representative. The ordering
+    (length descending, then sequence, then id) makes the result independent
+    of input order.
     """
     if not 0.0 < identity_threshold <= 1.0:
         raise ValueError("identity threshold must lie in (0,1]")
     clusters: list[Cluster] = []
     representatives: list[str] = []
     for pep in _greedy_order(peptides):
-        home = None
-        for start in range(0, len(clusters), SEARCH_BLOCK):
-            _, matches, columns = search(pep.residues, representatives[start : start + SEARCH_BLOCK], local=False)
-            joins = np.flatnonzero(matches / columns >= identity_threshold)
-            if joins.size:
-                home = clusters[start + int(joins[0])]
-                break
-        if home is None:
+        _, matches, columns = search(pep.residues, representatives, local=False)
+        joins = np.flatnonzero(matches / columns >= identity_threshold)
+        if joins.size:
+            clusters[int(joins[0])].members.append(pep)
+        else:
             clusters.append(Cluster(representative=pep, members=[pep]))
             representatives.append(pep.residues)
-        else:
-            home.members.append(pep)
     return clusters
 
 

@@ -5,8 +5,7 @@ import json
 import numpy as np
 import pytest
 
-import amprl.dataprep
-from amprl.alignment import SEARCH_BLOCK, identity_global
+from amprl.alignment import identity_global
 from amprl.dataprep import (
     Cluster,
     balance,
@@ -102,11 +101,8 @@ def _families(rng):
     return peps + unique_random_peptides(20, rng, min_len=8, max_len=40, prefix="solo")
 
 
-@pytest.mark.parametrize("block", [SEARCH_BLOCK, 3])
 @pytest.mark.parametrize("threshold", [0.4, 0.8])
-def test_greedy_cluster_matches_per_pair_oracle(monkeypatch, block, threshold):
-    # blocks of 3 representatives make the walk cross blocks and stop early
-    monkeypatch.setattr(amprl.dataprep, "SEARCH_BLOCK", block)
+def test_greedy_cluster_matches_per_pair_oracle(threshold):
     peps = _families(np.random.default_rng(21))
     got = greedy_cluster(peps, identity_threshold=threshold)
     want = alignment_oracle.greedy_cluster(peps, threshold)
