@@ -259,7 +259,8 @@ def _cmd_screen(args, cfg: dict, out: Path) -> int:
     ranked = sc.prioritize(kept, sc.max_identity_by_query(hits))
     selected = []
     if ranked:
-        embedder = Embedder(scale=scale).fit([r.peptide for r in ranked])
+        embedder = Embedder(scale=scale)
+        embedder.fit(embedder.features([r.peptide for r in ranked]))
         peptide_by_seq = {r.peptide.residues: r.peptide for r in ranked}
         selected = sc.diversity_select(ranked, scfg.diversity_k, lambda s: embedder.embed(peptide_by_seq[s]))
     write_fasta([r.peptide for r in selected], out / "selected.fasta")
@@ -301,7 +302,8 @@ def _cmd_eval(args, cfg: dict, out: Path) -> int:
     scale = scale_table(cfg)
     generated = parse_fasta(_require(args.generated, "--generated"), source="generated_sft")
     reference = parse_fasta(_require(args.reference, "--reference"))
-    embedder = Embedder(scale=scale).fit(reference)
+    embedder = Embedder(scale=scale)
+    embedder.fit(embedder.features(reference))
 
     def embed(seq: str):
         return embedder.embed(Peptide("query", seq, "generated_sft"))

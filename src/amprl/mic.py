@@ -5,10 +5,9 @@ the activity threshold; s feeds the MIC reward term directly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -19,8 +18,6 @@ from .rng import substream
 from .sequences import RESIDUES, Peptide
 
 BUILTIN_DIM = 5 + 20 + 400
-
-_PAIR_INDEX = {a + b: 20 * i + j for i, a in enumerate(RESIDUES) for j, b in enumerate(RESIDUES)}
 
 
 @dataclass
@@ -83,100 +80,66 @@ def write_labeled_tsv(labeled: LabeledSet, sink: str | Path | IO[str]) -> None:
     _write_text(sink, "\n".join(lines) + "\n")
 
 
-def load_external_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """JSONL with one {"sequence": ..., "vector": [...]} object per line."""
-    table: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        obj = json.loads(raw)
-        vec = np.asarray(obj["vector"], dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError(f"{path}:{lineno}: vector must be one-dimensional")
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise ValueError(f"{path}:{lineno}: vector length {vec.size} != {dim}")
-        table[obj["sequence"]] = vec
-    if not table:
-        raise ValueError(f"{path}: no embeddings found")
-    return table
+# ASCII byte -> index in RESIDUES
+_CODES = np.full(256, -1, dtype=np.int64)
+_CODES[np.frombuffer(RESIDUES.encode("ascii"), dtype=np.uint8)] = np.arange(20)
 
 
 class Embedder:
-    """Feature provider: built-in composition/property features or an external table.
+    """Built-in features, standardized by training-set statistics frozen at fit time.
 
-    Built-in features are the 5 descriptor values, 20 residue frequencies and
-    400 dipeptide frequencies, standardized by training-set statistics that
-    are frozen at fit time.
+    A peptide's 425 features are its 5 descriptor values, 20 residue
+    frequencies and 400 dipeptide frequencies. The frequencies of a whole
+    list come from two `np.bincount` calls over its residue codes.
     """
 
-    def __init__(
-        self,
-        kind: str = "builtin_features",
-        table: dict[str, np.ndarray] | None = None,
-        scale: ScaleTable = DEFAULT_SCALE,
-    ):
-        if kind not in ("builtin_features", "external_table"):
-            raise ValueError(f"unknown embedder kind {kind!r}")
-        if kind == "external_table" and not table:
-            raise ValueError("external_table embedder requires a sequence->vector table")
-        self.kind = kind
-        self.table = table or {}
+    dim = BUILTIN_DIM
+
+    def __init__(self, scale: ScaleTable = DEFAULT_SCALE):
         self.scale = scale
         self.mean: np.ndarray | None = None
         self.std: np.ndarray | None = None
 
-    @property
-    def dim(self) -> int:
-        if self.kind == "external_table":
-            return next(iter(self.table.values())).size
-        return BUILTIN_DIM
+    def features(self, peptides: Sequence[Peptide]) -> np.ndarray:
+        """Unstandardized feature matrix, one row per peptide."""
+        n = len(peptides)
+        raw = np.empty((n, BUILTIN_DIM))
+        for row, p in zip(raw, peptides):
+            props = descriptor_vector(p, self.scale)
+            row[:5] = (props.length, props.hydrophobicity, props.hydrophobic_moment, props.net_charge, props.isoelectric_point)
+        lengths = np.array([len(p.residues) for p in peptides], dtype=np.int64)
+        codes = _CODES[np.frombuffer("".join(p.residues for p in peptides).encode("ascii"), dtype=np.uint8)]
+        rows = np.repeat(np.arange(n), lengths)
+        counts = np.bincount(rows * 20 + codes, minlength=20 * n).reshape(n, 20)
+        np.divide(counts, lengths[:, None], out=raw[:, 5:25])
+        # a dipeptide is two adjacent residues of one peptide
+        pairs = (rows[1:] * 400 + codes[:-1] * 20 + codes[1:])[rows[1:] == rows[:-1]]
+        counts = np.bincount(pairs, minlength=400 * n).reshape(n, 400)
+        np.divide(counts, np.maximum(lengths - 1, 1)[:, None], out=raw[:, 25:])
+        return raw
 
-    def raw_features(self, p: Peptide) -> np.ndarray:
-        props = descriptor_vector(p, self.scale)
-        head = np.array(
-            [
-                float(props.length),
-                props.hydrophobicity,
-                props.hydrophobic_moment,
-                props.net_charge,
-                props.isoelectric_point,
-            ]
-        )
-        freq = np.zeros(20)
-        for r in p.residues:
-            freq[RESIDUES.index(r)] += 1.0
-        freq /= len(p.residues)
-        dipep = np.zeros(400)
-        if len(p.residues) > 1:
-            for i in range(len(p.residues) - 1):
-                dipep[_PAIR_INDEX[p.residues[i : i + 2]]] += 1.0
-            dipep /= len(p.residues) - 1
-        return np.concatenate([head, freq, dipep])
-
-    def fit(self, peptides: list[Peptide]) -> "Embedder":
-        if self.kind == "external_table":
-            return self
-        raw = np.stack([self.raw_features(p) for p in peptides])
+    def fit(self, raw: np.ndarray) -> "Embedder":
+        """Freeze the column means and deviations of a `features` matrix."""
+        if not len(raw):
+            raise ValueError("cannot fit an embedder on no peptides")
         self.mean = raw.mean(axis=0)
         std = raw.std(axis=0)
         self.std = np.where(std < 1e-12, 1.0, std)
         return self
 
-    def embed(self, p: Peptide) -> np.ndarray:
-        if self.kind == "external_table":
-            vec = self.table.get(p.residues)
-            if vec is None:
-                raise ValueError(f"no external embedding for sequence {p.residues!r}")
-            return vec
+    def standardize(self, raw: np.ndarray) -> np.ndarray:
+        """Standardize a `features` matrix in place and return it."""
         if self.mean is None or self.std is None:
             raise ValueError("builtin embedder must be fit before embedding")
-        return (self.raw_features(p) - self.mean) / self.std
+        raw -= self.mean
+        raw /= self.std
+        return raw
 
-    def embed_many(self, peptides: Iterable[Peptide]) -> np.ndarray:
-        return np.stack([self.embed(p) for p in peptides])
+    def embed(self, p: Peptide) -> np.ndarray:
+        return self.embed_many([p])[0]
+
+    def embed_many(self, peptides: Sequence[Peptide]) -> np.ndarray:
+        return self.standardize(self.features(peptides))
 
 
 def focal_loss(probabilities, labels, alpha, gamma: float) -> nm.Tensor:
@@ -266,17 +229,16 @@ class MicModel:
             "threshold": self.config.threshold,
             "cutoff": self.config.cutoff,
         }
-        info["embedder_kind"] = self.embedder.kind
+        info["embedder_kind"] = "builtin_features"
+        if self.embedder.mean is None or self.embedder.std is None:
+            raise ValueError("builtin embedder must be fit before saving")
         tensors = dict(self.params)
-        if self.embedder.kind == "builtin_features":
-            if self.embedder.mean is None or self.embedder.std is None:
-                raise ValueError("builtin embedder must be fit before saving")
-            tensors["embed.mean"] = nm.Tensor(self.embedder.mean)
-            tensors["embed.std"] = nm.Tensor(self.embedder.std)
+        tensors["embed.mean"] = nm.Tensor(self.embedder.mean)
+        tensors["embed.std"] = nm.Tensor(self.embedder.std)
         nm.save_checkpoint(path, tensors, meta=info)
 
     @classmethod
-    def load(cls, path: str | Path, external_table: dict[str, np.ndarray] | None = None) -> "MicModel":
+    def load(cls, path: str | Path) -> "MicModel":
         tensors, meta = nm.load_checkpoint(path)
         if "mic_config" not in meta:
             raise ValueError(f"{path}: checkpoint manifest lacks mic_config")
@@ -288,12 +250,11 @@ class MicModel:
             cutoff=raw["cutoff"],
         )
         kind = meta.get("embedder_kind", "builtin_features")
-        if kind == "external_table":
-            embedder = Embedder(kind=kind, table=external_table)
-        else:
-            embedder = Embedder(kind=kind)
-            embedder.mean = tensors["embed.mean"].copy()
-            embedder.std = tensors["embed.std"].copy()
+        if kind != "builtin_features":
+            raise ValueError(f"{path}: unsupported embedder kind {kind!r}")
+        embedder = Embedder()
+        embedder.mean = tensors["embed.mean"].copy()
+        embedder.std = tensors["embed.std"].copy()
         params = {
             name: nm.Tensor(arr.copy(), requires_grad=True)
             for name, arr in tensors.items()
@@ -316,20 +277,22 @@ def train_mic(
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("training set is single-class; cannot fit a classifier")
+    y_val = val.labels()
+    if y_val.min() == y_val.max():
+        raise ValueError("validation set is single-class; its AUROC cannot select a model")
 
     emb = embedder or Embedder()
-    emb.fit(train.peptides())
+    x_train = emb.features(train.peptides())
+    emb.fit(x_train).standardize(x_train)
     model = MicModel.init(emb, config, seed=config.seed)
 
     # inverse class frequency, normalized so the mean sample weight is 1
     alpha_pos = config.alpha_pos if config.alpha_pos is not None else len(labels) / (2.0 * n_pos)
     alpha_neg = config.alpha_neg if config.alpha_neg is not None else len(labels) / (2.0 * n_neg)
 
-    x_train = emb.embed_many(train.peptides())
     y_train = labels.astype(np.float64)
     a_train = np.where(y_train == 1.0, alpha_pos, alpha_neg)
     x_val = emb.embed_many(val.peptides())
-    y_val = val.labels()
 
     opt = nm.Adam(model.trainable(), lr=config.lr)
     shuffle_rng = substream(config.seed, "mic.shuffle")
@@ -353,14 +316,8 @@ def train_mic(
             batches += 1
         val_scores = model.probabilities(x_val).data
         val_auroc = auroc(val_scores, y_val)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": total / batches,
-                "val_auroc": val_auroc if val_auroc is not None else float("nan"),
-            }
-        )
-        if val_auroc is not None and val_auroc > best_auroc:
+        history.append({"epoch": epoch, "train_loss": total / batches, "val_auroc": val_auroc})
+        if val_auroc > best_auroc:
             best_auroc = val_auroc
             best_epoch = epoch
             best_state = [p.data.copy() for p in model.trainable()]

@@ -9,6 +9,15 @@ from .tensor import Tensor
 
 
 class Adam:
+    """Adam (Kingma & Ba 2015), updating moments and parameters in place.
+
+    Each step evaluates m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps) in that order, so the
+    result is bit-identical to the out-of-place expressions. The update
+    allocates nothing: intermediates go to two scratch buffers sized to the
+    largest parameter and shared by all of them.
+    """
+
     def __init__(
         self,
         params: Sequence[Tensor],
@@ -25,6 +34,8 @@ class Adam:
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        size = max((p.data.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -34,14 +45,26 @@ class Adam:
         """One update; parameters whose gradient is None are left untouched."""
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
+        m_scale = 1.0 - self.beta1**t
+        v_scale = 1.0 - self.beta2**t
+        for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
+            if g is None:
+                continue
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / (1.0 - self.beta1**t)
-            v_hat = self._v[i] / (1.0 - self.beta2**t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            a, b = (s[: g.size].reshape(g.shape) for s in self._scratch)
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(v, v_scale, out=a)
+            np.sqrt(a, out=a)
+            np.add(a, self.eps, out=a)
+            np.divide(m, m_scale, out=b)
+            np.multiply(b, self.lr, out=b)
+            np.divide(b, a, out=b)
+            np.subtract(p.data, b, out=p.data)

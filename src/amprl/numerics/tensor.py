@@ -2,7 +2,10 @@
 
 Each op builds a node holding its parents and a closure that routes the
 output gradient back to them. backward() walks the graph once in reverse
-topological order. Every op validates that its result is finite.
+topological order. Every op validates that its result is finite. The
+closures of the binary ops `add`, `mul`, `matmul` and `minimum` compute an
+operand's gradient only if that operand requires one, so a constant input
+(a feature batch, a mask, a scalar) costs no backward work.
 
 GELU, LayerNorm, softmax and log-softmax keep their forward in a private
 array function (`_gelu`, `_layer_norm`, `_softmax`, `_log_softmax`) that the
@@ -154,7 +157,9 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape)))
+        for t in (a, b):
+            if t.requires_grad:
+                yield t, _unbroadcast(g, t.data.shape)
 
     return _node(data, (a, b), backward, "add")
 
@@ -164,10 +169,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.data.shape)),
-            (b, _unbroadcast(g * a.data, b.data.shape)),
-        )
+        if a.requires_grad:
+            yield a, _unbroadcast(g * b.data, a.data.shape)
+        if b.requires_grad:
+            yield b, _unbroadcast(g * a.data, b.data.shape)
 
     return _node(data, (a, b), backward, "mul")
 
@@ -186,9 +191,10 @@ def matmul(a, b) -> Tensor:
     data = np.matmul(a.data, b.data)
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return ((a, _unbroadcast(ga, a.data.shape)), (b, _unbroadcast(gb, b.data.shape)))
+        if a.requires_grad:
+            yield a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
+        if b.requires_grad:
+            yield b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
 
     return _node(data, (a, b), backward, "matmul")
 
@@ -363,10 +369,10 @@ def minimum(a, b) -> Tensor:
     data = np.where(take_a, a.data, b.data)
 
     def backward(g):
-        return (
-            (a, _unbroadcast(g * take_a, a.data.shape)),
-            (b, _unbroadcast(g * ~take_a, b.data.shape)),
-        )
+        if a.requires_grad:
+            yield a, _unbroadcast(g * take_a, a.data.shape)
+        if b.requires_grad:
+            yield b, _unbroadcast(g * ~take_a, b.data.shape)
 
     return _node(data, (a, b), backward, "minimum")
 

@@ -1,0 +1,55 @@
+"""Binary ops as they were before their backward skipped constant operands.
+
+Each backward computes the gradient of both operands, and `Tensor.backward`
+discards the one that does not require a gradient. `test_numerics.py`
+checks that the pruned ops give the trainable operand the same gradient
+bit for bit.
+"""
+import numpy as np
+
+from amprl.numerics.tensor import _node, _unbroadcast, _wrap
+
+
+def add(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def backward(g):
+        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape)))
+
+    return _node(a.data + b.data, (a, b), backward, "add")
+
+
+def mul(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def backward(g):
+        return (
+            (a, _unbroadcast(g * b.data, a.data.shape)),
+            (b, _unbroadcast(g * a.data, b.data.shape)),
+        )
+
+    return _node(a.data * b.data, (a, b), backward, "mul")
+
+
+def matmul(a, b):
+    a, b = _wrap(a), _wrap(b)
+
+    def backward(g):
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        return ((a, _unbroadcast(ga, a.data.shape)), (b, _unbroadcast(gb, b.data.shape)))
+
+    return _node(np.matmul(a.data, b.data), (a, b), backward, "matmul")
+
+
+def minimum(a, b):
+    a, b = _wrap(a), _wrap(b)
+    take_a = a.data <= b.data
+
+    def backward(g):
+        return (
+            (a, _unbroadcast(g * take_a, a.data.shape)),
+            (b, _unbroadcast(g * ~take_a, b.data.shape)),
+        )
+
+    return _node(np.where(take_a, a.data, b.data), (a, b), backward, "minimum")

@@ -1,11 +1,14 @@
 """CLI exit codes, output-directory precedence, and artifact layout."""
 import json
 
+import numpy as np
 import pytest
 
 from amprl.cli import ENV_OUTPUT_DIR, main
-from amprl.mic import Embedder, MicConfig, MicModel
+from amprl.mic import Embedder, LabeledSet, MicConfig, MicModel, write_labeled_tsv
 from amprl.sequences import Peptide, write_fasta
+
+from conftest import unique_random_peptides
 
 FASTA = ">p1\nGLWKKILGKIKAGL\n>p2\nKKLLDDAAWWRRHH\n"
 
@@ -81,7 +84,8 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
 
 def test_screen_rejects_duplicate_record_ids(tmp_path, capsys):
     model = tmp_path / "mic.ckpt"
-    embedder = Embedder().fit([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")])
+    embedder = Embedder()
+    embedder.fit(embedder.features([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")]))
     MicModel.init(embedder, MicConfig(hidden=(4,)), seed=0).save(model)
     screen = ["screen", "--mic-model", str(model), "--input"]
     assert main(screen + [str(_write_fasta(tmp_path)), "--output-dir", str(tmp_path / "ok")]) == 0
@@ -90,6 +94,17 @@ def test_screen_rejects_duplicate_record_ids(tmp_path, capsys):
     assert main(screen + [str(dup), "--output-dir", str(tmp_path / "dup")]) == 1
     assert not (tmp_path / "dup" / "screened.jsonl").exists()
     assert "record id 'p1' repeats the header at line 1" in capsys.readouterr().err
+
+
+def test_train_mic_single_class_validation_exits_one(tmp_path, capsys):
+    peps = unique_random_peptides(70, np.random.default_rng(0))
+    write_labeled_tsv(LabeledSet([(p, i % 2) for i, p in enumerate(peps[:60])], "train"), tmp_path / "train.tsv")
+    write_labeled_tsv(LabeledSet([(p, 1) for p in peps[60:]], "val"), tmp_path / "val.tsv")
+    out = tmp_path / "out"
+    argv = ["train-mic", "--train", str(tmp_path / "train.tsv"), "--val", str(tmp_path / "val.tsv")]
+    assert main(argv + ["--output-dir", str(out)]) == 1
+    assert "validation set is single-class" in capsys.readouterr().err
+    assert not (out / "mic.ckpt").exists()
 
 
 def test_output_dir_precedence(tmp_path, monkeypatch, capsys):

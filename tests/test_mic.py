@@ -13,14 +13,15 @@ from amprl.mic import (
     auroc,
     evaluate,
     focal_loss,
-    load_external_embeddings,
     read_labeled_tsv,
     train_mic,
     write_labeled_tsv,
 )
-from amprl.sequences import Peptide
+from amprl.physchem import EISENBERG_HYDROPATHY, PKA, ScaleTable
+from amprl.sequences import RESIDUES, Peptide
 
-from conftest import unique_random_peptides
+from conftest import random_peptides, unique_random_peptides
+from feature_oracle import raw_features
 
 
 def _separable_set(n, rng, split):
@@ -41,6 +42,11 @@ def _separable_set(n, rng, split):
     return LabeledSet(items, split)
 
 
+def _fitted(peptides):
+    emb = Embedder()
+    return emb.fit(emb.features(peptides))
+
+
 def test_labeled_set_rejects_duplicates_and_bad_labels():
     p = Peptide("a", "KKKKKKKK", "natural")
     q = Peptide("b", "KKKKKKKK", "natural")
@@ -53,17 +59,17 @@ def test_labeled_set_rejects_duplicates_and_bad_labels():
 def test_embedder_features_are_deterministic_and_finite():
     rng = np.random.default_rng(0)
     peps = unique_random_peptides(10, rng)
-    emb = Embedder().fit(peps)
+    emb = _fitted(peps)
     mat = emb.embed_many(peps)
     assert mat.shape == (10, emb.dim)
     assert np.isfinite(mat).all()
-    assert np.array_equal(mat, Embedder().fit(peps).embed_many(peps))
+    assert np.array_equal(mat, _fitted(peps).embed_many(peps))
 
 
 def test_embedder_standardization_is_frozen_at_fit_time():
     rng = np.random.default_rng(1)
     train = unique_random_peptides(40, rng, prefix="tr")
-    emb = Embedder().fit(train)
+    emb = _fitted(train)
     mat = emb.embed_many(train)
     # z-scored on the fitted set
     assert np.allclose(mat.mean(axis=0), 0.0, atol=1e-9)
@@ -71,29 +77,45 @@ def test_embedder_standardization_is_frozen_at_fit_time():
     one = emb.embed(train[3])
     assert np.array_equal(one, mat[3])
     # fitting on different data changes the statistics
-    other = Embedder().fit(unique_random_peptides(40, rng, prefix="ot"))
+    other = _fitted(unique_random_peptides(40, rng, prefix="ot"))
     assert not np.allclose(other.embed(train[3]), one)
 
 
 def test_embedder_ignores_id_and_source():
-    emb = Embedder().fit([Peptide("x", "KKLLWWKK", "natural")])
+    emb = _fitted([Peptide("x", "KKLLWWKK", "natural")])
     a = emb.embed(Peptide("x", "KKLLWWKK", "natural"))
     b = emb.embed(Peptide("zzz", "KKLLWWKK", "generated_rl"))
     assert np.array_equal(a, b)
 
 
-def test_external_embedding_table(tmp_path):
-    path = tmp_path / "vectors.jsonl"
-    path.write_text(
-        '{"sequence": "KKLL", "vector": [1.0, 2.0]}\n'
-        '{"sequence": "DDEE", "vector": [3.0, 4.0]}\n'
-    )
-    table = load_external_embeddings(path)
-    emb = Embedder(kind="external_table", table=table)
-    assert emb.dim == 2
-    assert np.array_equal(emb.embed(Peptide("a", "KKLL", "natural")), [1.0, 2.0])
-    with pytest.raises(ValueError, match="no external embedding"):
-        emb.embed(Peptide("b", "WWWW", "natural"))
+@pytest.mark.parametrize("override", [False, True])
+def test_features_match_per_peptide_oracle(override):
+    scale = ScaleTable()
+    if override:
+        scale = ScaleTable(
+            hydropathy={**EISENBERG_HYDROPATHY, "K": 2.5, "W": -1.25},
+            pka={**PKA, "K": 9.1, "n_term": 8.2, "D": 4.4},
+        )
+    rng = np.random.default_rng(3)
+    peps = [Peptide(f"one{r}", r) for r in RESIDUES]  # length 1: no dipeptides
+    peps += [Peptide("two", "KW"), Peptide("twin", "WW"), Peptide("all", RESIDUES), Peptide("back", RESIDUES[::-1])]
+    peps += [Peptide("basic", "KKRRKK"), Peptide("acidic", "DDEEDD")]
+    peps += random_peptides(60, rng, min_len=1, max_len=40)
+    emb = Embedder(scale=scale)
+    expected = np.stack([raw_features(p, scale) for p in peps])
+    raw = emb.features(peps)
+    assert np.array_equal(raw, expected)
+    assert all(np.array_equal(emb.features([p])[0], row) for p, row in zip(peps, expected))
+    # standardizing in place gives the old out-of-place embedding
+    emb.fit(raw)
+    old = (expected - expected.mean(axis=0)) / np.where(expected.std(axis=0) < 1e-12, 1.0, expected.std(axis=0))
+    assert np.array_equal(emb.standardize(raw), old)
+    assert np.array_equal(emb.embed(peps[-1]), old[-1])
+
+
+def test_embedder_fit_rejects_an_empty_set():
+    with pytest.raises(ValueError, match="no peptides"):
+        Embedder().fit(Embedder().features([]))
 
 
 def _bce(p, y):
@@ -168,7 +190,7 @@ def test_train_mic_separates_synthetic_classes():
     train = _separable_set(80, rng, "train")
     val = _separable_set(24, rng, "val")
     cfg = MicConfig(hidden=(16,), lr=3e-3, epochs=12, batch_size=16, patience=12, seed=0)
-    emb = Embedder().fit(train.peptides())
+    emb = _fitted(train.peptides())
     model, history = train_mic(train, val, cfg, embedder=emb)
     report = evaluate(model, _separable_set(30, rng, "test"))
     assert report["auroc"] > 0.95
@@ -182,7 +204,7 @@ def test_training_is_seed_deterministic():
     train = _separable_set(40, rng, "train")
     val = _separable_set(12, rng, "val")
     cfg = MicConfig(hidden=(8,), lr=3e-3, epochs=3, batch_size=8, patience=3, seed=7)
-    emb = Embedder().fit(train.peptides())
+    emb = _fitted(train.peptides())
     m1, h1 = train_mic(train, val, cfg, embedder=emb)
     m2, h2 = train_mic(train, val, cfg, embedder=emb)
     assert h1 == h2
@@ -194,7 +216,7 @@ def test_scores_are_probabilities_and_ignore_metadata():
     rng = np.random.default_rng(7)
     train = _separable_set(40, rng, "train")
     cfg = MicConfig(hidden=(8,), lr=3e-3, epochs=2, batch_size=8, patience=2, seed=0)
-    emb = Embedder().fit(train.peptides())
+    emb = _fitted(train.peptides())
     model, _ = train_mic(train, _separable_set(12, rng, "val"), cfg, embedder=emb)
     s = model.score(Peptide("a", "KRKRKRKRKR", "natural"))
     assert 0.0 < s < 1.0
@@ -207,7 +229,7 @@ def test_model_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     train = _separable_set(40, rng, "train")
     cfg = MicConfig(hidden=(8,), lr=3e-3, epochs=2, batch_size=8, patience=2, seed=0)
-    emb = Embedder().fit(train.peptides())
+    emb = _fitted(train.peptides())
     model, _ = train_mic(train, _separable_set(12, rng, "val"), cfg, embedder=emb)
     path = tmp_path / "mic.ckpt"
     model.save(path)
@@ -222,6 +244,25 @@ def test_model_save_rejects_unfit_embedder(tmp_path):
     with pytest.raises(ValueError, match="builtin embedder must be fit before saving"):
         model.save(path)
     assert not path.exists()
+
+
+def test_model_load_rejects_other_embedder_kinds(tmp_path):
+    emb = _fitted([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")])
+    path = tmp_path / "mic.ckpt"
+    MicModel.init(emb, MicConfig(hidden=(4,)), seed=0).save(path)
+    manifest = path.with_name("mic.ckpt.json")
+    assert '"embedder_kind": "builtin_features"' in manifest.read_text()
+    manifest.write_text(manifest.read_text().replace('"builtin_features"', '"external_table"'))
+    with pytest.raises(ValueError, match="unsupported embedder kind 'external_table'"):
+        MicModel.load(path)
+
+
+def test_train_mic_rejects_single_class_validation():
+    rng = np.random.default_rng(9)
+    train = _separable_set(20, rng, "train")
+    val = LabeledSet([(p, 1) for p in unique_random_peptides(5, rng, prefix="v")], "val")
+    with pytest.raises(ValueError, match="validation set is single-class"):
+        train_mic(train, val, MicConfig(hidden=(4,), epochs=2))
 
 
 def test_labeled_tsv_round_trip():

@@ -1,10 +1,13 @@
 """Autodiff tensor library: gradients, guards, checkpointing, optimizer."""
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import adam_oracle
 import amprl.numerics as nm
+import autodiff_oracle
 from amprl.numerics.optim import Adam
 from amprl.numerics.tensor import _power, add, mul, reduce_mean, tanh
 
@@ -277,6 +280,95 @@ def test_adam_descends_quadratic():
         opt.step()
     assert loss.item() < 1e-4 < first
     assert np.allclose(x.data, target, atol=0.02)
+
+
+@pytest.mark.parametrize("hyper", [{}, {"lr": 3e-3, "beta1": 0.8, "beta2": 0.99, "eps": 1e-6}])
+def test_adam_matches_oracle_bit_for_bit(hyper):
+    rng = np.random.default_rng(11)
+    shapes = [(425, 256), (256,), (64,), ()]
+    start = [rng.normal(size=shape) for shape in shapes]
+    params = [nm.tensor(x.copy(), requires_grad=True) for x in start]
+    oracle_params = [nm.tensor(x.copy(), requires_grad=True) for x in start]
+    opt = Adam(params, **hyper)
+    oracle = adam_oracle.Adam(oracle_params, **hyper)
+    pools = [[rng.normal(size=shape) for _ in range(4)] for shape in shapes]
+    pools[0].append(rng.normal(size=(256, 425)).T)  # a non-contiguous gradient
+    skipped = 0
+    for step in range(300):
+        for p, q, pool in zip(params, oracle_params, pools):
+            if step % 7 == 3 and rng.random() < 0.5:
+                g = None  # this parameter sat out the step's loss
+                skipped += 1
+            else:
+                g = pool[rng.integers(len(pool))] * 10.0 ** rng.integers(-6, 3)
+            p.grad = q.grad = g
+        opt.step()
+        oracle.step()
+    assert skipped > 0
+    for p, q, m, om, v, ov in zip(params, oracle_params, opt._m, oracle._m, opt._v, oracle._v):
+        assert np.array_equal(p.data, q.data)
+        assert np.array_equal(m, om)
+        assert np.array_equal(v, ov)
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries():
+    rng = np.random.default_rng(12)
+    weight = nm.tensor(rng.normal(size=(425, 256)), requires_grad=True)
+    bias = nm.tensor(rng.normal(size=256), requires_grad=True)
+    opt = Adam([weight, bias])
+    weight.grad = rng.normal(size=weight.shape)
+    bias.grad = rng.normal(size=bias.shape)
+    opt.step()
+    tracemalloc.start()
+    try:
+        opt.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < weight.data.nbytes
+
+
+def _const(rng, *shape):
+    return nm.tensor(rng.normal(size=shape))
+
+
+PRUNED_CASES = {
+    "add_bias": ("add", lambda rng: (_param(rng, 5, 3), _const(rng, 3))),
+    "add_const_first": ("add", lambda rng: (_const(rng, 5, 3), _param(rng, 5, 3))),
+    "mul_broadcast": ("mul", lambda rng: (_param(rng, 4, 3), _const(rng, 4, 1))),
+    "mul_const_first": ("mul", lambda rng: (_const(rng, 3), _param(rng, 4, 3))),
+    "mul_scalar": ("mul", lambda rng: (_param(rng, 4, 3), nm.tensor(-1.0))),
+    "matmul_2d_weight": ("matmul", lambda rng: (_const(rng, 6, 5), _param(rng, 5, 3))),
+    "matmul_2d_input": ("matmul", lambda rng: (_param(rng, 6, 5), _const(rng, 5, 3))),
+    "matmul_batched_weight": ("matmul", lambda rng: (_const(rng, 2, 6, 5), _param(rng, 5, 3))),
+    "matmul_batched_input": ("matmul", lambda rng: (_param(rng, 2, 6, 5), _const(rng, 5, 3))),
+    "matmul_batched_both": ("matmul", lambda rng: (_const(rng, 2, 6, 5), _param(rng, 2, 5, 3))),
+    "minimum_with_ties": ("minimum", lambda rng: (_param(rng, 4, 5), nm.tensor(np.zeros(5)))),
+    "minimum_const_first": ("minimum", lambda rng: (_const(rng, 5), _param(rng, 3, 5))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRUNED_CASES))
+def test_pruned_backward_matches_oracle_for_the_trainable_operand(case):
+    rng = np.random.default_rng(sorted(PRUNED_CASES).index(case))
+    op, make = PRUNED_CASES[case]
+    a, b = make(rng)
+    if op == "minimum" and a.requires_grad:
+        a.data[0, :2] = 0.0  # ties route the gradient to the first argument
+    trainable = a if a.requires_grad else b
+    twin = nm.tensor(trainable.data.copy(), requires_grad=True)
+    out = {"add": add, "mul": mul, "matmul": nm.matmul, "minimum": nm.minimum}[op](a, b)
+    oracle_args = (twin, b) if trainable is a else (a, twin)
+    expected = getattr(autodiff_oracle, op)(*oracle_args)
+    assert np.array_equal(out.data, expected.data)
+    weights = nm.tensor(rng.normal(size=out.shape))
+    (out * weights).sum().backward()
+    (expected * weights).sum().backward()
+    assert np.array_equal(trainable.grad, twin.grad)
+    constant = b if trainable is a else a
+    assert constant.grad is None
+    # the backward closure yields a gradient for the trainable operand only
+    assert [t is trainable for t, _ in out._backward(np.ones_like(out.data))] == [True]
 
 
 def test_grad_check_flags_missing_gradient_paths():
