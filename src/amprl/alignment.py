@@ -1,23 +1,24 @@
 """Pairwise sequence alignment: global and local, affine gaps, BLOSUM62.
 
 Global alignments drive clustering identity; local alignments drive the
-novelty search. Both searches run `search`, one query against many targets;
-`align_global` and `align_local` give the full alignment of one pair. A gap
-of length k costs open + k * extend. Bit scores and
-E-values use fixed Karlin-Altschul parameters for the gapped BLOSUM62
-(11,1) scheme; they are approximate and not comparable to MMseqs2 output,
-while identity and alignment length are exact.
+novelty search. Both searches run `search`, one query against many targets,
+on sequences coded by `sequences.encode`; `align_global` and `align_local`
+give the full alignment of one pair of strings. A gap of length k costs
+open + k * extend. Bit scores and E-values use fixed Karlin-Altschul
+parameters for the gapped BLOSUM62 (11,1) scheme; they are approximate and
+not comparable to MMseqs2 output, while identity and alignment length are
+exact.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
-from .sequences import Peptide
+from .sequences import RESIDUES, Peptide, encode
 
 _BLOSUM62_ORDER = "ARNDCQEGHILKMFPSTWYV"
 _BLOSUM62_ROWS = """
@@ -43,12 +44,15 @@ _BLOSUM62_ROWS = """
  0 -3 -3 -3 -1 -2 -2 -3 -3  3  1 -2  1 -1 -2 -2  0 -3 -1  4
 """
 
-_SCORES = np.array([line.split() for line in _BLOSUM62_ROWS.strip().splitlines()], dtype=np.float64)
-_CODE = {residue: k for k, residue in enumerate(_BLOSUM62_ORDER)}
+_PUBLISHED = np.array([line.split() for line in _BLOSUM62_ROWS.strip().splitlines()], dtype=np.float64)
 
 BLOSUM62: dict[tuple[str, str], int] = {
-    (x, y): int(_SCORES[i, j]) for x, i in _CODE.items() for y, j in _CODE.items()
+    (x, y): int(_PUBLISHED[i, j]) for i, x in enumerate(_BLOSUM62_ORDER) for j, y in enumerate(_BLOSUM62_ORDER)
 }
+
+# the table re-indexed to `encode`'s codes
+_BY_CODE = [_BLOSUM62_ORDER.index(r) for r in RESIDUES]
+_SCORES = _PUBLISHED[np.ix_(_BY_CODE, _BY_CODE)]
 
 GAP_OPEN = 11
 GAP_EXTEND = 1
@@ -86,13 +90,6 @@ class LocalAlignment:
         return self.matches / self.columns
 
 
-def _codes(seq: str) -> list[int]:
-    try:
-        return [_CODE[r] for r in seq]
-    except KeyError as err:
-        raise ValueError(f"no substitution score for residue {err.args[0]!r}") from None
-
-
 def _fill(a: str, b: str, local: bool):
     """Three-state affine DP. State M aligns a pair, X gaps b, Y gaps a.
 
@@ -102,7 +99,8 @@ def _fill(a: str, b: str, local: bool):
     if not a or not b:
         raise ValueError("cannot align an empty sequence")
     n, m = len(a), len(b)
-    sub = _SCORES[np.array(_codes(a))[:, None], _codes(b)]
+    (a_codes, b_codes), _ = encode([a, b])
+    sub = _SCORES[a_codes[:n, None], b_codes[:m]]
     M = np.full((n + 1, m + 1), _NEG)
     X = np.full((n + 1, m + 1), _NEG)
     Y = np.full((n + 1, m + 1), _NEG)
@@ -211,24 +209,28 @@ def align_local(a: str, b: str) -> LocalAlignment | None:
 # Targets aligned per numpy row step by `search`; bounds its memory to
 # SEARCH_BLOCK x longest target whatever the number of targets.
 SEARCH_BLOCK = 256
-_PAD = len(_BLOSUM62_ORDER)
-# a padding cell scores _NEG against every residue
+# `encode`'s padding code scores _NEG against every residue
 _PADDED_SCORES = np.hstack([_SCORES, np.full((len(_SCORES), 1), _NEG)])
 
 
-def search(query: str, targets: Sequence[str], *, local: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def search(query: np.ndarray, targets: tuple[np.ndarray, np.ndarray], *, local: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Align `query` against every target: optimal scores, matches and columns.
 
-    Each entry is what `align_local` (local) or `align_global` reports for that
-    pair; a local pair with no alignment scores 0 with 0 matches and 0 columns.
-    Targets are aligned SEARCH_BLOCK at a time, padded to one width, one query
-    row per numpy step. Matches and columns are carried through the fill along
-    the predecessor `_traceback` would take, so no traceback runs.
+    `query` is one sequence's codes, unpadded, and `targets` is `encode`'s
+    (codes, lengths) pair. Each entry is what `align_local` (local) or
+    `align_global` reports for that pair; a local pair with no alignment
+    scores 0 with 0 matches and 0 columns. Targets are aligned SEARCH_BLOCK at
+    a time, one query row per numpy step. Matches and columns are carried
+    through the fill along the predecessor `_traceback` would take, so no
+    traceback runs.
     """
-    if not query or not all(targets):
+    codes, lengths = targets
+    if not len(query) or not np.all(lengths):
         raise ValueError("cannot align an empty sequence")
-    codes = np.array(_codes(query))
-    parts = [_search_block(codes, targets[k : k + SEARCH_BLOCK], local) for k in range(0, len(targets), SEARCH_BLOCK)]
+    parts = [
+        _search_block(query, codes[k : k + SEARCH_BLOCK], lengths[k : k + SEARCH_BLOCK], local)
+        for k in range(0, len(lengths), SEARCH_BLOCK)
+    ]
     parts = parts or [(np.zeros(0), np.zeros(0, dtype=np.int64))]
     scores = np.concatenate([s for s, _ in parts])
     tallies = np.concatenate([t for _, t in parts])
@@ -236,7 +238,7 @@ def search(query: str, targets: Sequence[str], *, local: bool) -> tuple[np.ndarr
     return scores, matches, columns
 
 
-def _search_block(query: np.ndarray, targets: Sequence[str], local: bool) -> tuple[np.ndarray, np.ndarray]:
+def _search_block(query: np.ndarray, codes: np.ndarray, lengths: np.ndarray, local: bool) -> tuple[np.ndarray, np.ndarray]:
     """`_fill`'s recurrence across a padded stack of targets, one row kept.
 
     Beside each M, X and Y cell runs a tally, columns * (n + 1) + matches, of
@@ -244,12 +246,9 @@ def _search_block(query: np.ndarray, targets: Sequence[str], local: bool) -> tup
     length). Returns each target's score and the tally of its optimal walk.
     The row arrays are allocated once and swapped between rows.
     """
-    n, count = len(query), len(targets)
-    lengths = np.array([len(t) for t in targets])
+    n, count = len(query), len(lengths)
     width = int(lengths.max())
-    codes = np.full((count, width), _PAD)
-    for row, target in zip(codes, targets):
-        row[: len(target)] = _codes(target)
+    codes = codes[:, :width]
     step = n + 1
     cols = np.arange(width)
     rows = np.arange(count)
@@ -351,13 +350,14 @@ def approximate_evalue(bits: float, query_len: int, db_residues: int) -> float:
     return query_len * db_residues * 2.0 ** (-bits)
 
 
-def make_hit(query: Peptide, target: Peptide, aln: LocalAlignment, db_residues: int) -> SimilarityHit:
-    bits = approximate_bits(aln.score)
+def make_hit(query: Peptide, target: Peptide, score: float, matches: int, columns: int, db_residues: int) -> SimilarityHit:
+    """The hit row of a local alignment, from its score, matches and columns."""
+    bits = approximate_bits(float(score))
     return SimilarityHit(
         query=query.id,
         target=target.id,
-        identity_pct=100.0 * aln.identity,
-        length=aln.columns,
+        identity_pct=100.0 * (matches / columns),
+        length=int(columns),
         evalue=approximate_evalue(bits, len(query.residues), db_residues),
         bits=bits,
     )

@@ -228,6 +228,7 @@ def _cmd_rl(args, cfg: dict, out: Path) -> int:
         seed=int(cfg["seed"]),
         log_sink=out / "rl_log.tsv",
         checkpoint_dir=out if ppo_cfg.checkpoint_every else None,
+        scale=scale_table(cfg),
     )
     policy.save(out / "rl.ckpt")
     last = logs[-1] if logs else {}
@@ -290,6 +291,7 @@ def _cmd_build_library(args, cfg: dict, out: Path) -> int:
         external_scores=external,
         temperature=float(section["temperature"]),
         top_k=None if top_k is None else int(top_k),
+        scale=scale_table(cfg),
     )
     print(f"build-library: {len(records)} unique sequences from {stats['sampled_total']} samples")
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 from . import rng as _rng
 from .alignment import search
 from .mic import LabeledSet
-from .sequences import Peptide, _write_text
+from .sequences import Peptide, _write_text, encode
 
 
 @dataclass
@@ -53,23 +53,26 @@ def greedy_cluster(peptides: Sequence[Peptide], identity_threshold: float = 0.40
     """Longest-first greedy clustering on global-alignment identity.
 
     Each peptide joins the first existing cluster whose representative it
-    matches at or above the threshold, else it founds a new cluster. One
-    search aligns the peptide against every representative. The ordering
-    (length descending, then sequence, then id) makes the result independent
-    of input order.
+    matches at or above the threshold, else it founds a new cluster. The
+    peptides are encoded once, and one search aligns a peptide against every
+    representative. The ordering (length descending, then sequence, then id)
+    makes the result independent of input order.
     """
     if not 0.0 < identity_threshold <= 1.0:
         raise ValueError("identity threshold must lie in (0,1]")
+    ordered = _greedy_order(peptides)
+    codes, lengths = encode([p.residues for p in ordered])
     clusters: list[Cluster] = []
-    representatives: list[str] = []
-    for pep in _greedy_order(peptides):
-        _, matches, columns = search(pep.residues, representatives, local=False)
+    representatives: list[int] = []  # rows of codes
+    for k, pep in enumerate(ordered):
+        reps = (codes[representatives], lengths[representatives])
+        _, matches, columns = search(codes[k, : lengths[k]], reps, local=False)
         joins = np.flatnonzero(matches / columns >= identity_threshold)
         if joins.size:
             clusters[int(joins[0])].members.append(pep)
         else:
             clusters.append(Cluster(representative=pep, members=[pep]))
-            representatives.append(pep.residues)
+            representatives.append(k)
     return clusters
 
 

@@ -13,19 +13,15 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
-from .sequences import RESIDUES, Peptide, _write_text
-
-_RES_INDEX = {ch: i for i, ch in enumerate(RESIDUES)}
+from .sequences import RESIDUES, Peptide, _write_text, encode
 
 
 def aa_frequency(peptides: Sequence[Peptide]) -> np.ndarray:
     """Residue frequencies pooled over the whole set, in alphabetical order."""
     if not peptides:
         raise ValueError("cannot compute frequencies of an empty set")
-    counts = np.zeros(len(RESIDUES), dtype=np.float64)
-    for pep in peptides:
-        for ch in pep.residues:
-            counts[_RES_INDEX[ch]] += 1.0
+    codes, _ = encode([pep.residues for pep in peptides])
+    counts = np.bincount(codes.ravel(), minlength=len(RESIDUES) + 1)[: len(RESIDUES)].astype(np.float64)
     return counts / counts.sum()
 
 

@@ -5,7 +5,7 @@ the activity threshold; s feeds the MIC reward term directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -15,7 +15,7 @@ from . import numerics as nm
 from .numerics.tensor import reduce_mean
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
 from .rng import substream
-from .sequences import RESIDUES, Peptide
+from .sequences import RESIDUES, Peptide, encode
 
 BUILTIN_DIM = 5 + 20 + 400
 
@@ -80,11 +80,6 @@ def write_labeled_tsv(labeled: LabeledSet, sink: str | Path | IO[str]) -> None:
     _write_text(sink, "\n".join(lines) + "\n")
 
 
-# ASCII byte -> index in RESIDUES
-_CODES = np.full(256, -1, dtype=np.int64)
-_CODES[np.frombuffer(RESIDUES.encode("ascii"), dtype=np.uint8)] = np.arange(20)
-
-
 class Embedder:
     """Built-in features, standardized by training-set statistics frozen at fit time.
 
@@ -107,8 +102,8 @@ class Embedder:
         for row, p in zip(raw, peptides):
             props = descriptor_vector(p, self.scale)
             row[:5] = (props.length, props.hydrophobicity, props.hydrophobic_moment, props.net_charge, props.isoelectric_point)
-        lengths = np.array([len(p.residues) for p in peptides], dtype=np.int64)
-        codes = _CODES[np.frombuffer("".join(p.residues for p in peptides).encode("ascii"), dtype=np.uint8)]
+        codes, lengths = encode([p.residues for p in peptides])
+        codes = codes[codes < len(RESIDUES)]  # row-major, so the peptides' codes end to end
         rows = np.repeat(np.arange(n), lengths)
         counts = np.bincount(rows * 20 + codes, minlength=20 * n).reshape(n, 20)
         np.divide(counts, lengths[:, None], out=raw[:, 5:25])
@@ -230,6 +225,7 @@ class MicModel:
             "cutoff": self.config.cutoff,
         }
         info["embedder_kind"] = "builtin_features"
+        info["scale"] = asdict(self.embedder.scale)
         if self.embedder.mean is None or self.embedder.std is None:
             raise ValueError("builtin embedder must be fit before saving")
         tensors = dict(self.params)
@@ -252,7 +248,9 @@ class MicModel:
         kind = meta.get("embedder_kind", "builtin_features")
         if kind != "builtin_features":
             raise ValueError(f"{path}: unsupported embedder kind {kind!r}")
-        embedder = Embedder()
+        if set(meta.get("scale", ())) != {"name", "version", "hydropathy", "pka"}:
+            raise ValueError(f"{path}: checkpoint manifest lacks the descriptor scale (name, version, hydropathy, pka)")
+        embedder = Embedder(ScaleTable(**meta["scale"]))
         embedder.mean = tensors["embed.mean"].copy()
         embedder.std = tensors["embed.std"].copy()
         params = {

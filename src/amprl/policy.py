@@ -1,10 +1,11 @@
 """Autoregressive peptide generator: causal transformer, LoRA, SFT, sampling.
 
-Tokenization: residues map to 0..19 in alphabet order, EOS=20, BOS=21,
-PAD=22. The output head covers the 21 emittable actions (residues + EOS).
-EOS is masked out at the first generation step so the model can never emit
-an empty peptide; that mask is part of the sequence distribution and is
-applied identically in sampling, scoring, and training losses.
+Tokenization: residues are their `sequences.encode` codes (0..19 in alphabet
+order), EOS=20, BOS=21, PAD=22. The output head covers the 21 emittable
+actions (residues + EOS). EOS is masked out at the first generation step so
+the model can never emit an empty peptide; that mask is part of the sequence
+distribution and is applied identically in sampling, scoring, and training
+losses.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics.tensor import _gelu, _layer_norm, _log_softmax, _softmax, reduce_sum, transpose
 from .rng import substream
-from .sequences import RESIDUES, Peptide
+from .sequences import RESIDUES, Peptide, encode
 
 EOS = 20
 BOS = 21
@@ -24,9 +25,6 @@ PAD = 22
 VOCAB = 23
 N_ACTIONS = 21
 NEG = -1e9
-
-_RES_TO_ID = {r: i for i, r in enumerate(RESIDUES)}
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -76,23 +74,18 @@ class TokenBatch:
             if after.size and not np.all(after == PAD):
                 raise ValueError("only PAD may follow EOS")
 
-    @property
-    def n_rows(self) -> int:
-        return self.ids.shape[0]
-
 
 def encode_batch(peptides: list[Peptide], pad_to: int | None = None) -> TokenBatch:
     if not peptides:
         raise ValueError("cannot encode an empty batch")
-    width = max(len(p.residues) for p in peptides) + 2
+    codes, lengths = encode([p.residues for p in peptides])
+    width = codes.shape[1] + 2
     if pad_to is not None:
         width = max(width, pad_to)
     ids = np.full((len(peptides), width), PAD, dtype=np.int64)
-    for i, p in enumerate(peptides):
-        ids[i, 0] = BOS
-        for j, r in enumerate(p.residues, start=1):
-            ids[i, j] = _RES_TO_ID[r]
-        ids[i, len(p.residues) + 1] = EOS
+    ids[:, 0] = BOS
+    ids[:, 1 : codes.shape[1] + 1] = np.where(codes < len(RESIDUES), codes, PAD)
+    ids[np.arange(len(peptides)), lengths + 1] = EOS
     return TokenBatch(ids=ids)
 
 
@@ -127,11 +120,6 @@ class PolicyModel:
                 data = np.full(shape, 1.0 if fill == "ones" else 0.0)
             params[name] = nm.Tensor(data, requires_grad=True)
         return cls(config, params)
-
-    def parameter_count(self) -> int:
-        base = sum(p.data.size for p in self.params.values())
-        extra = sum(delta.a.data.size + delta.b.data.size for delta in self.lora.values())
-        return base + extra
 
     def trainable(self) -> list[nm.Tensor]:
         out = [p for p in self.params.values() if p.requires_grad]

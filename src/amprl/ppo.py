@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics.tensor import exp as t_exp, reduce_sum
-from .physchem import DEFAULT_SCALE, PropertyVector, descriptor_vector
+from .physchem import DEFAULT_SCALE, ScaleTable
 from .policy import BOS, PAD, PolicyModel, sample
 from .reward import RewardBreakdown, RewardConfig, process_rewards
 from .rng import substream
@@ -78,7 +78,6 @@ class RolloutBatch:
     step_rewards: np.ndarray
     breakdowns: list[RewardBreakdown]
     peptides: list
-    props: list[PropertyVector]
     mean_entropy: float
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
@@ -126,7 +125,6 @@ def rollout(
 
     rewards = np.zeros(n)
     breakdowns: list[RewardBreakdown] = []
-    props: list[PropertyVector] = []
     for i, s in enumerate(samples):
         try:
             bd = reward_fn(s.peptide)
@@ -136,7 +134,6 @@ def rollout(
             ) from exc
         breakdowns.append(bd)
         rewards[i] = bd.r_total
-        props.append(descriptor_vector(s.peptide, DEFAULT_SCALE))
 
     scaled, whitened = process_rewards(rewards)
     step_rewards = np.zeros((n, t_max))
@@ -155,7 +152,6 @@ def rollout(
         step_rewards=step_rewards,
         breakdowns=breakdowns,
         peptides=[s.peptide for s in samples],
-        props=props,
         mean_entropy=mean_entropy,
     )
 
@@ -274,18 +270,19 @@ def train_rl(
     seed: int = 0,
     log_sink: str | Path | IO[str] | None = None,
     checkpoint_dir: str | Path | None = None,
+    scale: ScaleTable = DEFAULT_SCALE,
 ) -> tuple[PolicyModel, list[dict]]:
     """Iterate rollout -> advantages -> clipped updates over the LoRA policy.
 
-    The policy must already carry LoRA deltas (the base stays frozen). Updates
-    whose mean |ratio - 1| exceeds the guard are skipped and counted in the
-    log row.
+    The policy must already carry LoRA deltas (the base stays frozen), and
+    rewards use descriptors on `scale`. Updates whose mean |ratio - 1|
+    exceeds the guard are skipped and counted in the log row.
     """
     if not policy.lora:
         raise ValueError("RL fine-tuning requires a LoRA-attached policy")
     from .reward import make_reward_fn
 
-    reward_fn = make_reward_fn(scorer, reward_cfg)
+    reward_fn = make_reward_fn(scorer, reward_cfg, scale)
     params = policy.trainable()
     opt = nm.Adam(params, lr=cfg.lr)
     rows_log: list[dict] = []
@@ -324,10 +321,10 @@ def train_rl(
             "mean_reward": float(batch.rewards_raw.mean()),
             "mean_s": mean_s,
             "frac_active": frac_active,
-            "mean_charge": float(np.mean([p.net_charge for p in batch.props])),
-            "mean_hydrophobicity": float(np.mean([p.hydrophobicity for p in batch.props])),
-            "mean_moment": float(np.mean([p.hydrophobic_moment for p in batch.props])),
-            "mean_pI": float(np.mean([p.isoelectric_point for p in batch.props])),
+            "mean_charge": float(np.mean([bd.props.net_charge for bd in batch.breakdowns])),
+            "mean_hydrophobicity": float(np.mean([bd.props.hydrophobicity for bd in batch.breakdowns])),
+            "mean_moment": float(np.mean([bd.props.hydrophobic_moment for bd in batch.breakdowns])),
+            "mean_pI": float(np.mean([bd.props.isoelectric_point for bd in batch.breakdowns])),
             "entropy": batch.mean_entropy,
             "policy_loss": float(np.mean(policy_losses)) if policy_losses else 0.0,
             "value_loss": float(np.mean(value_losses)) if value_losses else 0.0,

@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .physchem import PropertyVector
+from .physchem import DEFAULT_SCALE, PropertyVector, ScaleTable, descriptor_vector
 
 
 def _clip(value: float, lo: float, hi: float) -> float:
@@ -44,6 +44,7 @@ class RewardBreakdown:
     r_property: float
     property_terms: dict[str, float]
     r_total: float
+    props: PropertyVector  # the descriptors the property term was computed from
 
 
 def r_mic(s: float, cfg: RewardConfig = RewardConfig()) -> float:
@@ -83,6 +84,7 @@ def score_reward(s: float, props: PropertyVector, cfg: RewardConfig = RewardConf
         r_property=prop_term,
         property_terms=terms,
         r_total=r_total(prop_term, mic_term, cfg),
+        props=props,
     )
 
 
@@ -110,17 +112,13 @@ def process_rewards(batch) -> tuple[np.ndarray, np.ndarray]:
 def make_reward_fn(
     scorer,
     cfg: RewardConfig = RewardConfig(),
-    scale=None,
+    scale: ScaleTable = DEFAULT_SCALE,
 ) -> Callable:
     """Bind a classifier-like scorer (anything with .score(peptide) -> float)
     and a descriptor scale into a peptide -> RewardBreakdown function."""
-    from .physchem import DEFAULT_SCALE, descriptor_vector
-
-    table = scale or DEFAULT_SCALE
 
     def reward_fn(peptide) -> RewardBreakdown:
         s = float(scorer.score(peptide))
-        props = descriptor_vector(peptide, table)
-        return score_reward(s, props, cfg)
+        return score_reward(s, descriptor_vector(peptide, scale), cfg)
 
     return reward_fn

@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .alignment import SimilarityHit, align_local, make_hit, search
+from .alignment import SimilarityHit, make_hit, search
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
 from .reward import RewardConfig
-from .sequences import AnnotationRecord, Peptide, _write_text, write_fasta, write_records
+from .sequences import AnnotationRecord, Peptide, _write_text, encode, write_fasta, write_records
 
 Window = tuple[float, float]
 
@@ -130,20 +130,21 @@ def novelty_filter(
     if not reference:
         raise ValueError("reference set must be non-empty")
     db_residues = sum(len(t) for t in reference)
-    targets = [t.residues for t in reference]
+    targets = encode([t.residues for t in reference])
+    queries, lengths = encode([r.peptide.residues for r in records])
     kept: list[AnnotationRecord] = []
     removed: list[AnnotationRecord] = []
     hits: list[SimilarityHit] = []
-    for record in records:
+    for record, codes, n in zip(records, queries, lengths):
         query = record.peptide
-        scores, matches, columns = search(query.residues, targets, local=True)
+        scores, matches, columns = search(codes[:n], targets, local=True)
         # columns is 0 only where nothing aligned, and then fails the coverage test
         identity = matches / np.maximum(columns, 1)
-        similar = bool(np.any((columns > cfg.novelty_coverage * len(query)) & (identity >= cfg.novelty_identity)))
+        similar = bool(np.any((columns > cfg.novelty_coverage * n) & (identity >= cfg.novelty_identity)))
         aligned = np.flatnonzero(scores > 0.0)
         if aligned.size:
-            best = reference[min(aligned, key=lambda k: (-scores[k], reference[k].id))]
-            hits.append(make_hit(query, best, align_local(query.residues, best.residues), db_residues))
+            k = min(aligned, key=lambda k: (-scores[k], reference[k].id))
+            hits.append(make_hit(query, reference[k], scores[k], matches[k], columns[k], db_residues))
         if similar:
             removed.append(dataclasses.replace(record, verdict="rejected", reject_reasons=("novelty",)))
         else:
@@ -286,6 +287,7 @@ def build_library(
     external_scores: dict[str, dict[str, float]] | None = None,
     temperature: float = 1.0,
     top_k: int | None = None,
+    scale: ScaleTable = DEFAULT_SCALE,
 ) -> tuple[list[AnnotationRecord], dict]:
     """Sample until target_count unique length-valid sequences, annotate, persist.
 
@@ -342,7 +344,7 @@ def build_library(
         batch_index += 1
     surplus = len(unique) - target_count
     unique = unique[:target_count]
-    records = annotate(unique, scorer, external_scores)
+    records = annotate(unique, scorer, external_scores, scale)
 
     length_pass = sampled_total - length_fail
     unique_pass = length_pass - duplicate_fail

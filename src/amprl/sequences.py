@@ -1,4 +1,4 @@
-"""Peptide records, alphabet validation, and text-file I/O (FASTA/TSV/JSONL)."""
+"""Peptide records, the residue code, and text-file I/O (FASTA/TSV/JSONL)."""
 from __future__ import annotations
 
 import io
@@ -6,7 +6,9 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .physchem import PropertyVector
@@ -56,20 +58,28 @@ class Peptide:
         return len(self.residues)
 
 
-def validate_sequence(raw: str, id: str = "", source: str = "natural") -> Peptide:
-    """Uppercase and strip whitespace, then accept iff every residue is canonical.
+# code point (clipped to 255) -> index in RESIDUES; -1 for every other character
+_CODE_OF = np.full(256, -1, dtype=np.int64)
+_CODE_OF[np.frombuffer(RESIDUES.encode("ascii"), dtype=np.uint8)] = np.arange(len(RESIDUES))
 
-    The reported position refers to the cleaned sequence (1-based).
+
+def encode(sequences: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The residue-to-integer map every stage shares: (codes, lengths).
+
+    A residue's code is its index in RESIDUES. Row k holds sequence k's codes,
+    padded with len(RESIDUES) to the longest length; lengths[k] is its length.
+    Any other character raises ValueError.
     """
-    cleaned = "".join(raw.split()).upper()
-    if not cleaned:
-        raise ValueError(f"sequence {id!r}: empty after stripping whitespace")
-    for pos, ch in enumerate(cleaned, start=1):
-        if ch not in RESIDUE_SET:
-            raise ValueError(
-                f"sequence {id!r}: invalid residue {ch!r} at position {pos}"
-            )
-    return Peptide(id=id, residues=cleaned, source=source)
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    width = int(lengths.max()) if len(lengths) else 0
+    joined = "".join(sequences)
+    flat = _CODE_OF[np.minimum(np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32), 255)]
+    bad = np.flatnonzero(flat < 0)
+    if bad.size:
+        raise ValueError(f"no code or substitution score for residue {joined[bad[0]]!r}")
+    codes = np.full((len(lengths), width), len(RESIDUES), dtype=np.int64)
+    codes[np.arange(width) < lengths[:, None]] = flat
+    return codes, lengths
 
 
 def _iter_lines(stream: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
@@ -140,18 +150,6 @@ def write_fasta(peptides: Iterable[Peptide], sink: str | Path | IO[str], width: 
         for start in range(0, len(p.residues), width):
             lines.append(p.residues[start : start + width])
     _write_text(sink, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def dedup_exact(peptides: Iterable[Peptide]) -> list[Peptide]:
-    """Drop later peptides whose residue string was already seen; order preserved."""
-    seen: set[str] = set()
-    out: list[Peptide] = []
-    for p in peptides:
-        if p.residues in seen:
-            continue
-        seen.add(p.residues)
-        out.append(p)
-    return out
 
 
 @dataclass(frozen=True)
@@ -237,65 +235,6 @@ def write_records(
         _write_text(sink, "\n".join(lines) + ("\n" if lines else ""))
     else:
         raise ValueError(f"unknown record format {format!r}; expected 'tsv' or 'jsonl'")
-
-
-def read_records(stream: str | IO[str] | Iterable[str], format: str, source: str = "natural") -> list[AnnotationRecord]:
-    """Paired reader for write_records. TSV rows get `source` as provenance."""
-    from .physchem import PropertyVector
-
-    records: list[AnnotationRecord] = []
-    lines = list(_iter_lines(stream))
-    if format == "tsv":
-        if not lines:
-            raise ValueError("empty TSV: header row missing")
-        header = tuple(lines[0].rstrip("\n").split("\t"))
-        if header != TSV_COLUMNS:
-            raise ValueError(f"unexpected TSV columns: {header}")
-        for lineno, raw in enumerate(lines[1:], start=2):
-            if not raw.strip():
-                continue
-            parts = raw.rstrip("\n").split("\t")
-            if len(parts) != len(TSV_COLUMNS):
-                raise ValueError(f"line {lineno}: expected {len(TSV_COLUMNS)} fields, got {len(parts)}")
-            (pid, seq, length, hyd, moment, charge, pi, mic, verdict, reasons) = parts
-            props = PropertyVector(
-                length=int(length),
-                hydrophobicity=float(hyd),
-                hydrophobic_moment=float(moment),
-                net_charge=float(charge),
-                isoelectric_point=float(pi),
-            )
-            records.append(
-                AnnotationRecord(
-                    peptide=Peptide(id=pid, residues=seq, source=source),
-                    properties=props,
-                    mic_score=None if mic == "" else float(mic),
-                    verdict=verdict,
-                    reject_reasons=tuple(reasons.split(";")) if reasons else (),
-                )
-            )
-    elif format == "jsonl":
-        for lineno, raw in enumerate(lines, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-            props = PropertyVector(**obj["properties"])
-            records.append(
-                AnnotationRecord(
-                    peptide=Peptide(**obj["peptide"]),
-                    properties=props,
-                    mic_score=obj["mic_score"],
-                    external_scores=dict(obj["external_scores"]),
-                    verdict=obj["verdict"],
-                    reject_reasons=tuple(obj["reject_reasons"]),
-                )
-            )
-    else:
-        raise ValueError(f"unknown record format {format!r}; expected 'tsv' or 'jsonl'")
-    return records
 
 
 def _write_text(sink: str | Path | IO[str], text: str) -> None:

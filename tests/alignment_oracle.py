@@ -189,7 +189,8 @@ def novelty_filter(records, reference, cfg):
             if aln.columns > cfg.novelty_coverage * len(query) and aln.identity >= cfg.novelty_identity:
                 similar = True
         if best is not None:
-            hits.append(make_hit(query, best[2], best[3], db_residues))
+            aln = best[3]
+            hits.append(make_hit(query, best[2], aln.score, aln.matches, aln.columns, db_residues))
         if similar:
             removed.append(dataclasses.replace(record, verdict="rejected", reject_reasons=("novelty",)))
         else:

@@ -22,7 +22,7 @@ from amprl.alignment import (
     write_hit_table,
 )
 from amprl.screening import ScreenConfig, annotate, novelty_filter
-from amprl.sequences import Peptide
+from amprl.sequences import Peptide, encode
 
 import alignment_oracle
 from conftest import RESIDUES, near_copy
@@ -68,6 +68,51 @@ def _local_oracle(a, b, go=GAP_OPEN, ge=GAP_EXTEND):
 
 def _rand_seq(rng, lo=1, hi=14):
     return "".join(rng.choice(list(RESIDUES), size=int(rng.integers(lo, hi + 1))))
+
+
+def _codes(seq):
+    return encode([seq])[0][0]
+
+
+# BLOSUM62 as NCBI publishes it, with its row and column labels
+_PUBLISHED_BLOSUM62 = """
+   A  R  N  D  C  Q  E  G  H  I  L  K  M  F  P  S  T  W  Y  V
+A  4 -1 -2 -2  0 -1 -1  0 -2 -1 -1 -1 -1 -2 -1  1  0 -3 -2  0
+R -1  5  0 -2 -3  1  0 -2  0 -3 -2  2 -1 -3 -2 -1 -1 -3 -2 -3
+N -2  0  6  1 -3  0  0  0  1 -3 -3  0 -2 -3 -2  1  0 -4 -2 -3
+D -2 -2  1  6 -3  0  2 -1 -1 -3 -4 -1 -3 -3 -1  0 -1 -4 -3 -3
+C  0 -3 -3 -3  9 -3 -4 -3 -3 -1 -1 -3 -1 -2 -3 -1 -1 -2 -2 -1
+Q -1  1  0  0 -3  5  2 -2  0 -3 -2  1  0 -3 -1  0 -1 -2 -1 -2
+E -1  0  0  2 -4  2  5 -2  0 -3 -3  1 -2 -3 -1  0 -1 -3 -2 -2
+G  0 -2  0 -1 -3 -2 -2  6 -2 -4 -4 -2 -3 -3 -2  0 -2 -2 -3 -3
+H -2  0  1 -1 -3  0  0 -2  8 -3 -3 -1 -2 -1 -2 -1 -2 -2  2 -3
+I -1 -3 -3 -3 -1 -3 -3 -4 -3  4  2 -3  1  0 -3 -2 -1 -3 -1  3
+L -1 -2 -3 -4 -1 -2 -3 -4 -3  2  4 -2  2  0 -3 -2 -1 -2 -1  1
+K -1  2  0 -1 -3  1  1 -2 -1 -3 -2  5 -1 -3 -1  0 -1 -3 -2 -2
+M -1 -1 -2 -3 -1  0 -2 -3 -2  1  2 -1  5  0 -2 -1 -1 -1 -1  1
+F -2 -3 -3 -3 -2 -3 -3 -3 -1  0  0 -3  0  6 -4 -2 -2  1  3 -1
+P -1 -2 -2 -1 -3 -1 -1 -2 -2 -3 -3 -1 -2 -4  7 -1 -1 -4 -3 -2
+S  1 -1  1  0 -1  0  0  0 -1 -2 -2  0 -1 -2 -1  4  1 -3 -2 -2
+T  0 -1  0 -1 -1 -1 -1 -2 -2 -1 -1 -1 -1 -2 -1  1  5 -2 -2  0
+W -3 -3 -4 -4 -2 -2 -3 -2 -2 -3 -2 -3 -1  1 -4 -3 -2 11  2 -3
+Y -2 -2 -2 -3 -2 -1 -2 -3  2 -1 -1 -2 -1  3 -3 -2 -2  2  7 -1
+V  0 -3 -3 -3 -1 -2 -2 -3 -3  3  1 -2  1 -1 -2 -2  0 -3 -1  4
+"""
+
+
+def test_blosum_table_matches_the_published_matrix():
+    header, *rows = _PUBLISHED_BLOSUM62.strip().splitlines()
+    columns = header.split()
+    published = {}
+    for row in rows:
+        x, *values = row.split()
+        published.update({(x, y): int(v) for y, v in zip(columns, values)})
+    assert BLOSUM62 == published
+    # the scores the kernels use, re-indexed to the residue codes, are the same
+    for (x, y), v in published.items():
+        assert align_global(x, y).score == v
+        scores, _, _ = search(_codes(x), encode([y]), local=False)
+        assert scores.tolist() == [v]
 
 
 def test_blosum_table_shape_and_symmetry():
@@ -186,7 +231,7 @@ def test_search_matches_scalar_oracle_field_for_field():
         rng.shuffle(targets)
         assert len(targets) > SEARCH_BLOCK
         for local in (False, True):
-            scores, matches, columns = search(query, targets, local=local)
+            scores, matches, columns = search(_codes(query), encode(targets), local=local)
             assert len(scores) == len(matches) == len(columns) == len(targets)
             for k, target in enumerate(targets):
                 if local:
@@ -205,12 +250,12 @@ def test_search_matches_scalar_oracle_field_for_field():
 def test_search_edge_cases():
     for local in (False, True):
         with pytest.raises(ValueError, match="cannot align an empty sequence"):
-            search("", ["KLW"], local=local)
+            search(_codes(""), encode(["KLW"]), local=local)
         with pytest.raises(ValueError, match="cannot align an empty sequence"):
-            search("KLW", ["KLW", ""], local=local)
+            search(_codes("KLW"), encode(["KLW", ""]), local=local)
         with pytest.raises(ValueError, match="substitution"):
-            search("KLW", ["KBW"], local=local)
-        assert [a.shape for a in search("KLW", [], local=local)] == [(0,), (0,), (0,)]
+            search(_codes("KLW"), encode(["KBW"]), local=local)
+        assert [a.shape for a in search(_codes("KLW"), encode([]), local=local)] == [(0,), (0,), (0,)]
 
 
 def test_local_self_alignment_is_full_length():
@@ -246,7 +291,7 @@ def test_make_hit_and_hit_table_formatting():
     q = Peptide("q1", "KLWKKLLKKWLKKLWKKLLK", "generated_rl")
     t = Peptide("UniRef_T", "KLWKKLLKKWLKKLWKKLLK", "external")
     aln = align_local(q.residues, t.residues)
-    hit = make_hit(q, t, aln, db_residues=len(t.residues))
+    hit = make_hit(q, t, aln.score, aln.matches, aln.columns, db_residues=len(t.residues))
     assert hit.identity_pct == 100.0
     assert hit.length == 20
     buf = io.StringIO()

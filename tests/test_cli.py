@@ -188,3 +188,42 @@ def test_dataprep_subcommand_writes_splits(tmp_path, capsys):
         assert (out / name).exists(), name
     manifest = json.loads((out / "split_manifest.json").read_text())
     assert sum(s["count"] for s in manifest["splits"].values()) == 30
+
+
+def test_rl_and_build_library_use_the_override_scale(tmp_path, capsys):
+    from amprl.physchem import DEFAULT_SCALE, descriptor_vector, load_scale_overrides
+    from amprl.policy import ModelConfig, PolicyModel
+
+    PolicyModel.init(ModelConfig(embed_dim=16, n_layers=1, n_heads=2, max_len=10, mlp_ratio=2), seed=3).save(
+        tmp_path / "sft.ckpt"
+    )
+    embedder = Embedder()
+    embedder.fit(embedder.features([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")]))
+    MicModel.init(embedder, MicConfig(hidden=(4,)), seed=0).save(tmp_path / "mic.ckpt")
+    (tmp_path / "scale.txt").write_text("hydropathy K 3.0\nhydropathy L -2.0\n")
+    override = load_scale_overrides(tmp_path / "scale.txt")
+    section = {
+        "ppo": {"iterations": 1, "n_actors": 8, "horizon": 11, "max_len": 10, "minibatch_size": 4, "epochs": 1},
+        "screen": {"min_length": 1, "max_length": 10, "batch_size": 16},
+        "library": {"target_count": 8},
+    }
+    logs = {}
+    for name, overrides in (("default", None), ("override", str(tmp_path / "scale.txt"))):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({**section, "scales": {"overrides": overrides}}))
+        out = tmp_path / name
+        common = ["--config", str(cfg), "--output-dir", str(out)]
+        rl = ["rl", "--sft-checkpoint", str(tmp_path / "sft.ckpt"), "--mic-model", str(tmp_path / "mic.ckpt")]
+        assert main(rl + common) == 0
+        library = ["build-library", "--checkpoint", str(out / "rl.ckpt"), "--mic-model", str(tmp_path / "mic.ckpt")]
+        assert main(library + common) == 0
+        header, row = (out / "rl_log.tsv").read_text().splitlines()
+        logs[name] = dict(zip(header.split("\t"), row.split("\t")))
+        scale = DEFAULT_SCALE if overrides is None else override
+        for line in (out / "library.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            pep = Peptide("x", record["peptide"]["residues"])
+            assert record["properties"]["hydrophobicity"] == descriptor_vector(pep, scale).hydrophobicity
+    # the same peptides are sampled in both runs; only their hydropathy differs
+    assert logs["default"]["mean_charge"] == logs["override"]["mean_charge"]
+    assert logs["default"]["mean_hydrophobicity"] != logs["override"]["mean_hydrophobicity"]

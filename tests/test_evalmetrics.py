@@ -20,6 +20,7 @@ from amprl.evalmetrics import (
 )
 from amprl.sequences import Peptide
 
+import encoding_oracle
 from conftest import RESIDUES, random_peptides
 
 
@@ -44,6 +45,14 @@ def test_aa_frequency_is_order_and_split_invariant():
     assert np.allclose(aa_frequency(shuffled), base, atol=1e-15)
     merged = [_pep("m", "".join(p.residues for p in peps))]
     assert np.allclose(aa_frequency(merged), base, atol=1e-15)
+
+
+def test_aa_frequency_matches_per_residue_oracle():
+    rng = np.random.default_rng(6)
+    sets = [random_peptides(n, rng, min_len=1, max_len=50) for n in (1, 7, 300)]
+    sets.append([_pep("all", RESIDUES), _pep("w", "W")])
+    for peps in sets:
+        assert np.array_equal(aa_frequency(peps), encoding_oracle.aa_frequency(peps))
 
 
 def test_aa_frequency_requires_residues():

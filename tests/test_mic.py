@@ -1,10 +1,12 @@
 """Activity classifier: embedder, focal loss, AUROC, training, persistence."""
 import io
+import json
 
 import numpy as np
 import pytest
 
 import amprl.numerics as nm
+from amprl.cli import main
 from amprl.mic import (
     Embedder,
     LabeledSet,
@@ -236,6 +238,41 @@ def test_model_save_load_round_trip(tmp_path):
     loaded = MicModel.load(path)
     probe = Peptide("q", "KKKWWWLLL", "natural")
     assert loaded.score(probe) == pytest.approx(model.score(probe), abs=1e-15)
+
+
+def test_model_save_load_keeps_an_override_scale(tmp_path):
+    rng = np.random.default_rng(10)
+    scale = ScaleTable(
+        version="1+overrides",
+        hydropathy={**EISENBERG_HYDROPATHY, "K": 3.0, "L": -2.0},
+        pka={**PKA, "K": 9.1, "n_term": 8.2},
+    )
+    train = _separable_set(40, rng, "train")
+    cfg = MicConfig(hidden=(8,), lr=3e-3, epochs=2, batch_size=8, patience=2, seed=0)
+    model, _ = train_mic(train, _separable_set(12, rng, "val"), cfg, embedder=Embedder(scale=scale))
+    path = tmp_path / "mic.ckpt"
+    model.save(path)
+    loaded = MicModel.load(path)
+    assert loaded.embedder.scale == scale
+    probes = random_peptides(30, rng, min_len=1, max_len=40) + train.peptides()
+    assert np.array_equal(loaded.embedder.embed_many(probes), model.embedder.embed_many(probes))
+    assert np.array_equal(loaded.score_many(probes), model.score_many(probes))
+
+
+def test_model_load_rejects_a_manifest_without_scale(tmp_path, capsys):
+    emb = _fitted([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")])
+    path = tmp_path / "mic.ckpt"
+    MicModel.init(emb, MicConfig(hidden=(4,)), seed=0).save(path)
+    manifest = path.with_name("mic.ckpt.json")
+    payload = json.loads(manifest.read_text())
+    del payload["meta"]["scale"]
+    manifest.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="lacks the descriptor scale"):
+        MicModel.load(path)
+    (tmp_path / "in.fasta").write_text(">p1\nGLWKKILGKIKAGL\n")
+    argv = ["score-mic", "--model", str(path), "--input", str(tmp_path / "in.fasta"), "--output-dir", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert "lacks the descriptor scale" in capsys.readouterr().err
 
 
 def test_model_save_rejects_unfit_embedder(tmp_path):

@@ -25,6 +25,7 @@ from amprl.policy import (
 )
 from amprl.sequences import Peptide
 
+import encoding_oracle
 import sampler_oracle
 from conftest import RESIDUES, random_peptides
 
@@ -49,6 +50,16 @@ def test_token_scheme():
         eos_at = np.flatnonzero(row == EOS)
         assert eos_at.size == 1
         assert (row[eos_at[0] + 1:] == PAD).all()
+
+
+@pytest.mark.parametrize("pad_to", [None, 3, 60])
+def test_encode_batch_matches_per_residue_oracle(pad_to):
+    rng = np.random.default_rng(4)
+    peps = [_pep(r) for r in RESIDUES] + [_pep(RESIDUES)] + random_peptides(40, rng, min_len=1, max_len=50)
+    for batch in (peps, peps[:1], peps[-7:]):
+        ids = encode_batch(batch, pad_to=pad_to).ids
+        expected = encoding_oracle.encode_batch(batch, pad_to=pad_to)
+        assert ids.dtype == expected.dtype and np.array_equal(ids, expected)
 
 
 def test_decode_inverts_encode():

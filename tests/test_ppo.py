@@ -116,7 +116,6 @@ def _synthetic_batch(rng, n=5, t_max=7):
         step_rewards=step_rewards,
         breakdowns=[],
         peptides=[],
-        props=[],
         mean_entropy=0.0,
     )
 

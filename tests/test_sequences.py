@@ -8,12 +8,11 @@ import pytest
 
 from amprl.physchem import descriptor_vector
 from amprl.sequences import (
+    RESIDUES,
     AnnotationRecord,
     Peptide,
-    dedup_exact,
+    encode,
     parse_fasta,
-    read_records,
-    validate_sequence,
     write_fasta,
     write_records,
 )
@@ -22,24 +21,55 @@ from conftest import random_peptides
 
 
 def test_validate_accepts_all_twenty_residues():
-    p = validate_sequence("ACDEFGHIKLMNPQRSTVWY", id="all")
+    p = Peptide("all", "ACDEFGHIKLMNPQRSTVWY")
     assert p.residues == "ACDEFGHIKLMNPQRSTVWY"
     assert len(p) == 20
 
 
 def test_validate_uppercases_and_strips():
-    p = validate_sequence("  klwk \n", id="x")
+    (p,) = parse_fasta(">x\n  klwk \n")
     assert p.residues == "KLWK"
 
 
 def test_validate_rejects_unknown_residue_with_position():
     with pytest.raises(ValueError, match="position 4"):
-        validate_sequence("ACDB")
+        Peptide("x", "ACDB")
 
 
 def test_validate_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        validate_sequence("   ")
+        Peptide("x", "")
+
+
+def test_encode_maps_each_residue_to_its_alphabet_index():
+    codes, lengths = encode([RESIDUES, "Y", RESIDUES[::-1][:5]])
+    assert codes.shape == (3, 20) and codes.dtype == np.int64
+    assert codes[0].tolist() == list(range(20))
+    assert codes[1].tolist() == [19] + [20] * 19
+    assert codes[2].tolist() == [19, 18, 17, 16, 15] + [20] * 15
+    assert lengths.tolist() == [20, 1, 5]
+
+
+def test_encode_matches_a_per_residue_oracle():
+    rng = np.random.default_rng(5)
+    seqs = [p.residues for p in random_peptides(50, rng, min_len=1, max_len=40)]
+    codes, lengths = encode(seqs)
+    assert codes.shape == (50, max(map(len, seqs)))
+    for row, n, seq in zip(codes, lengths, seqs):
+        assert n == len(seq)
+        assert row[:n].tolist() == [RESIDUES.index(r) for r in seq]
+        assert np.all(row[n:] == len(RESIDUES))
+
+
+def test_encode_of_nothing_is_empty():
+    codes, lengths = encode([])
+    assert codes.shape == (0, 0) and lengths.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", ["ACDB", "acd", "KLW\u00e9", "K\u0141W", "K W"])
+def test_encode_rejects_other_characters(bad):
+    with pytest.raises(ValueError, match="residue"):
+        encode(["KLW", bad])
 
 
 def test_peptide_is_frozen_and_source_checked():
@@ -87,16 +117,6 @@ def test_parse_fasta_accepts_path_and_raw_text_distinctly(tmp_path):
     assert from_path[0].residues == from_text[0].residues == "KWKW"
 
 
-def test_dedup_exact_keeps_first_occurrence():
-    peps = [
-        Peptide("a", "KKK", "natural"),
-        Peptide("b", "KKK", "external"),
-        Peptide("c", "DDD", "natural"),
-    ]
-    kept = dedup_exact(peps)
-    assert [p.id for p in kept] == ["a", "c"]
-
-
 def test_records_jsonl_round_trip():
     pep = Peptide("a1", "KKLLKK", "generated_sft")
     rec = AnnotationRecord(
@@ -109,12 +129,22 @@ def test_records_jsonl_round_trip():
     )
     buf = io.StringIO()
     write_records([rec], "jsonl", buf)
-    back = read_records(io.StringIO(buf.getvalue()), "jsonl")
-    assert len(back) == 1
-    assert back[0].peptide.residues == "KKLLKK"
-    assert back[0].mic_score == pytest.approx(0.7)
-    assert back[0].external_scores == {"plddt": 0.9}
-    assert back[0].verdict == "kept"
+    (line,) = buf.getvalue().splitlines()
+    props = rec.properties
+    assert json.loads(line) == {
+        "peptide": {"id": "a1", "residues": "KKLLKK", "source": "generated_sft"},
+        "properties": {
+            "length": props.length,
+            "hydrophobicity": props.hydrophobicity,
+            "hydrophobic_moment": props.hydrophobic_moment,
+            "net_charge": props.net_charge,
+            "isoelectric_point": props.isoelectric_point,
+        },
+        "mic_score": 0.7,
+        "external_scores": {"plddt": 0.9},
+        "verdict": "kept",
+        "reject_reasons": [],
+    }
 
 
 def test_records_tsv_columns_and_reasons():
