@@ -29,7 +29,7 @@ from .config import (
     sft_config,
     write_resolved,
 )
-from .sequences import AnnotationRecord, Peptide, parse_fasta, write_fasta, write_records, _write_text
+from .sequences import AnnotationRecord, parse_fasta, write_fasta, write_records, _write_text
 
 ENV_OUTPUT_DIR = "AMPRL_OUTPUT_DIR"
 
@@ -176,8 +176,8 @@ def _cmd_score_mic(args, cfg: dict, out: Path) -> int:
     model = MicModel.load(_require(args.model, "--model"))
     peptides = parse_fasta(_require(args.input, "--input"))
     lines = ["id\tsequence\tmic_score"]
-    for p in peptides:
-        lines.append(f"{p.id}\t{p.residues}\t{float(model.score(p))!r}")
+    for p, s in zip(peptides, model.score_many(peptides)):
+        lines.append(f"{p.id}\t{p.residues}\t{float(s)!r}")
     _write_text(out / "scores.tsv", "\n".join(lines) + "\n")
     print(f"score-mic: {len(peptides)} sequences -> {out / 'scores.tsv'}")
     return 0
@@ -257,13 +257,12 @@ def _cmd_screen(args, cfg: dict, out: Path) -> int:
     by_id = {r.peptide.id: r for r in kept + rejected}
     ordered = [by_id[p.id] for p in candidates]
     write_records(ordered, "jsonl", out / "screened.jsonl")
-    ranked = sc.prioritize(kept, sc.max_identity_by_query(hits))
+    ranked = sc.prioritize(kept, sc.default_property_windows(reward_config(cfg)), sc.max_identity_by_query(hits))
     selected = []
     if ranked:
         embedder = Embedder(scale=scale)
-        embedder.fit(embedder.features([r.peptide for r in ranked]))
-        peptide_by_seq = {r.peptide.residues: r.peptide for r in ranked}
-        selected = sc.diversity_select(ranked, scfg.diversity_k, lambda s: embedder.embed(peptide_by_seq[s]))
+        raw = embedder.features([r.peptide for r in ranked])
+        selected = sc.diversity_select(ranked, scfg.diversity_k, embedder.fit(raw).standardize(raw))
     write_fasta([r.peptide for r in selected], out / "selected.fasta")
     write_records(selected, "jsonl", out / "selected.jsonl")
     print(f"screen: {len(kept)} kept, {len(rejected)} rejected, {len(selected)} selected")
@@ -305,17 +304,14 @@ def _cmd_eval(args, cfg: dict, out: Path) -> int:
     generated = parse_fasta(_require(args.generated, "--generated"), source="generated_sft")
     reference = parse_fasta(_require(args.reference, "--reference"))
     embedder = Embedder(scale=scale)
-    embedder.fit(embedder.features(reference))
-
-    def embed(seq: str):
-        return embedder.embed(Peptide("query", seq, "generated_sft"))
-
+    ref_raw = embedder.features(reference)
+    embeddings = (embedder.fit(ref_raw).embed_many(generated), embedder.standardize(ref_raw))
     section = cfg["eval"]
     report = ev.compare_sets(
         args.name,
         generated,
         reference,
-        embed=embed,
+        embeddings=embeddings,
         thresholds=tuple(float(t) for t in section["thresholds"]),
         jsd_base=float(section["jsd_base"]),
         scale=scale,
@@ -323,8 +319,8 @@ def _cmd_eval(args, cfg: dict, out: Path) -> int:
     ev.write_comparison_json(report, out / "comparison.json")
     ev.write_comparison_tsv(report, out / "comparison.tsv")
     if args.export_embeddings:
-        ev.export_embeddings_tsv(generated, embed, out / "embeddings_generated.tsv")
-        ev.export_embeddings_tsv(reference, embed, out / "embeddings_reference.tsv")
+        ev.export_embeddings_tsv(generated, embeddings[0], out / "embeddings_generated.tsv")
+        ev.export_embeddings_tsv(reference, embeddings[1], out / "embeddings_reference.tsv")
     print(f"eval: jsd {report['jsd']:.4f}, pearson {report['pearson']}")
     return 0
 

@@ -25,10 +25,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _section(instance, drop: tuple[str, ...] = (), null_seed: bool = False) -> dict:
+def _section(instance, null_seed: bool = False) -> dict:
     data = dataclasses.asdict(instance)
-    for key in drop:
-        data.pop(key, None)
     if null_seed and "seed" in data:
         data["seed"] = None
     return data

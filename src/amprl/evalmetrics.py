@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -139,17 +139,14 @@ class DistanceProfile:
 
 
 def embedding_distance_profile(
-    generated: Sequence[Peptide],
-    reference: Sequence[Peptide],
-    embed: Callable[[str], np.ndarray],
+    gen: np.ndarray,
+    ref: np.ndarray,
     thresholds: tuple[float, ...] = (1.0, 3.0),
 ) -> DistanceProfile:
-    """Nearest-reference Euclidean distance per generated peptide, plus the
-    fraction of the set within each threshold."""
-    if not generated or not reference:
+    """Nearest-reference Euclidean distance per generated embedding row, plus
+    the fraction of the set within each threshold."""
+    if not len(gen) or not len(ref):
         raise ValueError("both sets must be non-empty")
-    gen = np.stack([np.asarray(embed(p.residues), dtype=np.float64) for p in generated])
-    ref = np.stack([np.asarray(embed(p.residues), dtype=np.float64) for p in reference])
     if gen.shape[1] != ref.shape[1]:
         raise ValueError("embedding dimensions differ between sets")
     # one generated row at a time keeps memory at the size of the reference matrix
@@ -170,14 +167,15 @@ def compare_sets(
     name: str,
     generated: Sequence[Peptide],
     reference: Sequence[Peptide],
-    embed: Callable[[str], np.ndarray] | None = None,
+    embeddings: tuple[np.ndarray, np.ndarray] | None = None,
     thresholds: tuple[float, ...] = (1.0, 3.0),
     jsd_base: float = 2.0,
     bin_edges: dict[str, tuple[float, ...]] | None = None,
     scale: ScaleTable = DEFAULT_SCALE,
 ) -> dict:
     """Comparison report: frequency divergence, correlation, descriptor
-    summaries for both sets, and optional embedding-distance fractions."""
+    summaries for both sets, and, given the (generated, reference) embedding
+    matrices, embedding-distance fractions."""
     freq_gen = aa_frequency(generated)
     freq_ref = aa_frequency(reference)
     report: dict = {
@@ -196,8 +194,8 @@ def compare_sets(
             "reference": {k: _summary_dict(v) for k, v in property_summary(reference, bin_edges, scale).items()},
         },
     }
-    if embed is not None:
-        profile = embedding_distance_profile(generated, reference, embed, thresholds)
+    if embeddings is not None:
+        profile = embedding_distance_profile(*embeddings, thresholds)
         report["embedding_distance"] = {
             "mean": profile.mean,
             "fractions": {repr(t): f for t, f in zip(profile.thresholds, profile.fractions)},
@@ -246,18 +244,15 @@ def write_comparison_tsv(report: dict, sink: str | Path | IO[str]) -> None:
 
 def export_embeddings_tsv(
     peptides: Sequence[Peptide],
-    embed: Callable[[str], np.ndarray],
+    matrix: np.ndarray,
     sink: str | Path | IO[str],
 ) -> None:
     """Raw embedding vectors, one row per peptide, for external projection."""
     if not peptides:
         raise ValueError("cannot export an empty set")
-    first = np.asarray(embed(peptides[0].residues), dtype=np.float64)
-    header = ["id"] + [f"e{i}" for i in range(first.size)]
-    lines = ["\t".join(header)]
-    for pep in peptides:
-        vec = np.asarray(embed(pep.residues), dtype=np.float64)
-        if vec.size != first.size:
-            raise ValueError(f"embedding dimension changed at {pep.id!r}")
+    if len(matrix) != len(peptides):
+        raise ValueError(f"{len(matrix)} embedding rows for {len(peptides)} peptides")
+    lines = ["\t".join(["id"] + [f"e{i}" for i in range(matrix.shape[1])])]
+    for pep, vec in zip(peptides, matrix):
         lines.append("\t".join([pep.id] + [repr(float(v)) for v in vec]))
     _write_text(sink, "\n".join(lines) + "\n")

@@ -206,9 +206,10 @@ class MicModel:
         return nm.sigmoid(self.logits(features))
 
     def score(self, p: Peptide) -> float:
-        return float(self.probabilities(self.embedder.embed(p)[None, :]).data[0])
+        return float(self.score_many([p])[0])
 
-    def score_many(self, peptides: list[Peptide]) -> np.ndarray:
+    def score_many(self, peptides: Sequence[Peptide]) -> np.ndarray:
+        """Activity scores of a whole list, one classifier forward."""
         if not peptides:
             return np.zeros(0)
         return self.probabilities(self.embedder.embed_many(peptides)).data

@@ -64,24 +64,29 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if blob[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
     offset = len(MAGIC)
+    if len(blob) < offset + 8:
+        raise ValueError(f"{path}: truncated checkpoint")
     version, count = struct.unpack_from("<II", blob, offset)
     offset += 8
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
-        offset += 8 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        tensors[name] = arr.astype(np.float64)
+    try:
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<I", blob, offset)
+            offset += 4
+            name = blob[offset : offset + name_len].decode("utf-8")
+            offset += name_len
+            (ndim,) = struct.unpack_from("<I", blob, offset)
+            offset += 4
+            shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
+            offset += 8 * ndim
+            size = int(np.prod(shape)) if ndim else 1
+            arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
+            offset += 8 * size
+            tensors[name] = arr.astype(np.float64)
+    except (struct.error, ValueError):  # a read past the end of the file
+        raise ValueError(f"{path}: truncated checkpoint") from None
     meta: dict = {}
     mpath = path.with_name(path.name + ".json")
     if mpath.exists():

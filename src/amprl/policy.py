@@ -345,13 +345,6 @@ def sft_loss(model: PolicyModel, batch: TokenBatch) -> SftLoss:
     return SftLoss(total=total, mean=total * (1.0 / count), token_count=count)
 
 
-def log_probs(model: PolicyModel, peptide: Peptide) -> np.ndarray:
-    """Log-probability of each token of the peptide (residues then EOS)."""
-    batch = encode_batch([peptide])
-    out = sequence_log_probs(model, batch.ids)
-    return out[0, : len(peptide.residues) + 1]
-
-
 def sequence_log_probs(model: PolicyModel, ids: np.ndarray) -> np.ndarray:
     """Per-position log-probs of the realized tokens; PAD positions get 0."""
     inputs = ids[:, :-1]
@@ -469,7 +462,6 @@ def sample(
     top_k: int | None = None,
     max_len: int | None = None,
     seed: int = 0,
-    greedy: bool = False,
     source: str = "generated_sft",
     id_prefix: str = "gen",
     id_start: int = 0,
@@ -483,8 +475,8 @@ def sample(
     Decoding runs on plain arrays through a key/value cache (`_Decoder`) and
     gives the same logits as the autodiff forward of the whole prefix.
     """
-    if not greedy and temperature <= 0.0:
-        raise ValueError("temperature must be positive unless decoding greedily")
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
     if top_k is not None and top_k < 1:
         raise ValueError("top_k must be >= 1 when given")
     limit = model.config.max_len if max_len is None else min(max_len, model.config.max_len)
@@ -502,7 +494,7 @@ def sample(
         if step == 0:
             logits[:, EOS] = NEG
         base_lp = _log_softmax(logits)
-        sample_logits = logits if greedy else logits / temperature
+        sample_logits = logits / temperature
         if step == limit:
             # residue budget exhausted; EOS is the only remaining action
             sample_logits = np.where(
@@ -511,13 +503,10 @@ def sample(
         if top_k is not None:
             kth = np.partition(sample_logits, -top_k, axis=-1)[:, -top_k][:, None]
             sample_logits = np.where(sample_logits < kth, NEG, sample_logits)
-        if greedy:
-            choices = np.argmax(sample_logits, axis=-1)
-        else:
-            probs = _softmax(sample_logits)
-            u = rng.random(n)
-            cum = np.cumsum(probs, axis=-1)
-            choices = np.minimum((cum < u[:, None]).sum(axis=-1), N_ACTIONS - 1)
+        probs = _softmax(sample_logits)
+        u = rng.random(n)
+        cum = np.cumsum(probs, axis=-1)
+        choices = np.minimum((cum < u[:, None]).sum(axis=-1), N_ACTIONS - 1)
         rows = np.flatnonzero(alive)
         tokens[rows, step] = choices[rows]
         lps[rows, step] = base_lp[rows, choices[rows]]

@@ -93,7 +93,7 @@ def rollout(
     cfg: PpoConfig,
     seed: int,
 ) -> RolloutBatch:
-    """Sample N trajectories, score them once at the end, whiten the rewards."""
+    """Sample N trajectories, score them in one batch at the end, whiten the rewards."""
     residue_cap = min(cfg.max_len, cfg.horizon - 1, policy.config.max_len)
     samples = sample(
         policy,
@@ -123,17 +123,12 @@ def rollout(
     step_entropy = -(np.exp(lp) * lp).sum(axis=-1)
     mean_entropy = float((step_entropy * mask).sum() / mask.sum())
 
-    rewards = np.zeros(n)
-    breakdowns: list[RewardBreakdown] = []
-    for i, s in enumerate(samples):
-        try:
-            bd = reward_fn(s.peptide)
-        except Exception as exc:
-            raise RuntimeError(
-                f"reward evaluation failed for sequence {s.peptide.id} ({s.peptide.residues}): {exc}"
-            ) from exc
-        breakdowns.append(bd)
-        rewards[i] = bd.r_total
+    peptides = [s.peptide for s in samples]
+    try:
+        breakdowns = reward_fn(peptides)
+    except Exception as exc:
+        raise RuntimeError(f"reward evaluation failed for a batch of {n} sequences: {exc}") from exc
+    rewards = np.array([bd.r_total for bd in breakdowns])
 
     scaled, whitened = process_rewards(rewards)
     step_rewards = np.zeros((n, t_max))
@@ -151,7 +146,7 @@ def rollout(
         rewards_whitened=whitened,
         step_rewards=step_rewards,
         breakdowns=breakdowns,
-        peptides=[s.peptide for s in samples],
+        peptides=peptides,
         mean_entropy=mean_entropy,
     )
 

@@ -114,11 +114,14 @@ def make_reward_fn(
     cfg: RewardConfig = RewardConfig(),
     scale: ScaleTable = DEFAULT_SCALE,
 ) -> Callable:
-    """Bind a classifier-like scorer (anything with .score(peptide) -> float)
-    and a descriptor scale into a peptide -> RewardBreakdown function."""
+    """Bind a classifier-like scorer (anything with .score_many(peptides) ->
+    array) and a descriptor scale into a peptides -> breakdowns function that
+    scores the whole list in one call."""
 
-    def reward_fn(peptide) -> RewardBreakdown:
-        s = float(scorer.score(peptide))
-        return score_reward(s, descriptor_vector(peptide, scale), cfg)
+    def reward_fn(peptides) -> list[RewardBreakdown]:
+        scores = scorer.score_many(peptides)
+        return [
+            score_reward(float(s), descriptor_vector(p, scale), cfg) for p, s in zip(peptides, scores, strict=True)
+        ]
 
     return reward_fn

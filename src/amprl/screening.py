@@ -13,7 +13,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -64,9 +64,8 @@ class ScreenConfig:
             raise ValueError("stagnation_fraction must lie in (0,1]")
 
 
-def default_property_windows(reward_cfg: RewardConfig | None = None) -> dict[str, Window]:
+def default_property_windows(cfg: RewardConfig = RewardConfig()) -> dict[str, Window]:
     """The reward clamp ranges, reused as property acceptance windows."""
-    cfg = reward_cfg if reward_cfg is not None else RewardConfig()
     return {
         "hydrophobicity": cfg.clamp_hydrophobicity,
         "hydrophobic_moment": cfg.clamp_moment,
@@ -173,13 +172,11 @@ def _windows_satisfied(record: AnnotationRecord, windows: dict[str, Window]) -> 
 
 def prioritize(
     records: Sequence[AnnotationRecord],
+    windows: dict[str, Window],
     max_identity: dict[str, float] | None = None,
-    windows: dict[str, Window] | None = None,
 ) -> list[AnnotationRecord]:
     """Total order: mic_score desc, satisfied property windows desc, smallest
     max identity to the reference, then sequence."""
-    if windows is None:
-        windows = default_property_windows()
     ident = max_identity or {}
 
     def key(record: AnnotationRecord):
@@ -198,18 +195,20 @@ def prioritize(
 def diversity_select(
     records: Sequence[AnnotationRecord],
     k: int,
-    embed: Callable[[str], np.ndarray],
+    points: np.ndarray,
 ) -> list[AnnotationRecord]:
     """Greedy max-min (farthest point) subset of size min(k, n).
 
-    Records must arrive in priority order; selection starts from the first
-    and distance ties keep the higher-priority candidate.
+    Row i of `points` embeds records[i]. Records must arrive in priority
+    order; selection starts from the first and distance ties keep the
+    higher-priority candidate.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not records:
         return []
-    points = np.stack([np.asarray(embed(r.peptide.residues), dtype=np.float64) for r in records])
+    if len(points) != len(records):
+        raise ValueError(f"{len(points)} embedding rows for {len(records)} records")
     n = len(records)
     chosen = [0]
     min_dist = np.linalg.norm(points - points[0], axis=1)
@@ -252,18 +251,18 @@ def annotate(
     external_scores: dict[str, dict[str, float]] | None = None,
     scale: ScaleTable = DEFAULT_SCALE,
 ) -> list[AnnotationRecord]:
-    """Attach descriptors, activity score, and any external scores."""
-    records = []
-    for pep in peptides:
-        records.append(
-            AnnotationRecord(
-                peptide=pep,
-                properties=descriptor_vector(pep, scale),
-                mic_score=float(scorer.score(pep)),
-                external_scores=dict((external_scores or {}).get(pep.residues, {})),
-            )
+    """Attach descriptors, activity score (one `score_many` call), and any
+    external scores."""
+    scores = scorer.score_many(peptides)
+    return [
+        AnnotationRecord(
+            peptide=pep,
+            properties=descriptor_vector(pep, scale),
+            mic_score=float(s),
+            external_scores=dict((external_scores or {}).get(pep.residues, {})),
         )
-    return records
+        for pep, s in zip(peptides, scores, strict=True)
+    ]
 
 
 def _ratio_row(name: str, total: int, passed: int) -> dict:

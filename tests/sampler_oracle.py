@@ -19,7 +19,6 @@ def sample(
     top_k=None,
     max_len=None,
     seed=0,
-    greedy=False,
     source="generated_sft",
     id_prefix="gen",
     id_start=0,
@@ -38,19 +37,16 @@ def sample(
         if step == 0:
             logits[:, EOS] = NEG
         base_lp = _log_softmax_rows(logits)
-        sample_logits = logits if greedy else logits / temperature
+        sample_logits = logits / temperature
         if step == limit:
             sample_logits = np.where(np.arange(N_ACTIONS) == EOS, sample_logits, NEG)
         if top_k is not None:
             kth = np.partition(sample_logits, -top_k, axis=-1)[:, -top_k][:, None]
             sample_logits = np.where(sample_logits < kth, NEG, sample_logits)
-        if greedy:
-            choices = np.argmax(sample_logits, axis=-1)
-        else:
-            probs = _softmax_rows(sample_logits)
-            u = rng.random(n)
-            cum = np.cumsum(probs, axis=-1)
-            choices = np.minimum((cum < u[:, None]).sum(axis=-1), N_ACTIONS - 1)
+        probs = _softmax_rows(sample_logits)
+        u = rng.random(n)
+        cum = np.cumsum(probs, axis=-1)
+        choices = np.minimum((cum < u[:, None]).sum(axis=-1), N_ACTIONS - 1)
         was_alive = alive.copy()
         for i in range(n):
             if not was_alive[i]:

@@ -161,6 +161,9 @@ def test_criterion_3_gradient_fidelity(capsys):
             def score(self, peptide):
                 return 0.5
 
+            def score_many(self, peptides):
+                return np.array([self.score(p) for p in peptides])
+
         policy = attach_lora(PolicyModel.init(toy, seed=4), rank=2, scaling=1.0, seed=9)
         for name, tensor in policy.named_tensors().items():
             if name.endswith("lora_b"):
@@ -230,6 +233,9 @@ class LysineScorer:
     def score(self, peptide):
         frac = peptide.residues.count("K") / len(peptide.residues)
         return float(min(1.0, 2.0 * frac))
+
+    def score_many(self, peptides):
+        return np.array([self.score(p) for p in peptides])
 
 
 def _policy_stats(peptides, scorer):
@@ -365,6 +371,9 @@ class TableScorer:
 
     def score(self, peptide):
         return self.table.get(peptide.residues, self.default)
+
+    def score_many(self, peptides):
+        return np.array([self.score(p) for p in peptides])
 
 
 def test_criterion_7_screening_novelty(capsys):

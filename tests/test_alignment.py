@@ -320,8 +320,8 @@ def test_similarity_hit_validation():
 
 
 class _FixedScorer:
-    def score(self, p):
-        return 0.9
+    def score_many(self, peptides):
+        return np.full(len(peptides), 0.9)
 
 
 def _best_hits(queries, reference):

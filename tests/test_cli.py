@@ -96,6 +96,42 @@ def test_screen_rejects_duplicate_record_ids(tmp_path, capsys):
     assert "record id 'p1' repeats the header at line 1" in capsys.readouterr().err
 
 
+def test_screen_ranks_by_the_configured_reward_clamps(tmp_path, capsys):
+    # a zero-weight classifier scores every candidate 0.5, so the satisfied
+    # property windows decide the order
+    embedder = Embedder()
+    embedder.fit(embedder.features([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")]))
+    model = MicModel.init(embedder, MicConfig(hidden=(4,)), seed=0)
+    for tensor in model.params.values():
+        tensor.data[...] = 0.0
+    model.save(tmp_path / "mic.ckpt")
+    # net charge 10 and 6: only the second is inside the default charge clamp (-5, 9)
+    fasta = _write_fasta(tmp_path, text=">k10\nKKKKKKKKKK\n>kkll\nKKLLKKLLKK\n")
+    order = {}
+    for name, clamp in (("default", [-5.0, 9.0]), ("override", [9.5, 12.0])):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"reward": {"clamp_charge": clamp}}))
+        out = tmp_path / name
+        argv = ["screen", "--mic-model", str(tmp_path / "mic.ckpt"), "--input", str(fasta), "--config", str(cfg)]
+        assert main(argv + ["--output-dir", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "selected.jsonl").read_text().splitlines()]
+        order[name] = [row["peptide"]["id"] for row in rows]
+    assert order == {"default": ["kkll", "k10"], "override": ["k10", "kkll"]}
+
+
+@pytest.mark.parametrize("keep", [10, 14, 20, 30, -8])
+def test_truncated_checkpoint_exits_one(tmp_path, capsys, keep):
+    embedder = Embedder()
+    embedder.fit(embedder.features([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")]))
+    path = tmp_path / "mic.ckpt"
+    MicModel.init(embedder, MicConfig(hidden=(4,)), seed=0).save(path)
+    path.write_bytes(path.read_bytes()[:keep])
+    argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: truncated checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.tsv").exists()
+
+
 def test_train_mic_single_class_validation_exits_one(tmp_path, capsys):
     peps = unique_random_peptides(70, np.random.default_rng(0))
     write_labeled_tsv(LabeledSet([(p, i % 2) for i, p in enumerate(peps[:60])], "train"), tmp_path / "train.tsv")

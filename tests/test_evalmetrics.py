@@ -161,10 +161,10 @@ def test_embedding_distance_profile():
     ref = [_pep("r0", "KKKKKKKK"), _pep("r1", "WWWWWWWW")]
     table = {"KKKKKKKK": [0.0, 0.0], "DDDDDDDD": [3.0, 4.0], "WWWWWWWW": [1.0, 0.0]}
 
-    def embed(seq):
-        return np.asarray(table[seq], dtype=float)
+    def embed(peps):
+        return np.array([table[p.residues] for p in peps], dtype=float)
 
-    profile = embedding_distance_profile(gen, ref, embed, thresholds=(1.0, 3.0))
+    profile = embedding_distance_profile(embed(gen), embed(ref), thresholds=(1.0, 3.0))
     # nearest-reference distances: g0 -> 0.0, g1 -> min(5.0, sqrt(4+16)=4.47..) = 4.47..
     assert profile.distances[0] == pytest.approx(0.0)
     assert profile.distances[1] == pytest.approx(math.hypot(2.0, 4.0))
@@ -179,9 +179,9 @@ def test_embedding_distance_profile_matches_broadcast_expression():
         gen = [_pep(f"g{k}", "K" * (k + 1)) for k in range(n_gen)]
         ref = [_pep(f"r{k}", "D" * (k + 1)) for k in range(n_ref)]
         table = {p.residues: rng.normal(size=dim) * rng.uniform(0.1, 10.0) for p in gen + ref}
-        profile = embedding_distance_profile(gen, ref, table.__getitem__)
         g = np.stack([table[p.residues] for p in gen])
         r = np.stack([table[p.residues] for p in ref])
+        profile = embedding_distance_profile(g, r)
         diff = g[:, None, :] - r[None, :, :]
         expected = np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1)
         assert profile.distances == tuple(float(d) for d in expected)
@@ -231,20 +231,16 @@ def test_comparison_serializers(tmp_path):
 def test_export_embeddings_tsv():
     peps = [_pep("a", "KKKK"), _pep("b", "DDDD")]
 
-    def embed(seq):
-        return np.array([float(len(seq)), float(seq.count("K"))])
-
+    matrix = np.array([[float(len(p.residues)), float(p.residues.count("K"))] for p in peps])
     buf = io.StringIO()
-    export_embeddings_tsv(peps, embed, buf)
+    export_embeddings_tsv(peps, matrix, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0].split("\t") == ["id", "e0", "e1"]
-    assert lines[1].split("\t")[0] == "a"
-
-    def bad_embed(seq):
-        return np.ones(3 if seq == "DDDD" else 2)
+    assert lines[1].split("\t") == ["a", "4.0", "4.0"]
+    assert lines[2].split("\t") == ["b", "4.0", "0.0"]
 
     with pytest.raises(ValueError):
-        export_embeddings_tsv(peps, bad_embed, io.StringIO())
+        export_embeddings_tsv(peps, matrix[:1], io.StringIO())
 
 
 def test_default_bin_edges_are_strictly_increasing():

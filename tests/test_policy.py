@@ -16,7 +16,6 @@ from amprl.policy import (
     attach_lora,
     decode_tokens,
     encode_batch,
-    log_probs,
     perplexity,
     sample,
     sequence_log_probs,
@@ -105,7 +104,7 @@ def test_causality_by_perturbation():
 def test_log_probs_match_sequence_scoring():
     model = PolicyModel.init(TOY, seed=2)
     pep = _pep("KWKWLL")
-    lp = log_probs(model, pep)
+    lp = sequence_log_probs(model, encode_batch([pep]).ids)[0]
     assert lp.shape == (7,)  # 6 residues + EOS step
     assert (lp <= 0.0).all()
     # perplexity of a single sequence is exp of mean NLL over those steps
@@ -130,13 +129,6 @@ def test_sample_ids_and_source():
     out = sample(model, 3, max_len=6, seed=0, id_prefix="gen", id_start=5, source="generated_rl")
     assert [s.peptide.id for s in out] == ["gen5", "gen6", "gen7"]
     assert all(s.peptide.source == "generated_rl" for s in out)
-
-
-def test_greedy_decoding_is_temperature_invariant():
-    model = PolicyModel.init(TOY, seed=9)
-    a = sample(model, 4, max_len=8, seed=1, greedy=True, temperature=1.0)
-    b = sample(model, 4, max_len=8, seed=2, greedy=True, temperature=0.25)
-    assert [s.peptide.residues for s in a] == [s.peptide.residues for s in b]
 
 
 def test_top_k_restricts_support():
@@ -275,7 +267,6 @@ DIFFERENTIAL_CASES = {
     "bench": (BENCH, False, 8, {"seed": 2}),
     "bench_lora_tempered": (BENCH, True, 8, {"seed": 3, "temperature": 0.7}),
     "toy_lora_top_k": (TOY, True, 12, {"seed": 4, "top_k": 3, "temperature": 1.5}),
-    "toy_greedy": (TOY, True, 5, {"seed": 5, "greedy": True}),
     "bench_short_cap": (BENCH, True, 10, {"seed": 6, "max_len": 5}),
     "toy_ids": (TOY, False, 6, {"seed": 7, "id_prefix": "rl", "id_start": 3, "source": "generated_rl"}),
 }
@@ -296,7 +287,7 @@ def test_cached_sampler_matches_full_prefix_oracle(case):
         assert np.max(np.abs(g.log_probs - w.log_probs)) <= 1e-12
     if "max_len" in kwargs:
         assert not all(g.terminated for g in got)  # EOS forced at the residue cap
-    elif not kwargs.get("greedy"):
+    else:
         # rows finish at different steps, so dead rows are fed PAD while others decode
         assert len({g.tokens.size for g in got}) > 1
 

@@ -25,8 +25,8 @@ TOY = ModelConfig(embed_dim=16, n_layers=1, n_heads=2, max_len=16, mlp_ratio=2, 
 class LysineScorer:
     """Analytic stand-in for the activity model: fraction of K residues."""
 
-    def score(self, p):
-        return p.residues.count("K") / max(len(p.residues), 1)
+    def score_many(self, peptides):
+        return np.array([p.residues.count("K") / max(len(p.residues), 1) for p in peptides])
 
 
 def _cfg(**kw):
@@ -89,9 +89,30 @@ def test_rollout_trajectory_structure():
 
 def test_rollout_rewards_match_scorer():
     batch = rollout(_policy(3), _reward_fn(), _cfg(), seed=9)
-    fn = _reward_fn()
-    for pep, raw in zip(batch.peptides, batch.rewards_raw):
-        assert raw == pytest.approx(fn(pep).r_total, abs=1e-12)
+    expected = _reward_fn()(batch.peptides)
+    for raw, bd in zip(batch.rewards_raw, expected, strict=True):
+        assert raw == pytest.approx(bd.r_total, abs=1e-12)
+
+
+def test_rollout_scores_the_batch_in_one_call():
+    class CountingScorer(LysineScorer):
+        batches = []
+
+        def score_many(self, peptides):
+            self.batches.append(len(peptides))
+            return super().score_many(peptides)
+
+    rollout(_policy(3), make_reward_fn(CountingScorer(), RewardConfig()), _cfg(), seed=9)
+    assert CountingScorer.batches == [8]
+
+
+def test_rollout_reward_failure_is_a_runtime_error():
+    class BrokenScorer:
+        def score_many(self, peptides):
+            return np.full(len(peptides), 1.5)  # outside [0,1]
+
+    with pytest.raises(RuntimeError, match="reward evaluation failed for a batch of 8 sequences"):
+        rollout(_policy(3), make_reward_fn(BrokenScorer(), RewardConfig()), _cfg(), seed=9)
 
 
 def _synthetic_batch(rng, n=5, t_max=7):

@@ -97,14 +97,17 @@ def test_score_reward_breakdown_is_consistent():
 
 def test_make_reward_fn_composes_scorer_and_descriptors():
     class Half:
-        def score(self, p):
-            return 0.5
+        def score_many(self, peptides):
+            return np.full(len(peptides), 0.5)
 
     fn = make_reward_fn(Half())
-    pep = Peptide("a", "KKLLWWKKLL", "generated_sft")
-    out = fn(pep)
-    props = descriptor_vector(pep)
-    assert out.r_total == pytest.approx(r_total(r_property(props)[0], 1.0))
+    peps = [Peptide("a", "KKLLWWKKLL", "generated_sft"), Peptide("b", "DDEEWW", "generated_sft")]
+    out = fn(peps)
+    assert len(out) == 2
+    for pep, bd in zip(peps, out):
+        props = descriptor_vector(pep)
+        assert bd.props == props
+        assert bd.r_total == pytest.approx(r_total(r_property(props)[0], 1.0))
 
 
 def test_process_rewards_scaling_and_whitening():

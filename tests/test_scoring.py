@@ -1,0 +1,160 @@
+"""The batch scoring and embedding path against the per-peptide oracle.
+
+Embeddings of a list are bit-identical to one-peptide embeddings. Scores of a
+list may differ from one-row scores by rounding, because the BLAS library can
+pick a different kernel for a different row count; the bound is 1e-14.
+"""
+import io
+
+import numpy as np
+import pytest
+
+from amprl.cli import main
+from amprl.evalmetrics import embedding_distance_profile, export_embeddings_tsv
+from amprl.mic import Embedder, MicConfig, MicModel
+from amprl.reward import RewardConfig, make_reward_fn
+from amprl.screening import annotate, default_property_windows, diversity_select, prioritize
+from amprl.sequences import write_fasta
+
+import scoring_oracle
+from conftest import random_peptides, unique_random_peptides
+
+BATCH_SIZES = (1, 8, 16, 33)
+SCORE_TOLERANCE = 1e-14
+
+
+def _model(seed=0):
+    """An untrained classifier of the default shape; its scores spread over (0,1)."""
+    emb = Embedder()
+    emb.fit(emb.features(unique_random_peptides(60, np.random.default_rng(seed), min_len=5, max_len=40)))
+    return MicModel.init(emb, MicConfig(), seed=seed)
+
+
+def _peptides(n, seed=None):
+    return random_peptides(n, np.random.default_rng(n if seed is None else seed), min_len=1, max_len=50)
+
+
+class CountingScorer:
+    def __init__(self, model):
+        self.model = model
+        self.batches = []
+
+    def score_many(self, peptides):
+        self.batches.append(len(peptides))
+        return self.model.score_many(peptides)
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_batched_scores_match_per_peptide_oracle(n):
+    model = _model()
+    peps = _peptides(n)
+    got = model.score_many(peps)
+    want = np.array([scoring_oracle.score(model, p) for p in peps])
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= SCORE_TOLERANCE
+    assert model.score(peps[-1]) == scoring_oracle.score(model, peps[-1])
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_annotate_matches_per_peptide_oracle(n):
+    model = _model()
+    peps = _peptides(n)
+    external = {peps[0].residues: {"plddt": 0.5}}
+    scorer = CountingScorer(model)
+    got = annotate(peps, scorer, external)
+    want = scoring_oracle.annotate(peps, lambda p: scoring_oracle.score(model, p), external)
+    assert scorer.batches == [n]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.peptide, g.properties, g.external_scores) == (w.peptide, w.properties, w.external_scores)
+        assert abs(g.mic_score - w.mic_score) <= SCORE_TOLERANCE
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_reward_fn_matches_per_peptide_oracle(n):
+    model = _model()
+    peps = _peptides(n)
+    cfg = RewardConfig()
+    scorer = CountingScorer(model)
+    got = make_reward_fn(scorer, cfg)(peps)
+    oracle = scoring_oracle.make_reward_fn(lambda p: scoring_oracle.score(model, p), cfg)
+    assert scorer.batches == [n]
+    assert len(got) == n
+    for g, p in zip(got, peps):
+        w = oracle(p)
+        assert (g.props, g.property_terms, g.r_property) == (w.props, w.property_terms, w.r_property)
+        for field in ("s", "r_mic", "r_total"):
+            assert abs(getattr(g, field) - getattr(w, field)) <= SCORE_TOLERANCE, field
+
+
+def test_reward_fn_rejects_a_scorer_of_the_wrong_length():
+    class Short:
+        def score_many(self, peptides):
+            return np.full(len(peptides) - 1, 0.5)
+
+    with pytest.raises(ValueError):
+        make_reward_fn(Short())(_peptides(3))
+
+
+def test_batched_embeddings_equal_per_peptide_oracle():
+    emb = _model().embedder
+    embed = scoring_oracle.embed_fn(emb)
+    for n in BATCH_SIZES:
+        peps = _peptides(n)
+        assert np.array_equal(emb.embed_many(peps), np.stack([embed(p.residues) for p in peps]))
+        assert all(np.array_equal(emb.embed(p), embed(p.residues)) for p in peps)
+
+
+def test_diversity_select_on_a_matrix_matches_the_callable_oracle():
+    model = _model()
+    ranked = prioritize(annotate(_peptides(33), model), default_property_windows())
+    emb = Embedder()
+    raw = emb.features([r.peptide for r in ranked])
+    embed = scoring_oracle.embed_fn(emb.fit(raw))
+    points = emb.standardize(raw)
+    for k in (1, 5, 20, 100):
+        got = diversity_select(ranked, k, points)
+        assert [r.peptide.id for r in got] == [r.peptide.id for r in scoring_oracle.diversity_select(ranked, k, embed)]
+
+
+def test_distances_and_export_on_matrices_match_the_callable_oracle():
+    emb = _model().embedder
+    embed = scoring_oracle.embed_fn(emb)
+    gen, ref = _peptides(16, seed=1), _peptides(33, seed=2)
+    gen_m, ref_m = emb.embed_many(gen), emb.embed_many(ref)
+    profile = embedding_distance_profile(gen_m, ref_m)
+    assert profile.distances == scoring_oracle.nearest_distances(gen, ref, embed)
+    for peps, matrix in ((gen, gen_m), (ref, ref_m)):
+        got, want = io.StringIO(), io.StringIO()
+        export_embeddings_tsv(peps, matrix, got)
+        scoring_oracle.export_embeddings_tsv(peps, embed, want)
+        assert got.getvalue() == want.getvalue()
+
+
+def test_eval_cli_exports_the_oracle_embeddings(tmp_path, capsys):
+    gen, ref = _peptides(16, seed=3), _peptides(33, seed=4)
+    write_fasta(gen, tmp_path / "gen.fasta")
+    write_fasta(ref, tmp_path / "ref.fasta")
+    out = tmp_path / "out"
+    argv = ["eval", "--generated", str(tmp_path / "gen.fasta"), "--reference", str(tmp_path / "ref.fasta")]
+    assert main(argv + ["--export-embeddings", "--output-dir", str(out)]) == 0
+    emb = Embedder()
+    embed = scoring_oracle.embed_fn(emb.fit(emb.features(ref)))
+    for peps, name in ((gen, "embeddings_generated.tsv"), (ref, "embeddings_reference.tsv")):
+        want = io.StringIO()
+        scoring_oracle.export_embeddings_tsv(peps, embed, want)
+        assert (out / name).read_text() == want.getvalue()
+
+
+def test_score_mic_cli_matches_per_peptide_oracle(tmp_path, capsys):
+    model = _model()
+    model.save(tmp_path / "mic.ckpt")
+    peps = _peptides(33)
+    write_fasta(peps, tmp_path / "in.fasta")
+    out = tmp_path / "out"
+    assert main(["score-mic", "--model", str(tmp_path / "mic.ckpt"), "--input", str(tmp_path / "in.fasta"),
+                 "--output-dir", str(out)]) == 0
+    rows = [line.split("\t") for line in (out / "scores.tsv").read_text().splitlines()[1:]]
+    assert [(pid, seq) for pid, seq, _ in rows] == [(p.id, p.residues) for p in peps]
+    for (_, _, s), p in zip(rows, peps):
+        assert abs(float(s) - scoring_oracle.score(model, p)) <= SCORE_TOLERANCE

@@ -33,8 +33,8 @@ class TableScorer:
         self.table = table or {}
         self.default = default
 
-    def score(self, p):
-        return self.table.get(p.residues, self.default)
+    def score_many(self, peptides):
+        return np.array([self.table.get(p.residues, self.default) for p in peptides])
 
 
 def _records(peptides, scores=None, default=0.9, external=None):
@@ -214,11 +214,7 @@ def test_prioritize_rank_keys():
         novel.residues: 0.6,
     }
     records = _records([weak, strong, off_window, in_windows, familiar, novel], scores)
-    ranked = prioritize(
-        records,
-        max_identity={"novel": 0.2, "famil": 0.95},
-        windows=default_property_windows(),
-    )
+    ranked = prioritize(records, default_property_windows(), max_identity={"novel": 0.2, "famil": 0.95})
     ids = [r.peptide.id for r in ranked]
     assert ids[0] == "strong"  # highest score first
     assert ids.index("inwin") < ids.index("offwin")  # window count breaks the 0.7 tie
@@ -229,22 +225,18 @@ def test_prioritize_rank_keys():
 def test_prioritize_final_tiebreak_is_lexicographic():
     a = _pep("z_first", "AKLWKLWKLW")
     b = _pep("a_second", "CKLWKLWKLW")
-    ranked = prioritize(_records([b, a], default=0.5))
+    ranked = prioritize(_records([b, a], default=0.5), default_property_windows())
     assert [r.peptide.id for r in ranked] == ["z_first", "a_second"]
 
 
-def _embed_from(points):
-    table = {seq: np.asarray(vec, dtype=float) for seq, vec in points.items()}
-
-    def embed(seq):
-        return table[seq]
-
-    return embed
+def _embed_from(points, records):
+    """Embedding matrix of `records`, row i from the point of records[i]'s sequence."""
+    return np.array([points[r.peptide.residues] for r in records], dtype=float)
 
 
 def test_diversity_select_returns_all_when_k_covers_input():
     records = _records([_pep("a", "KLWKLWKLWK"), _pep("b", "WLKWLKWLKW")])
-    out = diversity_select(records, 5, _embed_from({"KLWKLWKLWK": [0.0], "WLKWLKWLKW": [1.0]}))
+    out = diversity_select(records, 5, _embed_from({"KLWKLWKLWK": [0.0], "WLKWLKWLKW": [1.0]}, records))
     assert [r.peptide.id for r in out] == ["a", "b"]
 
 
@@ -252,7 +244,7 @@ def test_diversity_select_prefers_the_distinct_candidate():
     # two near-identical points and one far away; k=2 must take the far one
     seqs = {"KLWKLWKLWK": [0.0, 0.0], "KLWKLWKLWW": [0.01, 0.0], "DDDDDDDDDD": [5.0, 5.0]}
     records = _records([_pep("a", "KLWKLWKLWK"), _pep("twin", "KLWKLWKLWW"), _pep("far", "DDDDDDDDDD")])
-    out = diversity_select(records, 2, _embed_from(seqs))
+    out = diversity_select(records, 2, _embed_from(seqs, records))
     assert [r.peptide.id for r in out] == ["a", "far"]
 
 
@@ -277,7 +269,7 @@ def test_diversity_select_matches_brute_force_on_separated_fixture():
     records = _records([_pep(f"c{i}", s) for i, s in enumerate(seqs)])
 
     for k in (2, 3, 4):
-        chosen = diversity_select(records, k, _embed_from(points))
+        chosen = diversity_select(records, k, _embed_from(points, records))
         chosen_points = [points[r.peptide.residues] for r in chosen]
         greedy_min = _min_pairwise(chosen_points)
         # brute force over all k-subsets that include the seed (records[0])
