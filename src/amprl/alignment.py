@@ -44,7 +44,7 @@ _BLOSUM62_ROWS = """
  0 -3 -3 -3 -1 -2 -2 -3 -3  3  1 -2  1 -1 -2 -2  0 -3 -1  4
 """
 
-_PUBLISHED = np.array([line.split() for line in _BLOSUM62_ROWS.strip().splitlines()], dtype=np.float64)
+_PUBLISHED = np.array([line.split() for line in _BLOSUM62_ROWS.strip().splitlines()], dtype=np.int64)
 
 BLOSUM62: dict[tuple[str, str], int] = {
     (x, y): int(_PUBLISHED[i, j]) for i, x in enumerate(_BLOSUM62_ORDER) for j, y in enumerate(_BLOSUM62_ORDER)
@@ -61,7 +61,7 @@ GAP_EXTEND = 1
 _KA_LAMBDA = 0.267
 _KA_K = 0.041
 
-_NEG = -1.0e9
+_NEG = -(10**9)
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,10 @@ def _fill(a: str, b: str, local: bool):
     X = np.full((n + 1, m + 1), _NEG)
     Y = np.full((n + 1, m + 1), _NEG)
     if local:
-        M[0, :] = 0.0
-        M[:, 0] = 0.0
+        M[0, :] = 0
+        M[:, 0] = 0
     else:
-        M[0, 0] = 0.0
+        M[0, 0] = 0
         X[1:, 0] = -(GAP_OPEN + GAP_EXTEND * np.arange(1, n + 1))
         Y[0, 1:] = -(GAP_OPEN + GAP_EXTEND * np.arange(1, m + 1))
     cols = np.arange(m)
@@ -116,7 +116,7 @@ def _fill(a: str, b: str, local: bool):
         diag = np.maximum(np.maximum(M[i - 1, :-1], X[i - 1, :-1]), Y[i - 1, :-1])
         row = diag + sub[i - 1]
         if local:
-            row = np.maximum(row, 0.0)
+            row = np.maximum(row, 0)
         M[i, 1:] = row
         X[i, 1:] = np.maximum(M[i - 1, 1:] - GAP_OPEN - GAP_EXTEND, X[i - 1, 1:] - GAP_EXTEND)
         run = np.maximum.accumulate(M[i, :-1] + GAP_EXTEND * cols)
@@ -129,8 +129,8 @@ def _traceback(a: str, b: str, fill, state: int, i: int, j: int, local: bool):
 
     A global walk stops at (0, 0); a local walk stops after the match step
     whose predecessor score is 0. Predecessors are found by exact comparison,
-    since every score is an integer held in float64. Returns the aligned
-    (a, b) column pairs, last column first, and the cell where the walk stopped.
+    since every score is an integer. Returns the aligned (a, b) column pairs,
+    last column first, and the cell where the walk stopped.
     """
     sub, M, X, Y = fill
     columns: list[tuple[str, str]] = []
@@ -220,110 +220,143 @@ def search(query: np.ndarray, targets: tuple[np.ndarray, np.ndarray], *, local: 
     (codes, lengths) pair. Each entry is what `align_local` (local) or
     `align_global` reports for that pair; a local pair with no alignment
     scores 0 with 0 matches and 0 columns. Targets are aligned SEARCH_BLOCK at
-    a time, one query row per numpy step. Matches and columns are carried
-    through the fill along the predecessor `_traceback` would take, so no
-    traceback runs.
+    a time, one query row per numpy step, in int64. Matches and columns are
+    carried through the fill along the predecessor `_traceback` would take, so
+    no traceback runs.
+
+    The query and the longest target may hold 2**26 residues together. Within
+    that range no score derived from the _NEG sentinel can reach a real score,
+    and every score, packed score and tally fits in int64; longer inputs raise
+    ValueError before anything is allocated.
     """
     codes, lengths = targets
     if not len(query) or not np.all(lengths):
         raise ValueError("cannot align an empty sequence")
+    if len(query) + int(lengths.max(initial=0)) > 2**26:
+        raise ValueError(f"search aligns a query and target of at most {2**26} residues together")
     parts = [
         _search_block(query, codes[k : k + SEARCH_BLOCK], lengths[k : k + SEARCH_BLOCK], local)
         for k in range(0, len(lengths), SEARCH_BLOCK)
     ]
     parts = parts or [(np.zeros(0), np.zeros(0, dtype=np.int64))]
-    scores = np.concatenate([s for s, _ in parts])
+    scores = np.concatenate([s for s, _ in parts]).astype(np.float64)
     tallies = np.concatenate([t for _, t in parts])
     columns, matches = np.divmod(tallies, len(query) + 1)
     return scores, matches, columns
 
 
 def _search_block(query: np.ndarray, codes: np.ndarray, lengths: np.ndarray, local: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`_fill`'s recurrence across a padded stack of targets, one row kept.
+    """`_fill`'s recurrence across a block of targets, in integers, one row kept.
 
-    Beside each M, X and Y cell runs a tally, columns * (n + 1) + matches, of
-    the walk `_traceback` would make from that cell (matches <= n, the query
-    length). Returns each target's score and the tally of its optimal walk.
-    The row arrays are allocated once and swapped between rows.
+    The block is target-major: cell (j, t) is column j of target t, so each
+    step is one contiguous vector op across the targets. Beside each M, X and
+    Y cell runs a tally, columns * (n + 1) + matches, of the walk `_traceback`
+    would make from that cell (matches <= n, the query length). Returns each
+    target's score and the tally of its optimal walk. The row arrays are
+    allocated once and swapped between rows.
     """
     n, count = len(query), len(lengths)
     width = int(lengths.max())
-    codes = codes[:, :width]
+    codes = np.ascontiguousarray(codes[:, :width].T)
     step = n + 1
-    cols = np.arange(width)
-    rows = np.arange(count)
+    bits = width.bit_length()
+    low = (1 << bits) - 1
+    cols = np.arange(width)[:, None]
+    targets = np.arange(count)
     y_gap = GAP_OPEN + GAP_EXTEND * (cols + 1)
-    y_extend = GAP_EXTEND * cols
-    shape = (count, width + 1)
+    y_step = step * (cols + 1)
+    # (M + extend * col) << bits | col: the running maximum of the packed
+    # values carries the last column attaining it, where Y's traceback opens
+    y_key = (GAP_EXTEND * cols << bits) | cols
+    # M << bits | (width - col): the maximum is the row's first maximum cell
+    first_key = width - np.arange(width + 1)[:, None]
+    shape = (width + 1, count)
     M, X, Y = (np.full(shape, _NEG) for _ in range(3))
     TM, TX, TY = (np.zeros(shape, dtype=np.int64) for _ in range(3))
     if local:
-        M[:] = 0.0
+        M[:] = 0
     else:
-        M[:, 0] = 0.0
-        Y[:, 1:] = -y_gap
-        TY[:, 1:] = step * (cols + 1)
+        M[0] = 0
+        Y[1:] = -y_gap
+        TY[1:] = y_step
     rows_now = (M, X, Y, TM, TX, TY)
-    # row 0's first column of Y, TM and TY holds for every row
+    # column 0 of Y, TM and TY keeps its row-0 value in every row
     spare = tuple(a.copy() for a in rows_now)
-    diag = np.empty((count, width))
-    opened = np.empty((count, width))
-    run = np.empty((count, width))
-    pred = np.empty((count, width), dtype=np.int64)
-    k = np.empty((count, width), dtype=np.int64)
-    best = np.zeros(count)
+    diag, pred, sub, packed, k = (np.empty((width, count), dtype=np.int64) for _ in range(5))
+    shifted = np.empty(shape, dtype=np.int64)
+    sel = np.empty((width, count), dtype=bool)
+    best = np.zeros(count, dtype=np.int64)
     best_tally = np.zeros(count, dtype=np.int64)
     profile = _PADDED_SCORES[query]
     for i in range(1, n + 1):
         (pM, pX, pY, pTM, pTX, pTY), (M, X, Y, TM, TX, TY) = rows_now, spare
         rows_now, spare = spare, rows_now
-        M[:, 0] = 0.0 if local else _NEG
-        X[:, 0] = _NEG if local else -(GAP_OPEN + GAP_EXTEND * i)
-        TX[:, 0] = 0 if local else step * i
+        M[0] = 0 if local else _NEG
+        X[0] = _NEG if local else -(GAP_OPEN + GAP_EXTEND * i)
+        TX[0] = 0 if local else step * i
 
-        np.maximum(pM[:, :-1], pX[:, :-1], out=diag)
-        np.maximum(diag, pY[:, :-1], out=diag)
-        # a match step's predecessor, tested in _traceback's order: M, X, Y
-        np.copyto(pred, pTY[:, :-1])
-        np.copyto(pred, pTX[:, :-1], where=pX[:, :-1] == diag)
-        np.copyto(pred, pTM[:, :-1], where=pM[:, :-1] == diag)
+        np.maximum(pM[:-1], pX[:-1], out=diag)
+        np.maximum(diag, pY[:-1], out=diag)
+        # a match step's predecessor, tested in _traceback's order M, X, Y, by
+        # integer blends a + sel * (b - a)
+        np.equal(pX[:-1], diag, out=sel)
+        np.subtract(pTX[:-1], pTY[:-1], out=pred)
+        np.multiply(pred, sel, out=pred)
+        np.add(pred, pTY[:-1], out=pred)
+        np.equal(pM[:-1], diag, out=sel)
+        np.subtract(pTM[:-1], pred, out=sub)
+        np.multiply(sub, sel, out=sub)
+        np.add(pred, sub, out=pred)
         if local:
-            pred[diag == 0.0] = 0  # the local walk stops where the predecessor scores 0
-        np.add(diag, profile[i - 1][codes], out=M[:, 1:])
+            # the local walk stops where the predecessor scores 0
+            np.not_equal(diag, 0, out=sel)
+            np.multiply(pred, sel, out=pred)
+        np.take(profile[i - 1], codes, out=sub)
+        np.add(diag, sub, out=M[1:])
         if local:
-            np.maximum(M[:, 1:], 0.0, out=M[:, 1:])
-        np.add(pred, step, out=TM[:, 1:])
-        np.add(TM[:, 1:], codes == query[i - 1], out=TM[:, 1:])
+            np.maximum(M[1:], 0, out=M[1:])
+        np.equal(codes, query[i - 1], out=sel)
+        np.add(pred, sel, out=TM[1:])
+        np.add(TM[1:], step, out=TM[1:])
 
-        np.subtract(pM[:, 1:], GAP_OPEN + GAP_EXTEND, out=opened)
-        np.subtract(pX[:, 1:], GAP_EXTEND, out=X[:, 1:])
-        np.maximum(opened, X[:, 1:], out=X[:, 1:])
-        np.copyto(TX[:, 1:], pTX[:, 1:])
-        np.copyto(TX[:, 1:], pTM[:, 1:], where=X[:, 1:] == opened)
-        np.add(TX[:, 1:], step, out=TX[:, 1:])
+        opened = np.subtract(pM[1:], GAP_OPEN + GAP_EXTEND, out=diag)
+        np.subtract(pX[1:], GAP_EXTEND, out=X[1:])
+        np.maximum(opened, X[1:], out=X[1:])
+        np.equal(X[1:], opened, out=sel)
+        np.subtract(pTM[1:], pTX[1:], out=pred)
+        np.multiply(pred, sel, out=pred)
+        np.add(pred, pTX[1:], out=TX[1:])
+        np.add(TX[1:], step, out=TX[1:])
 
-        run_in = np.add(M[:, :-1], y_extend, out=opened)
-        np.maximum.accumulate(run_in, axis=1, out=run)
-        np.subtract(run, y_gap, out=Y[:, 1:])
+        np.left_shift(M, bits, out=shifted)
+        np.add(shifted[:-1], y_key, out=packed)
+        np.maximum.accumulate(packed, axis=0, out=packed)
+        np.right_shift(packed, bits, out=Y[1:])
+        np.subtract(Y[1:], y_gap, out=Y[1:])
         # Y[i, j] opened from M[i, k] at the last k < j where the running maximum is attained
-        k.fill(0)
-        np.copyto(k, cols, where=run_in == run)
-        np.maximum.accumulate(k, axis=1, out=k)
-        np.add(TM[rows[:, None], k], step * (cols + 1 - k), out=TY[:, 1:])
+        np.bitwise_and(packed, low, out=k)
+        np.multiply(k, count, out=pred)
+        np.add(pred, targets, out=pred)
+        np.take(TM.ravel(), pred, out=TY[1:])
+        np.multiply(k, step, out=k)
+        np.subtract(y_step, k, out=k)
+        np.add(TY[1:], k, out=TY[1:])
 
         if local:
             # the first maximum cell in row-major order, as np.argmax(M) picks it
-            j = np.argmax(M, axis=1)
-            top = M[rows, j]
+            top = np.bitwise_or(shifted, first_key, out=shifted).max(axis=0)
+            j = width - (top & low)
+            top >>= bits
             better = top > best
-            best[better] = top[better]
-            best_tally[better] = TM[rows, j][better]
+            np.maximum(best, top, out=best)
+            best_tally += better * (TM.ravel()[j * count + targets] - best_tally)
     if local:
         return best, best_tally
-    finals = np.stack([M[rows, lengths], X[rows, lengths], Y[rows, lengths]])
+    at = lengths * count + targets
+    finals = np.stack([M.ravel()[at], X.ravel()[at], Y.ravel()[at]])
     state = np.argmax(finals, axis=0)
-    tallies = np.stack([TM[rows, lengths], TX[rows, lengths], TY[rows, lengths]])
-    return finals[state, rows], tallies[state, rows]
+    tallies = np.stack([TM.ravel()[at], TX.ravel()[at], TY.ravel()[at]])
+    return finals[state, targets], tallies[state, targets]
 
 
 @dataclass(frozen=True)

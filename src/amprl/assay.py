@@ -4,6 +4,7 @@ into four mechanistic categories.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -104,7 +105,8 @@ def read_assay_tsv(stream: str | Path | IO[str]) -> list[FluorescenceSeries]:
     """Read (peptide_id, time_min, sample_fluor, control_fluor) rows.
 
     Rows group by peptide id in file order; each group's time points must be
-    strictly increasing.
+    strictly increasing. A value that is not a finite number raises
+    ValueError naming its line.
     """
     if isinstance(stream, (str, Path)):
         text = Path(stream).read_text()
@@ -129,6 +131,8 @@ def read_assay_tsv(stream: str | Path | IO[str]) -> list[FluorescenceSeries]:
             t, s, c = (float(v) for v in parts[1:])
         except ValueError as err:
             raise ValueError(f"line {n}: non-numeric value ({err})") from None
+        if not all(math.isfinite(v) for v in (t, s, c)):
+            raise ValueError(f"line {n}: time and fluorescence must be finite, got {t}, {s}, {c}")
         if pid not in groups:
             groups[pid] = []
             order.append(pid)

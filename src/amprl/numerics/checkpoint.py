@@ -9,10 +9,14 @@ Layout (all integers little-endian):
     data float64*prod(shape)
 
 A JSON manifest is written next to the binary (same path + ".json") listing
-tensor names/shapes plus caller metadata. Writes are atomic (tmp + rename).
+tensor names/shapes, the binary's sha256 and caller metadata. Writes are
+atomic (tmp + rename), but the two renames are separate, so loading checks
+that the manifest records the binary's sha256 and that nothing follows the
+last tensor.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -42,13 +46,18 @@ def save_checkpoint(path: str | Path, tensors: dict, meta: dict | None = None) -
         chunks.append(arr.astype("<f8").tobytes())
         manifest_tensors.append({"name": name, "shape": list(arr.shape)})
 
+    digest = hashlib.sha256()
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(chunks))
+    with open(tmp, "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            digest.update(chunk)
     os.replace(tmp, path)
 
     manifest = {
         "format": "amprl-checkpoint",
         "version": VERSION,
+        "sha256": digest.hexdigest(),
         "tensors": manifest_tensors,
         "meta": meta or {},
     }
@@ -87,8 +96,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             tensors[name] = arr.astype(np.float64)
     except (struct.error, ValueError):  # a read past the end of the file
         raise ValueError(f"{path}: truncated checkpoint") from None
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} byte(s) after the last tensor")
     meta: dict = {}
     mpath = path.with_name(path.name + ".json")
     if mpath.exists():
-        meta = json.loads(mpath.read_text(encoding="utf-8")).get("meta", {})
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+        if "sha256" not in manifest:
+            raise ValueError(f"{path}: {mpath.name} records no sha256 of the checkpoint")
+        digest = hashlib.sha256(blob).hexdigest()
+        if manifest["sha256"] != digest:
+            raise ValueError(f"{path}: sha256 {digest} differs from the {manifest['sha256']} recorded in {mpath.name}")
+        meta = manifest.get("meta", {})
     return tensors, meta

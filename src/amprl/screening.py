@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -226,7 +227,8 @@ def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
     """JSONL of {"sequence": ..., "scores": {name: value}} keyed by sequence.
 
     Structure predictions, hemolysis predictions, and similar third-party
-    annotations all arrive through this one format.
+    annotations all arrive through this one format. Every score must be a
+    finite JSON number; anything else raises ValueError naming the line.
     """
     table: dict[str, dict[str, float]] = {}
     text = Path(path).read_text()
@@ -241,6 +243,10 @@ def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
             raise ValueError(f"{path} line {n}: expected keys 'sequence' and 'scores'")
         if not isinstance(row["scores"], dict):
             raise ValueError(f"{path} line {n}: 'scores' must be an object")
+        for name, value in row["scores"].items():
+            # bool is an int subclass, and NaN would pass every minimum filter
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{path} line {n}: score {name!r} must be a finite number, got {json.dumps(value)}")
         table[str(row["sequence"])] = {str(k): float(v) for k, v in row["scores"].items()}
     return table
 

@@ -3,6 +3,9 @@
 The scalar kernel builds the substitution grid with a per-cell dict lookup
 and has separate global and local tracebacks; `test_alignment.py` checks the
 shared kernel and the batched search against it field for field.
+`search_block` is the float, target-per-row block kernel that the integer,
+target-major `amprl.alignment._search_block` replaced; the two must return
+equal scores and tallies.
 `greedy_cluster` and `novelty_filter` are the per-pair loops that the batched
 search replaced in `amprl.dataprep` and `amprl.screening`.
 """
@@ -21,6 +24,7 @@ from amprl.alignment import (
     make_hit,
 )
 from amprl.dataprep import Cluster
+from amprl.sequences import RESIDUES
 
 _NEG = -1.0e9
 
@@ -196,3 +200,96 @@ def novelty_filter(records, reference, cfg):
         else:
             kept.append(record)
     return kept, removed, hits
+
+
+# BLOSUM62 in `encode`'s code order, with the padding code scoring _NEG
+_PADDED_SCORES = np.array([[BLOSUM62[(x, y)] for y in RESIDUES] + [_NEG] for x in RESIDUES])
+
+
+def search_block(query, codes, lengths, local):
+    """`amprl.alignment._fill`'s recurrence in float64 across a padded stack of
+    targets, one target per array row and one query row kept.
+
+    Beside each M, X and Y cell runs a tally, columns * (n + 1) + matches, of
+    the walk the traceback would make from that cell (matches <= n, the query
+    length). Returns each target's score and the tally of its optimal walk.
+    The row arrays are allocated once and swapped between rows.
+    """
+    n, count = len(query), len(lengths)
+    width = int(lengths.max())
+    codes = codes[:, :width]
+    step = n + 1
+    cols = np.arange(width)
+    rows = np.arange(count)
+    y_gap = GAP_OPEN + GAP_EXTEND * (cols + 1)
+    y_extend = GAP_EXTEND * cols
+    shape = (count, width + 1)
+    M, X, Y = (np.full(shape, _NEG) for _ in range(3))
+    TM, TX, TY = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+    if local:
+        M[:] = 0.0
+    else:
+        M[:, 0] = 0.0
+        Y[:, 1:] = -y_gap
+        TY[:, 1:] = step * (cols + 1)
+    rows_now = (M, X, Y, TM, TX, TY)
+    # row 0's first column of Y, TM and TY holds for every row
+    spare = tuple(a.copy() for a in rows_now)
+    diag = np.empty((count, width))
+    opened = np.empty((count, width))
+    run = np.empty((count, width))
+    pred = np.empty((count, width), dtype=np.int64)
+    k = np.empty((count, width), dtype=np.int64)
+    best = np.zeros(count)
+    best_tally = np.zeros(count, dtype=np.int64)
+    profile = _PADDED_SCORES[query]
+    for i in range(1, n + 1):
+        (pM, pX, pY, pTM, pTX, pTY), (M, X, Y, TM, TX, TY) = rows_now, spare
+        rows_now, spare = spare, rows_now
+        M[:, 0] = 0.0 if local else _NEG
+        X[:, 0] = _NEG if local else -(GAP_OPEN + GAP_EXTEND * i)
+        TX[:, 0] = 0 if local else step * i
+
+        np.maximum(pM[:, :-1], pX[:, :-1], out=diag)
+        np.maximum(diag, pY[:, :-1], out=diag)
+        # a match step's predecessor, tested in _traceback's order: M, X, Y
+        np.copyto(pred, pTY[:, :-1])
+        np.copyto(pred, pTX[:, :-1], where=pX[:, :-1] == diag)
+        np.copyto(pred, pTM[:, :-1], where=pM[:, :-1] == diag)
+        if local:
+            pred[diag == 0.0] = 0  # the local walk stops where the predecessor scores 0
+        np.add(diag, profile[i - 1][codes], out=M[:, 1:])
+        if local:
+            np.maximum(M[:, 1:], 0.0, out=M[:, 1:])
+        np.add(pred, step, out=TM[:, 1:])
+        np.add(TM[:, 1:], codes == query[i - 1], out=TM[:, 1:])
+
+        np.subtract(pM[:, 1:], GAP_OPEN + GAP_EXTEND, out=opened)
+        np.subtract(pX[:, 1:], GAP_EXTEND, out=X[:, 1:])
+        np.maximum(opened, X[:, 1:], out=X[:, 1:])
+        np.copyto(TX[:, 1:], pTX[:, 1:])
+        np.copyto(TX[:, 1:], pTM[:, 1:], where=X[:, 1:] == opened)
+        np.add(TX[:, 1:], step, out=TX[:, 1:])
+
+        run_in = np.add(M[:, :-1], y_extend, out=opened)
+        np.maximum.accumulate(run_in, axis=1, out=run)
+        np.subtract(run, y_gap, out=Y[:, 1:])
+        # Y[i, j] opened from M[i, k] at the last k < j where the running maximum is attained
+        k.fill(0)
+        np.copyto(k, cols, where=run_in == run)
+        np.maximum.accumulate(k, axis=1, out=k)
+        np.add(TM[rows[:, None], k], step * (cols + 1 - k), out=TY[:, 1:])
+
+        if local:
+            # the first maximum cell in row-major order, as np.argmax(M) picks it
+            j = np.argmax(M, axis=1)
+            top = M[rows, j]
+            better = top > best
+            best[better] = top[better]
+            best_tally[better] = TM[rows, j][better]
+    if local:
+        return best, best_tally
+    finals = np.stack([M[rows, lengths], X[rows, lengths], Y[rows, lengths]])
+    state = np.argmax(finals, axis=0)
+    tallies = np.stack([TM[rows, lengths], TX[rows, lengths], TY[rows, lengths]])
+    return finals[state, rows], tallies[state, rows]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from amprl import alignment
 from amprl.alignment import (
     BLOSUM62,
     GAP_EXTEND,
@@ -256,6 +257,75 @@ def test_search_edge_cases():
         with pytest.raises(ValueError, match="substitution"):
             search(_codes("KLW"), encode(["KBW"]), local=local)
         assert [a.shape for a in search(_codes("KLW"), encode([]), local=local)] == [(0,), (0,), (0,)]
+
+
+def _runs(rng, lo, hi):
+    # single-residue runs: along a run every running-maximum candidate ties
+    return rng.choice(list(RESIDUES)) * int(rng.integers(lo, hi + 1))
+
+
+def test_integer_kernel_matches_float_oracle():
+    # the integer, target-major kernel against the float kernel it replaced,
+    # on blocks wider than SEARCH_BLOCK mixing random targets of every length
+    # 1..40, targets over 200, exact and near copies, and single-residue runs
+    rng = np.random.default_rng(13)
+    queries = [_rand_seq(rng, 1, 40) for _ in range(5)] + [_rand_seq(rng, 201, 230)]
+    queries += [_runs(rng, 1, 30) for _ in range(3)] + ["W", "KKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKKK"]
+    checked = 0
+    for query in queries:
+        targets = [_rand_seq(rng, length, length) for length in range(1, 41)]
+        targets += [_rand_seq(rng, 1, 40) for _ in range(120)]
+        targets += [_rand_seq(rng, 201, 240) for _ in range(3)]
+        targets += [near_copy(rng, query, max_len=250) for _ in range(60)]
+        targets += [query] * 5 + [_runs(rng, 1, 45) for _ in range(40)]
+        targets += [query[: len(query) // 2 + 1] * 3, query[0] * len(query)]
+        rng.shuffle(targets)
+        assert len(targets) > SEARCH_BLOCK
+        codes, lengths = encode(targets)
+        q = _codes(query)
+        for local in (False, True):
+            scores, tallies = alignment._search_block(q, codes, lengths, local)
+            expected_scores, expected_tallies = alignment_oracle.search_block(q, codes, lengths, local)
+            assert np.array_equal(scores, expected_scores), (local, query)
+            assert np.array_equal(tallies, expected_tallies), (local, query)
+            checked += len(targets)
+    assert checked == 2 * 270 * len(queries)
+
+
+def test_search_length_limit(monkeypatch):
+    # the limit is checked before the kernel runs, so zero-stride views of
+    # sequences at and just past it cost no memory
+    def long(length):
+        return np.broadcast_to(np.int64(0), (length,))
+
+    calls = []
+    monkeypatch.setattr(alignment, "_search_block", lambda q, c, lens, local: calls.append(len(q)) or (lens, lens))
+    short = encode(["A"])
+    for local in (False, True):
+        for n in (1, 2**25, 2**26 - 1):
+            wide = (long(2**26 - n)[None, :], np.array([2**26 - n]))
+            search(long(n), wide, local=local)
+            search(long(2**26 - 1), short, local=local)
+            with pytest.raises(ValueError, match=str(2**26)):
+                search(long(n + 1), wide, local=local)
+            with pytest.raises(ValueError, match=str(2**26)):
+                search(long(n), (long(2**26 - n + 1)[None, :], np.array([2**26 - n + 1])), local=local)
+    assert len(calls) == 12
+
+
+def test_kernel_values_fit_at_the_length_limit():
+    # at n + width = 2**26 residues: a real score is at least minus the cost of
+    # a path of three mismatches and three gaps; one derived from the _NEG
+    # sentinel lies between _NEG minus that cost and _NEG + 11 * min(n, width),
+    # so the two never meet; a packed score adds bit_length(width) bits to a
+    # score plus a column; a tally is at most (n + width) * (n + 1) + n
+    total = 2**26
+    for n in (1, total // 2, total - 1):
+        width = total - n
+        cost = 3 * 4 + 3 * GAP_OPEN + GAP_EXTEND * total
+        assert alignment._NEG + 11 * min(n, width) < -cost
+        assert (abs(alignment._NEG) + cost + total) << width.bit_length() < 2**63
+        assert total * (n + 1) + n < 2**63
 
 
 def test_local_self_alignment_is_full_length():

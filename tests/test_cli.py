@@ -119,17 +119,61 @@ def test_screen_ranks_by_the_configured_reward_clamps(tmp_path, capsys):
     assert order == {"default": ["kkll", "k10"], "override": ["k10", "kkll"]}
 
 
-@pytest.mark.parametrize("keep", [10, 14, 20, 30, -8])
-def test_truncated_checkpoint_exits_one(tmp_path, capsys, keep):
+def _save_mic(path, seed=0):
     embedder = Embedder()
     embedder.fit(embedder.features([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")]))
-    path = tmp_path / "mic.ckpt"
-    MicModel.init(embedder, MicConfig(hidden=(4,)), seed=0).save(path)
+    MicModel.init(embedder, MicConfig(hidden=(4,)), seed=seed).save(path)
+    return path
+
+
+@pytest.mark.parametrize("value", ["null", "true", '"0.9"', "NaN", "Infinity", "-Infinity"])
+def test_screen_rejects_a_score_that_is_not_a_finite_number(tmp_path, capsys, value):
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(
+        '{"sequence": "GLWKKILGKIKAGL", "scores": {"plddt": 0.9}}\n'
+        f'{{"sequence": "KKLLDDAAWWRRHH", "scores": {{"plddt": {value}}}}}\n'
+    )
+    argv = ["screen", "--mic-model", str(_save_mic(tmp_path / "mic.ckpt")), "--input", str(_write_fasta(tmp_path))]
+    argv += ["--external-scores", str(scores), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert f"error: {scores} line 2: score 'plddt' must be a finite number, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "screened.jsonl").exists()
+
+
+@pytest.mark.parametrize("keep", [10, 14, 20, 30, -8])
+def test_truncated_checkpoint_exits_one(tmp_path, capsys, keep):
+    path = _save_mic(tmp_path / "mic.ckpt")
     path.write_bytes(path.read_bytes()[:keep])
     argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
     assert f"error: {path}: truncated checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "out" / "scores.tsv").exists()
+
+
+def test_checkpoint_with_trailing_bytes_exits_one(tmp_path, capsys):
+    path = _save_mic(tmp_path / "mic.ckpt")
+    path.write_bytes(path.read_bytes() + b"\0")
+    argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: 1 byte(s) after the last tensor" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.tsv").exists()
+
+
+def test_checkpoints_with_swapped_manifests_exit_one(tmp_path, capsys):
+    # the state of a crash between the binary's rename and the manifest's
+    first, second = _save_mic(tmp_path / "a.ckpt", seed=0), _save_mic(tmp_path / "b.ckpt", seed=1)
+    manifests = [p.with_name(p.name + ".json") for p in (first, second)]
+    texts = [m.read_text() for m in manifests]
+    assert texts[0] != texts[1]
+    manifests[0].write_text(texts[1])
+    manifests[1].write_text(texts[0])
+    for path, manifest in zip((first, second), manifests):
+        out = tmp_path / f"out_{path.stem}"
+        argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
+        assert main(argv + ["--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: sha256 " in err and f"recorded in {manifest.name}" in err
+        assert not (out / "scores.tsv").exists()
 
 
 def test_train_mic_single_class_validation_exits_one(tmp_path, capsys):
@@ -207,6 +251,21 @@ def test_assay_subcommand_end_to_end(tmp_path, capsys):
     assert len(summary) == 3
     medians = json.loads((out / "assay_medians.json").read_text())
     assert set(medians) == {"max_rel", "auc"}
+
+
+@pytest.mark.parametrize("row", ["cold\t20\tnan\t100", "cold\tinf\t101\t100", "cold\t20\t101\t-Infinity"])
+def test_assay_rejects_a_value_that_is_not_finite(tmp_path, capsys, row):
+    # one NaN sample would make both medians NaN and label every peptide weak
+    table = tmp_path / "assay.tsv"
+    table.write_text(
+        "peptide_id\ttime_min\tsample_fluor\tcontrol_fluor\n"
+        "hot\t0\t100\t100\nhot\t10\t220\t100\nhot\t20\t210\t100\n"
+        f"cold\t0\t100\t100\ncold\t10\t104\t100\n{row}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["assay", "--input", str(table), "--output-dir", str(out)]) == 1
+    assert "error: line 7: time and fluorescence must be finite" in capsys.readouterr().err
+    assert not (out / "assay_summary.tsv").exists()
 
 
 def test_dataprep_subcommand_writes_splits(tmp_path, capsys):

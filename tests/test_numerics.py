@@ -1,4 +1,6 @@
 """Autodiff tensor library: gradients, guards, checkpointing, optimizer."""
+import hashlib
+import json
 import tracemalloc
 import warnings
 
@@ -258,6 +260,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded["w"].dtype == np.float64
     # atomic write leaves no temp files behind, only the array blob + meta sidecar
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.json"]
+    manifest = json.loads((tmp_path / "model.ckpt.json").read_text())
+    assert manifest["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_checkpoint_missing_file(tmp_path):
