@@ -407,6 +407,34 @@ def gather_last(a, ids: np.ndarray) -> Tensor:
     return _node(data, (a,), backward, "gather_last")
 
 
+def place_rows(a, rows: np.ndarray, n: int) -> Tensor:
+    """Row i of `a` at row rows[i] of an n-row zero array; rows must be distinct.
+
+    The gradient gathers those rows back; `take_rows` is the inverse.
+    """
+    a = _wrap(a)
+    data = np.zeros((n,) + a.data.shape[1:])
+    data[rows] = a.data
+
+    def backward(g):
+        return ((a, g[rows]),)
+
+    return _node(data, (a,), backward, "place_rows")
+
+
+def take_rows(a, rows: np.ndarray) -> Tensor:
+    """Rows `rows` of `a`, which must be distinct; the gradient places them back."""
+    a = _wrap(a)
+    data = a.data[rows]
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[rows] = g
+        return ((a, ga),)
+
+    return _node(data, (a,), backward, "take_rows")
+
+
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
     """LayerNorm of an array's last axis: (output, normalized input, 1/std)."""
     scale = 1.0 / x.shape[-1]

@@ -143,56 +143,81 @@ class PolicyModel:
             return w
         return w + nm.matmul(delta.a, delta.b) * (delta.scaling / delta.rank)
 
-    def forward_hidden(self, ids: np.ndarray) -> nm.Tensor:
-        """Final-layer hidden states, shape (B, T, D)."""
+    def forward_hidden(self, ids: np.ndarray) -> tuple[nm.Tensor, np.ndarray]:
+        """Final-layer hidden states of the non-PAD positions of `ids`.
+
+        Returns (hidden, rows): hidden is (N, D), one row per non-PAD token
+        in row-major order, and rows holds their flat indices into `ids`.
+        Every token-wise op runs on these N rows. Only attention visits the
+        padded (B, H, T, T) grid, with zeros at PAD; that is exact because a
+        position attends to none after it and PAD only follows real tokens.
+        """
         cfg = self.config
         b, t = ids.shape
         if t > cfg.context_len:
             raise ValueError(f"input length {t} exceeds context {cfg.context_len}")
         if not np.all(ids[:, 0] == BOS):
             raise ValueError("the policy expects BOS-prefixed rows")
+        real = ids != PAD
+        if np.any(real[:, 1:] & ~real[:, :-1]):
+            raise ValueError("the policy expects PAD only after the last real token of a row")
+        rows = np.flatnonzero(real)
         d = cfg.embed_dim
         heads = cfg.n_heads
         dh = d // heads
         mask = nm.causal_mask(t)
 
-        x = nm.embedding(self.params["tok_embed"], ids) + nm.embedding(
-            self.params["pos_embed"], np.arange(t)
+        def grid(a: nm.Tensor) -> nm.Tensor:
+            return transpose(nm.place_rows(a, rows, b * t).reshape((b, t, heads, dh)), (0, 2, 1, 3))
+
+        x = nm.embedding(self.params["tok_embed"], ids.reshape(-1)[rows]) + nm.embedding(
+            self.params["pos_embed"], rows % t
         )
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
             h = nm.layer_norm(x, self.params[f"{pre}.ln1.g"], self.params[f"{pre}.ln1.b"])
-            q = nm.matmul(h, self._weight(f"{pre}.attn.wq")) + self.params[f"{pre}.attn.qb"]
-            k = nm.matmul(h, self._weight(f"{pre}.attn.wk"))
-            v = nm.matmul(h, self._weight(f"{pre}.attn.wv")) + self.params[f"{pre}.attn.vb"]
-            q = transpose(q.reshape((b, t, heads, dh)), (0, 2, 1, 3))
-            k = transpose(k.reshape((b, t, heads, dh)), (0, 2, 1, 3))
-            v = transpose(v.reshape((b, t, heads, dh)), (0, 2, 1, 3))
+            q = grid(nm.matmul(h, self._weight(f"{pre}.attn.wq")) + self.params[f"{pre}.attn.qb"])
+            k = grid(nm.matmul(h, self._weight(f"{pre}.attn.wk")))
+            v = grid(nm.matmul(h, self._weight(f"{pre}.attn.wv")) + self.params[f"{pre}.attn.vb"])
             scores = nm.matmul(q, transpose(k)) * (1.0 / np.sqrt(dh)) + mask
             att = nm.softmax(scores, axis=-1)
-            ctx = transpose(nm.matmul(att, v), (0, 2, 1, 3)).reshape((b, t, d))
+            ctx = nm.take_rows(transpose(nm.matmul(att, v), (0, 2, 1, 3)).reshape((b * t, d)), rows)
             x = x + nm.matmul(ctx, self._weight(f"{pre}.attn.wo")) + self.params[f"{pre}.attn.ob"]
             h2 = nm.layer_norm(x, self.params[f"{pre}.ln2.g"], self.params[f"{pre}.ln2.b"])
             m = nm.gelu(nm.matmul(h2, self.params[f"{pre}.mlp.w1"]) + self.params[f"{pre}.mlp.b1"])
             x = x + nm.matmul(m, self.params[f"{pre}.mlp.w2"]) + self.params[f"{pre}.mlp.b2"]
-        return nm.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"])
+        return nm.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"]), rows
 
-    def _action_head(self, hidden: nm.Tensor) -> nm.Tensor:
+    def packed_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, np.ndarray]:
+        """Action log-probs (N, 21) of the non-PAD positions, and their flat indices.
+
+        The EOS action is masked at position 0 of every row.
+        """
+        hidden, rows = self.forward_hidden(ids)
+        return self._action_head(hidden, rows, ids.shape[1]), rows
+
+    def _action_head(self, hidden: nm.Tensor, rows: np.ndarray, width: int) -> nm.Tensor:
         logits = nm.matmul(hidden, self.params["head.w"]) + self.params["head.b"]
-        return nm.log_softmax(logits + _first_step_eos_mask(hidden.shape[1]), axis=-1)
+        eos_mask = np.zeros(logits.shape)
+        eos_mask[rows % width == 0, EOS] = NEG
+        return nm.log_softmax(logits + eos_mask, axis=-1)
 
     def action_log_probs(self, ids: np.ndarray) -> nm.Tensor:
-        """Log-probabilities over actions at every position.
+        """Log-probabilities over actions at every position, shape (B, T, 21).
 
         Rows must start with BOS; the EOS action is masked at position 0.
+        PAD positions hold 0.0.
         """
-        return self._action_head(self.forward_hidden(ids))
+        lp, rows = self.packed_log_probs(ids)
+        return _unpack(lp, rows, ids.shape + (N_ACTIONS,))
 
     def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor]:
-        """One shared-trunk pass: per-position state values and action log-probs."""
-        hidden = self.forward_hidden(ids)
+        """One shared-trunk pass: per-position state values (B, T) and action
+        log-probs (B, T, 21). PAD positions hold 0.0 in both."""
+        hidden, rows = self.forward_hidden(ids)
         values = nm.matmul(hidden, self.params["value.w"]) + self.params["value.b"]
-        return values.reshape(ids.shape), self._action_head(hidden)
+        lp = self._action_head(hidden, rows, ids.shape[1])
+        return _unpack(values, rows, ids.shape), _unpack(lp, rows, ids.shape + (N_ACTIONS,))
 
     # --- persistence --------------------------------------------------------
 
@@ -275,10 +300,9 @@ def _base_parameters(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
     return specs
 
 
-def _first_step_eos_mask(t: int) -> np.ndarray:
-    mask = np.zeros((t, N_ACTIONS))
-    mask[0, EOS] = NEG
-    return mask
+def _unpack(packed: nm.Tensor, rows: np.ndarray, shape: tuple[int, ...]) -> nm.Tensor:
+    """Packed rows back on the (B, T, ...) grid `shape`, with 0.0 at PAD."""
+    return nm.place_rows(packed, rows, shape[0] * shape[1]).reshape(shape)
 
 
 _LORA_TARGETS = {"wq", "wk", "wv", "wo"}
@@ -332,14 +356,16 @@ class SftLoss:
 
 
 def sft_loss(model: PolicyModel, batch: TokenBatch) -> SftLoss:
-    """Negative log-likelihood of each next token, summed and per-token."""
+    """Negative log-likelihood of each next token, summed and per-token.
+
+    Reads the packed log-probs of the non-PAD inputs; an EOS input, whose
+    target is PAD, is masked out.
+    """
     ids = batch.ids
-    inputs = ids[:, :-1]
-    targets = ids[:, 1:]
+    log_probs, rows = model.packed_log_probs(ids[:, :-1])
+    targets = ids[:, 1:].reshape(-1)[rows]
     mask = (targets != PAD).astype(np.float64)
-    safe_targets = np.where(targets == PAD, 0, targets)
-    log_probs = model.action_log_probs(inputs)
-    token_lp = nm.gather_last(log_probs, safe_targets)
+    token_lp = nm.gather_last(log_probs, np.where(targets == PAD, 0, targets))
     total = -reduce_sum(token_lp * mask)
     count = int(mask.sum())
     return SftLoss(total=total, mean=total * (1.0 / count), token_count=count)

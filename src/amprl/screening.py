@@ -22,7 +22,7 @@ from . import rng as _rng
 from .alignment import SimilarityHit, make_hit, search
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
 from .reward import RewardConfig
-from .sequences import AnnotationRecord, Peptide, _write_text, encode, write_fasta, write_records
+from .sequences import RESIDUE_SET, AnnotationRecord, Peptide, _write_text, encode, write_fasta, write_records
 
 Window = tuple[float, float]
 
@@ -227,10 +227,13 @@ def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
     """JSONL of {"sequence": ..., "scores": {name: value}} keyed by sequence.
 
     Structure predictions, hemolysis predictions, and similar third-party
-    annotations all arrive through this one format. Every score must be a
-    finite JSON number; anything else raises ValueError naming the line.
+    annotations all arrive through this one format. A sequence is stripped
+    and uppercased as `parse_fasta` does. ValueError names the line of a
+    sequence outside the 20 residues or given twice (and the first line),
+    and of any score that is not a finite JSON number.
     """
     table: dict[str, dict[str, float]] = {}
+    lines: dict[str, int] = {}
     text = Path(path).read_text()
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -241,13 +244,24 @@ def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
             raise ValueError(f"{path} line {n}: invalid JSON ({err})") from None
         if not isinstance(row, dict) or "sequence" not in row or "scores" not in row:
             raise ValueError(f"{path} line {n}: expected keys 'sequence' and 'scores'")
+        if not isinstance(row["sequence"], str):
+            raise ValueError(f"{path} line {n}: 'sequence' must be a string")
         if not isinstance(row["scores"], dict):
             raise ValueError(f"{path} line {n}: 'scores' must be an object")
+        seq = row["sequence"].strip().upper()
+        if not seq:
+            raise ValueError(f"{path} line {n}: empty sequence")
+        bad = [ch for ch in seq if ch not in RESIDUE_SET]
+        if bad:
+            raise ValueError(f"{path} line {n}: invalid residue {bad[0]!r}")
+        if seq in lines:
+            raise ValueError(f"{path} line {n}: sequence {seq} repeats line {lines[seq]}")
         for name, value in row["scores"].items():
             # bool is an int subclass, and NaN would pass every minimum filter
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ValueError(f"{path} line {n}: score {name!r} must be a finite number, got {json.dumps(value)}")
-        table[str(row["sequence"])] = {str(k): float(v) for k, v in row["scores"].items()}
+        lines[seq] = n
+        table[seq] = {str(k): float(v) for k, v in row["scores"].items()}
     return table
 
 

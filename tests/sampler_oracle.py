@@ -1,7 +1,7 @@
 """The sampler that `amprl.policy.sample` replaced, kept as a test oracle.
 
-At every step it runs the whole growing prefix through the autodiff
-forward and reads the last position's logits. `test_policy.py` checks the
+At every step it runs the whole growing prefix through the padded autodiff
+trunk of `trunk_oracle` and reads the last position's logits. `test_policy.py` checks the
 KV-cached decoder against it token for token.
 """
 import numpy as np
@@ -10,6 +10,8 @@ import amprl.numerics as nm
 from amprl.policy import BOS, EOS, N_ACTIONS, NEG, PAD, SampledSequence, decode_tokens
 from amprl.rng import substream
 from amprl.sequences import Peptide
+
+import trunk_oracle
 
 
 def sample(
@@ -32,7 +34,7 @@ def sample(
     lp_lists = [[] for _ in range(n)]
 
     for step in range(limit + 1):
-        hidden = model.forward_hidden(rows)
+        hidden = trunk_oracle.forward_hidden(model, rows)
         logits = (nm.matmul(hidden, model.params["head.w"]) + model.params["head.b"]).data[:, -1, :].copy()
         if step == 0:
             logits[:, EOS] = NEG

@@ -140,6 +140,23 @@ def test_screen_rejects_a_score_that_is_not_a_finite_number(tmp_path, capsys, va
     assert not (tmp_path / "out" / "screened.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    ("second", "message"),
+    [("glwkkilgkikagl", "line 2: sequence GLWKKILGKIKAGL repeats line 1"), ("GLWKKIBGKIKAGL", "line 2: invalid residue 'B'")],
+)
+def test_screen_rejects_a_repeated_or_invalid_external_sequence(tmp_path, capsys, second, message):
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(
+        '{"sequence": "GLWKKILGKIKAGL", "scores": {"plddt": 0.9}}\n'
+        f'{{"sequence": "{second}", "scores": {{"plddt": 0.1}}}}\n'
+    )
+    argv = ["screen", "--mic-model", str(_save_mic(tmp_path / "mic.ckpt")), "--input", str(_write_fasta(tmp_path))]
+    argv += ["--external-scores", str(scores), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert f"error: {scores} {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "screened.jsonl").exists()
+
+
 @pytest.mark.parametrize("keep", [10, 14, 20, 30, -8])
 def test_truncated_checkpoint_exits_one(tmp_path, capsys, keep):
     path = _save_mic(tmp_path / "mic.ckpt")

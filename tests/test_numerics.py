@@ -192,6 +192,22 @@ def test_embedding_and_gather_grads():
     assert nm.grad_check(f, [table]) < TOL
 
 
+def test_place_and_take_rows():
+    rng = np.random.default_rng(13)
+    packed = _param(rng, 4, 3)
+    grid = _param(rng, 6, 2, 3)
+    rows = np.array([0, 2, 3, 5])
+    placed = nm.place_rows(packed, rows, 6)
+    assert placed.shape == (6, 3)
+    assert np.array_equal(placed.data[rows], packed.data)
+    assert np.all(placed.data[[1, 4]] == 0.0)
+    assert np.array_equal(nm.take_rows(placed, rows).data, packed.data)
+    assert np.array_equal(nm.take_rows(grid, rows[::-1]).data, grid.data[rows[::-1]])
+    w = rng.normal(size=(6, 3))
+    assert nm.grad_check(lambda: (nm.place_rows(packed, rows, 6) * w).sum(), [packed]) < TOL
+    assert nm.grad_check(lambda: (nm.take_rows(grid, rows[::-1]) * w[:4, None]).sum(), [grid]) < TOL
+
+
 def test_reshape_mean_sum_grads():
     rng = np.random.default_rng(11)
     a = _param(rng, 2, 6)

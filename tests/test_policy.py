@@ -6,6 +6,7 @@ import pytest
 
 import amprl.numerics as nm
 from amprl.cli import main
+from amprl.numerics.tensor import reduce_sum
 from amprl.policy import (
     BOS,
     EOS,
@@ -26,6 +27,7 @@ from amprl.sequences import Peptide
 
 import encoding_oracle
 import sampler_oracle
+import trunk_oracle
 from conftest import RESIDUES, random_peptides
 
 TOY = ModelConfig(embed_dim=16, n_layers=2, n_heads=2, max_len=20, mlp_ratio=2, init_std=0.02)
@@ -84,8 +86,11 @@ def test_forward_shape_and_normalization():
     batch = encode_batch([_pep("ACDEFG"), _pep("KK")])
     out = model.action_log_probs(batch.ids)
     assert out.shape == (2, batch.ids.shape[1], 21)  # 20 residues + EOS actions
+    real = batch.ids != PAD
     sums = np.exp(out.data).sum(axis=-1)
-    assert np.allclose(sums, 1.0, atol=1e-9)
+    assert np.allclose(sums[real], 1.0, atol=1e-9)
+    # PAD positions carry no distribution; they hold the documented filler
+    assert (~real).any() and np.all(out.data[~real] == 0.0)
 
 
 def test_causality_by_perturbation():
@@ -164,6 +169,109 @@ def test_sft_ignores_padding():
     padded = sft_loss(model, encode_batch(peps, pad_to=16))
     assert tight.token_count == padded.token_count
     assert tight.mean.item() == pytest.approx(padded.mean.item(), rel=1e-9)
+
+
+def _batch(lengths, pad_to=None, seed=0):
+    rng = np.random.default_rng(seed)
+    return encode_batch(
+        [_pep("".join(rng.choice(list(RESIDUES), size=n)), f"p{i}") for i, n in enumerate(lengths)],
+        pad_to=pad_to,
+    )
+
+
+def _trunk_case_model(lora):
+    model = PolicyModel.init(TOY, seed=21)
+    if lora is None:
+        return model
+    attach_lora(model, rank=2, scaling=4.0, targets=("wq", "wk", "wv", "wo"), freeze_base=lora == "frozen", seed=5)
+    rng = np.random.default_rng(22)
+    for name, t in model.named_tensors().items():
+        if name.endswith("lora_b"):
+            t.data += rng.normal(0.0, 0.05, size=t.data.shape)
+    return model
+
+
+# (LoRA: None, "frozen" or "unfrozen" base; peptide lengths; pad_to)
+TRUNK_CASES = {
+    "lengths_1_to_max_len": (None, list(range(1, TOY.max_len + 1)), None),
+    "no_pad": (None, [9, 9, 9, 9], None),
+    "extra_pad_columns": (None, [4, 1, 11, 6], TOY.context_len),
+    "lora_frozen_base": ("frozen", [3, 17, 8, 12, 1], None),
+    "lora_unfrozen_base": ("unfrozen", [5, 2, 14], TOY.context_len - 3),
+}
+
+
+def _grads(model, loss):
+    for p in model.trainable():
+        p.grad = None
+    loss.backward()
+    return [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in model.trainable()]
+
+
+def _assert_grads_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * max(np.max(np.abs(w)), 1e-300)
+
+
+@pytest.mark.parametrize("case", sorted(TRUNK_CASES))
+def test_packed_trunk_matches_padded_oracle(case):
+    lora, lengths, pad_to = TRUNK_CASES[case]
+    model = _trunk_case_model(lora)
+    batch = _batch(lengths, pad_to, seed=len(lengths))
+    ids = batch.ids
+    for inputs in (ids, ids[:, :-1]):
+        real = inputs != PAD
+        got_lp = model.action_log_probs(inputs).data
+        assert np.max(np.abs(got_lp[real] - trunk_oracle.action_log_probs(model, inputs).data[real])) <= 1e-12
+        values, lp = model.values_and_log_probs(inputs)
+        want_values, want_lp = trunk_oracle.values_and_log_probs(model, inputs)
+        assert np.max(np.abs(values.data[real] - want_values.data[real])) <= 1e-12
+        assert np.max(np.abs(lp.data[real] - want_lp.data[real])) <= 1e-12
+        assert np.all(values.data[~real] == 0.0) and np.all(lp.data[~real] == 0.0)
+
+    got = sft_loss(model, batch)
+    want_total, want_count = trunk_oracle.sft_loss_total(model, ids)
+    assert got.token_count == want_count == sum(lengths) + len(lengths)
+    assert abs(got.total.item() - want_total.item()) <= 1e-12 * abs(want_total.item())
+    _assert_grads_close(_grads(model, got.total), _grads(model, want_total))
+
+    # the PPO path: values and log-probs leave the trunk through the grid
+    inputs = ids[:, :-1]
+    mask = (ids[:, 1:] != PAD).astype(np.float64)
+    picks = np.where(ids[:, 1:] == PAD, 0, ids[:, 1:])
+    weights = np.random.default_rng(3).normal(size=mask.shape) * mask
+
+    def ppo_like(values, lp):
+        return reduce_sum(values * weights) - reduce_sum(nm.gather_last(lp, picks) * mask)
+
+    _assert_grads_close(
+        _grads(model, ppo_like(*model.values_and_log_probs(inputs))),
+        _grads(model, ppo_like(*trunk_oracle.values_and_log_probs(model, inputs))),
+    )
+
+
+def test_trunk_rejects_pad_before_a_real_token():
+    model = PolicyModel.init(TOY, seed=0)
+    ids = np.array([[BOS, 3, 4, EOS, PAD], [BOS, 5, PAD, 6, EOS]])
+    for call in (model.action_log_probs, model.values_and_log_probs):
+        with pytest.raises(ValueError, match="PAD only after"):
+            call(ids)
+
+
+def test_sft_loss_grad_check_with_padding_and_lora():
+    config = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, max_len=10, mlp_ratio=2, init_std=0.05)
+    model = attach_lora(
+        PolicyModel.init(config, seed=6), rank=2, scaling=2.0, targets=("wq", "wk", "wv", "wo"), freeze_base=False, seed=7
+    )
+    rng = np.random.default_rng(8)
+    for name, t in model.named_tensors().items():
+        if name.endswith("lora_b"):
+            t.data += rng.normal(0.0, 0.1, size=t.data.shape)
+    batch = _batch([1, 3, 8], pad_to=config.context_len, seed=9)
+    assert batch.ids.shape[1] > 8 + 2  # PAD columns beyond the longest row
+    err = nm.grad_check(lambda: sft_loss(model, batch).mean, model.trainable(), atol=1e-5)
+    assert err < 1e-4
 
 
 def test_train_sft_improves_and_restores_best(tmp_path):

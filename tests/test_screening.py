@@ -2,6 +2,7 @@
 import io
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +299,31 @@ def test_read_external_scores(tmp_path):
     bad.write_text('{"sequence": "KKKK"}\n')
     with pytest.raises(ValueError, match="line 1"):
         read_external_scores(bad)
+
+
+def test_read_external_scores_normalizes_sequences_as_fasta_does(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"sequence": " klwk\\t", "scores": {"plddt": 0.5}}\n')
+    assert read_external_scores(path) == {"KLWK": {"plddt": 0.5}}
+    records = _records([_pep("a", "KLWK")], external=read_external_scores(path))
+    assert records[0].external_scores == {"plddt": 0.5}
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        (['"KLWK"', '"klwk"'], "line 2: sequence KLWK repeats line 1"),
+        (['"KLWK"', '"KLXK"'], "line 2: invalid residue 'X'"),
+        (['"KL-WK"'], "line 1: invalid residue '-'"),
+        (['"  "'], "line 1: empty sequence"),
+        (["42"], "line 1: 'sequence' must be a string"),
+    ],
+)
+def test_read_external_scores_rejects_bad_sequences(tmp_path, rows, message):
+    path = tmp_path / "scores.jsonl"
+    path.write_text("".join(f'{{"sequence": {seq}, "scores": {{"plddt": 0.1}}}}\n' for seq in rows))
+    with pytest.raises(ValueError, match=re.escape(f"{path} {message}")):
+        read_external_scores(path)
 
 
 def _tiny_policy(max_len=6):
