@@ -1,13 +1,12 @@
 """Dense float64 tensors, reverse-mode autodiff, Adam, and checkpoint I/O."""
 from .tensor import (
     Tensor,
-    causal_mask,
+    causal_attention,
     clamp,
     embedding,
     exp,
     gather_last,
     gelu,
-    grad_check,
     layer_norm,
     log,
     log_softmax,
@@ -17,24 +16,20 @@ from .tensor import (
     relu,
     sigmoid,
     softmax,
-    take_rows,
-    tensor,
 )
 from .optim import Adam
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor",
-    "tensor",
     "matmul",
     "softmax",
     "log_softmax",
     "layer_norm",
+    "causal_attention",
     "embedding",
     "gather_last",
     "place_rows",
-    "take_rows",
-    "causal_mask",
     "clamp",
     "minimum",
     "relu",
@@ -42,7 +37,6 @@ __all__ = [
     "sigmoid",
     "log",
     "exp",
-    "grad_check",
     "Adam",
     "save_checkpoint",
     "load_checkpoint",

@@ -7,10 +7,11 @@ closures of the binary ops `add`, `mul`, `matmul` and `minimum` compute an
 operand's gradient only if that operand requires one, so a constant input
 (a feature batch, a mask, a scalar) costs no backward work.
 
-GELU, LayerNorm, softmax and log-softmax keep their forward in a private
-array function (`_gelu`, `_layer_norm`, `_softmax`, `_log_softmax`) that the
-no-grad decoder behind `amprl.policy.sample` calls too. That decoder builds
-no nodes, so it checks finiteness once per step at the logits, not per op.
+GELU, LayerNorm, causal attention, softmax and log-softmax keep their
+forward in a private array function (`_gelu`, `_layer_norm`, `_attention`,
+`_softmax`, `_log_softmax`) that the no-grad decoder behind
+`amprl.policy.sample` calls too. That decoder builds no nodes, so it checks
+finiteness once per step at the logits, not per op.
 """
 from __future__ import annotations
 
@@ -123,10 +124,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
@@ -219,16 +216,6 @@ def log(a) -> Tensor:
     return _node(data, (a,), backward, "log")
 
 
-def tanh(a) -> Tensor:
-    a = _wrap(a)
-    data = np.tanh(a.data)
-
-    def backward(g):
-        return ((a, g * (1.0 - data * data)),)
-
-    return _node(data, (a,), backward, "tanh")
-
-
 def relu(a) -> Tensor:
     a = _wrap(a)
     data = np.maximum(a.data, 0.0)
@@ -299,24 +286,6 @@ def reshape(a, shape) -> Tensor:
         return ((a, g.reshape(a.data.shape)),)
 
     return _node(data, (a,), backward, "reshape")
-
-
-def transpose(a, axes=None) -> Tensor:
-    a = _wrap(a)
-    if axes is None:
-        data = np.swapaxes(a.data, -1, -2)
-
-        def backward(g):
-            return ((a, np.swapaxes(g, -1, -2)),)
-
-    else:
-        inverse = np.argsort(axes)
-        data = np.transpose(a.data, axes)
-
-        def backward(g):
-            return ((a, np.transpose(g, inverse)),)
-
-    return _node(data, (a,), backward, "transpose")
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -410,7 +379,7 @@ def gather_last(a, ids: np.ndarray) -> Tensor:
 def place_rows(a, rows: np.ndarray, n: int) -> Tensor:
     """Row i of `a` at row rows[i] of an n-row zero array; rows must be distinct.
 
-    The gradient gathers those rows back; `take_rows` is the inverse.
+    The gradient gathers those rows back.
     """
     a = _wrap(a)
     data = np.zeros((n,) + a.data.shape[1:])
@@ -420,19 +389,6 @@ def place_rows(a, rows: np.ndarray, n: int) -> Tensor:
         return ((a, g[rows]),)
 
     return _node(data, (a,), backward, "place_rows")
-
-
-def take_rows(a, rows: np.ndarray) -> Tensor:
-    """Rows `rows` of `a`, which must be distinct; the gradient places them back."""
-    a = _wrap(a)
-    data = a.data[rows]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[rows] = g
-        return ((a, ga),)
-
-    return _node(data, (a,), backward, "take_rows")
 
 
 def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
@@ -462,41 +418,58 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _node(data, (x, gamma, beta), backward, "layer_norm")
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """Additive attention mask: 0 at or before the query position, -1e9 after."""
-    mask = np.zeros((t, t), dtype=np.float64)
-    mask[np.triu_indices(t, k=1)] = -1e9
-    return mask
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Causal softmax(q·kᵀ/√d)·v over (..., T, d) arrays, and the weights P.
 
-
-def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor], eps: float = 1e-5, atol: float = 1e-8) -> float:
-    """Max over coordinates of |AD - FD| / max(atol, |AD| + |FD|).
-
-    f must rebuild the scalar loss from the current parameter values on every
-    call; central finite differences perturb each coordinate in place. Central
-    differences carry an absolute noise floor near 1e-10 for O(1) losses, so
-    coordinates whose true derivative sits below that floor cannot be compared
-    in purely relative terms; raising atol shifts them to an absolute check.
+    The last query sits at the last key, so query i sees keys up to
+    i + len(k) - len(q): a whole sequence is masked causally, and one
+    decoding step sees its entire cache. Masked weights are exactly 0.
     """
-    for p in params:
-        p.grad = None
-    loss = f()
-    if loss.data.size != 1:
-        raise ValueError("grad_check requires a scalar function")
-    loss.backward()
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-    worst = 0.0
-    for p, ad in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        ad_flat = ad.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + eps
-            up = float(f().data)
-            flat[i] = keep - eps
-            down = float(f().data)
-            flat[i] = keep
-            fd = (up - down) / (2.0 * eps)
-            rel = abs(ad_flat[i] - fd) / max(atol, abs(ad_flat[i]) + abs(fd))
-            worst = max(worst, rel)
-    return worst
+    tq, tk = q.shape[-2], k.shape[-2]
+    scores = np.matmul(q, np.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(q.shape[-1]))
+    if tq > 1:  # a lone query sits at the last key and sees them all
+        np.copyto(scores, -np.inf, where=np.arange(tk) > np.arange(tq)[:, None] + (tk - tq))
+    p = _softmax(scores)
+    return np.matmul(p, v), p
+
+
+def causal_attention(q, k, v, rows: np.ndarray, shape: tuple[int, int], heads: int) -> Tensor:
+    """Multi-head causal attention over packed (N, D) rows, as one node.
+
+    `rows` are the flat indices of the N real tokens on the (B, T) grid
+    `shape`. Q, K and V go onto that grid with zeros at PAD, each head runs
+    `_attention`, and the real rows come back packed; PAD only follows real
+    tokens, so the causal mask hides every PAD key from every real query.
+    The analytic backward (dV = Pᵀ·dO, dS = P∘(dP − rowsum(dP∘P))·scale,
+    dQ = dS·K, dK = (Qᵀ·dS)ᵀ) keeps the operation order of the elementary
+    ops it replaces, so both give the same bits.
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    b, t = shape
+    d = q.data.shape[-1]
+    scale = 1.0 / np.sqrt(d // heads)
+
+    def grid(a: np.ndarray) -> np.ndarray:
+        flat = np.zeros((b * t, d))
+        flat[rows] = a
+        return np.transpose(flat.reshape((b, t, heads, d // heads)), (0, 2, 1, 3))
+
+    def packed(a: np.ndarray) -> np.ndarray:
+        return np.transpose(a, (0, 2, 1, 3)).reshape((b * t, d))[rows]
+
+    qg, kg, vg = grid(q.data), grid(k.data), grid(v.data)
+    out, p = _attention(qg, kg, vg)
+
+    def backward(g):
+        dout = grid(g)
+        if v.requires_grad:
+            yield v, packed(np.matmul(np.swapaxes(p, -1, -2), dout))
+        if q.requires_grad or k.requires_grad:
+            dp = np.matmul(dout, np.swapaxes(vg, -1, -2))
+            ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+            if q.requires_grad:
+                yield q, packed(np.matmul(ds, kg))
+            if k.requires_grad:
+                yield k, packed(np.swapaxes(np.matmul(np.swapaxes(qg, -1, -2), ds), -1, -2))
+
+    return _node(packed(out), (q, k, v), backward, "causal_attention")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .numerics.tensor import _gelu, _layer_norm, _log_softmax, _softmax, reduce_sum, transpose
+from .numerics.tensor import _attention, _gelu, _layer_norm, _log_softmax, _softmax, reduce_sum
 from .rng import substream
 from .sequences import RESIDUES, Peptide, encode
 
@@ -148,9 +148,10 @@ class PolicyModel:
 
         Returns (hidden, rows): hidden is (N, D), one row per non-PAD token
         in row-major order, and rows holds their flat indices into `ids`.
-        Every token-wise op runs on these N rows. Only attention visits the
-        padded (B, H, T, T) grid, with zeros at PAD; that is exact because a
-        position attends to none after it and PAD only follows real tokens.
+        Every op runs on these N rows; each layer's attention is one
+        `nm.causal_attention` node, which alone visits the padded (B, T)
+        grid. That is exact because a position attends to none after it and
+        PAD only follows real tokens.
         """
         cfg = self.config
         b, t = ids.shape
@@ -162,26 +163,16 @@ class PolicyModel:
         if np.any(real[:, 1:] & ~real[:, :-1]):
             raise ValueError("the policy expects PAD only after the last real token of a row")
         rows = np.flatnonzero(real)
-        d = cfg.embed_dim
-        heads = cfg.n_heads
-        dh = d // heads
-        mask = nm.causal_mask(t)
-
-        def grid(a: nm.Tensor) -> nm.Tensor:
-            return transpose(nm.place_rows(a, rows, b * t).reshape((b, t, heads, dh)), (0, 2, 1, 3))
-
         x = nm.embedding(self.params["tok_embed"], ids.reshape(-1)[rows]) + nm.embedding(
             self.params["pos_embed"], rows % t
         )
         for i in range(cfg.n_layers):
             pre = f"layer{i}"
             h = nm.layer_norm(x, self.params[f"{pre}.ln1.g"], self.params[f"{pre}.ln1.b"])
-            q = grid(nm.matmul(h, self._weight(f"{pre}.attn.wq")) + self.params[f"{pre}.attn.qb"])
-            k = grid(nm.matmul(h, self._weight(f"{pre}.attn.wk")))
-            v = grid(nm.matmul(h, self._weight(f"{pre}.attn.wv")) + self.params[f"{pre}.attn.vb"])
-            scores = nm.matmul(q, transpose(k)) * (1.0 / np.sqrt(dh)) + mask
-            att = nm.softmax(scores, axis=-1)
-            ctx = nm.take_rows(transpose(nm.matmul(att, v), (0, 2, 1, 3)).reshape((b * t, d)), rows)
+            q = nm.matmul(h, self._weight(f"{pre}.attn.wq")) + self.params[f"{pre}.attn.qb"]
+            k = nm.matmul(h, self._weight(f"{pre}.attn.wk"))
+            v = nm.matmul(h, self._weight(f"{pre}.attn.wv")) + self.params[f"{pre}.attn.vb"]
+            ctx = nm.causal_attention(q, k, v, rows, (b, t), cfg.n_heads)
             x = x + nm.matmul(ctx, self._weight(f"{pre}.attn.wo")) + self.params[f"{pre}.attn.ob"]
             h2 = nm.layer_norm(x, self.params[f"{pre}.ln2.g"], self.params[f"{pre}.ln2.b"])
             m = nm.gelu(nm.matmul(h2, self.params[f"{pre}.mlp.w1"]) + self.params[f"{pre}.mlp.b1"])
@@ -563,9 +554,10 @@ class _Decoder:
 
     LoRA deltas are merged into the attention weights once, with the same
     expression as `PolicyModel._weight`. Each layer keeps the keys and
-    values of every position fed so far, so a step attends over the cache
-    instead of re-running the prefix. No autodiff graph is built, so the
-    logits of each step are checked for finiteness here.
+    values of every position fed so far, so a step runs the shared array
+    forward `_attention` for one query row over the cache instead of
+    re-running the prefix. No autodiff graph is built, so the logits of
+    each step are checked for finiteness here.
     """
 
     def __init__(self, model: PolicyModel, n: int, steps: int):
@@ -594,8 +586,7 @@ class _Decoder:
             q = (np.matmul(h, w[f"{pre}.attn.wq"]) + w[f"{pre}.attn.qb"]).reshape((n, heads, 1, dh))
             k_cache[:, :, t] = np.matmul(h, w[f"{pre}.attn.wk"]).reshape((n, heads, dh))
             v_cache[:, :, t] = (np.matmul(h, w[f"{pre}.attn.wv"]) + w[f"{pre}.attn.vb"]).reshape((n, heads, dh))
-            scores = np.matmul(q, np.swapaxes(k_cache[:, :, : t + 1], -1, -2)) * (1.0 / np.sqrt(dh))
-            ctx = np.matmul(_softmax(scores), v_cache[:, :, : t + 1]).reshape((n, cfg.embed_dim))
+            ctx = _attention(q, k_cache[:, :, : t + 1], v_cache[:, :, : t + 1])[0].reshape((n, cfg.embed_dim))
             x = x + np.matmul(ctx, w[f"{pre}.attn.wo"]) + w[f"{pre}.attn.ob"]
             h2 = _layer_norm(x, w[f"{pre}.ln2.g"], w[f"{pre}.ln2.b"])[0]
             m = _gelu(np.matmul(h2, w[f"{pre}.mlp.w1"]) + w[f"{pre}.mlp.b1"])[0]

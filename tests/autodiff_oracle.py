@@ -1,9 +1,11 @@
-"""Binary ops as they were before their backward skipped constant operands.
+"""Autodiff ops that `amprl.numerics` does not carry, for tests only.
 
-Each backward computes the gradient of both operands, and `Tensor.backward`
-discards the one that does not require a gradient. `test_numerics.py`
-checks that the pruned ops give the trainable operand the same gradient
-bit for bit.
+The binary ops are as they were before their backward skipped constant
+operands: each backward computes the gradient of both operands, and
+`Tensor.backward` discards the one that does not require a gradient.
+`test_numerics.py` checks that the pruned ops give the trainable operand the
+same gradient bit for bit. `tanh` builds the composed GELU that the fused
+`nm.gelu` is checked against.
 """
 import numpy as np
 
@@ -53,3 +55,13 @@ def minimum(a, b):
         )
 
     return _node(np.where(take_a, a.data, b.data), (a, b), backward, "minimum")
+
+
+def tanh(a):
+    a = _wrap(a)
+    data = np.tanh(a.data)
+
+    def backward(g):
+        return ((a, g * (1.0 - data * data)),)
+
+    return _node(data, (a,), backward, "tanh")

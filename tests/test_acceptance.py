@@ -26,6 +26,7 @@ from amprl.screening import annotate, novelty_filter, screen
 from amprl.sequences import Peptide, write_fasta
 
 from conftest import RESIDUES, random_peptides
+from gradcheck import grad_check
 
 
 @contextmanager
@@ -97,11 +98,11 @@ def test_criterion_3_gradient_fidelity(capsys):
         rng = np.random.default_rng(303)
 
         def t(shape, low=-2.0, high=2.0):
-            return nm.tensor(rng.uniform(low, high, shape), requires_grad=True)
+            return nm.Tensor(rng.uniform(low, high, shape), requires_grad=True)
 
         # fixed weights stop constant-sum outputs (softmax rows, centered
         # layer_norm) from cancelling to a zero gradient
-        w34 = nm.tensor(rng.normal(size=(3, 4)))
+        w34 = nm.Tensor(rng.normal(size=(3, 4)))
 
         a, b = t((3, 4)), t((3, 4))
         row, col = t((1, 4)), t((3, 1))
@@ -109,7 +110,7 @@ def test_criterion_3_gradient_fidelity(capsys):
         bm1, bm2 = t((2, 3, 5)), t((2, 5, 4))
         pos = t((3, 4), low=0.1, high=3.0)
         # offset keeps relu/clamp/minimum inputs away from their kinks
-        kinky = nm.tensor(np.where(np.abs(a.data) < 0.2, a.data + 0.4, a.data), requires_grad=True)
+        kinky = nm.Tensor(np.where(np.abs(a.data) < 0.2, a.data + 0.4, a.data), requires_grad=True)
         ln_g, ln_b = t((4,), low=0.5, high=1.5), t((4,))
         emb_table = t((7, 4))
         ids = rng.integers(0, 7, (3, 5))
@@ -139,7 +140,7 @@ def test_criterion_3_gradient_fidelity(capsys):
             ("reshape/mean", lambda: (a.reshape((4, 3)) * a.reshape((4, 3))).mean(), [a]),
         ]
         for name, fn, params in checks:
-            err = nm.grad_check(fn, params)
+            err = grad_check(fn, params)
             assert err < 1e-4, f"{name}: {err}"
 
         toy = ModelConfig(embed_dim=16, n_layers=2, n_heads=2, max_len=10, mlp_ratio=2, init_std=0.05)
@@ -154,7 +155,7 @@ def test_criterion_3_gradient_fidelity(capsys):
         )
         # near-zero derivatives sit below the finite-difference noise floor,
         # so full-network checks use the absolute fallback for those entries
-        err = nm.grad_check(lambda: sft_loss(model, batch).mean, model.trainable(), atol=1e-5)
+        err = grad_check(lambda: sft_loss(model, batch).mean, model.trainable(), atol=1e-5)
         assert err < 1e-4, f"sft loss: {err}"
 
         class HalfScorer:
@@ -177,7 +178,7 @@ def test_criterion_3_gradient_fidelity(capsys):
         rows = np.arange(roll.ids.shape[0])
         # old log-probs came from this same policy, so every ratio starts at 1,
         # inside the clip window: a clip-branch-stable point
-        err = nm.grad_check(
+        err = grad_check(
             lambda: _minibatch_losses(policy, roll, rows, ppo_cfg).total,
             policy.trainable(),
             atol=1e-5,

@@ -130,7 +130,7 @@ def test_focal_loss_reduces_to_cross_entropy():
         n = int(rng.integers(2, 40))
         p = rng.uniform(0.02, 0.98, size=n)
         y = rng.integers(0, 2, size=n).astype(float)
-        loss = focal_loss(nm.tensor(p), y, alpha=np.ones(n), gamma=0.0)
+        loss = focal_loss(nm.Tensor(p), y, alpha=np.ones(n), gamma=0.0)
         assert abs(loss.item() - _bce(p, y)) < 1e-12
 
 
@@ -142,14 +142,14 @@ def test_focal_loss_matches_direct_formula():
     gamma = 2.0
     p_true = np.where(y == 1, p, 1 - p)
     expected = float(np.mean(-alpha * (1 - p_true) ** gamma * np.log(p_true)))
-    loss = focal_loss(nm.tensor(p), y, alpha=alpha, gamma=gamma)
+    loss = focal_loss(nm.Tensor(p), y, alpha=alpha, gamma=gamma)
     assert loss.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_focal_gamma_downweights_confident_samples():
     p = np.array([0.9])
     y = np.array([1.0])
-    losses = [focal_loss(nm.tensor(p), y, alpha=np.ones(1), gamma=g).item() for g in (0.0, 1.0, 2.0, 4.0)]
+    losses = [focal_loss(nm.Tensor(p), y, alpha=np.ones(1), gamma=g).item() for g in (0.0, 1.0, 2.0, 4.0)]
     assert losses == sorted(losses, reverse=True)
 
 

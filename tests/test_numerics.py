@@ -10,14 +10,17 @@ import pytest
 import adam_oracle
 import amprl.numerics as nm
 import autodiff_oracle
+import trunk_oracle
 from amprl.numerics.optim import Adam
-from amprl.numerics.tensor import _power, add, mul, reduce_mean, tanh
+from amprl.numerics.tensor import _attention, _power, add, mul, reduce_mean
+from autodiff_oracle import tanh
+from gradcheck import grad_check
 
 TOL = 1e-4  # relative error bound for central finite differences
 
 
 def _param(rng, *shape):
-    return nm.tensor(rng.normal(size=shape), requires_grad=True)
+    return nm.Tensor(rng.normal(size=shape), requires_grad=True)
 
 
 def test_add_mul_sub_div_grads():
@@ -26,9 +29,9 @@ def test_add_mul_sub_div_grads():
     b = _param(rng, 3, 4)
 
     def f():
-        return ((a + b) * a - b / (a * a + nm.tensor(2.0))).sum()
+        return ((a + b) * a - b / (a * a + nm.Tensor(2.0))).sum()
 
-    assert nm.grad_check(f, [a, b]) < TOL
+    assert grad_check(f, [a, b]) < TOL
 
 
 def test_broadcasting_grads():
@@ -40,7 +43,7 @@ def test_broadcasting_grads():
     def f():
         return ((a + row) * col).mean()
 
-    assert nm.grad_check(f, [a, row, col]) < TOL
+    assert grad_check(f, [a, row, col]) < TOL
 
 
 def test_matmul_grads():
@@ -51,7 +54,7 @@ def test_matmul_grads():
     def f():
         return nm.matmul(a, b).sum()
 
-    assert nm.grad_check(f, [a, b]) < TOL
+    assert grad_check(f, [a, b]) < TOL
 
 
 def test_batched_matmul_grads():
@@ -62,7 +65,7 @@ def test_batched_matmul_grads():
     def f():
         return nm.matmul(a, b).mean()
 
-    assert nm.grad_check(f, [a, b]) < TOL
+    assert grad_check(f, [a, b]) < TOL
 
 
 @pytest.mark.parametrize("op", [nm.exp, nm.sigmoid, nm.gelu, nm.softmax, nm.log_softmax])
@@ -70,22 +73,22 @@ def test_smooth_unary_grads(op):
     rng = np.random.default_rng(4)
     a = _param(rng, 5, 6)
     # weighted sum: a plain softmax(a).sum() is constant in a
-    w = nm.tensor(rng.normal(size=(5, 6)))
+    w = nm.Tensor(rng.normal(size=(5, 6)))
 
     def f():
         return (op(a) * w).sum()
 
-    assert nm.grad_check(f, [a]) < TOL
+    assert grad_check(f, [a]) < TOL
 
 
 def test_log_grad_on_positive_inputs():
     rng = np.random.default_rng(5)
-    a = nm.tensor(rng.uniform(0.5, 3.0, size=(4, 4)), requires_grad=True)
+    a = nm.Tensor(rng.uniform(0.5, 3.0, size=(4, 4)), requires_grad=True)
 
     def f():
         return nm.log(a).sum()
 
-    assert nm.grad_check(f, [a]) < TOL
+    assert grad_check(f, [a]) < TOL
 
 
 def test_relu_and_clamp_grads_away_from_kinks():
@@ -93,42 +96,42 @@ def test_relu_and_clamp_grads_away_from_kinks():
     data = rng.normal(size=(5, 5))
     for kink in (0.0, -0.5, 0.5):  # keep clear of the hinge points
         data[np.abs(data - kink) < 0.05] = 0.25
-    a = nm.tensor(data, requires_grad=True)
+    a = nm.Tensor(data, requires_grad=True)
 
     def f():
         return (nm.relu(a) + nm.clamp(a, -0.5, 0.5)).sum()
 
-    assert nm.grad_check(f, [a]) < TOL
+    assert grad_check(f, [a]) < TOL
 
 
 def test_minimum_grads_away_from_ties():
     rng = np.random.default_rng(7)
     a = _param(rng, 6)
-    b = nm.tensor(a.data + np.where(rng.normal(size=6) > 0, 1.0, -1.0), requires_grad=True)
+    b = nm.Tensor(a.data + np.where(rng.normal(size=6) > 0, 1.0, -1.0), requires_grad=True)
 
     def f():
         return nm.minimum(a, b).sum()
 
-    assert nm.grad_check(f, [a, b]) < TOL
+    assert grad_check(f, [a, b]) < TOL
 
 
 def test_layer_norm_grads():
     rng = np.random.default_rng(8)
     x = _param(rng, 3, 8)
-    gamma = nm.tensor(np.ones(8), requires_grad=True)
-    beta = nm.tensor(np.zeros(8), requires_grad=True)
-    w = nm.tensor(rng.normal(size=(3, 8)))
+    gamma = nm.Tensor(np.ones(8), requires_grad=True)
+    beta = nm.Tensor(np.zeros(8), requires_grad=True)
+    w = nm.Tensor(rng.normal(size=(3, 8)))
 
     def f():
         return (nm.layer_norm(x, gamma, beta) * w).sum()
 
-    assert nm.grad_check(f, [x, gamma, beta]) < TOL
+    assert grad_check(f, [x, gamma, beta]) < TOL
 
 
 def test_layer_norm_output_is_standardized():
     rng = np.random.default_rng(9)
-    x = nm.tensor(rng.normal(size=(4, 16)) * 3 + 5)
-    y = nm.layer_norm(x, nm.tensor(np.ones(16)), nm.tensor(np.zeros(16)))
+    x = nm.Tensor(rng.normal(size=(4, 16)) * 3 + 5)
+    y = nm.layer_norm(x, nm.Tensor(np.ones(16)), nm.Tensor(np.zeros(16)))
     assert np.allclose(y.data.mean(axis=-1), 0.0, atol=1e-7)
     assert np.allclose(y.data.std(axis=-1), 1.0, atol=1e-3)
 
@@ -149,7 +152,7 @@ def _composed_layer_norm(x, gamma, beta, eps=1e-5):
 
 def test_fused_gelu_matches_composed_ops():
     rng = np.random.default_rng(21)
-    x = nm.tensor(rng.normal(size=(4, 7, 33)) * 3.0, requires_grad=True)
+    x = nm.Tensor(rng.normal(size=(4, 7, 33)) * 3.0, requires_grad=True)
     w = rng.normal(size=x.shape)
     fused = nm.gelu(x)
     composed = _composed_gelu(x)
@@ -163,9 +166,9 @@ def test_fused_gelu_matches_composed_ops():
 
 def test_fused_layer_norm_matches_composed_ops():
     rng = np.random.default_rng(22)
-    x = nm.tensor(rng.normal(size=(3, 5, 24)) * 4.0 + 2.0, requires_grad=True)
-    gamma = nm.tensor(rng.uniform(0.5, 1.5, 24), requires_grad=True)
-    beta = nm.tensor(rng.normal(size=24), requires_grad=True)
+    x = nm.Tensor(rng.normal(size=(3, 5, 24)) * 4.0 + 2.0, requires_grad=True)
+    gamma = nm.Tensor(rng.uniform(0.5, 1.5, 24), requires_grad=True)
+    beta = nm.Tensor(rng.normal(size=24), requires_grad=True)
     w = rng.normal(size=x.shape)
     fused = nm.layer_norm(x, gamma, beta)
     composed = _composed_layer_norm(x, gamma, beta)
@@ -189,23 +192,131 @@ def test_embedding_and_gather_grads():
         e = nm.embedding(table, ids)
         return nm.gather_last(e, picks).sum()
 
-    assert nm.grad_check(f, [table]) < TOL
+    assert grad_check(f, [table]) < TOL
 
 
-def test_place_and_take_rows():
+def test_place_rows():
     rng = np.random.default_rng(13)
     packed = _param(rng, 4, 3)
-    grid = _param(rng, 6, 2, 3)
     rows = np.array([0, 2, 3, 5])
     placed = nm.place_rows(packed, rows, 6)
     assert placed.shape == (6, 3)
     assert np.array_equal(placed.data[rows], packed.data)
     assert np.all(placed.data[[1, 4]] == 0.0)
-    assert np.array_equal(nm.take_rows(placed, rows).data, packed.data)
-    assert np.array_equal(nm.take_rows(grid, rows[::-1]).data, grid.data[rows[::-1]])
     w = rng.normal(size=(6, 3))
-    assert nm.grad_check(lambda: (nm.place_rows(packed, rows, 6) * w).sum(), [packed]) < TOL
-    assert nm.grad_check(lambda: (nm.take_rows(grid, rows[::-1]) * w[:4, None]).sum(), [grid]) < TOL
+    assert grad_check(lambda: (nm.place_rows(packed, rows, 6) * w).sum(), [packed]) < TOL
+
+
+# (row lengths, grid width, heads): PAD follows the real tokens of each row
+ATTENTION_CASES = {
+    "unequal_rows": ([5, 2, 4], 5, 2),
+    "length_one_rows": ([1, 4, 1], 4, 2),
+    "trailing_pad_columns": ([3, 2, 1], 6, 2),
+    "one_full_row_one_head": ([4], 4, 1),
+}
+
+
+def _packed_rows(lengths, width):
+    return np.flatnonzero(np.arange(width) < np.array(lengths)[:, None])
+
+
+def _attention_block(h, p, attend, rows, shape, heads):
+    """Attention sublayer of the policy trunk with LoRA on all four projections."""
+
+    def proj(x, name):
+        return nm.matmul(x, p[name] + nm.matmul(p[name + ".a"], p[name + ".b"]) * 0.5)
+
+    ctx = attend(proj(h, "wq") + p["qb"], proj(h, "wk"), proj(h, "wv") + p["vb"], rows, shape, heads)
+    return proj(ctx, "wo")
+
+
+def _out_and_grads(loss_of, leaves, w):
+    """Output of `loss_of()` and the leaf gradients of (output * w).sum()."""
+    out = loss_of()
+    (out * w).sum().backward()
+    grads = [t.grad for t in leaves]
+    for t in leaves:
+        t.grad = None
+    return out.data, grads
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+def test_causal_attention_matches_composed_ops_bit_for_bit(case):
+    lengths, width, heads = ATTENTION_CASES[case]
+    rng = np.random.default_rng(40 + sorted(ATTENTION_CASES).index(case))
+    rows = _packed_rows(lengths, width)
+    shape, n, d = (len(lengths), width), rows.size, 4 * heads
+    ops = (nm.causal_attention, trunk_oracle.composed_attention)
+
+    # Q, K and V as leaves, and again with K constant as under frozen LoRA
+    for k_trainable in (True, False):
+        qkv = [_param(rng, n, d) for _ in range(3)]
+        qkv[1].requires_grad = k_trainable
+        w = rng.normal(size=(n, d))
+        (got, got_grads), (want, want_grads) = (
+            _out_and_grads(lambda: attend(*qkv, rows, shape, heads), qkv, w) for attend in ops
+        )
+        assert np.array_equal(got, want)
+        for g, e in zip(got_grads, want_grads):
+            assert (g is None and e is None) or np.array_equal(g, e)
+        assert (got_grads[1] is None) is not k_trainable
+
+    # the same through projections that carry LoRA deltas on wq, wk, wv and wo
+    p = {"qb": _param(rng, d), "vb": _param(rng, d)}
+    for name in ("wq", "wk", "wv", "wo"):
+        p[name] = _param(rng, d, d)
+        p[name + ".a"], p[name + ".b"] = _param(rng, d, 2), _param(rng, 2, d)
+    h = _param(rng, n, d)
+    leaves = [h, *p.values()]
+    w = rng.normal(size=(n, d))
+    (got, got_grads), (want, want_grads) = (
+        _out_and_grads(lambda: _attention_block(h, p, attend, rows, shape, heads), leaves, w) for attend in ops
+    )
+    assert np.array_equal(got, want)
+    for g, e in zip(got_grads, want_grads):
+        assert np.array_equal(g, e)
+
+
+def test_causal_attention_grad_check():
+    rng = np.random.default_rng(45)
+    rows = _packed_rows([3, 1, 2], 4)
+    qkv = [_param(rng, rows.size, 4) for _ in range(3)]
+    w = rng.normal(size=(rows.size, 4))
+    assert grad_check(lambda: (nm.causal_attention(*qkv, rows, (3, 4), 2) * w).sum(), qkv) < TOL
+
+
+def test_attention_masks_the_keys_after_each_query():
+    rng = np.random.default_rng(46)
+    k, v = rng.normal(size=(2, 3, 5, 4)), rng.normal(size=(2, 3, 5, 4))
+    for tq in (5, 2, 1):
+        q = rng.normal(size=(2, 3, tq, 4))
+        out, p = _attention(q, k, v)
+        assert out.shape == q.shape and p.shape == (2, 3, tq, 5)
+        # query i sits at key position i + 5 - tq and sees no key after it
+        for i in range(tq):
+            at = i + 5 - tq
+            assert np.all(p[..., i, at + 1 :] == 0.0)
+            assert np.all(p[..., i, : at + 1] > 0.0)
+            assert np.allclose(p[..., i, :].sum(axis=-1), 1.0, atol=1e-12)
+        later = k.copy(), v.copy()
+        for a in later:
+            a[..., 5 - tq + 1 :, :] += 1.0  # keys after the first query only
+        assert np.array_equal(_attention(q, *later)[0][..., 0, :], out[..., 0, :])
+
+
+def test_decoder_step_attention_matches_the_full_causal_row():
+    # the decoder's call: one query row over a cache that holds keys 0..t
+    rng = np.random.default_rng(47)
+    n, heads, steps, dh = 3, 2, 9, 4
+    q, k, v = (rng.normal(size=(n, heads, steps, dh)) for _ in range(3))
+    full = _attention(q, k, v)[0]
+    k_cache, v_cache = np.zeros_like(k), np.zeros_like(v)
+    for t in range(steps):
+        k_cache[:, :, t], v_cache[:, :, t] = k[:, :, t], v[:, :, t]
+        row = q[:, :, t].reshape((n, heads, 1, dh))
+        step = _attention(row, k_cache[:, :, : t + 1], v_cache[:, :, : t + 1])[0]
+        # one row is a BLAS gemv and the full grid a gemm, so rounding may differ
+        assert np.max(np.abs(step[:, :, 0] - full[:, :, t])) <= 1e-14
 
 
 def test_reshape_mean_sum_grads():
@@ -215,24 +326,24 @@ def test_reshape_mean_sum_grads():
     def f():
         return a.reshape(3, 4).mean(axis=0).sum() + a.sum(axis=1, keepdims=True).mean()
 
-    assert nm.grad_check(f, [a]) < TOL
+    assert grad_check(f, [a]) < TOL
 
 
 def test_gradient_accumulates_when_tensor_is_reused():
-    x = nm.tensor(np.array([2.0]), requires_grad=True)
+    x = nm.Tensor(np.array([2.0]), requires_grad=True)
     y = x * x + x  # dy/dx = 2x + 1 = 5
     y.backward()
     assert x.grad[0] == pytest.approx(5.0)
 
 
 def test_backward_requires_scalar():
-    a = nm.tensor(np.ones((2, 2)), requires_grad=True)
+    a = nm.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         (a * 2).backward()
 
 
 def test_nonfinite_result_trips_error():
-    a = nm.tensor(np.array([-1.0]), requires_grad=True)
+    a = nm.Tensor(np.array([-1.0]), requires_grad=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(FloatingPointError):
@@ -241,27 +352,16 @@ def test_nonfinite_result_trips_error():
 
 def test_softmax_rows_normalize():
     rng = np.random.default_rng(12)
-    s = nm.softmax(nm.tensor(rng.normal(size=(3, 9)) * 10))
+    s = nm.softmax(nm.Tensor(rng.normal(size=(3, 9)) * 10))
     assert np.allclose(s.data.sum(axis=-1), 1.0, atol=1e-12)
-    assert np.allclose(np.exp(nm.log_softmax(nm.tensor(rng.normal(size=(3, 9)))).data).sum(axis=-1), 1.0)
+    assert np.allclose(np.exp(nm.log_softmax(nm.Tensor(rng.normal(size=(3, 9)))).data).sum(axis=-1), 1.0)
 
 
 def test_softmax_is_shift_stable():
     x = np.array([[1000.0, 1000.5, 999.0]])
-    s = nm.softmax(nm.tensor(x))
+    s = nm.softmax(nm.Tensor(x))
     assert np.isfinite(s.data).all()
     assert s.data.sum() == pytest.approx(1.0)
-
-
-def test_causal_mask_blocks_future_positions():
-    m = nm.causal_mask(5)
-    assert m.shape == (5, 5)
-    for i in range(5):
-        for j in range(5):
-            if j <= i:
-                assert m[i, j] == 0.0
-            else:
-                assert m[i, j] <= -1e8
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -287,12 +387,12 @@ def test_checkpoint_missing_file(tmp_path):
 
 def test_adam_descends_quadratic():
     target = np.array([1.0, -2.0, 3.0])
-    x = nm.tensor(np.zeros(3), requires_grad=True)
+    x = nm.Tensor(np.zeros(3), requires_grad=True)
     opt = Adam([x], lr=0.1)
     first = None
     for step in range(200):
         opt.zero_grad()
-        diff = x - nm.tensor(target)
+        diff = x - nm.Tensor(target)
         loss = (diff * diff).sum()
         if first is None:
             first = loss.item()
@@ -307,8 +407,8 @@ def test_adam_matches_oracle_bit_for_bit(hyper):
     rng = np.random.default_rng(11)
     shapes = [(425, 256), (256,), (64,), ()]
     start = [rng.normal(size=shape) for shape in shapes]
-    params = [nm.tensor(x.copy(), requires_grad=True) for x in start]
-    oracle_params = [nm.tensor(x.copy(), requires_grad=True) for x in start]
+    params = [nm.Tensor(x.copy(), requires_grad=True) for x in start]
+    oracle_params = [nm.Tensor(x.copy(), requires_grad=True) for x in start]
     opt = Adam(params, **hyper)
     oracle = adam_oracle.Adam(oracle_params, **hyper)
     pools = [[rng.normal(size=shape) for _ in range(4)] for shape in shapes]
@@ -333,8 +433,8 @@ def test_adam_matches_oracle_bit_for_bit(hyper):
 
 def test_adam_step_allocates_no_parameter_sized_temporaries():
     rng = np.random.default_rng(12)
-    weight = nm.tensor(rng.normal(size=(425, 256)), requires_grad=True)
-    bias = nm.tensor(rng.normal(size=256), requires_grad=True)
+    weight = nm.Tensor(rng.normal(size=(425, 256)), requires_grad=True)
+    bias = nm.Tensor(rng.normal(size=256), requires_grad=True)
     opt = Adam([weight, bias])
     weight.grad = rng.normal(size=weight.shape)
     bias.grad = rng.normal(size=bias.shape)
@@ -349,7 +449,7 @@ def test_adam_step_allocates_no_parameter_sized_temporaries():
 
 
 def _const(rng, *shape):
-    return nm.tensor(rng.normal(size=shape))
+    return nm.Tensor(rng.normal(size=shape))
 
 
 PRUNED_CASES = {
@@ -357,13 +457,13 @@ PRUNED_CASES = {
     "add_const_first": ("add", lambda rng: (_const(rng, 5, 3), _param(rng, 5, 3))),
     "mul_broadcast": ("mul", lambda rng: (_param(rng, 4, 3), _const(rng, 4, 1))),
     "mul_const_first": ("mul", lambda rng: (_const(rng, 3), _param(rng, 4, 3))),
-    "mul_scalar": ("mul", lambda rng: (_param(rng, 4, 3), nm.tensor(-1.0))),
+    "mul_scalar": ("mul", lambda rng: (_param(rng, 4, 3), nm.Tensor(-1.0))),
     "matmul_2d_weight": ("matmul", lambda rng: (_const(rng, 6, 5), _param(rng, 5, 3))),
     "matmul_2d_input": ("matmul", lambda rng: (_param(rng, 6, 5), _const(rng, 5, 3))),
     "matmul_batched_weight": ("matmul", lambda rng: (_const(rng, 2, 6, 5), _param(rng, 5, 3))),
     "matmul_batched_input": ("matmul", lambda rng: (_param(rng, 2, 6, 5), _const(rng, 5, 3))),
     "matmul_batched_both": ("matmul", lambda rng: (_const(rng, 2, 6, 5), _param(rng, 2, 5, 3))),
-    "minimum_with_ties": ("minimum", lambda rng: (_param(rng, 4, 5), nm.tensor(np.zeros(5)))),
+    "minimum_with_ties": ("minimum", lambda rng: (_param(rng, 4, 5), nm.Tensor(np.zeros(5)))),
     "minimum_const_first": ("minimum", lambda rng: (_const(rng, 5), _param(rng, 3, 5))),
 }
 
@@ -376,12 +476,12 @@ def test_pruned_backward_matches_oracle_for_the_trainable_operand(case):
     if op == "minimum" and a.requires_grad:
         a.data[0, :2] = 0.0  # ties route the gradient to the first argument
     trainable = a if a.requires_grad else b
-    twin = nm.tensor(trainable.data.copy(), requires_grad=True)
+    twin = nm.Tensor(trainable.data.copy(), requires_grad=True)
     out = {"add": add, "mul": mul, "matmul": nm.matmul, "minimum": nm.minimum}[op](a, b)
     oracle_args = (twin, b) if trainable is a else (a, twin)
     expected = getattr(autodiff_oracle, op)(*oracle_args)
     assert np.array_equal(out.data, expected.data)
-    weights = nm.tensor(rng.normal(size=out.shape))
+    weights = nm.Tensor(rng.normal(size=out.shape))
     (out * weights).sum().backward()
     (expected * weights).sum().backward()
     assert np.array_equal(trainable.grad, twin.grad)
@@ -393,14 +493,14 @@ def test_pruned_backward_matches_oracle_for_the_trainable_operand(case):
 
 def test_grad_check_flags_missing_gradient_paths():
     # sanity: the checker must notice when part of the loss bypasses autodiff
-    a = nm.tensor(np.zeros(3), requires_grad=True)
+    a = nm.Tensor(np.zeros(3), requires_grad=True)
 
     def honest():
         return (a * a).sum()
 
     def leaky():
         # second term reads the raw buffer, so AD never sees it
-        return (a * a).sum() + nm.tensor(float(a.data.sum()))
+        return (a * a).sum() + nm.Tensor(float(a.data.sum()))
 
-    assert nm.grad_check(honest, [a]) < TOL
-    assert nm.grad_check(leaky, [a]) > 0.1
+    assert grad_check(honest, [a]) < TOL
+    assert grad_check(leaky, [a]) > 0.1

@@ -29,6 +29,7 @@ import encoding_oracle
 import sampler_oracle
 import trunk_oracle
 from conftest import RESIDUES, random_peptides
+from gradcheck import grad_check
 
 TOY = ModelConfig(embed_dim=16, n_layers=2, n_heads=2, max_len=20, mlp_ratio=2, init_std=0.02)
 # the reduced model of the benchmark workloads
@@ -270,7 +271,7 @@ def test_sft_loss_grad_check_with_padding_and_lora():
             t.data += rng.normal(0.0, 0.1, size=t.data.shape)
     batch = _batch([1, 3, 8], pad_to=config.context_len, seed=9)
     assert batch.ids.shape[1] > 8 + 2  # PAD columns beyond the longest row
-    err = nm.grad_check(lambda: sft_loss(model, batch).mean, model.trainable(), atol=1e-5)
+    err = grad_check(lambda: sft_loss(model, batch).mean, model.trainable(), atol=1e-5)
     assert err < 1e-4
 
 
@@ -418,3 +419,11 @@ def test_sample_fails_loudly_on_a_nan_weight():
     model.params["layer1.mlp.w1"].data[3, 5] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite"):
         sample(model, 4, seed=0)
+
+
+def test_sft_loss_fails_loudly_on_a_nan_weight():
+    model = PolicyModel.init(TOY, seed=13)
+    model.params["layer0.attn.wk"].data[2, 7] = np.nan
+    batch = encode_batch([_pep("ACDEFG"), _pep("KLM")])
+    with pytest.raises(FloatingPointError, match=r"non-finite result in op '\w+'"):
+        sft_loss(model, batch)

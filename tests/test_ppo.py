@@ -211,12 +211,12 @@ def test_ppo_losses_match_numpy_oracle():
     cfg = _cfg()
     mask, old, new, adv, values, returns, entropy = _loss_fixture(rng)
     out = ppo_losses(
-        nm.tensor(new, requires_grad=True),
+        nm.Tensor(new, requires_grad=True),
         old,
         adv,
-        nm.tensor(values, requires_grad=True),
+        nm.Tensor(values, requires_grad=True),
         returns,
-        nm.tensor(entropy),
+        nm.Tensor(entropy),
         mask,
         cfg,
     )
@@ -252,12 +252,12 @@ def test_ppo_losses_ratio_identity_at_snapshot():
     adv = rng.normal(size=(2, 4))
     returns = rng.normal(size=(2, 4))
     out = ppo_losses(
-        nm.tensor(old.copy(), requires_grad=True),
+        nm.Tensor(old.copy(), requires_grad=True),
         old,
         adv,
-        nm.tensor(returns.copy(), requires_grad=True),
+        nm.Tensor(returns.copy(), requires_grad=True),
         returns,
-        nm.tensor(np.ones((2, 4))),
+        nm.Tensor(np.ones((2, 4))),
         mask,
         cfg,
     )
@@ -275,12 +275,12 @@ def test_clip_is_one_sided():
     new = np.full((1, 2), math.log(2.0))  # ratio 2 at both steps
     adv = np.array([[1.0, -1.0]])
     out = ppo_losses(
-        nm.tensor(new, requires_grad=True),
+        nm.Tensor(new, requires_grad=True),
         old,
         adv,
-        nm.tensor(np.zeros((1, 2)), requires_grad=True),
+        nm.Tensor(np.zeros((1, 2)), requires_grad=True),
         np.zeros((1, 2)),
-        nm.tensor(np.zeros((1, 2))),
+        nm.Tensor(np.zeros((1, 2))),
         mask,
         cfg,
     )
@@ -294,12 +294,12 @@ def test_log_prob_gap_guard():
     new = np.array([[0.0, -60.0, 0.0]])
     with pytest.raises(FloatingPointError, match="gap"):
         ppo_losses(
-            nm.tensor(new, requires_grad=True),
+            nm.Tensor(new, requires_grad=True),
             old,
             np.zeros((1, 3)),
-            nm.tensor(np.zeros((1, 3)), requires_grad=True),
+            nm.Tensor(np.zeros((1, 3)), requires_grad=True),
             np.zeros((1, 3)),
-            nm.tensor(np.zeros((1, 3))),
+            nm.Tensor(np.zeros((1, 3))),
             mask,
             _cfg(),
         )

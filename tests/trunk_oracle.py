@@ -4,12 +4,79 @@ Every op runs on the full (B, T) grid, PAD positions included, and the
 losses multiply a mask over PAD. `test_policy.py` checks the packed trunk
 against it at every non-PAD position: log-probs, values, the SFT loss and
 every trainable gradient.
+
+`composed_attention` is the chain of elementary autodiff ops that
+`nm.causal_attention` fused into one node; `test_numerics.py` checks the
+fused node against it bit for bit.
 """
 import numpy as np
 
 import amprl.numerics as nm
-from amprl.numerics.tensor import reduce_sum, transpose
+from amprl.numerics.tensor import _node, _wrap, reduce_sum
 from amprl.policy import BOS, EOS, N_ACTIONS, NEG, PAD
+
+
+def transpose(a, axes=None):
+    """Swap the last two axes, or permute by `axes`."""
+    a = _wrap(a)
+    if axes is None:
+        data = np.swapaxes(a.data, -1, -2)
+
+        def backward(g):
+            return ((a, np.swapaxes(g, -1, -2)),)
+
+    else:
+        inverse = np.argsort(axes)
+        data = np.transpose(a.data, axes)
+
+        def backward(g):
+            return ((a, np.transpose(g, inverse)),)
+
+    return _node(data, (a,), backward, "transpose")
+
+
+def take_rows(a, rows):
+    """Rows `rows` of `a`, which must be distinct; the gradient places them back."""
+    a = _wrap(a)
+
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        ga[rows] = g
+        return ((a, ga),)
+
+    return _node(a.data[rows], (a,), backward, "take_rows")
+
+
+def causal_mask(t):
+    """Additive attention mask: 0 at or before the query position, -1e9 after."""
+    mask = np.zeros((t, t), dtype=np.float64)
+    mask[np.triu_indices(t, k=1)] = -1e9
+    return mask
+
+
+def _grid_attention(q, k, v, heads):
+    """Causal multi-head attention of (B, T, D) tensors, from elementary ops."""
+    b, t, d = q.shape
+    dh = d // heads
+
+    def split(a):
+        return transpose(a.reshape((b, t, heads, dh)), (0, 2, 1, 3))
+
+    scores = nm.matmul(split(q), transpose(split(k))) * (1.0 / np.sqrt(dh)) + causal_mask(t)
+    att = nm.softmax(scores, axis=-1)
+    return transpose(nm.matmul(att, split(v)), (0, 2, 1, 3)).reshape((b, t, d))
+
+
+def composed_attention(q, k, v, rows, shape, heads):
+    """`nm.causal_attention` from elementary ops: place the packed rows on the
+    (B, T) grid, attend there, and take the real rows back."""
+    b, t = shape
+    d = q.shape[-1]
+
+    def grid(a):
+        return nm.place_rows(a, rows, b * t).reshape((b, t, d))
+
+    return take_rows(_grid_attention(grid(q), grid(k), grid(v), heads).reshape((b * t, d)), rows)
 
 
 def forward_hidden(model, ids):
@@ -20,10 +87,6 @@ def forward_hidden(model, ids):
         raise ValueError(f"input length {t} exceeds context {cfg.context_len}")
     if not np.all(ids[:, 0] == BOS):
         raise ValueError("the policy expects BOS-prefixed rows")
-    d = cfg.embed_dim
-    heads = cfg.n_heads
-    dh = d // heads
-    mask = nm.causal_mask(t)
     p = model.params
 
     x = nm.embedding(p["tok_embed"], ids) + nm.embedding(p["pos_embed"], np.arange(t))
@@ -33,12 +96,7 @@ def forward_hidden(model, ids):
         q = nm.matmul(h, model._weight(f"{pre}.attn.wq")) + p[f"{pre}.attn.qb"]
         k = nm.matmul(h, model._weight(f"{pre}.attn.wk"))
         v = nm.matmul(h, model._weight(f"{pre}.attn.wv")) + p[f"{pre}.attn.vb"]
-        q = transpose(q.reshape((b, t, heads, dh)), (0, 2, 1, 3))
-        k = transpose(k.reshape((b, t, heads, dh)), (0, 2, 1, 3))
-        v = transpose(v.reshape((b, t, heads, dh)), (0, 2, 1, 3))
-        scores = nm.matmul(q, transpose(k)) * (1.0 / np.sqrt(dh)) + mask
-        att = nm.softmax(scores, axis=-1)
-        ctx = transpose(nm.matmul(att, v), (0, 2, 1, 3)).reshape((b, t, d))
+        ctx = _grid_attention(q, k, v, cfg.n_heads)
         x = x + nm.matmul(ctx, model._weight(f"{pre}.attn.wo")) + p[f"{pre}.attn.ob"]
         h2 = nm.layer_norm(x, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
         m = nm.gelu(nm.matmul(h2, p[f"{pre}.mlp.w1"]) + p[f"{pre}.mlp.b1"])
