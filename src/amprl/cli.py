@@ -56,16 +56,15 @@ def _resolve_output_dir(args, cfg: dict) -> Path:
 
 
 def _validate_sections(cfg: dict) -> None:
-    try:
-        model_config(cfg)
-        sft_config(cfg)
-        mic_config(cfg)
-        reward_config(cfg)
-        ppo_config(cfg)
-        screen_config(cfg)
-        scale_table(cfg)
-    except (ValueError, OSError) as err:
-        raise ConfigError(str(err)) from None
+    builders = (
+        ("model", model_config), ("sft", sft_config), ("mic", mic_config), ("reward", reward_config),
+        ("ppo", ppo_config), ("screen", screen_config), ("scales", scale_table),
+    )
+    for name, build in builders:
+        try:
+            build(cfg)
+        except (ValueError, TypeError, OSError) as err:
+            raise ConfigError(f"{name}: {err}") from None
 
 
 def _write_manifest(args, out: Path) -> None:

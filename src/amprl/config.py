@@ -35,7 +35,7 @@ def _section(instance, null_seed: bool = False) -> dict:
 def default_config() -> dict:
     return {
         "seed": 0,
-        "paths": {"data": ".", "checkpoints": ".", "outputs": "."},
+        "paths": {"outputs": "."},
         "model": _section(ModelConfig()),
         "sft": _section(SftConfig(), null_seed=True),
         "mic": _section(MicConfig(), null_seed=True),

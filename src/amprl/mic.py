@@ -164,14 +164,14 @@ class MicConfig:
     alpha_pos: float | None = None
     alpha_neg: float | None = None
     threshold: float = 0.5
-    cutoff: float = 0.4
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.hidden or min(self.hidden) < 1:
             raise ValueError("hidden sizes must be positive")
-        if not (0.0 < self.threshold < 1.0) or not (0.0 < self.cutoff < 1.0):
-            raise ValueError("threshold and cutoff must lie in (0,1)")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError("threshold must lie in (0,1)")
+        nm.check_schedule(self)
 
 
 class MicModel:
@@ -223,7 +223,6 @@ class MicModel:
             "hidden": list(self.config.hidden),
             "gamma_focal": self.config.gamma_focal,
             "threshold": self.config.threshold,
-            "cutoff": self.config.cutoff,
         }
         info["embedder_kind"] = "builtin_features"
         info["scale"] = asdict(self.embedder.scale)
@@ -240,12 +239,8 @@ class MicModel:
         if "mic_config" not in meta:
             raise ValueError(f"{path}: checkpoint manifest lacks mic_config")
         raw = meta["mic_config"]
-        config = MicConfig(
-            hidden=tuple(raw["hidden"]),
-            gamma_focal=raw["gamma_focal"],
-            threshold=raw["threshold"],
-            cutoff=raw["cutoff"],
-        )
+        # manifests written before `cutoff` left MicConfig still record it; it is ignored
+        config = MicConfig(hidden=tuple(raw["hidden"]), gamma_focal=raw["gamma_focal"], threshold=raw["threshold"])
         kind = meta.get("embedder_kind", "builtin_features")
         if kind != "builtin_features":
             raise ValueError(f"{path}: unsupported embedder kind {kind!r}")
@@ -268,7 +263,7 @@ def train_mic(
     config: MicConfig = MicConfig(),
     embedder: Embedder | None = None,
 ) -> tuple[MicModel, list[dict]]:
-    """Minibatch Adam on the focal loss; returns the best-validation-AUROC model."""
+    """`nm.train_epochs` on the focal loss; returns the best-validation-AUROC model."""
     if not len(train) or not len(val):
         raise ValueError("train and validation splits must both be non-empty")
     labels = train.labels()
@@ -293,38 +288,17 @@ def train_mic(
     a_train = np.where(y_train == 1.0, alpha_pos, alpha_neg)
     x_val = emb.embed_many(val.peptides())
 
-    opt = nm.Adam(model.trainable(), lr=config.lr)
-    shuffle_rng = substream(config.seed, "mic.shuffle")
-    history: list[dict] = []
-    best_auroc = -1.0
-    best_epoch = 0
-    best_state = [p.data.copy() for p in model.trainable()]
+    def batch_loss(rows):
+        loss = focal_loss(model.probabilities(x_train[rows]), y_train[rows], a_train[rows], config.gamma_focal)
+        return loss, loss.item(), 1
 
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(y_train))
-        total = 0.0
-        batches = 0
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            probs = model.probabilities(x_train[idx])
-            loss = focal_loss(probs, y_train[idx], a_train[idx], config.gamma_focal)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += loss.item()
-            batches += 1
-        val_scores = model.probabilities(x_val).data
-        val_auroc = auroc(val_scores, y_val)
-        history.append({"epoch": epoch, "train_loss": total / batches, "val_auroc": val_auroc})
-        if val_auroc > best_auroc:
-            best_auroc = val_auroc
-            best_epoch = epoch
-            best_state = [p.data.copy() for p in model.trainable()]
-        if epoch - best_epoch >= config.patience:
-            break
+    def validate():
+        val_auroc = auroc(model.probabilities(x_val).data, y_val)
+        return val_auroc, {"val_auroc": val_auroc}
 
-    for p, saved in zip(model.trainable(), best_state):
-        p.data = saved
+    history, _, _ = nm.train_epochs(
+        model.trainable(), len(y_train), batch_loss, validate, config, substream(config.seed, "mic.shuffle")
+    )
     return model, history
 
 

@@ -1,4 +1,5 @@
-"""Dense float64 tensors, reverse-mode autodiff, Adam, and checkpoint I/O."""
+"""Dense float64 tensors, reverse-mode autodiff, Adam, the early-stopping
+training loop, and checkpoint I/O."""
 from .tensor import (
     Tensor,
     causal_attention,
@@ -17,7 +18,7 @@ from .tensor import (
     sigmoid,
     softmax,
 )
-from .optim import Adam
+from .optim import Adam, check_schedule, train_epochs
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
     "log",
     "exp",
     "Adam",
+    "check_schedule",
+    "train_epochs",
     "save_checkpoint",
     "load_checkpoint",
 ]

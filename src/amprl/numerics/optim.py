@@ -1,7 +1,8 @@
-"""Adam with bias correction."""
+"""Adam with bias correction, and the early-stopping loop both trainers run."""
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -68,3 +69,51 @@ class Adam:
             np.multiply(b, self.lr, out=b)
             np.divide(b, a, out=b)
             np.subtract(p.data, b, out=p.data)
+
+
+def check_schedule(schedule) -> None:
+    """Reject an `lr`, `epochs`, `batch_size` or `patience` that `train_epochs` cannot run."""
+    for key in ("epochs", "batch_size", "patience"):
+        if type(getattr(schedule, key)) is not int or getattr(schedule, key) < 1:
+            raise ValueError(f"{key} must be an integer >= 1, got {getattr(schedule, key)!r}")
+    if not schedule.lr > 0.0:
+        raise ValueError(f"lr must be positive, got {schedule.lr}")
+
+
+def train_epochs(
+    params: Sequence[Tensor], n: int, batch_loss: Callable, validate: Callable, schedule, rng: np.random.Generator
+) -> tuple[list[dict], int, float]:
+    """Adam over shuffled minibatches of n rows, stopped early; `schedule` gives lr, epochs, batch_size, patience.
+
+    Each epoch steps once per `batch_size` chunk of one `rng.permutation(n)`.
+    `batch_loss(rows)` returns (loss tensor, value, weight): the epoch's
+    train loss is the summed value over the summed weight. `validate()`
+    returns (score, fields), higher being better; fields join the history
+    row. The best epoch is the first that scores strictly above all earlier
+    ones. Training stops `patience` epochs after it, and its weights are put
+    back. Returns (history, best epoch, best score).
+    """
+    opt = Adam(params, lr=schedule.lr)
+    history: list[dict] = []
+    best_score, best_epoch = -math.inf, 0
+    best_state = [p.data.copy() for p in params]
+    for epoch in range(1, schedule.epochs + 1):
+        order = rng.permutation(n)
+        total, weight = 0.0, 0
+        for start in range(0, n, schedule.batch_size):
+            loss, value, w = batch_loss(order[start : start + schedule.batch_size])
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            total += value
+            weight += w
+        score, fields = validate()
+        history.append({"epoch": epoch, "train_loss": total / weight, **fields})
+        if score > best_score:
+            best_score, best_epoch = score, epoch
+            best_state = [p.data.copy() for p in params]
+        if epoch - best_epoch >= schedule.patience:
+            break
+    for p, saved in zip(params, best_state):
+        p.data = saved
+    return history, best_epoch, best_score

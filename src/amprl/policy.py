@@ -398,6 +398,9 @@ class SftConfig:
     patience: int = 3
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        nm.check_schedule(self)
+
 
 @dataclass
 class SftResult:
@@ -413,52 +416,26 @@ def train_sft(
     val: list[Peptide],
     config: SftConfig,
 ) -> SftResult:
-    """Adam on the next-token loss; keeps the best-validation-perplexity weights.
-
-    Stops once the epochs since the best validation score reach the patience.
-    """
+    """`nm.train_epochs` on the per-token next-token loss; keeps the
+    best-validation-perplexity weights."""
     if not train or not val:
         raise ValueError("train and validation sets must both be non-empty")
     params = model.trainable()
     if not params:
         raise ValueError("model has no trainable parameters")
-    opt = nm.Adam(params, lr=config.lr)
-    shuffle_rng = substream(config.seed, "sft.shuffle")
-    history: list[dict] = []
-    best_ppl = float("inf")
-    best_epoch = 0
-    best_state = [p.data.copy() for p in params]
 
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(train))
-        epoch_loss = 0.0
-        epoch_tokens = 0
-        for start in range(0, len(order), config.batch_size):
-            chunk = [train[i] for i in order[start : start + config.batch_size]]
-            out = sft_loss(model, encode_batch(chunk))
-            opt.zero_grad()
-            out.mean.backward()
-            opt.step()
-            epoch_loss += out.total.item()
-            epoch_tokens += out.token_count
-        val_ppl = perplexity(model, val)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": epoch_loss / epoch_tokens,
-                "val_perplexity": val_ppl,
-            }
-        )
-        if val_ppl < best_ppl:
-            best_ppl = val_ppl
-            best_epoch = epoch
-            best_state = [p.data.copy() for p in params]
-        if epoch - best_epoch >= config.patience:
-            break
+    def batch_loss(rows):
+        out = sft_loss(model, encode_batch([train[i] for i in rows]))
+        return out.mean, out.total.item(), out.token_count
 
-    for p, saved in zip(params, best_state):
-        p.data = saved
-    return SftResult(model=model, history=history, best_epoch=best_epoch, best_val_perplexity=best_ppl)
+    def validate():
+        ppl = perplexity(model, val)
+        return -ppl, {"val_perplexity": ppl}
+
+    history, best_epoch, best_score = nm.train_epochs(
+        params, len(train), batch_loss, validate, config, substream(config.seed, "sft.shuffle")
+    )
+    return SftResult(model=model, history=history, best_epoch=best_epoch, best_val_perplexity=-best_score)
 
 
 # --- sampling ---------------------------------------------------------------

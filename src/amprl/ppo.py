@@ -15,7 +15,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics.tensor import exp as t_exp, reduce_sum
 from .physchem import DEFAULT_SCALE, ScaleTable
-from .policy import BOS, PAD, PolicyModel, sample
+from .policy import PAD, PolicyModel, encode_batch, sample
 from .reward import RewardBreakdown, RewardConfig, process_rewards
 from .rng import substream
 
@@ -63,6 +63,8 @@ class PpoConfig:
             raise ValueError("actor count and horizon must be >= 1")
         if self.minibatch_size < 1 or self.epochs < 1 or self.iterations < 1:
             raise ValueError("epochs, minibatch size and iterations must be >= 1")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
 
 @dataclass
@@ -104,18 +106,10 @@ def rollout(
         id_prefix="rl",
     )
     n = len(samples)
-    t_max = max(s.tokens.size for s in samples)
-    ids = np.full((n, t_max + 1), PAD, dtype=np.int64)
-    ids[:, 0] = BOS
-    actions = np.full((n, t_max), PAD, dtype=np.int64)
-    mask = np.zeros((n, t_max))
-    old_lp = np.zeros((n, t_max))
-    for i, s in enumerate(samples):
-        k = s.tokens.size
-        ids[i, 1 : k + 1] = s.tokens
-        actions[i, :k] = s.tokens
-        mask[i, :k] = 1.0
-        old_lp[i, :k] = s.log_probs
+    peptides = [s.peptide for s in samples]
+    ids = encode_batch(peptides).ids
+    actions = ids[:, 1:]
+    mask = (actions != PAD).astype(np.float64)
 
     values_t, log_probs_t = policy.values_and_log_probs(ids[:, :-1])
     values = values_t.data * mask
@@ -123,7 +117,6 @@ def rollout(
     step_entropy = -(np.exp(lp) * lp).sum(axis=-1)
     mean_entropy = float((step_entropy * mask).sum() / mask.sum())
 
-    peptides = [s.peptide for s in samples]
     try:
         breakdowns = reward_fn(peptides)
     except Exception as exc:
@@ -131,8 +124,10 @@ def rollout(
     rewards = np.array([bd.r_total for bd in breakdowns])
 
     scaled, whitened = process_rewards(rewards)
-    step_rewards = np.zeros((n, t_max))
+    old_lp = np.zeros(actions.shape)
+    step_rewards = np.zeros(actions.shape)
     for i, s in enumerate(samples):
+        old_lp[i, : s.tokens.size] = s.log_probs
         step_rewards[i, s.tokens.size - 1] = whitened[i]
 
     return RolloutBatch(

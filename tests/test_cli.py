@@ -254,6 +254,32 @@ def test_invalid_section_value_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        (command, section, key, value)
+        for command, section in (("sft", "sft"), ("train-mic", "mic"))
+        for key, value in (("epochs", 0), ("epochs", 2.5), ("batch_size", 0), ("patience", 0), ("lr", 0.0), ("lr", -1e-3))
+    ]
+    + [("rl", "ppo", "lr", 0.0), ("rl", "ppo", "lr", -1e-3)],
+)
+def test_bad_training_schedule_is_config_error(tmp_path, capsys, command, section, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert f"config error: {section}: {key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [("sft", "epochs", "3"), ("mic", "hidden", 5), ("ppo", "lr", "fast")])
+def test_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    assert main(["sft", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+    assert f"config error: {section}: " in capsys.readouterr().err
+
+
 def test_assay_subcommand_end_to_end(tmp_path, capsys):
     table = tmp_path / "assay.tsv"
     table.write_text(

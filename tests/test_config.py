@@ -71,6 +71,15 @@ def test_load_config_reports_all_unknown_keys(tmp_path):
         assert key in message
 
 
+def test_keys_nothing_reads_are_unknown(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mic": {"cutoff": 0.4}, "paths": {"data": ".", "checkpoints": "."}}))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    for key in ("mic.cutoff", "paths.data", "paths.checkpoints"):
+        assert key in str(err.value)
+
+
 def test_load_config_rejects_bad_files(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.json")

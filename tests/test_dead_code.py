@@ -1,24 +1,31 @@
-"""Every public module-level function in `src/amprl` has a reference in `src/`
-outside its own definition, or an entry in the allowlist saying why not.
+"""Every public module-level function and every public method of a class in
+`src/amprl` has a reference in `src/` outside its own definition, or an entry
+in the allowlist saying why not.
 
-A reference is a use that resolves to the module defining the name: a bare
-name defined in or imported into the using module, or an attribute of a name
-bound to a module of the package. Imports are followed through package
-`__init__` re-exports; `src/` imports its own modules relatively. The
-re-export itself is not a use, and neither is an attribute of any other
-object (`np.tanh` does not reference a `tanh` of the package).
+For a function, a reference is a use that resolves to the module defining the
+name: a bare name defined in or imported into the using module, or an
+attribute of a name bound to a module of the package. Imports are followed
+through package `__init__` re-exports; `src/` imports its own modules
+relatively. The re-export itself is not a use, and neither is an attribute of
+any other object (`np.tanh` does not reference a `tanh` of the package).
+
+For a method, a reference is any attribute access with its name (`x.name`)
+outside the method's own body. Types are not resolved, so an access on an
+object of another class, or of another library, counts too.
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "amprl"
 
-# "<module>.<function>": why it stays without a caller in src/
+# "<module>.<function>" or "<module>.<class>.<method>": why it stays without a caller in src/
 ALLOWED = {
     "alignment.identity_global": "the benchmark's cluster check recomputes identities with it",
     "alignment.align_local": "the benchmark's novelty check recomputes the best hits with it",
     "policy.sequence_log_probs": "the benchmark's sample_rescore check rescores sampled peptides with it",
     "numerics.tensor.softmax": "benchmarks/tracing.py wraps it by name, and it goes with ROADMAP item 2",
+    "mic.MicModel.score": "benchmarks/tracing.py wraps it by name, and it goes with ROADMAP item 2",
+    "mic.Embedder.embed": "benchmarks/tracing.py wraps it by name, and it goes with ROADMAP item 2",
 }
 
 
@@ -101,13 +108,41 @@ def _unreferenced(root=SRC):
     )
 
 
+def _unreferenced_methods(root=SRC):
+    """Public methods of module-level classes whose name no attribute access outside their body uses."""
+    methods = {}  # "<module>.<class>.<method>" -> method name
+    owners = {}  # attribute name -> the methods (or None outside any method) whose body accesses it
+    for module, (tree, _) in _modules(root).items():
+        for stmt in tree.body:
+            scopes = [(stmt, None)]
+            if isinstance(stmt, ast.ClassDef):
+                scopes = [(item, None) for item in stmt.body if not isinstance(item, ast.FunctionDef)]
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef):
+                        qualified = _join(module, stmt.name, item.name)
+                        if not item.name.startswith("_"):
+                            methods[qualified] = item.name
+                        scopes.append((item, qualified))
+            for node, owner in scopes:
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute):
+                        owners.setdefault(sub.attr, set()).add(owner)
+    return sorted(q for q, name in methods.items() if not owners.get(name, set()) - {q})
+
+
 def test_every_public_function_has_a_caller_in_src():
     dead = [name for name in _unreferenced() if name not in ALLOWED]
     assert not dead, f"public functions with no reference in src/: {dead}"
 
 
+def test_every_public_method_has_a_reference_in_src():
+    dead = [name for name in _unreferenced_methods() if name not in ALLOWED]
+    assert not dead, f"public methods with no reference in src/: {dead}"
+
+
 def test_allowlist_holds_only_unreferenced_functions():
-    assert sorted(ALLOWED) == sorted(name for name in _unreferenced() if name in ALLOWED)
+    unreferenced = _unreferenced() + _unreferenced_methods()
+    assert sorted(ALLOWED) == sorted(name for name in unreferenced if name in ALLOWED)
 
 
 def test_reexports_and_foreign_attributes_do_not_count_as_references(tmp_path):
@@ -120,3 +155,15 @@ def test_reexports_and_foreign_attributes_do_not_count_as_references(tmp_path):
         "def run(x):\n    return nm.used(np.tanh(x))\n\n\nENTRY = run\n"
     )
     assert _unreferenced(tmp_path) == ["ops.core.tanh"]
+
+
+def test_a_method_needs_an_attribute_access_outside_its_own_body(tmp_path):
+    (tmp_path / "model.py").write_text(
+        "class Model:\n"
+        "    def fit(self):\n        return self.fit()\n\n"
+        "    def score(self):\n        return 1\n\n"
+        "    def run(self):\n        return self.score()\n\n"
+        "    def _private(self):\n        return 0\n\n\n"
+        "def main(m):\n    return m.run()\n"
+    )
+    assert _unreferenced_methods(tmp_path) == ["model.Model.fit"]

@@ -275,6 +275,22 @@ def test_model_load_rejects_a_manifest_without_scale(tmp_path, capsys):
     assert "lacks the descriptor scale" in capsys.readouterr().err
 
 
+def test_model_load_ignores_a_recorded_cutoff(tmp_path):
+    emb = _fitted([Peptide("a", "GLWKKILGKIKAGL"), Peptide("b", "KKLLDDAAWWRRHH")])
+    path = tmp_path / "mic.ckpt"
+    model = MicModel.init(emb, MicConfig(hidden=(4,)), seed=0)
+    model.save(path)
+    manifest = path.with_name("mic.ckpt.json")
+    payload = json.loads(manifest.read_text())
+    assert "cutoff" not in payload["meta"]["mic_config"]
+    payload["meta"]["mic_config"]["cutoff"] = 0.4  # as manifests written before the key was removed
+    manifest.write_text(json.dumps(payload))
+    loaded = MicModel.load(path)
+    assert loaded.config == model.config
+    probes = [Peptide("p", "GLWKKILGKIKAGL")]
+    assert np.array_equal(loaded.score_many(probes), model.score_many(probes))
+
+
 def test_model_save_rejects_unfit_embedder(tmp_path):
     model = MicModel.init(Embedder(), MicConfig(hidden=(4,)), seed=0)
     path = tmp_path / "mic.ckpt"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import amprl.numerics as nm
-from amprl.policy import EOS, ModelConfig, PolicyModel, attach_lora
+from amprl.policy import BOS, EOS, PAD, ModelConfig, PolicyModel, attach_lora, sample
 from amprl.ppo import (
     LOG_COLUMNS,
     PpoConfig,
@@ -85,6 +85,36 @@ def test_rollout_trajectory_structure():
         assert np.all(batch.values[i, steps:] == 0.0)
         assert np.all(batch.old_log_probs[i, :steps] <= 0.0)
     assert 0.0 <= batch.mean_entropy <= math.log(21)
+
+
+def _grid_oracle(samples):
+    """The token grid `rollout` built by hand from its samples before it read `encode_batch`."""
+    n = len(samples)
+    t_max = max(s.tokens.size for s in samples)
+    ids = np.full((n, t_max + 1), PAD, dtype=np.int64)
+    ids[:, 0] = BOS
+    actions = np.full((n, t_max), PAD, dtype=np.int64)
+    mask = np.zeros((n, t_max))
+    old_lp = np.zeros((n, t_max))
+    for i, s in enumerate(samples):
+        k = s.tokens.size
+        ids[i, 1 : k + 1] = s.tokens
+        actions[i, :k] = s.tokens
+        mask[i, :k] = 1.0
+        old_lp[i, :k] = s.log_probs
+    return ids, actions, mask, old_lp
+
+
+def test_rollout_grid_matches_the_hand_built_grid():
+    policy, cfg = _policy(4), _cfg(n_actors=16, max_len=6, horizon=7)
+    capped = 0
+    for seed in range(4):
+        samples = sample(policy, cfg.n_actors, max_len=6, seed=seed, source="generated_rl", id_prefix="rl")
+        capped += sum(not s.terminated for s in samples)
+        batch = rollout(policy, _reward_fn(), cfg, seed=seed)
+        for got, want in zip((batch.ids, batch.actions, batch.mask, batch.old_log_probs), _grid_oracle(samples)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert capped > 0  # rows that hit the residue cap, where EOS is forced, are covered
 
 
 def test_rollout_rewards_match_scorer():
