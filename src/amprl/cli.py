@@ -19,6 +19,7 @@ from . import __version__
 from .config import (
     ConfigError,
     apply_overrides,
+    check_plain_sections,
     load_config,
     mic_config,
     model_config,
@@ -65,6 +66,7 @@ def _validate_sections(cfg: dict) -> None:
             build(cfg)
         except (ValueError, TypeError, OSError) as err:
             raise ConfigError(f"{name}: {err}") from None
+    check_plain_sections(cfg)
 
 
 def _write_manifest(args, out: Path) -> None:
@@ -114,7 +116,7 @@ def _cmd_dataprep(args, cfg: dict, out: Path) -> int:
         return 0
 
     peptides = parse_fasta(_require(args.input, "--input"))
-    kept, rejected = dp.length_filter(peptides, int(section["min_len"]), int(section["max_len"]))
+    kept, rejected = dp.length_filter(peptides, section["min_len"], section["max_len"])
     if rejected:
         write_fasta(rejected, out / "length_rejected.fasta")
     if not kept:
@@ -187,12 +189,11 @@ def _cmd_sample(args, cfg: dict, out: Path) -> int:
 
     model = PolicyModel.load(_require(args.checkpoint, "--checkpoint"))
     section = cfg["sample"]
-    top_k = section["top_k"]
     draws = sample(
         model,
-        int(section["n"]),
+        section["n"],
         temperature=float(section["temperature"]),
-        top_k=None if top_k is None else int(top_k),
+        top_k=section["top_k"],
         seed=int(cfg["seed"]),
         source="generated_rl" if model.lora else "generated_sft",
     )
@@ -211,7 +212,7 @@ def _cmd_rl(args, cfg: dict, out: Path) -> int:
         lora = cfg["lora"]
         attach_lora(
             policy,
-            rank=int(lora["rank"]),
+            rank=lora["rank"],
             scaling=float(lora["scaling"]),
             targets=tuple(lora["targets"]),
             freeze_base=True,
@@ -277,18 +278,17 @@ def _cmd_build_library(args, cfg: dict, out: Path) -> int:
     scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
     external = sc.read_external_scores(_require(args.external_scores, "--external-scores")) if args.external_scores else None
     section = cfg["library"]
-    top_k = section["top_k"]
     records, stats = sc.build_library(
         policy,
         scorer,
-        int(section["target_count"]),
+        section["target_count"],
         screen_config(cfg),
         seed=int(cfg["seed"]),
         out_dir=out,
-        source=str(section["source"]),
+        source=section["source"],
         external_scores=external,
         temperature=float(section["temperature"]),
-        top_k=None if top_k is None else int(top_k),
+        top_k=section["top_k"],
         scale=scale_table(cfg),
     )
     print(f"build-library: {len(records)} unique sequences from {stats['sampled_total']} samples")

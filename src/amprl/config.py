@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from pathlib import Path
 from typing import IO, Any
 
@@ -54,6 +56,36 @@ def default_config() -> dict:
         "eval": {"jsd_base": 2.0, "thresholds": [1.0, 3.0]},
         "scales": {"overrides": None},
     }
+
+
+# JSON types of the sections no dataclass builds; a float key also takes an integer
+PLAIN_SECTIONS = {
+    "lora": {"rank": int, "scaling": float, "targets": list[str]},
+    "sample": {"n": int, "temperature": float, "top_k": int | None},
+    "library": {"target_count": int, "temperature": float, "top_k": int | None, "source": str},
+    "dataprep": {"min_len": int, "max_len": int, "identity_threshold": float, "fractions": list[float]},
+    "eval": {"jsd_base": float, "thresholds": list[float]},
+}
+
+
+def _has_type(value, kind) -> bool:
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_has_type(v, typing.get_args(kind)[0]) for v in value)
+    if isinstance(kind, types.UnionType):
+        return any(_has_type(value, k) for k in typing.get_args(kind))
+    if isinstance(value, bool):  # JSON true/false is no number or string
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def check_plain_sections(cfg: dict) -> None:
+    """Reject a value of the wrong JSON type in a section of `PLAIN_SECTIONS`."""
+    for section, kinds in PLAIN_SECTIONS.items():
+        for key, kind in kinds.items():
+            value = cfg[section][key]
+            if not _has_type(value, kind):
+                name = kind.__name__ if isinstance(kind, type) else str(kind)
+                raise ConfigError(f"{section}: {key} must be {name}, got {json.dumps(value)}")
 
 
 def _collect_unknown(raw: dict, reference: dict, prefix: str, offenders: list[str]) -> None:

@@ -249,11 +249,8 @@ class MicModel:
         embedder = Embedder(ScaleTable(**meta["scale"]))
         embedder.mean = tensors["embed.mean"].copy()
         embedder.std = tensors["embed.std"].copy()
-        params = {
-            name: nm.Tensor(arr.copy(), requires_grad=True)
-            for name, arr in tensors.items()
-            if name.startswith("fc")
-        }
+        # a loaded classifier only scores, so its forward records no autodiff graph
+        params = {name: nm.Tensor(arr.copy()) for name, arr in tensors.items() if name.startswith("fc")}
         return cls(embedder, params, config)
 
 

@@ -13,7 +13,6 @@ from .tensor import (
     log_softmax,
     matmul,
     minimum,
-    place_rows,
     relu,
     sigmoid,
     softmax,
@@ -30,7 +29,6 @@ __all__ = [
     "causal_attention",
     "embedding",
     "gather_last",
-    "place_rows",
     "clamp",
     "minimum",
     "relu",

@@ -193,22 +193,12 @@ class PolicyModel:
         eos_mask[rows % width == 0, EOS] = NEG
         return nm.log_softmax(logits + eos_mask, axis=-1)
 
-    def action_log_probs(self, ids: np.ndarray) -> nm.Tensor:
-        """Log-probabilities over actions at every position, shape (B, T, 21).
-
-        Rows must start with BOS; the EOS action is masked at position 0.
-        PAD positions hold 0.0.
-        """
-        lp, rows = self.packed_log_probs(ids)
-        return _unpack(lp, rows, ids.shape + (N_ACTIONS,))
-
-    def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor]:
-        """One shared-trunk pass: per-position state values (B, T) and action
-        log-probs (B, T, 21). PAD positions hold 0.0 in both."""
+    def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor, np.ndarray]:
+        """One shared-trunk pass over the non-PAD positions: state values (N,),
+        action log-probs (N, 21), and their flat indices into `ids`."""
         hidden, rows = self.forward_hidden(ids)
         values = nm.matmul(hidden, self.params["value.w"]) + self.params["value.b"]
-        lp = self._action_head(hidden, rows, ids.shape[1])
-        return _unpack(values, rows, ids.shape), _unpack(lp, rows, ids.shape + (N_ACTIONS,))
+        return values.reshape((rows.size,)), self._action_head(hidden, rows, ids.shape[1]), rows
 
     # --- persistence --------------------------------------------------------
 
@@ -291,11 +281,6 @@ def _base_parameters(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
     return specs
 
 
-def _unpack(packed: nm.Tensor, rows: np.ndarray, shape: tuple[int, ...]) -> nm.Tensor:
-    """Packed rows back on the (B, T, ...) grid `shape`, with 0.0 at PAD."""
-    return nm.place_rows(packed, rows, shape[0] * shape[1]).reshape(shape)
-
-
 _LORA_TARGETS = {"wq", "wk", "wv", "wo"}
 
 
@@ -363,14 +348,13 @@ def sft_loss(model: PolicyModel, batch: TokenBatch) -> SftLoss:
 
 
 def sequence_log_probs(model: PolicyModel, ids: np.ndarray) -> np.ndarray:
-    """Per-position log-probs of the realized tokens; PAD positions get 0."""
-    inputs = ids[:, :-1]
-    targets = ids[:, 1:]
-    mask = targets != PAD
-    safe_targets = np.where(mask, targets, 0)
-    lp = model.action_log_probs(inputs).data
-    picked = np.take_along_axis(lp, safe_targets[..., None], axis=-1)[..., 0]
-    return np.where(mask, picked, 0.0)
+    """Per-position log-probs of the realized tokens; PAD targets get 0."""
+    log_probs, rows = model.packed_log_probs(ids[:, :-1])
+    targets = ids[:, 1:].reshape(-1)[rows]
+    real = targets != PAD
+    out = np.zeros((ids.shape[0], ids.shape[1] - 1))
+    out.reshape(-1)[rows[real]] = log_probs.data[real, targets[real]]
+    return out
 
 
 def perplexity(model: PolicyModel, peptides: list[Peptide], batch_size: int = 64) -> float:

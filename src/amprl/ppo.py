@@ -65,6 +65,11 @@ class PpoConfig:
             raise ValueError("epochs, minibatch size and iterations must be >= 1")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        for key in ("discount", "gae_lambda"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
+        if not self.ratio_guard > 0.0:
+            raise ValueError(f"ratio_guard must be positive, got {self.ratio_guard}")
 
 
 @dataclass
@@ -111,11 +116,12 @@ def rollout(
     actions = ids[:, 1:]
     mask = (actions != PAD).astype(np.float64)
 
-    values_t, log_probs_t = policy.values_and_log_probs(ids[:, :-1])
-    values = values_t.data * mask
+    values_t, log_probs_t, rows = policy.values_and_log_probs(ids[:, :-1])
     lp = log_probs_t.data
-    step_entropy = -(np.exp(lp) * lp).sum(axis=-1)
-    mean_entropy = float((step_entropy * mask).sum() / mask.sum())
+    values, step_entropy = np.zeros((2, actions.size))
+    values[rows], step_entropy[rows] = values_t.data, -(np.exp(lp) * lp).sum(axis=-1)
+    values = values.reshape(actions.shape) * mask
+    mean_entropy = float((step_entropy.reshape(actions.shape) * mask).sum() / mask.sum())
 
     try:
         breakdowns = reward_fn(peptides)
@@ -232,24 +238,16 @@ def ppo_losses(
     )
 
 
-def _minibatch_losses(policy: PolicyModel, batch: RolloutBatch, rows: np.ndarray, cfg: PpoConfig) -> PpoLosses:
-    ids = batch.ids[rows]
-    actions = batch.actions[rows]
-    mask = batch.mask[rows]
-    safe_actions = np.where(mask > 0.0, actions, 0)
-    values_t, lp_t = policy.values_and_log_probs(ids[:, :-1])
-    new_lp = nm.gather_last(lp_t, safe_actions)
-    entropy_steps = -reduce_sum(t_exp(lp_t) * lp_t, axis=-1)
-    return ppo_losses(
-        new_lp,
-        batch.old_log_probs[rows],
-        batch.advantages[rows],
-        values_t,
-        batch.returns[rows],
-        entropy_steps,
-        mask,
-        cfg,
+def _minibatch_losses(policy: PolicyModel, batch: RolloutBatch, sel: np.ndarray, cfg: PpoConfig) -> PpoLosses:
+    """PPO losses of the trajectories `sel`, over their packed non-PAD positions."""
+    values_t, lp_t, rows = policy.values_and_log_probs(batch.ids[sel, :-1])
+    mask, actions, old_lp, advantages, returns = (
+        grid[sel].reshape(-1)[rows]
+        for grid in (batch.mask, batch.actions, batch.old_log_probs, batch.advantages, batch.returns)
     )
+    new_lp = nm.gather_last(lp_t, np.where(mask > 0.0, actions, 0))
+    entropy_steps = -reduce_sum(t_exp(lp_t) * lp_t, axis=-1)
+    return ppo_losses(new_lp, old_lp, advantages, values_t, returns, entropy_steps, mask, cfg)
 
 
 def train_rl(

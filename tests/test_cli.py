@@ -280,6 +280,43 @@ def test_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, sectio
     assert f"config error: {section}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("discount", -1.0, "discount must lie in [0, 1], got -1.0"),
+        ("gae_lambda", 5.0, "gae_lambda must lie in [0, 1], got 5.0"),
+        ("ratio_guard", -0.5, "ratio_guard must be positive, got -0.5"),
+    ],
+)
+def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ppo": {key: value}}))
+    out = tmp_path / "o"
+    assert main(["props", "--input", str(_write_fasta(tmp_path)), "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert f"config error: ppo: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("dataprep", "min_len", None, "min_len must be int, got null"),
+        ("eval", "thresholds", 3, "thresholds must be list[float], got 3"),
+        ("dataprep", "fractions", [0.5, "x", 0.5], 'fractions must be list[float], got [0.5, "x", 0.5]'),
+        ("sample", "n", 2.5, "n must be int, got 2.5"),
+        ("library", "top_k", True, "top_k must be int | None, got true"),
+        ("lora", "targets", "wq", 'targets must be list[str], got "wq"'),
+    ],
+)
+def test_plain_section_value_of_the_wrong_type_is_config_error(tmp_path, capsys, section, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "o"
+    assert main(["dataprep", "--input", str(_write_fasta(tmp_path)), "--config", str(cfg), "--output-dir", str(out)]) == 2
+    assert f"config error: {section}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_assay_subcommand_end_to_end(tmp_path, capsys):
     table = tmp_path / "assay.tsv"
     table.write_text(

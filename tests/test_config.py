@@ -4,8 +4,10 @@ import json
 import pytest
 
 from amprl.config import (
+    PLAIN_SECTIONS,
     ConfigError,
     apply_overrides,
+    check_plain_sections,
     default_config,
     load_config,
     mic_config,
@@ -44,6 +46,16 @@ def test_default_config_sections():
     assert cfg["seed"] == 0
     assert cfg["sft"]["seed"] is None  # stage seeds default to the global seed
     assert cfg["mic"]["seed"] is None
+
+
+def test_plain_sections_type_every_key_their_defaults_hold():
+    cfg = default_config()
+    for section, kinds in PLAIN_SECTIONS.items():
+        assert set(kinds) == set(cfg[section]), section
+    check_plain_sections(cfg)
+    cfg["sample"]["top_k"] = 5  # an integer where null is the default
+    cfg["eval"]["jsd_base"] = 2  # an integer for a float
+    check_plain_sections(cfg)
 
 
 def test_load_config_none_returns_defaults():

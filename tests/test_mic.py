@@ -240,6 +240,25 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.score(probe) == pytest.approx(model.score(probe), abs=1e-15)
 
 
+def test_loaded_model_scores_without_an_autodiff_graph(tmp_path):
+    rng = np.random.default_rng(9)
+    train = _separable_set(40, rng, "train")
+    cfg = MicConfig(hidden=(8, 4), lr=3e-3, epochs=2, batch_size=8, patience=2, seed=0)
+    model, _ = train_mic(train, _separable_set(12, rng, "val"), cfg, embedder=_fitted(train.peptides()))
+    path = tmp_path / "mic.ckpt"
+    model.save(path)
+    loaded = MicModel.load(path)
+    assert not any(p.requires_grad for p in loaded.params.values())
+    probes = random_peptides(30, rng, min_len=1, max_len=40) + train.peptides()
+    features = loaded.embedder.embed_many(probes)
+    out = loaded.probabilities(features)
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    recorded = model.probabilities(features)  # the trained weights still require grad
+    assert recorded._parents
+    assert out.data.tobytes() == recorded.data.tobytes()
+    assert loaded.score_many(probes).tobytes() == model.score_many(probes).tobytes()
+
+
 def test_model_save_load_keeps_an_override_scale(tmp_path):
     rng = np.random.default_rng(10)
     scale = ScaleTable(

@@ -199,12 +199,12 @@ def test_place_rows():
     rng = np.random.default_rng(13)
     packed = _param(rng, 4, 3)
     rows = np.array([0, 2, 3, 5])
-    placed = nm.place_rows(packed, rows, 6)
+    placed = trunk_oracle.place_rows(packed, rows, 6)
     assert placed.shape == (6, 3)
     assert np.array_equal(placed.data[rows], packed.data)
     assert np.all(placed.data[[1, 4]] == 0.0)
     w = rng.normal(size=(6, 3))
-    assert grad_check(lambda: (nm.place_rows(packed, rows, 6) * w).sum(), [packed]) < TOL
+    assert grad_check(lambda: (trunk_oracle.place_rows(packed, rows, 6) * w).sum(), [packed]) < TOL
 
 
 # (row lengths, grid width, heads): PAD follows the real tokens of each row

@@ -26,6 +26,7 @@ from amprl.policy import (
 from amprl.sequences import Peptide
 
 import encoding_oracle
+import ppo_oracle
 import sampler_oracle
 import trunk_oracle
 from conftest import RESIDUES, random_peptides
@@ -85,26 +86,26 @@ def test_init_is_seed_deterministic():
 def test_forward_shape_and_normalization():
     model = PolicyModel.init(TOY, seed=0)
     batch = encode_batch([_pep("ACDEFG"), _pep("KK")])
-    out = model.action_log_probs(batch.ids)
-    assert out.shape == (2, batch.ids.shape[1], 21)  # 20 residues + EOS actions
+    out, rows = model.packed_log_probs(batch.ids)
     real = batch.ids != PAD
+    # one row per non-PAD position in row-major order; PAD positions carry no distribution
+    assert (~real).any() and np.array_equal(rows, np.flatnonzero(real))
+    assert out.shape == (int(real.sum()), 21)  # 20 residues + EOS actions
     sums = np.exp(out.data).sum(axis=-1)
-    assert np.allclose(sums[real], 1.0, atol=1e-9)
-    # PAD positions carry no distribution; they hold the documented filler
-    assert (~real).any() and np.all(out.data[~real] == 0.0)
+    assert np.allclose(sums, 1.0, atol=1e-9)
 
 
 def test_causality_by_perturbation():
     model = PolicyModel.init(TOY, seed=1)
     batch = encode_batch([_pep("ACDEFGHIKL")])
     ids = batch.ids.copy()
-    base = model.action_log_probs(ids).data.copy()
+    base = model.packed_log_probs(ids)[0].data.copy()  # one row without PAD: packed rows are its positions
     # editing a future token must not change earlier positions
     ids2 = ids.copy()
     ids2[0, 7] = 15
-    new = model.action_log_probs(ids2).data
-    assert np.allclose(base[0, :7], new[0, :7], atol=1e-12)
-    assert not np.allclose(base[0, 7:], new[0, 7:], atol=1e-9)
+    new = model.packed_log_probs(ids2)[0].data
+    assert np.allclose(base[:7], new[:7], atol=1e-12)
+    assert not np.allclose(base[7:], new[7:], atol=1e-9)
 
 
 def test_log_probs_match_sequence_scoring():
@@ -139,7 +140,7 @@ def test_sample_ids_and_source():
 
 def test_top_k_restricts_support():
     model = PolicyModel.init(TOY, seed=10)
-    lp = model.action_log_probs(encode_batch([_pep("A")]).ids).data[0, 0]
+    lp = model.packed_log_probs(encode_batch([_pep("A")]).ids)[0].data[0]
     top1 = int(np.argmax(lp))
     out = sample(model, 20, max_len=4, seed=3, top_k=1)
     first = {s.tokens[0] for s in out}
@@ -151,13 +152,14 @@ def test_sft_loss_matches_manual_nll():
     peps = [_pep("ACDEF", "a"), _pep("KLW", "b")]
     batch = encode_batch(peps)
     loss = sft_loss(model, batch)
-    lp = model.action_log_probs(batch.ids).data
+    lp, rows = model.packed_log_probs(batch.ids)
+    packed_at = {int(flat): k for k, flat in enumerate(rows)}
     total = 0.0
     count = 0
     for r, pep in enumerate(peps):
         targets = [RESIDUES.index(ch) for ch in pep.residues] + [EOS]
         for t, tok in enumerate(targets):
-            total -= lp[r, t, tok]
+            total -= lp.data[packed_at[r * batch.ids.shape[1] + t], tok]
             count += 1
     assert loss.token_count == count
     assert loss.mean.item() == pytest.approx(total / count, rel=1e-9)
@@ -223,13 +225,14 @@ def test_packed_trunk_matches_padded_oracle(case):
     ids = batch.ids
     for inputs in (ids, ids[:, :-1]):
         real = inputs != PAD
-        got_lp = model.action_log_probs(inputs).data
-        assert np.max(np.abs(got_lp[real] - trunk_oracle.action_log_probs(model, inputs).data[real])) <= 1e-12
-        values, lp = model.values_and_log_probs(inputs)
+        got_lp, rows = model.packed_log_probs(inputs)
+        assert np.array_equal(rows, np.flatnonzero(real))
+        assert np.max(np.abs(got_lp.data - trunk_oracle.action_log_probs(model, inputs).data[real])) <= 1e-12
+        values, lp, value_rows = model.values_and_log_probs(inputs)
         want_values, want_lp = trunk_oracle.values_and_log_probs(model, inputs)
-        assert np.max(np.abs(values.data[real] - want_values.data[real])) <= 1e-12
-        assert np.max(np.abs(lp.data[real] - want_lp.data[real])) <= 1e-12
-        assert np.all(values.data[~real] == 0.0) and np.all(lp.data[~real] == 0.0)
+        assert np.array_equal(value_rows, rows) and values.shape == (rows.size,)
+        assert np.max(np.abs(values.data - want_values.data[real])) <= 1e-12
+        assert np.max(np.abs(lp.data - want_lp.data[real])) <= 1e-12
 
     got = sft_loss(model, batch)
     want_total, want_count = trunk_oracle.sft_loss_total(model, ids)
@@ -237,14 +240,15 @@ def test_packed_trunk_matches_padded_oracle(case):
     assert abs(got.total.item() - want_total.item()) <= 1e-12 * abs(want_total.item())
     _assert_grads_close(_grads(model, got.total), _grads(model, want_total))
 
-    # the PPO path: values and log-probs leave the trunk through the grid
+    # the PPO path: values and log-probs leave the trunk packed, and the grid arrays are gathered at their rows
     inputs = ids[:, :-1]
     mask = (ids[:, 1:] != PAD).astype(np.float64)
     picks = np.where(ids[:, 1:] == PAD, 0, ids[:, 1:])
     weights = np.random.default_rng(3).normal(size=mask.shape) * mask
 
-    def ppo_like(values, lp):
-        return reduce_sum(values * weights) - reduce_sum(nm.gather_last(lp, picks) * mask)
+    def ppo_like(values, lp, rows=None):
+        at = (lambda grid: grid) if rows is None else (lambda grid: grid.reshape(-1)[rows])
+        return reduce_sum(values * at(weights)) - reduce_sum(nm.gather_last(lp, at(picks)) * at(mask))
 
     _assert_grads_close(
         _grads(model, ppo_like(*model.values_and_log_probs(inputs))),
@@ -255,7 +259,7 @@ def test_packed_trunk_matches_padded_oracle(case):
 def test_trunk_rejects_pad_before_a_real_token():
     model = PolicyModel.init(TOY, seed=0)
     ids = np.array([[BOS, 3, 4, EOS, PAD], [BOS, 5, PAD, 6, EOS]])
-    for call in (model.action_log_probs, model.values_and_log_probs):
+    for call in (model.packed_log_probs, model.values_and_log_probs):
         with pytest.raises(ValueError, match="PAD only after"):
             call(ids)
 
@@ -298,7 +302,7 @@ def test_save_load_round_trip(tmp_path):
     model.save(path, meta={"stage": "sft"})
     loaded = PolicyModel.load(path)
     ids = encode_batch([_pep("ACDEFGH")]).ids
-    assert np.array_equal(model.action_log_probs(ids).data, loaded.action_log_probs(ids).data)
+    assert np.array_equal(model.packed_log_probs(ids)[0].data, loaded.packed_log_probs(ids)[0].data)
 
 
 def test_init_creates_no_key_bias():
@@ -332,10 +336,10 @@ def test_load_rejects_tensor_names_the_config_does_not_define(tmp_path, capsys, 
 def test_lora_attach_preserves_function_and_freezes_base():
     base = PolicyModel.init(TOY, seed=12)
     ids = encode_batch([_pep("KWKWKW")]).ids
-    reference = base.action_log_probs(ids).data.copy()
+    reference = base.packed_log_probs(ids)[0].data.copy()
     tuned = attach_lora(base, rank=2, scaling=1.0, seed=1)
     # the low-rank delta starts at zero, so the function is unchanged
-    assert np.allclose(tuned.action_log_probs(ids).data, reference, atol=1e-12)
+    assert np.allclose(tuned.packed_log_probs(ids)[0].data, reference, atol=1e-12)
     trainable_names = {
         name for name, t in tuned.named_tensors().items() if any(t is p for p in tuned.trainable())
     }
@@ -347,7 +351,7 @@ def test_lora_attach_preserves_function_and_freezes_base():
 def test_lora_round_trip_through_checkpoint(tmp_path):
     ids = encode_batch([_pep("ACDKLM")]).ids
     model = PolicyModel.init(TOY, seed=13)
-    base_out = model.action_log_probs(ids).data.copy()  # attach_lora mutates in place
+    base_out = model.packed_log_probs(ids)[0].data.copy()  # attach_lora mutates in place
     tuned = attach_lora(model, rank=2, scaling=0.5, seed=2)
     # perturb the zero factor so the adapter actually matters
     for name, t in tuned.named_tensors().items():
@@ -356,8 +360,8 @@ def test_lora_round_trip_through_checkpoint(tmp_path):
     path = tmp_path / "rl.ckpt"
     tuned.save(path)
     loaded = PolicyModel.load(path)
-    assert np.array_equal(tuned.action_log_probs(ids).data, loaded.action_log_probs(ids).data)
-    assert not np.allclose(loaded.action_log_probs(ids).data, base_out, atol=1e-9)
+    assert np.array_equal(tuned.packed_log_probs(ids)[0].data, loaded.packed_log_probs(ids)[0].data)
+    assert not np.allclose(loaded.packed_log_probs(ids)[0].data, base_out, atol=1e-9)
 
 
 def _lora_policy(config, seed):
@@ -412,6 +416,17 @@ def test_sampled_log_probs_match_rescoring():
     rescored = sequence_log_probs(model, ids)
     for i, d in enumerate(draws):
         assert np.max(np.abs(rescored[i, : d.tokens.size] - d.log_probs)) <= 1e-9
+
+
+@pytest.mark.parametrize("case", sorted(TRUNK_CASES))
+def test_sequence_log_probs_match_grid_oracle(case):
+    lora, lengths, pad_to = TRUNK_CASES[case]
+    model = _trunk_case_model(lora)
+    ids = _batch(lengths, pad_to, seed=len(lengths)).ids
+    got = sequence_log_probs(model, ids)
+    want = ppo_oracle.sequence_log_probs(model, ids)
+    assert got.shape == want.shape == (ids.shape[0], ids.shape[1] - 1)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_fails_loudly_on_a_nan_weight():

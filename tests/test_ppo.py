@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import amprl.numerics as nm
+import ppo_oracle
 from amprl.policy import BOS, EOS, PAD, ModelConfig, PolicyModel, attach_lora, sample
 from amprl.ppo import (
     LOG_COLUMNS,
     PpoConfig,
     RolloutBatch,
+    _minibatch_losses,
     compute_advantages,
     ppo_losses,
     rollout,
@@ -115,6 +117,70 @@ def test_rollout_grid_matches_the_hand_built_grid():
         for got, want in zip((batch.ids, batch.actions, batch.mask, batch.old_log_probs), _grid_oracle(samples)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
     assert capped > 0  # rows that hit the residue cap, where EOS is forced, are covered
+
+
+# (config overrides, rollout seed): unequal lengths, and rows that hit the residue cap
+PACKED_CASES = {
+    "unequal_lengths": ({"n_actors": 12, "max_len": 14, "horizon": 15}, 3),
+    "residue_cap": ({"n_actors": 16, "max_len": 6, "horizon": 7}, 1),
+}
+
+
+def _packed_case(case):
+    overrides, seed = PACKED_CASES[case]
+    cfg = _cfg(clip_eps=0.02, **overrides)
+    policy = _policy(7)
+    batch = compute_advantages(rollout(policy, _reward_fn(), cfg, seed=seed), cfg)
+    lengths = [len(p.residues) for p in batch.peptides]
+    assert len(set(lengths)) > 1
+    if case == "residue_cap":
+        assert max(lengths) == cfg.max_len  # EOS forced on these rows
+    return policy, batch, cfg
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_rollout_values_and_entropy_match_grid_oracle(case):
+    policy, batch, _ = _packed_case(case)
+    values, mean_entropy = ppo_oracle.rollout_values_and_entropy(policy, batch.ids, batch.mask)
+    assert batch.values.tobytes() == values.tobytes()
+    assert batch.mean_entropy == mean_entropy
+
+
+def _grads(policy, loss):
+    for p in policy.trainable():
+        p.grad = None
+    loss.backward()
+    return [p.grad.copy() for p in policy.trainable()]
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_minibatch_losses_match_grid_oracle(case):
+    policy, batch, cfg = _packed_case(case)
+    rng = np.random.default_rng(0)
+    for name, t in policy.named_tensors().items():
+        if "lora" in name:  # move off the rollout snapshot so ratios leave 1 and some clip
+            t.data += rng.normal(0.0, 0.3, size=t.data.shape)
+    by_length = np.argsort(batch.mask.sum(axis=1), kind="stable")
+    selections = (
+        rng.permutation(batch.n)[: cfg.minibatch_size],
+        by_length[:3],  # the shortest rows: grid columns that are PAD in every row
+        by_length[-1:],  # one longest row: its EOS input falls outside the grid
+        np.arange(batch.n),
+    )
+    clipped = 0.0
+    for sel in selections:
+        got = _minibatch_losses(policy, batch, sel, cfg)
+        want = ppo_oracle.minibatch_losses(policy, batch, sel, cfg)
+        assert got.total.item() == pytest.approx(want.total.item(), rel=1e-12)
+        for part in ("policy", "value", "entropy"):
+            assert getattr(got, part).item() == pytest.approx(getattr(want, part).item(), rel=1e-12, abs=1e-14)
+        assert got.clip_fraction == want.clip_fraction
+        assert got.approx_kl == pytest.approx(want.approx_kl, rel=1e-12, abs=1e-15)
+        assert got.mean_ratio_dev == pytest.approx(want.mean_ratio_dev, rel=1e-12)
+        for g, w in zip(_grads(policy, got.total), _grads(policy, want.total), strict=True):
+            assert np.array_equal(g, w)
+        clipped += got.clip_fraction
+    assert clipped > 0.0
 
 
 def test_rollout_rewards_match_scorer():

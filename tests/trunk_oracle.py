@@ -7,7 +7,8 @@ every trainable gradient.
 
 `composed_attention` is the chain of elementary autodiff ops that
 `nm.causal_attention` fused into one node; `test_numerics.py` checks the
-fused node against it bit for bit.
+fused node against it bit for bit. `place_rows` is the op that put packed
+rows on the grid for it and for the grid PPO path of `ppo_oracle`.
 """
 import numpy as np
 
@@ -33,6 +34,21 @@ def transpose(a, axes=None):
             return ((a, np.transpose(g, inverse)),)
 
     return _node(data, (a,), backward, "transpose")
+
+
+def place_rows(a, rows, n):
+    """Row i of `a` at row rows[i] of an n-row zero array; rows must be distinct.
+
+    The gradient gathers those rows back.
+    """
+    a = _wrap(a)
+    data = np.zeros((n,) + a.data.shape[1:])
+    data[rows] = a.data
+
+    def backward(g):
+        return ((a, g[rows]),)
+
+    return _node(data, (a,), backward, "place_rows")
 
 
 def take_rows(a, rows):
@@ -74,7 +90,7 @@ def composed_attention(q, k, v, rows, shape, heads):
     d = q.shape[-1]
 
     def grid(a):
-        return nm.place_rows(a, rows, b * t).reshape((b, t, d))
+        return place_rows(a, rows, b * t).reshape((b, t, d))
 
     return take_rows(_grid_attention(grid(q), grid(k), grid(v), heads).reshape((b * t, d)), rows)
 
