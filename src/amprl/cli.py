@@ -16,20 +16,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    ConfigError,
-    apply_overrides,
-    check_plain_sections,
-    load_config,
-    mic_config,
-    model_config,
-    ppo_config,
-    reward_config,
-    scale_table,
-    screen_config,
-    sft_config,
-    write_resolved,
-)
+from .config import ConfigError, Run, apply_overrides, build_run, load_config, write_resolved
 from .sequences import AnnotationRecord, parse_fasta, write_fasta, write_records, _write_text
 
 ENV_OUTPUT_DIR = "AMPRL_OUTPUT_DIR"
@@ -44,29 +31,16 @@ def _require(path: str | None, what: str) -> Path:
     return p
 
 
-def _resolve_output_dir(args, cfg: dict) -> Path:
+def _resolve_output_dir(args, run: Run) -> Path:
     if getattr(args, "output_dir", None):
         chosen = args.output_dir
     elif os.environ.get(ENV_OUTPUT_DIR):
         chosen = os.environ[ENV_OUTPUT_DIR]
     else:
-        chosen = cfg["paths"]["outputs"]
+        chosen = run.paths.outputs
     out = Path(chosen)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _validate_sections(cfg: dict) -> None:
-    builders = (
-        ("model", model_config), ("sft", sft_config), ("mic", mic_config), ("reward", reward_config),
-        ("ppo", ppo_config), ("screen", screen_config), ("scales", scale_table),
-    )
-    for name, build in builders:
-        try:
-            build(cfg)
-        except (ValueError, TypeError, OSError) as err:
-            raise ConfigError(f"{name}: {err}") from None
-    check_plain_sections(cfg)
 
 
 def _write_manifest(args, out: Path) -> None:
@@ -86,23 +60,21 @@ def _write_json(payload, sink: Path) -> None:
 # --- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_props(args, cfg: dict, out: Path) -> int:
+def _cmd_props(args, run: Run, out: Path) -> int:
     from .physchem import descriptor_vector
 
-    scale = scale_table(cfg)
     peptides = parse_fasta(_require(args.input, "--input"))
-    records = [AnnotationRecord(peptide=p, properties=descriptor_vector(p, scale)) for p in peptides]
+    records = [AnnotationRecord(peptide=p, properties=descriptor_vector(p, run.scales)) for p in peptides]
     write_records(records, "tsv", out / "props.tsv")
     print(f"props: {len(records)} records -> {out / 'props.tsv'}")
     return 0
 
 
-def _cmd_dataprep(args, cfg: dict, out: Path) -> int:
+def _cmd_dataprep(args, run: Run, out: Path) -> int:
     from . import dataprep as dp
     from .mic import write_labeled_tsv
 
-    section = cfg["dataprep"]
-    seed = int(cfg["seed"])
+    section, seed = run.dataprep, run.seed
     if args.positives or args.negatives:
         if not (args.positives and args.negatives):
             raise ConfigError("balance mode needs both --positives and --negatives")
@@ -116,7 +88,7 @@ def _cmd_dataprep(args, cfg: dict, out: Path) -> int:
         return 0
 
     peptides = parse_fasta(_require(args.input, "--input"))
-    kept, rejected = dp.length_filter(peptides, section["min_len"], section["max_len"])
+    kept, rejected = dp.length_filter(peptides, section.min_len, section.max_len)
     if rejected:
         write_fasta(rejected, out / "length_rejected.fasta")
     if not kept:
@@ -124,8 +96,8 @@ def _cmd_dataprep(args, cfg: dict, out: Path) -> int:
     if args.clusters:
         clusters = dp.read_cluster_assignments(_require(args.clusters, "--clusters"), kept)
     else:
-        clusters = dp.greedy_cluster(kept, float(section["identity_threshold"]))
-    fractions = tuple(float(f) for f in section["fractions"])
+        clusters = dp.greedy_cluster(kept, section.identity_threshold)
+    fractions = section.fractions
     splits = dp.split_by_cluster(clusters, fractions, seed=seed)
     names = ("train", "val", "test") if len(fractions) == 3 else tuple(f"split{i}" for i in range(len(fractions)))
     for name, part in zip(names, splits):
@@ -136,13 +108,13 @@ def _cmd_dataprep(args, cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_sft(args, cfg: dict, out: Path) -> int:
+def _cmd_sft(args, run: Run, out: Path) -> int:
     from .policy import PolicyModel, train_sft
 
     train = parse_fasta(_require(args.train, "--train"))
     val = parse_fasta(_require(args.val, "--val"))
-    model = PolicyModel.init(model_config(cfg), seed=int(cfg["seed"]))
-    result = train_sft(model, train, val, sft_config(cfg))
+    model = PolicyModel.init(run.model, seed=run.seed)
+    result = train_sft(model, train, val, run.sft)
     result.model.save(out / "sft.ckpt")
     _write_json(
         {
@@ -156,13 +128,13 @@ def _cmd_sft(args, cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_train_mic(args, cfg: dict, out: Path) -> int:
+def _cmd_train_mic(args, run: Run, out: Path) -> int:
     from .mic import Embedder, evaluate, read_labeled_tsv, train_mic
 
     train = read_labeled_tsv(_require(args.train, "--train"), split="train")
     val = read_labeled_tsv(_require(args.val, "--val"), split="val")
-    embedder = Embedder(scale=scale_table(cfg))
-    model, history = train_mic(train, val, mic_config(cfg), embedder)
+    embedder = Embedder(scale=run.scales)
+    model, history = train_mic(train, val, run.mic, embedder)
     model.save(out / "mic.ckpt")
     _write_json(history, out / "mic_history.json")
     metrics = evaluate(model, val)
@@ -171,7 +143,7 @@ def _cmd_train_mic(args, cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_score_mic(args, cfg: dict, out: Path) -> int:
+def _cmd_score_mic(args, run: Run, out: Path) -> int:
     from .mic import MicModel
 
     model = MicModel.load(_require(args.model, "--model"))
@@ -184,17 +156,16 @@ def _cmd_score_mic(args, cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_sample(args, cfg: dict, out: Path) -> int:
+def _cmd_sample(args, run: Run, out: Path) -> int:
     from .policy import PolicyModel, sample
 
     model = PolicyModel.load(_require(args.checkpoint, "--checkpoint"))
-    section = cfg["sample"]
     draws = sample(
         model,
-        section["n"],
-        temperature=float(section["temperature"]),
-        top_k=section["top_k"],
-        seed=int(cfg["seed"]),
+        run.sample.n,
+        temperature=run.sample.temperature,
+        top_k=run.sample.top_k,
+        seed=run.seed,
         source="generated_rl" if model.lora else "generated_sft",
     )
     write_fasta([d.peptide for d in draws], out / "samples.fasta")
@@ -202,33 +173,25 @@ def _cmd_sample(args, cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_rl(args, cfg: dict, out: Path) -> int:
+def _cmd_rl(args, run: Run, out: Path) -> int:
     from .mic import MicModel
     from .policy import PolicyModel, attach_lora
     from .ppo import train_rl
 
     policy = PolicyModel.load(_require(args.sft_checkpoint, "--sft-checkpoint"))
     if not policy.lora:
-        lora = cfg["lora"]
-        attach_lora(
-            policy,
-            rank=lora["rank"],
-            scaling=float(lora["scaling"]),
-            targets=tuple(lora["targets"]),
-            freeze_base=True,
-            seed=int(cfg["seed"]),
-        )
+        lora = run.lora
+        attach_lora(policy, rank=lora.rank, scaling=lora.scaling, targets=lora.targets, freeze_base=True, seed=run.seed)
     scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
-    ppo_cfg = ppo_config(cfg)
     policy, logs = train_rl(
         policy,
         scorer,
-        reward_config(cfg),
-        ppo_cfg,
-        seed=int(cfg["seed"]),
+        run.reward,
+        run.ppo,
+        seed=run.seed,
         log_sink=out / "rl_log.tsv",
-        checkpoint_dir=out if ppo_cfg.checkpoint_every else None,
-        scale=scale_table(cfg),
+        checkpoint_dir=out if run.ppo.checkpoint_every else None,
+        scale=run.scales,
     )
     policy.save(out / "rl.ckpt")
     last = logs[-1] if logs else {}
@@ -236,13 +199,12 @@ def _cmd_rl(args, cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_screen(args, cfg: dict, out: Path) -> int:
+def _cmd_screen(args, run: Run, out: Path) -> int:
     from . import screening as sc
     from .alignment import write_hit_table
     from .mic import Embedder, MicModel
 
-    scfg = screen_config(cfg)
-    scale = scale_table(cfg)
+    scfg, scale = run.screen, run.scales
     candidates = parse_fasta(_require(args.input, "--input"))
     scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
     external = sc.read_external_scores(_require(args.external_scores, "--external-scores")) if args.external_scores else None
@@ -257,7 +219,7 @@ def _cmd_screen(args, cfg: dict, out: Path) -> int:
     by_id = {r.peptide.id: r for r in kept + rejected}
     ordered = [by_id[p.id] for p in candidates]
     write_records(ordered, "jsonl", out / "screened.jsonl")
-    ranked = sc.prioritize(kept, sc.default_property_windows(reward_config(cfg)), sc.max_identity_by_query(hits))
+    ranked = sc.prioritize(kept, sc.default_property_windows(run.reward), sc.max_identity_by_query(hits))
     selected = []
     if ranked:
         embedder = Embedder(scale=scale)
@@ -269,7 +231,7 @@ def _cmd_screen(args, cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_build_library(args, cfg: dict, out: Path) -> int:
+def _cmd_build_library(args, run: Run, out: Path) -> int:
     from . import screening as sc
     from .mic import MicModel
     from .policy import PolicyModel
@@ -277,43 +239,40 @@ def _cmd_build_library(args, cfg: dict, out: Path) -> int:
     policy = PolicyModel.load(_require(args.checkpoint, "--checkpoint"))
     scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
     external = sc.read_external_scores(_require(args.external_scores, "--external-scores")) if args.external_scores else None
-    section = cfg["library"]
     records, stats = sc.build_library(
         policy,
         scorer,
-        section["target_count"],
-        screen_config(cfg),
-        seed=int(cfg["seed"]),
+        run.library.target_count,
+        run.screen,
+        seed=run.seed,
         out_dir=out,
-        source=section["source"],
+        source="generated_rl" if policy.lora else "generated_sft",
         external_scores=external,
-        temperature=float(section["temperature"]),
-        top_k=section["top_k"],
-        scale=scale_table(cfg),
+        temperature=run.library.temperature,
+        top_k=run.library.top_k,
+        scale=run.scales,
     )
     print(f"build-library: {len(records)} unique sequences from {stats['sampled_total']} samples")
     return 0
 
 
-def _cmd_eval(args, cfg: dict, out: Path) -> int:
+def _cmd_eval(args, run: Run, out: Path) -> int:
     from . import evalmetrics as ev
     from .mic import Embedder
 
-    scale = scale_table(cfg)
     generated = parse_fasta(_require(args.generated, "--generated"), source="generated_sft")
     reference = parse_fasta(_require(args.reference, "--reference"))
-    embedder = Embedder(scale=scale)
+    embedder = Embedder(scale=run.scales)
     ref_raw = embedder.features(reference)
     embeddings = (embedder.fit(ref_raw).embed_many(generated), embedder.standardize(ref_raw))
-    section = cfg["eval"]
     report = ev.compare_sets(
         args.name,
         generated,
         reference,
         embeddings=embeddings,
-        thresholds=tuple(float(t) for t in section["thresholds"]),
-        jsd_base=float(section["jsd_base"]),
-        scale=scale,
+        thresholds=run.eval.thresholds,
+        jsd_base=run.eval.jsd_base,
+        scale=run.scales,
     )
     ev.write_comparison_json(report, out / "comparison.json")
     ev.write_comparison_tsv(report, out / "comparison.tsv")
@@ -324,7 +283,7 @@ def _cmd_eval(args, cfg: dict, out: Path) -> int:
     return 0
 
 
-def _cmd_assay(args, cfg: dict, out: Path) -> int:
+def _cmd_assay(args, run: Run, out: Path) -> int:
     from . import assay as ay
 
     series = ay.read_assay_tsv(_require(args.input, "--input"))
@@ -433,11 +392,11 @@ def main(argv: list[str] | None = None) -> int:
         apply_overrides(cfg, {"seed": args.seed})
         mapping = getattr(args, "overrides", {})
         apply_overrides(cfg, {dotted: getattr(args, attr) for attr, dotted in mapping.items()})
-        _validate_sections(cfg)
-        out = _resolve_output_dir(args, cfg)
+        run = build_run(cfg)
+        out = _resolve_output_dir(args, run)
         write_resolved(cfg, out / "resolved_config.json")
         _write_manifest(args, out)
-        return args.handler(args, cfg, out)
+        return args.handler(args, run, out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -1,6 +1,11 @@
 """Run configuration: a JSON file with per-module sections, strict key
 checking, and deterministic resolved-config output.
 
+Every section is a frozen dataclass that lives next to the code reading it,
+and its field annotations are the section's schema: `build` checks each JSON
+value against its annotation and converts it, and the class's
+`__post_init__` checks ranges. `build_run` builds every section once per run.
+
 Precedence is flags > environment (output directory only) > file > defaults.
 Per-module seeds default to the single global seed; module randomness is
 already separated by named substreams, so sections never share a stream.
@@ -8,18 +13,23 @@ already separated by named substreams, so sections never share a stream.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import sys
 import types
 import typing
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any
 
+from .dataprep import DataprepConfig
+from .evalmetrics import EvalConfig
 from .mic import MicConfig
-from .physchem import DEFAULT_SCALE, ScaleTable, load_scale_overrides
-from .policy import ModelConfig, SftConfig
+from .physchem import DEFAULT_SCALE, ScaleConfig, ScaleTable, load_scale_overrides
+from .policy import LoraConfig, ModelConfig, SampleConfig, SftConfig
 from .ppo import PpoConfig
 from .reward import RewardConfig
-from .screening import ScreenConfig
+from .screening import LibraryConfig, ScreenConfig
 from .sequences import _write_text
 
 
@@ -27,65 +37,55 @@ class ConfigError(ValueError):
     pass
 
 
-def _section(instance, null_seed: bool = False) -> dict:
-    data = dataclasses.asdict(instance)
-    if null_seed and "seed" in data:
-        data["seed"] = None
-    return data
+@dataclass(frozen=True)
+class PathsConfig:
+    outputs: str = "."
 
 
-def default_config() -> dict:
-    return {
-        "seed": 0,
-        "paths": {"outputs": "."},
-        "model": _section(ModelConfig()),
-        "sft": _section(SftConfig(), null_seed=True),
-        "mic": _section(MicConfig(), null_seed=True),
-        "reward": _section(RewardConfig()),
-        "ppo": _section(PpoConfig()),
-        "screen": _section(ScreenConfig()),
-        "lora": {"rank": 4, "scaling": 1.0, "targets": ["wq", "wv"]},
-        "sample": {"n": 100, "temperature": 1.0, "top_k": None},
-        "library": {"target_count": 1000, "temperature": 1.0, "top_k": None, "source": "generated_sft"},
-        "dataprep": {
-            "min_len": 8,
-            "max_len": 50,
-            "identity_threshold": 0.4,
-            "fractions": [0.8, 0.1, 0.1],
-        },
-        "eval": {"jsd_base": 2.0, "thresholds": [1.0, 3.0]},
-        "scales": {"overrides": None},
-    }
-
-
-# JSON types of the sections no dataclass builds; a float key also takes an integer
-PLAIN_SECTIONS = {
-    "lora": {"rank": int, "scaling": float, "targets": list[str]},
-    "sample": {"n": int, "temperature": float, "top_k": int | None},
-    "library": {"target_count": int, "temperature": float, "top_k": int | None, "source": str},
-    "dataprep": {"min_len": int, "max_len": int, "identity_threshold": float, "fractions": list[float]},
-    "eval": {"jsd_base": float, "thresholds": list[float]},
+SECTIONS = {
+    "paths": PathsConfig,
+    "model": ModelConfig,
+    "sft": SftConfig,
+    "mic": MicConfig,
+    "reward": RewardConfig,
+    "ppo": PpoConfig,
+    "screen": ScreenConfig,
+    "lora": LoraConfig,
+    "sample": SampleConfig,
+    "library": LibraryConfig,
+    "dataprep": DataprepConfig,
+    "eval": EvalConfig,
+    "scales": ScaleConfig,
 }
 
 
-def _has_type(value, kind) -> bool:
-    if typing.get_origin(kind) is list:
-        return isinstance(value, list) and all(_has_type(v, typing.get_args(kind)[0]) for v in value)
-    if isinstance(kind, types.UnionType):
-        return any(_has_type(value, k) for k in typing.get_args(kind))
-    if isinstance(value, bool):  # JSON true/false is no number or string
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
+@dataclass(frozen=True)
+class Run:
+    """Every section of one run's config, built; `scales` is the table its overrides give."""
+
+    seed: int
+    paths: PathsConfig
+    model: ModelConfig
+    sft: SftConfig
+    mic: MicConfig
+    reward: RewardConfig
+    ppo: PpoConfig
+    screen: ScreenConfig
+    lora: LoraConfig
+    sample: SampleConfig
+    library: LibraryConfig
+    dataprep: DataprepConfig
+    eval: EvalConfig
+    scales: ScaleTable
 
 
-def check_plain_sections(cfg: dict) -> None:
-    """Reject a value of the wrong JSON type in a section of `PLAIN_SECTIONS`."""
-    for section, kinds in PLAIN_SECTIONS.items():
-        for key, kind in kinds.items():
-            value = cfg[section][key]
-            if not _has_type(value, kind):
-                name = kind.__name__ if isinstance(kind, type) else str(kind)
-                raise ConfigError(f"{section}: {key} must be {name}, got {json.dumps(value)}")
+def default_config() -> dict:
+    cfg: dict[str, Any] = {"seed": 0}
+    for name, cls in SECTIONS.items():
+        cfg[name] = dataclasses.asdict(cls())
+        if "seed" in cfg[name]:
+            cfg[name]["seed"] = None  # a stage seed defaults to the global seed
+    return cfg
 
 
 def _collect_unknown(raw: dict, reference: dict, prefix: str, offenders: list[str]) -> None:
@@ -147,61 +147,88 @@ def write_resolved(cfg: dict, sink: str | Path | IO[str]) -> None:
     _write_text(sink, json.dumps(cfg, sort_keys=True, indent=2) + "\n")
 
 
-def _tup(value) -> tuple:
-    return tuple(value)
+def _convert(value, kind):
+    """`value` as the annotation `kind` reads in JSON, converted; TypeError if its JSON type differs.
+
+    An int is no bool and no 2.5; a float is a finite int or float, converted
+    to float; a tuple is a JSON list (or the tuple a default holds), of any
+    length for `tuple[X, ...]`.
+    """
+    args = typing.get_args(kind)
+    if isinstance(kind, types.UnionType):
+        for arm in args:
+            try:
+                return _convert(value, arm)
+            except TypeError:
+                pass
+    elif typing.get_origin(kind) is tuple:
+        if type(value) in (list, tuple):
+            kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+            if len(kinds) == len(value):
+                return tuple(_convert(v, k) for v, k in zip(value, kinds))
+    elif kind is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:  # not NaN, inf or 10**400
+            return float(value)
+    elif type(value) is kind:  # int, str or None; JSON true/false is neither
+        return value
+    raise TypeError
 
 
-def _pair(value) -> tuple[float, float] | None:
-    if value is None:
-        return None
-    return (float(value[0]), float(value[1]))
+def _type_name(kind) -> str:
+    """An annotation in JSON terms: a tuple reads as a list."""
+    args = typing.get_args(kind)
+    if isinstance(kind, types.UnionType):
+        return " | ".join(_type_name(k) for k in args)
+    if typing.get_origin(kind) is tuple:
+        return f"list[{', '.join(_type_name(k) for k in (args[:1] if args[-1] is Ellipsis else args))}]"
+    return "None" if kind is type(None) else kind.__name__
 
 
-def _module_seed(cfg: dict, section: str) -> int:
-    seed = cfg[section].get("seed")
-    return int(cfg["seed"]) if seed is None else int(seed)
+@functools.cache
+def _schema(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(**cfg["model"])
+def _checked(value, kind, name: str):
+    try:
+        return _convert(value, kind)
+    except TypeError:
+        raise ConfigError(f"{name} must be {_type_name(kind)}, got {json.dumps(value)}") from None
 
 
-def sft_config(cfg: dict) -> SftConfig:
-    section = dict(cfg["sft"])
-    section["seed"] = _module_seed(cfg, "sft")
-    return SftConfig(**section)
+def build(cls, data: dict, section: str):
+    """The dataclass `cls` from its JSON section: each value checked and
+    converted against its field's annotation, then the class's range checks."""
+    values = {key: _checked(data[key], kind, f"{section}: {key}") for key, kind in _schema(cls).items()}
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"{section}: {err}") from None
+
+
+def _section(cfg: dict, name: str):
+    data = cfg[name]
+    if data.get("seed", 0) is None:  # a null stage seed is the global seed
+        data = {**data, "seed": cfg["seed"]}
+    return build(SECTIONS[name], data, name)
+
+
+def build_run(cfg: dict) -> Run:
+    """Every section of a merged config, built once; the first bad value raises ConfigError."""
+    seed = _checked(cfg["seed"], int, "seed")
+    sections = {name: _section(cfg, name) for name in SECTIONS}
+    overrides = sections["scales"].overrides
+    try:
+        sections["scales"] = DEFAULT_SCALE if overrides is None else load_scale_overrides(overrides)
+    except (ValueError, OSError) as err:
+        raise ConfigError(f"scales: {err}") from None
+    return Run(seed=seed, **sections)
 
 
 def mic_config(cfg: dict) -> MicConfig:
-    section = dict(cfg["mic"])
-    section["seed"] = _module_seed(cfg, "mic")
-    section["hidden"] = _tup(section["hidden"])
-    return MicConfig(**section)
-
-
-def reward_config(cfg: dict) -> RewardConfig:
-    section = dict(cfg["reward"])
-    section["weights"] = _tup(section["weights"])
-    for key in ("clamp_hydrophobicity", "clamp_moment", "clamp_charge", "clamp_isoelectric"):
-        section[key] = _pair(section[key])
-    return RewardConfig(**section)
-
-
-def ppo_config(cfg: dict) -> PpoConfig:
-    return PpoConfig(**cfg["ppo"])
+    return _section(cfg, "mic")
 
 
 def screen_config(cfg: dict) -> ScreenConfig:
-    section = dict(cfg["screen"])
-    for key in ("hydrophobicity_window", "moment_window", "charge_window", "isoelectric_window"):
-        section[key] = _pair(section[key])
-    section["forbidden_motifs"] = _tup(section["forbidden_motifs"])
-    section["external_minimums"] = tuple((str(n), float(v)) for n, v in section["external_minimums"])
-    return ScreenConfig(**section)
-
-
-def scale_table(cfg: dict) -> ScaleTable:
-    overrides = cfg["scales"]["overrides"]
-    if overrides is None:
-        return DEFAULT_SCALE
-    return load_scale_overrides(overrides)
+    return _section(cfg, "screen")

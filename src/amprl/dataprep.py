@@ -34,10 +34,39 @@ class Cluster:
         return len(self.members)
 
 
-def length_filter(peptides: Sequence[Peptide], min_len: int = 8, max_len: int = 50) -> tuple[list[Peptide], list[Peptide]]:
-    """Partition into (kept, rejected) by inclusive length bounds."""
+def _check_length_bounds(min_len: int, max_len: int) -> None:
     if min_len > max_len:
         raise ValueError(f"min_len {min_len} exceeds max_len {max_len}")
+
+
+def _check_identity_threshold(identity_threshold: float) -> None:
+    if not 0.0 < identity_threshold <= 1.0:
+        raise ValueError("identity threshold must lie in (0,1]")
+
+
+def _check_fractions(fractions: tuple[float, ...]) -> None:
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError("split fractions must sum to 1")
+    if any(f < 0 for f in fractions):
+        raise ValueError("split fractions must be non-negative")
+
+
+@dataclass(frozen=True)
+class DataprepConfig:
+    min_len: int = 8
+    max_len: int = 50
+    identity_threshold: float = 0.4
+    fractions: tuple[float, ...] = (0.8, 0.1, 0.1)
+
+    def __post_init__(self) -> None:
+        _check_length_bounds(self.min_len, self.max_len)
+        _check_identity_threshold(self.identity_threshold)
+        _check_fractions(self.fractions)
+
+
+def length_filter(peptides: Sequence[Peptide], min_len: int = 8, max_len: int = 50) -> tuple[list[Peptide], list[Peptide]]:
+    """Partition into (kept, rejected) by inclusive length bounds."""
+    _check_length_bounds(min_len, max_len)
     kept: list[Peptide] = []
     rejected: list[Peptide] = []
     for pep in peptides:
@@ -58,8 +87,7 @@ def greedy_cluster(peptides: Sequence[Peptide], identity_threshold: float = 0.40
     representative. The ordering (length descending, then sequence, then id)
     makes the result independent of input order.
     """
-    if not 0.0 < identity_threshold <= 1.0:
-        raise ValueError("identity threshold must lie in (0,1]")
+    _check_identity_threshold(identity_threshold)
     ordered = _greedy_order(peptides)
     codes, lengths = encode([p.residues for p in ordered])
     clusters: list[Cluster] = []
@@ -87,10 +115,7 @@ def split_by_cluster(
     deficit, so realized counts track the fraction targets to within the
     largest cluster size. Clusters never straddle splits.
     """
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
-    if any(f < 0 for f in fractions):
-        raise ValueError("split fractions must be non-negative")
+    _check_fractions(fractions)
     nonempty = sum(1 for f in fractions if f > 0)
     if len(clusters) < nonempty:
         raise ValueError(f"{len(clusters)} clusters cannot fill {nonempty} non-empty splits")

@@ -34,6 +34,20 @@ def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _check_log_base(base: float) -> None:
+    if base <= 1.0:
+        raise ValueError("log base must exceed 1")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    jsd_base: float = 2.0
+    thresholds: tuple[float, ...] = (1.0, 3.0)
+
+    def __post_init__(self) -> None:
+        _check_log_base(self.jsd_base)
+
+
 def js_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:
     """Jensen-Shannon divergence with the 0*log(0) = 0 convention.
 
@@ -44,8 +58,7 @@ def js_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:
     q = _check_distribution(q, "q")
     if p.shape != q.shape:
         raise ValueError("distributions must have matching support")
-    if base <= 1.0:
-        raise ValueError("log base must exceed 1")
+    _check_log_base(base)
     m = 0.5 * (p + q)
 
     def kl(a: np.ndarray) -> float:

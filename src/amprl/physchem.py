@@ -59,6 +59,11 @@ class ScaleTable:
 DEFAULT_SCALE = ScaleTable()
 
 
+@dataclass(frozen=True)
+class ScaleConfig:
+    overrides: str | None = None  # a file for `load_scale_overrides`; null keeps DEFAULT_SCALE
+
+
 def load_scale_overrides(path: str | Path, base: ScaleTable = DEFAULT_SCALE) -> ScaleTable:
     """Apply key-value overrides from a text file.
 

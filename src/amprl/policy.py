@@ -284,6 +284,24 @@ def _base_parameters(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
 _LORA_TARGETS = {"wq", "wk", "wv", "wo"}
 
 
+def _check_lora(rank: int, targets: tuple[str, ...]) -> None:
+    if rank < 1:
+        raise ValueError(f"LoRA rank must be >= 1, got {rank}")
+    unknown = [t for t in targets if t not in _LORA_TARGETS]
+    if unknown:
+        raise ValueError(f"unknown LoRA targets: {', '.join(unknown)}; valid: {sorted(_LORA_TARGETS)}")
+
+
+@dataclass(frozen=True)
+class LoraConfig:
+    rank: int = 4
+    scaling: float = 1.0
+    targets: tuple[str, ...] = ("wq", "wv")
+
+    def __post_init__(self) -> None:
+        _check_lora(self.rank, self.targets)
+
+
 def attach_lora(
     model: PolicyModel,
     rank: int,
@@ -297,11 +315,7 @@ def attach_lora(
     The second factor starts at zero, so attaching never changes the forward
     pass. With freeze_base the base weights stop receiving gradients.
     """
-    if rank < 1:
-        raise ValueError(f"LoRA rank must be >= 1, got {rank}")
-    unknown = [t for t in targets if t not in _LORA_TARGETS]
-    if unknown:
-        raise ValueError(f"unknown LoRA targets: {', '.join(unknown)}; valid: {sorted(_LORA_TARGETS)}")
+    _check_lora(rank, targets)
     for i in range(model.config.n_layers):
         for proj in targets:
             name = f"layer{i}.attn.{proj}"
@@ -425,6 +439,25 @@ def train_sft(
 # --- sampling ---------------------------------------------------------------
 
 
+def _check_sampling(temperature: float, top_k: int | None) -> None:
+    if temperature <= 0.0:
+        raise ValueError("temperature must be positive")
+    if top_k is not None and top_k < 1:
+        raise ValueError("top_k must be >= 1 when given")
+
+
+@dataclass(frozen=True)
+class SampleConfig:
+    n: int = 100
+    temperature: float = 1.0
+    top_k: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_sampling(self.temperature, self.top_k)
+
+
 @dataclass
 class SampledSequence:
     peptide: Peptide
@@ -453,10 +486,7 @@ def sample(
     Decoding runs on plain arrays through a key/value cache (`_Decoder`) and
     gives the same logits as the autodiff forward of the whole prefix.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be >= 1 when given")
+    _check_sampling(temperature, top_k)
     limit = model.config.max_len if max_len is None else min(max_len, model.config.max_len)
     rng = substream(seed, "policy.sample")
     decoder = _Decoder(model, n, limit + 1)

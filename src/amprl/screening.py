@@ -21,6 +21,7 @@ import numpy as np
 from . import rng as _rng
 from .alignment import SimilarityHit, make_hit, search
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
+from .policy import _check_sampling, sample
 from .reward import RewardConfig
 from .sequences import RESIDUE_SET, AnnotationRecord, Peptide, _write_text, encode, write_fasta, write_records
 
@@ -295,6 +296,22 @@ def _ratio_row(name: str, total: int, passed: int) -> dict:
     }
 
 
+def _check_target_count(target_count: int) -> None:
+    if target_count < 1:
+        raise ValueError("target_count must be >= 1")
+
+
+@dataclass(frozen=True)
+class LibraryConfig:
+    target_count: int = 1000
+    temperature: float = 1.0
+    top_k: int | None = None
+
+    def __post_init__(self) -> None:
+        _check_target_count(self.target_count)
+        _check_sampling(self.temperature, self.top_k)
+
+
 def build_library(
     policy,
     scorer,
@@ -313,10 +330,7 @@ def build_library(
     Aborts when a whole sampling batch is nearly all duplicates (stagnation)
     or when the sampling budget is exhausted without reaching the target.
     """
-    from .policy import sample
-
-    if target_count < 1:
-        raise ValueError("target_count must be >= 1")
+    _check_target_count(target_count)
     out = Path(out_dir)
     unique: list[Peptide] = []
     seen: set[str] = set()

@@ -450,7 +450,7 @@ def _pipeline_inputs(root):
         "ppo": {"iterations": 2, "n_actors": 16, "horizon": 14, "max_len": 13, "minibatch_size": 8, "epochs": 2, "lr": 3e-3},
         "screen": {"min_length": 2, "max_length": 13, "mic_cutoff": 0.0, "batch_size": 32, "diversity_k": 10},
         "sample": {"n": 40},
-        "library": {"target_count": 15, "source": "generated_rl"},
+        "library": {"target_count": 15},
     }
     (root / "config.json").write_text(json.dumps(cfg))
 

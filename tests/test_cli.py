@@ -298,6 +298,34 @@ def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, me
 
 
 @pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"dataprep": {"fractions": [0.5, 0.6]}}, "dataprep: split fractions must sum to 1"),
+        ({"dataprep": {"min_len": 30, "max_len": 5}}, "dataprep: min_len 30 exceeds max_len 5"),
+        ({"dataprep": {"identity_threshold": 7}}, "dataprep: identity threshold must lie in (0,1]"),
+        ({"eval": {"jsd_base": 1}}, "eval: log base must exceed 1"),
+        ({"lora": {"rank": 0}}, "lora: LoRA rank must be >= 1, got 0"),
+        ({"lora": {"targets": ["wq", "wz"]}}, "lora: unknown LoRA targets: wz"),
+        ({"sample": {"temperature": 0}}, "sample: temperature must be positive"),
+        ({"sample": {"top_k": 0}}, "sample: top_k must be >= 1 when given"),
+        ({"library": {"target_count": 0}}, "library: target_count must be >= 1"),
+        ({"seed": 2.5}, "seed must be int, got 2.5"),
+        ({"seed": "abc"}, 'seed must be int, got "abc"'),
+        ({"paths": {"outputs": 3}}, "paths: outputs must be str, got 3"),
+    ],
+)
+def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys, monkeypatch, settings, message):
+    monkeypatch.chdir(tmp_path)  # the default output directory
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(settings))
+    fasta = _write_fasta(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(["props", "--input", str(fasta), "--config", str(cfg)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
     "section, key, value, message",
     [
         ("dataprep", "min_len", None, "min_len must be int, got null"),

@@ -12,9 +12,15 @@ any other object (`np.tanh` does not reference a `tanh` of the package).
 For a method, a reference is any attribute access with its name (`x.name`)
 outside the method's own body. Types are not resolved, so an access on an
 object of another class, or of another library, counts too.
+
+Each field of a config section's dataclass is read the same way: an
+attribute access with its name outside its own class. A knob that only its
+own range check reads fails, as an uncalled function does.
 """
 import ast
 from pathlib import Path
+
+from amprl.config import SECTIONS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "amprl"
 
@@ -26,6 +32,8 @@ ALLOWED = {
     "numerics.tensor.softmax": "benchmarks/tracing.py wraps it by name, and it goes with ROADMAP item 2",
     "mic.MicModel.score": "benchmarks/tracing.py wraps it by name, and it goes with ROADMAP item 2",
     "mic.Embedder.embed": "benchmarks/tracing.py wraps it by name, and it goes with ROADMAP item 2",
+    "config.mic_config": "the benchmark builds its classifier's config section with it",
+    "config.screen_config": "the benchmark's novelty check reads the screen section with it",
 }
 
 
@@ -130,6 +138,26 @@ def _unreferenced_methods(root=SRC):
     return sorted(q for q, name in methods.items() if not owners.get(name, set()) - {q})
 
 
+def _unread_fields(classes, root=SRC):
+    """Fields of the named module-level classes that no attribute access outside their class reads."""
+    fields = {}  # "<module>.<class>.<field>" -> (class, field)
+    owners = {}  # attribute name -> the classes of `classes` (or None outside them) whose body accesses it
+    for module, (tree, _) in _modules(root).items():
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, ast.ClassDef) and stmt.name in classes else None
+            if owner is not None:
+                for item in stmt.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        fields[_join(module, owner, item.target.id)] = (owner, item.target.id)
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Attribute):
+                    owners.setdefault(sub.attr, set()).add(owner)
+    return sorted(q for q, (owner, name) in fields.items() if not owners.get(name, set()) - {owner})
+
+
+SECTION_CLASSES = {cls.__name__ for cls in SECTIONS.values()}
+
+
 def test_every_public_function_has_a_caller_in_src():
     dead = [name for name in _unreferenced() if name not in ALLOWED]
     assert not dead, f"public functions with no reference in src/: {dead}"
@@ -140,8 +168,13 @@ def test_every_public_method_has_a_reference_in_src():
     assert not dead, f"public methods with no reference in src/: {dead}"
 
 
+def test_every_config_field_is_read_in_src():
+    dead = [name for name in _unread_fields(SECTION_CLASSES) if name not in ALLOWED]
+    assert not dead, f"config fields nothing in src/ reads: {dead}"
+
+
 def test_allowlist_holds_only_unreferenced_functions():
-    unreferenced = _unreferenced() + _unreferenced_methods()
+    unreferenced = _unreferenced() + _unreferenced_methods() + _unread_fields(SECTION_CLASSES)
     assert sorted(ALLOWED) == sorted(name for name in unreferenced if name in ALLOWED)
 
 
@@ -167,3 +200,15 @@ def test_a_method_needs_an_attribute_access_outside_its_own_body(tmp_path):
         "def main(m):\n    return m.run()\n"
     )
     assert _unreferenced_methods(tmp_path) == ["model.Model.fit"]
+
+
+def test_a_config_field_needs_a_read_outside_its_own_class(tmp_path):
+    (tmp_path / "knobs.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Knobs:\n    used: int = 1\n    checked: int = 2\n    cutoff: float = 0.4\n\n"
+        "    def __post_init__(self):\n        assert self.checked > 0\n\n\n"
+        "class Other:\n    cutoff: float = 0.5\n\n\n"
+        "def run(k):\n    return k.used\n"
+    )
+    assert _unread_fields({"Knobs"}, tmp_path) == ["knobs.Knobs.checked", "knobs.Knobs.cutoff"]
