@@ -166,7 +166,6 @@ def _cmd_sample(args, run: Run, out: Path) -> int:
         temperature=run.sample.temperature,
         top_k=run.sample.top_k,
         seed=run.seed,
-        source="generated_rl" if model.lora else "generated_sft",
     )
     write_fasta([d.peptide for d in draws], out / "samples.fasta")
     print(f"sample: {len(draws)} sequences -> {out / 'samples.fasta'}")
@@ -246,7 +245,6 @@ def _cmd_build_library(args, run: Run, out: Path) -> int:
         run.screen,
         seed=run.seed,
         out_dir=out,
-        source="generated_rl" if policy.lora else "generated_sft",
         external_scores=external,
         temperature=run.library.temperature,
         top_k=run.library.top_k,

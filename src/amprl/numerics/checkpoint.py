@@ -10,9 +10,9 @@ Layout (all integers little-endian):
 
 A JSON manifest is written next to the binary (same path + ".json") listing
 tensor names/shapes, the binary's sha256 and caller metadata. Writes are
-atomic (tmp + rename), but the two renames are separate, so loading checks
-that the manifest records the binary's sha256 and that nothing follows the
-last tensor.
+atomic (tmp + rename), but the two renames are separate, so loading
+refuses a binary without its manifest, and checks that the manifest records
+the binary's sha256 and that nothing follows the last tensor.
 """
 from __future__ import annotations
 
@@ -98,14 +98,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValueError(f"{path}: truncated checkpoint") from None
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} byte(s) after the last tensor")
-    meta: dict = {}
     mpath = path.with_name(path.name + ".json")
-    if mpath.exists():
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
-        if "sha256" not in manifest:
-            raise ValueError(f"{path}: {mpath.name} records no sha256 of the checkpoint")
-        digest = hashlib.sha256(blob).hexdigest()
-        if manifest["sha256"] != digest:
-            raise ValueError(f"{path}: sha256 {digest} differs from the {manifest['sha256']} recorded in {mpath.name}")
-        meta = manifest.get("meta", {})
-    return tensors, meta
+    if not mpath.exists():
+        raise ValueError(f"{path}: its manifest {mpath.name} is missing")
+    manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    if "sha256" not in manifest:
+        raise ValueError(f"{path}: {mpath.name} records no sha256 of the checkpoint")
+    digest = hashlib.sha256(blob).hexdigest()
+    if manifest["sha256"] != digest:
+        raise ValueError(f"{path}: sha256 {digest} differs from the {manifest['sha256']} recorded in {mpath.name}")
+    return tensors, manifest.get("meta", {})

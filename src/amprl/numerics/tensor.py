@@ -81,9 +81,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return add(self, mul(other, -1.0))
 
@@ -104,9 +101,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __pow__(self, exponent):
         return _power(self, exponent)

@@ -54,28 +54,8 @@ class LoraDelta:
     scaling: float
 
 
-@dataclass(frozen=True)
-class TokenBatch:
-    """Rows of [BOS, residues..., EOS, PAD...]; PAD only after EOS."""
-
-    ids: np.ndarray
-
-    def __post_init__(self) -> None:
-        ids = self.ids
-        if ids.ndim != 2:
-            raise ValueError("token batch must be 2-D")
-        if not np.all(ids[:, 0] == BOS):
-            raise ValueError("every row must start with BOS")
-        for row in ids:
-            eos_at = np.flatnonzero(row == EOS)
-            if eos_at.size != 1:
-                raise ValueError("every row must contain exactly one EOS")
-            after = row[eos_at[0] + 1 :]
-            if after.size and not np.all(after == PAD):
-                raise ValueError("only PAD may follow EOS")
-
-
-def encode_batch(peptides: list[Peptide], pad_to: int | None = None) -> TokenBatch:
+def encode_batch(peptides: list[Peptide], pad_to: int | None = None) -> np.ndarray:
+    """The int64 (B, T) ids grid: rows of [BOS, residues..., EOS, PAD...]."""
     if not peptides:
         raise ValueError("cannot encode an empty batch")
     codes, lengths = encode([p.residues for p in peptides])
@@ -86,7 +66,7 @@ def encode_batch(peptides: list[Peptide], pad_to: int | None = None) -> TokenBat
     ids[:, 0] = BOS
     ids[:, 1 : codes.shape[1] + 1] = np.where(codes < len(RESIDUES), codes, PAD)
     ids[np.arange(len(peptides)), lengths + 1] = EOS
-    return TokenBatch(ids=ids)
+    return ids
 
 
 def decode_tokens(tokens: np.ndarray) -> str:
@@ -179,26 +159,18 @@ class PolicyModel:
             x = x + nm.matmul(m, self.params[f"{pre}.mlp.w2"]) + self.params[f"{pre}.mlp.b2"]
         return nm.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"]), rows
 
-    def packed_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, np.ndarray]:
-        """Action log-probs (N, 21) of the non-PAD positions, and their flat indices.
+    def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor, np.ndarray]:
+        """The policy's one forward: state values (N,) and action log-probs
+        (N, 21) of the non-PAD positions of `ids`, and their flat indices.
 
         The EOS action is masked at position 0 of every row.
         """
         hidden, rows = self.forward_hidden(ids)
-        return self._action_head(hidden, rows, ids.shape[1]), rows
-
-    def _action_head(self, hidden: nm.Tensor, rows: np.ndarray, width: int) -> nm.Tensor:
+        values = nm.matmul(hidden, self.params["value.w"]) + self.params["value.b"]
         logits = nm.matmul(hidden, self.params["head.w"]) + self.params["head.b"]
         eos_mask = np.zeros(logits.shape)
-        eos_mask[rows % width == 0, EOS] = NEG
-        return nm.log_softmax(logits + eos_mask, axis=-1)
-
-    def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor, np.ndarray]:
-        """One shared-trunk pass over the non-PAD positions: state values (N,),
-        action log-probs (N, 21), and their flat indices into `ids`."""
-        hidden, rows = self.forward_hidden(ids)
-        values = nm.matmul(hidden, self.params["value.w"]) + self.params["value.b"]
-        return values.reshape((rows.size,)), self._action_head(hidden, rows, ids.shape[1]), rows
+        eos_mask[rows % ids.shape[1] == 0, EOS] = NEG
+        return values.reshape((rows.size,)), nm.log_softmax(logits + eos_mask, axis=-1), rows
 
     # --- persistence --------------------------------------------------------
 
@@ -287,6 +259,8 @@ _LORA_TARGETS = {"wq", "wk", "wv", "wo"}
 def _check_lora(rank: int, targets: tuple[str, ...]) -> None:
     if rank < 1:
         raise ValueError(f"LoRA rank must be >= 1, got {rank}")
+    if not targets:
+        raise ValueError(f"LoRA needs at least one target of {sorted(_LORA_TARGETS)}")
     unknown = [t for t in targets if t not in _LORA_TARGETS]
     if unknown:
         raise ValueError(f"unknown LoRA targets: {', '.join(unknown)}; valid: {sorted(_LORA_TARGETS)}")
@@ -345,14 +319,13 @@ class SftLoss:
     token_count: int
 
 
-def sft_loss(model: PolicyModel, batch: TokenBatch) -> SftLoss:
-    """Negative log-likelihood of each next token, summed and per-token.
+def sft_loss(model: PolicyModel, ids: np.ndarray) -> SftLoss:
+    """Negative log-likelihood of each next token of the ids grid, summed and per-token.
 
     Reads the packed log-probs of the non-PAD inputs; an EOS input, whose
     target is PAD, is masked out.
     """
-    ids = batch.ids
-    log_probs, rows = model.packed_log_probs(ids[:, :-1])
+    _, log_probs, rows = model.values_and_log_probs(ids[:, :-1])
     targets = ids[:, 1:].reshape(-1)[rows]
     mask = (targets != PAD).astype(np.float64)
     token_lp = nm.gather_last(log_probs, np.where(targets == PAD, 0, targets))
@@ -363,7 +336,7 @@ def sft_loss(model: PolicyModel, batch: TokenBatch) -> SftLoss:
 
 def sequence_log_probs(model: PolicyModel, ids: np.ndarray) -> np.ndarray:
     """Per-position log-probs of the realized tokens; PAD targets get 0."""
-    log_probs, rows = model.packed_log_probs(ids[:, :-1])
+    _, log_probs, rows = model.values_and_log_probs(ids[:, :-1])
     targets = ids[:, 1:].reshape(-1)[rows]
     real = targets != PAD
     out = np.zeros((ids.shape[0], ids.shape[1] - 1))
@@ -473,11 +446,13 @@ def sample(
     top_k: int | None = None,
     max_len: int | None = None,
     seed: int = 0,
-    source: str = "generated_sft",
     id_prefix: str = "gen",
     id_start: int = 0,
 ) -> list[SampledSequence]:
     """Draw n sequences; per-token log-probs are under the untempered model.
+
+    Each peptide's source is `generated_rl` when the model carries LoRA
+    deltas and `generated_sft` otherwise.
 
     All rows advance in lockstep and uniforms are drawn for every row at every
     step, so row i's outcome does not depend on when other rows finish. A row
@@ -524,6 +499,7 @@ def sample(
         if not alive.any():
             break
 
+    source = "generated_rl" if model.lora else "generated_sft"
     out: list[SampledSequence] = []
     for i in range(n):
         k = int(lengths[i])

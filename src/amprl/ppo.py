@@ -102,17 +102,10 @@ def rollout(
 ) -> RolloutBatch:
     """Sample N trajectories, score them in one batch at the end, whiten the rewards."""
     residue_cap = min(cfg.max_len, cfg.horizon - 1, policy.config.max_len)
-    samples = sample(
-        policy,
-        cfg.n_actors,
-        max_len=residue_cap,
-        seed=seed,
-        source="generated_rl",
-        id_prefix="rl",
-    )
+    samples = sample(policy, cfg.n_actors, max_len=residue_cap, seed=seed, id_prefix="rl")
     n = len(samples)
     peptides = [s.peptide for s in samples]
-    ids = encode_batch(peptides).ids
+    ids = encode_batch(peptides)
     actions = ids[:, 1:]
     mask = (actions != PAD).astype(np.float64)
 
@@ -155,24 +148,21 @@ def rollout(
 def compute_advantages(batch: RolloutBatch, cfg: PpoConfig) -> RolloutBatch:
     """GAE over the zero-padded terminal-reward trajectories, then whitening.
 
-    Returns are discounted reward-to-go sums, the regression targets of the
-    value head; at discount 1 every step's return equals the whitened
-    terminal reward.
+    One sweep runs backwards over the time steps of all rows at once. Past a
+    trajectory's end its value and reward are 0, so its advantage and return
+    stay 0 there and its last step sees a next value of 0. Returns are
+    discounted reward-to-go sums, the regression targets of the value head;
+    at discount 1 every step's return equals the whitened terminal reward.
     """
-    n, t_max = batch.actions.shape
-    advantages = np.zeros((n, t_max))
-    returns = np.zeros((n, t_max))
-    for i in range(n):
-        steps = int(batch.mask[i].sum())
-        running_adv = 0.0
-        running_ret = 0.0
-        for t in range(steps - 1, -1, -1):
-            next_value = batch.values[i, t + 1] if t + 1 < steps else 0.0
-            delta = batch.step_rewards[i, t] + cfg.discount * next_value - batch.values[i, t]
-            running_adv = delta + cfg.discount * cfg.gae_lambda * running_adv
-            running_ret = batch.step_rewards[i, t] + cfg.discount * running_ret
-            advantages[i, t] = running_adv
-            returns[i, t] = running_ret
+    advantages = np.zeros(batch.actions.shape)
+    returns = np.zeros(batch.actions.shape)
+    running_adv = running_ret = next_value = 0.0
+    for t in range(batch.actions.shape[1] - 1, -1, -1):
+        reward, value = batch.step_rewards[:, t], batch.values[:, t]
+        delta = reward + cfg.discount * next_value - value
+        running_adv = delta + cfg.discount * cfg.gae_lambda * running_adv
+        running_ret = reward + cfg.discount * running_ret
+        advantages[:, t], returns[:, t], next_value = running_adv, running_ret, value
 
     valid = batch.mask > 0.0
     flat = advantages[valid]

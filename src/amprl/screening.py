@@ -50,6 +50,9 @@ class ScreenConfig:
             raise ValueError("mic_cutoff must lie in [0,1]")
         if self.min_length < 1 or self.max_length < self.min_length:
             raise ValueError("length bounds must satisfy 1 <= min <= max")
+        for motif in self.forbidden_motifs:
+            if not motif or not set(motif) <= RESIDUE_SET:
+                raise ValueError(f"forbidden motif {motif!r} must be a non-empty string of the 20 residues")
         for name in ("hydrophobicity_window", "moment_window", "charge_window", "isoelectric_window"):
             win = getattr(self, name)
             if win is not None and win[0] > win[1]:
@@ -319,7 +322,6 @@ def build_library(
     cfg: ScreenConfig,
     seed: int,
     out_dir: str | Path,
-    source: str = "generated_sft",
     external_scores: dict[str, dict[str, float]] | None = None,
     temperature: float = 1.0,
     top_k: int | None = None,
@@ -352,7 +354,6 @@ def build_library(
             temperature=temperature,
             top_k=top_k,
             seed=batch_seed,
-            source=source,
             id_prefix="lib",
             id_start=sampled_total,
         )
@@ -368,7 +369,7 @@ def build_library(
                 batch_dups += 1
                 continue
             seen.add(residues)
-            unique.append(Peptide(f"lib-{len(unique):06d}", residues, source))
+            unique.append(Peptide(f"lib-{len(unique):06d}", residues, draw.peptide.source))
         if batch_dups > cfg.stagnation_fraction * cfg.batch_size:
             raise RuntimeError(
                 f"sampling stagnated: batch {batch_index} produced {batch_dups}/{cfg.batch_size} duplicates "

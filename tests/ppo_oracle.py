@@ -2,11 +2,15 @@
 
 The policy used to put its packed outputs back on the padded (B, T) grid
 through an autodiff `place_rows` node, with 0.0 at PAD, and `ppo` masked
-the padding away. `action_log_probs` and `values_and_log_probs` are those
-grid outputs, `sequence_log_probs` the rescoring built on them, and
+the padding away. `values_and_log_probs` gives those grid outputs,
+`sequence_log_probs` the rescoring built on them, and
 `rollout_values_and_entropy` and `minibatch_losses` the code of
 `ppo.rollout` and `ppo._minibatch_losses` that read them, verbatim.
 `test_ppo.py` and `test_policy.py` check the packed path against them.
+
+`advantages_and_returns` is `ppo.compute_advantages` as it was before its
+one sweep over all rows: a Python loop per row and per step, with the last
+step of each trajectory special-cased.
 """
 import numpy as np
 
@@ -23,17 +27,9 @@ def _unpack(packed, rows, shape):
     return place_rows(packed, rows, shape[0] * shape[1]).reshape(shape)
 
 
-def action_log_probs(policy, ids):
-    """Log-probabilities over actions at every position, shape (B, T, 21); PAD positions hold 0.0."""
-    lp, rows = policy.packed_log_probs(ids)
-    return _unpack(lp, rows, ids.shape + (N_ACTIONS,))
-
-
 def values_and_log_probs(policy, ids):
     """Per-position state values (B, T) and action log-probs (B, T, 21); PAD positions hold 0.0 in both."""
-    hidden, rows = policy.forward_hidden(ids)
-    values = nm.matmul(hidden, policy.params["value.w"]) + policy.params["value.b"]
-    lp = policy._action_head(hidden, rows, ids.shape[1])
+    values, lp, rows = policy.values_and_log_probs(ids)
     return _unpack(values, rows, ids.shape), _unpack(lp, rows, ids.shape + (N_ACTIONS,))
 
 
@@ -43,7 +39,7 @@ def sequence_log_probs(model, ids):
     targets = ids[:, 1:]
     mask = targets != PAD
     safe_targets = np.where(mask, targets, 0)
-    lp = action_log_probs(model, inputs).data
+    lp = values_and_log_probs(model, inputs)[1].data
     picked = np.take_along_axis(lp, safe_targets[..., None], axis=-1)[..., 0]
     return np.where(mask, picked, 0.0)
 
@@ -76,3 +72,30 @@ def minibatch_losses(policy, batch, rows, cfg):
         mask,
         cfg,
     )
+
+
+def advantages_and_returns(batch, cfg):
+    """Whitened GAE advantages and discounted returns, both (B, T)."""
+    n, t_max = batch.actions.shape
+    advantages = np.zeros((n, t_max))
+    returns = np.zeros((n, t_max))
+    for i in range(n):
+        steps = int(batch.mask[i].sum())
+        running_adv = 0.0
+        running_ret = 0.0
+        for t in range(steps - 1, -1, -1):
+            next_value = batch.values[i, t + 1] if t + 1 < steps else 0.0
+            delta = batch.step_rewards[i, t] + cfg.discount * next_value - batch.values[i, t]
+            running_adv = delta + cfg.discount * cfg.gae_lambda * running_adv
+            running_ret = batch.step_rewards[i, t] + cfg.discount * running_ret
+            advantages[i, t] = running_adv
+            returns[i, t] = running_ret
+
+    valid = batch.mask > 0.0
+    flat = advantages[valid]
+    std = flat.std()
+    if std < 1e-12:
+        advantages[valid] = 0.0
+    else:
+        advantages[valid] = (flat - flat.mean()) / std
+    return advantages, returns

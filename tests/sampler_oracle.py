@@ -21,7 +21,6 @@ def sample(
     top_k=None,
     max_len=None,
     seed=0,
-    source="generated_sft",
     id_prefix="gen",
     id_start=0,
 ):
@@ -63,6 +62,7 @@ def sample(
         col = np.where(was_alive, choices, PAD).astype(np.int64)
         rows = np.concatenate([rows, col[:, None]], axis=1)
 
+    source = "generated_rl" if model.lora else "generated_sft"
     out = []
     for i in range(n):
         tokens = np.array(token_lists[i], dtype=np.int64)

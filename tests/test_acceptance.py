@@ -291,7 +291,7 @@ def test_criterion_5_rl_behavioral(capsys):
         windows = [float(np.mean(rewards[i:i + 5])) for i in range(0, len(rewards), 5)]
         assert all(later > earlier for earlier, later in zip(windows, windows[1:])), windows
 
-        after = _policy_stats([d.peptide for d in sample(policy, 200, seed=99, source="generated_rl")], scorer)
+        after = _policy_stats([d.peptide for d in sample(policy, 200, seed=99)], scorer)
         assert after["frac_active"] >= 2.0 * before["frac_active"], (before, after)
         assert -5.0 <= after["mean_charge"] <= 9.0, after
         assert after["frac_pi_8"] > before["frac_pi_8"], (before, after)

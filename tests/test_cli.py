@@ -176,6 +176,15 @@ def test_checkpoint_with_trailing_bytes_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out" / "scores.tsv").exists()
 
 
+def test_checkpoint_without_its_manifest_exits_one(tmp_path, capsys):
+    path = _save_mic(tmp_path / "mic.ckpt")
+    path.with_name("mic.ckpt.json").unlink()
+    argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: its manifest mic.ckpt.json is missing" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.tsv").exists()
+
+
 def test_checkpoints_with_swapped_manifests_exit_one(tmp_path, capsys):
     # the state of a crash between the binary's rename and the manifest's
     first, second = _save_mic(tmp_path / "a.ckpt", seed=0), _save_mic(tmp_path / "b.ckpt", seed=1)
@@ -312,6 +321,10 @@ def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, me
         ({"seed": 2.5}, "seed must be int, got 2.5"),
         ({"seed": "abc"}, 'seed must be int, got "abc"'),
         ({"paths": {"outputs": 3}}, "paths: outputs must be str, got 3"),
+        ({"lora": {"targets": []}}, "lora: LoRA needs at least one target"),
+        ({"screen": {"forbidden_motifs": ["KK", ""]}}, "screen: forbidden motif '' must be a non-empty string"),
+        ({"screen": {"forbidden_motifs": ["kk"]}}, "screen: forbidden motif 'kk' must be a non-empty string"),
+        ({"screen": {"forbidden_motifs": ["KXK"]}}, "screen: forbidden motif 'KXK' must be a non-empty string"),
     ],
 )
 def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys, monkeypatch, settings, message):

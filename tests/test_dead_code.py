@@ -16,13 +16,19 @@ object of another class, or of another library, counts too.
 Each field of a config section's dataclass is read the same way: an
 attribute access with its name outside its own class. A knob that only its
 own range check reads fails, as an uncalled function does.
+
+Every allowlist entry stays only while a top-level module of `benchmarks/`
+still names it as a whole word, so a name the benchmark stops using has to
+leave `src/`.
 """
 import ast
+import re
 from pathlib import Path
 
 from amprl.config import SECTIONS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "amprl"
+BENCHMARKS = SRC.parent.parent / "benchmarks"
 
 # "<module>.<function>" or "<module>.<class>.<method>": why it stays without a caller in src/
 ALLOWED = {
@@ -176,6 +182,32 @@ def test_every_config_field_is_read_in_src():
 def test_allowlist_holds_only_unreferenced_functions():
     unreferenced = _unreferenced() + _unreferenced_methods() + _unread_fields(SECTION_CLASSES)
     assert sorted(ALLOWED) == sorted(name for name in unreferenced if name in ALLOWED)
+
+
+def _stale_allowances(allowed, benchmarks=BENCHMARKS, root=SRC):
+    """Allowlist entries whose name, after its module, no top-level benchmark module holds as a whole word."""
+    modules = [m for m in _modules(root) if m]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(benchmarks.glob("*.py")))
+    stale = []
+    for entry in allowed:
+        module = max((m for m in modules if entry.startswith(m + ".")), key=len)
+        if not re.search(rf"\b{re.escape(entry[len(module) + 1 :])}\b", text):
+            stale.append(entry)
+    return sorted(stale)
+
+
+def test_every_allowance_is_still_named_by_the_benchmark():
+    stale = _stale_allowances(ALLOWED)
+    assert not stale, f"allowlist entries benchmarks/ no longer names: {stale}"
+
+
+def test_an_allowance_expires_when_the_benchmark_stops_naming_it(tmp_path):
+    src, bench = tmp_path / "pkg", tmp_path / "bench"
+    src.mkdir(), bench.mkdir()
+    (src / "model.py").write_text("class Model:\n    def score(self):\n        return 1\n\n\ndef fit():\n    return 0\n")
+    (bench / "trace.py").write_text('TRACED = ["Model.score_many", "fit"]\n')
+    allowed = {"model.Model.score": "traced", "model.fit": "traced"}
+    assert _stale_allowances(allowed, bench, src) == ["model.Model.score"]
 
 
 def test_reexports_and_foreign_attributes_do_not_count_as_references(tmp_path):

@@ -385,6 +385,14 @@ def test_checkpoint_missing_file(tmp_path):
         nm.load_checkpoint(tmp_path / "absent.ckpt")
 
 
+def test_checkpoint_without_its_manifest_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nm.save_checkpoint(path, {"w": np.ones(3)}, meta={"step": 1})
+    (tmp_path / "model.ckpt.json").unlink()
+    with pytest.raises(ValueError, match="its manifest model.ckpt.json is missing"):
+        nm.load_checkpoint(path)
+
+
 def test_adam_descends_quadratic():
     target = np.array([1.0, -2.0, 3.0])
     x = nm.Tensor(np.zeros(3), requires_grad=True)

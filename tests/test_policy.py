@@ -43,9 +43,8 @@ def _pep(residues, pid="t"):
 
 def test_token_scheme():
     assert (EOS, BOS, PAD) == (20, 21, 22)
-    batch = encode_batch([_pep("ACD"), _pep("KLWKLW")])
-    ids = batch.ids
-    assert ids.shape == (2, 8)  # BOS + 6 residues + EOS for the longest row
+    ids = encode_batch([_pep("ACD"), _pep("KLWKLW")])
+    assert ids.dtype == np.int64 and ids.shape == (2, 8)  # BOS + 6 residues + EOS for the longest row
     assert (ids[:, 0] == BOS).all()
     assert list(ids[0]) == [BOS, 0, 1, 2, EOS, PAD, PAD, PAD]
     # exactly one EOS per row, PAD only after it
@@ -60,15 +59,15 @@ def test_encode_batch_matches_per_residue_oracle(pad_to):
     rng = np.random.default_rng(4)
     peps = [_pep(r) for r in RESIDUES] + [_pep(RESIDUES)] + random_peptides(40, rng, min_len=1, max_len=50)
     for batch in (peps, peps[:1], peps[-7:]):
-        ids = encode_batch(batch, pad_to=pad_to).ids
+        ids = encode_batch(batch, pad_to=pad_to)
         expected = encoding_oracle.encode_batch(batch, pad_to=pad_to)
         assert ids.dtype == expected.dtype and np.array_equal(ids, expected)
 
 
 def test_decode_inverts_encode():
-    batch = encode_batch([_pep("MNPQRST")])
+    ids = encode_batch([_pep("MNPQRST")])
     # decode consumes action ids: everything after the BOS, stopping at EOS
-    assert decode_tokens(batch.ids[0][1:]) == "MNPQRST"
+    assert decode_tokens(ids[0][1:]) == "MNPQRST"
 
 
 def test_init_is_seed_deterministic():
@@ -85,11 +84,12 @@ def test_init_is_seed_deterministic():
 
 def test_forward_shape_and_normalization():
     model = PolicyModel.init(TOY, seed=0)
-    batch = encode_batch([_pep("ACDEFG"), _pep("KK")])
-    out, rows = model.packed_log_probs(batch.ids)
-    real = batch.ids != PAD
+    ids = encode_batch([_pep("ACDEFG"), _pep("KK")])
+    values, out, rows = model.values_and_log_probs(ids)
+    real = ids != PAD
     # one row per non-PAD position in row-major order; PAD positions carry no distribution
     assert (~real).any() and np.array_equal(rows, np.flatnonzero(real))
+    assert values.shape == (int(real.sum()),)
     assert out.shape == (int(real.sum()), 21)  # 20 residues + EOS actions
     sums = np.exp(out.data).sum(axis=-1)
     assert np.allclose(sums, 1.0, atol=1e-9)
@@ -97,13 +97,12 @@ def test_forward_shape_and_normalization():
 
 def test_causality_by_perturbation():
     model = PolicyModel.init(TOY, seed=1)
-    batch = encode_batch([_pep("ACDEFGHIKL")])
-    ids = batch.ids.copy()
-    base = model.packed_log_probs(ids)[0].data.copy()  # one row without PAD: packed rows are its positions
+    ids = encode_batch([_pep("ACDEFGHIKL")])
+    base = model.values_and_log_probs(ids)[1].data.copy()  # one row without PAD: packed rows are its positions
     # editing a future token must not change earlier positions
     ids2 = ids.copy()
     ids2[0, 7] = 15
-    new = model.packed_log_probs(ids2)[0].data
+    new = model.values_and_log_probs(ids2)[1].data
     assert np.allclose(base[:7], new[:7], atol=1e-12)
     assert not np.allclose(base[7:], new[7:], atol=1e-9)
 
@@ -111,7 +110,7 @@ def test_causality_by_perturbation():
 def test_log_probs_match_sequence_scoring():
     model = PolicyModel.init(TOY, seed=2)
     pep = _pep("KWKWLL")
-    lp = sequence_log_probs(model, encode_batch([pep]).ids)[0]
+    lp = sequence_log_probs(model, encode_batch([pep]))[0]
     assert lp.shape == (7,)  # 6 residues + EOS step
     assert (lp <= 0.0).all()
     # perplexity of a single sequence is exp of mean NLL over those steps
@@ -133,14 +132,17 @@ def test_sampling_is_reproducible_and_respects_budget():
 
 def test_sample_ids_and_source():
     model = PolicyModel.init(TOY, seed=3)
-    out = sample(model, 3, max_len=6, seed=0, id_prefix="gen", id_start=5, source="generated_rl")
+    out = sample(model, 3, max_len=6, seed=0, id_prefix="gen", id_start=5)
     assert [s.peptide.id for s in out] == ["gen5", "gen6", "gen7"]
+    assert all(s.peptide.source == "generated_sft" for s in out)
+    # a LoRA-attached policy is the RL-tuned generator
+    out = sample(attach_lora(model, rank=2, scaling=1.0), 3, max_len=6, seed=0)
     assert all(s.peptide.source == "generated_rl" for s in out)
 
 
 def test_top_k_restricts_support():
     model = PolicyModel.init(TOY, seed=10)
-    lp = model.packed_log_probs(encode_batch([_pep("A")]).ids)[0].data[0]
+    lp = model.values_and_log_probs(encode_batch([_pep("A")]))[1].data[0]
     top1 = int(np.argmax(lp))
     out = sample(model, 20, max_len=4, seed=3, top_k=1)
     first = {s.tokens[0] for s in out}
@@ -150,16 +152,16 @@ def test_top_k_restricts_support():
 def test_sft_loss_matches_manual_nll():
     model = PolicyModel.init(TOY, seed=4)
     peps = [_pep("ACDEF", "a"), _pep("KLW", "b")]
-    batch = encode_batch(peps)
-    loss = sft_loss(model, batch)
-    lp, rows = model.packed_log_probs(batch.ids)
+    ids = encode_batch(peps)
+    loss = sft_loss(model, ids)
+    _, lp, rows = model.values_and_log_probs(ids)
     packed_at = {int(flat): k for k, flat in enumerate(rows)}
     total = 0.0
     count = 0
     for r, pep in enumerate(peps):
         targets = [RESIDUES.index(ch) for ch in pep.residues] + [EOS]
         for t, tok in enumerate(targets):
-            total -= lp.data[packed_at[r * batch.ids.shape[1] + t], tok]
+            total -= lp.data[packed_at[r * ids.shape[1] + t], tok]
             count += 1
     assert loss.token_count == count
     assert loss.mean.item() == pytest.approx(total / count, rel=1e-9)
@@ -221,20 +223,16 @@ def _assert_grads_close(got, want):
 def test_packed_trunk_matches_padded_oracle(case):
     lora, lengths, pad_to = TRUNK_CASES[case]
     model = _trunk_case_model(lora)
-    batch = _batch(lengths, pad_to, seed=len(lengths))
-    ids = batch.ids
+    ids = _batch(lengths, pad_to, seed=len(lengths))
     for inputs in (ids, ids[:, :-1]):
         real = inputs != PAD
-        got_lp, rows = model.packed_log_probs(inputs)
-        assert np.array_equal(rows, np.flatnonzero(real))
-        assert np.max(np.abs(got_lp.data - trunk_oracle.action_log_probs(model, inputs).data[real])) <= 1e-12
-        values, lp, value_rows = model.values_and_log_probs(inputs)
+        values, lp, rows = model.values_and_log_probs(inputs)
         want_values, want_lp = trunk_oracle.values_and_log_probs(model, inputs)
-        assert np.array_equal(value_rows, rows) and values.shape == (rows.size,)
+        assert np.array_equal(rows, np.flatnonzero(real)) and values.shape == (rows.size,)
         assert np.max(np.abs(values.data - want_values.data[real])) <= 1e-12
         assert np.max(np.abs(lp.data - want_lp.data[real])) <= 1e-12
 
-    got = sft_loss(model, batch)
+    got = sft_loss(model, ids)
     want_total, want_count = trunk_oracle.sft_loss_total(model, ids)
     assert got.token_count == want_count == sum(lengths) + len(lengths)
     assert abs(got.total.item() - want_total.item()) <= 1e-12 * abs(want_total.item())
@@ -259,9 +257,17 @@ def test_packed_trunk_matches_padded_oracle(case):
 def test_trunk_rejects_pad_before_a_real_token():
     model = PolicyModel.init(TOY, seed=0)
     ids = np.array([[BOS, 3, 4, EOS, PAD], [BOS, 5, PAD, 6, EOS]])
-    for call in (model.packed_log_probs, model.values_and_log_probs):
-        with pytest.raises(ValueError, match="PAD only after"):
-            call(ids)
+    with pytest.raises(ValueError, match="PAD only after"):
+        model.values_and_log_probs(ids)
+
+
+def test_trunk_rejects_a_row_without_bos_or_past_the_context():
+    model = PolicyModel.init(TOY, seed=0)
+    with pytest.raises(ValueError, match="BOS-prefixed"):
+        model.values_and_log_probs(np.array([[BOS, 3, EOS], [3, 4, EOS]]))
+    too_long = encode_batch([_pep("A" * TOY.max_len)], pad_to=TOY.context_len + 1)
+    with pytest.raises(ValueError, match="exceeds context"):
+        model.values_and_log_probs(too_long)
 
 
 def test_sft_loss_grad_check_with_padding_and_lora():
@@ -273,9 +279,9 @@ def test_sft_loss_grad_check_with_padding_and_lora():
     for name, t in model.named_tensors().items():
         if name.endswith("lora_b"):
             t.data += rng.normal(0.0, 0.1, size=t.data.shape)
-    batch = _batch([1, 3, 8], pad_to=config.context_len, seed=9)
-    assert batch.ids.shape[1] > 8 + 2  # PAD columns beyond the longest row
-    err = grad_check(lambda: sft_loss(model, batch).mean, model.trainable(), atol=1e-5)
+    ids = _batch([1, 3, 8], pad_to=config.context_len, seed=9)
+    assert ids.shape[1] > 8 + 2  # PAD columns beyond the longest row
+    err = grad_check(lambda: sft_loss(model, ids).mean, model.trainable(), atol=1e-5)
     assert err < 1e-4
 
 
@@ -301,8 +307,9 @@ def test_save_load_round_trip(tmp_path):
     path = tmp_path / "policy.ckpt"
     model.save(path, meta={"stage": "sft"})
     loaded = PolicyModel.load(path)
-    ids = encode_batch([_pep("ACDEFGH")]).ids
-    assert np.array_equal(model.packed_log_probs(ids)[0].data, loaded.packed_log_probs(ids)[0].data)
+    ids = encode_batch([_pep("ACDEFGH")])
+    for got, want in zip(model.values_and_log_probs(ids)[:2], loaded.values_and_log_probs(ids)[:2]):
+        assert np.array_equal(got.data, want.data)
 
 
 def test_init_creates_no_key_bias():
@@ -335,11 +342,11 @@ def test_load_rejects_tensor_names_the_config_does_not_define(tmp_path, capsys, 
 
 def test_lora_attach_preserves_function_and_freezes_base():
     base = PolicyModel.init(TOY, seed=12)
-    ids = encode_batch([_pep("KWKWKW")]).ids
-    reference = base.packed_log_probs(ids)[0].data.copy()
+    ids = encode_batch([_pep("KWKWKW")])
+    reference = base.values_and_log_probs(ids)[1].data.copy()
     tuned = attach_lora(base, rank=2, scaling=1.0, seed=1)
     # the low-rank delta starts at zero, so the function is unchanged
-    assert np.allclose(tuned.packed_log_probs(ids)[0].data, reference, atol=1e-12)
+    assert np.allclose(tuned.values_and_log_probs(ids)[1].data, reference, atol=1e-12)
     trainable_names = {
         name for name, t in tuned.named_tensors().items() if any(t is p for p in tuned.trainable())
     }
@@ -348,10 +355,17 @@ def test_lora_attach_preserves_function_and_freezes_base():
         assert "lora" in name or "value" in name
 
 
+def test_attach_lora_rejects_an_empty_target_list():
+    model = PolicyModel.init(TOY, seed=12)
+    with pytest.raises(ValueError, match="at least one target"):
+        attach_lora(model, rank=2, scaling=1.0, targets=())
+    assert not model.lora and all(p.requires_grad for p in model.params.values())
+
+
 def test_lora_round_trip_through_checkpoint(tmp_path):
-    ids = encode_batch([_pep("ACDKLM")]).ids
+    ids = encode_batch([_pep("ACDKLM")])
     model = PolicyModel.init(TOY, seed=13)
-    base_out = model.packed_log_probs(ids)[0].data.copy()  # attach_lora mutates in place
+    base_out = model.values_and_log_probs(ids)[1].data.copy()  # attach_lora mutates in place
     tuned = attach_lora(model, rank=2, scaling=0.5, seed=2)
     # perturb the zero factor so the adapter actually matters
     for name, t in tuned.named_tensors().items():
@@ -360,8 +374,8 @@ def test_lora_round_trip_through_checkpoint(tmp_path):
     path = tmp_path / "rl.ckpt"
     tuned.save(path)
     loaded = PolicyModel.load(path)
-    assert np.array_equal(tuned.packed_log_probs(ids)[0].data, loaded.packed_log_probs(ids)[0].data)
-    assert not np.allclose(loaded.packed_log_probs(ids)[0].data, base_out, atol=1e-9)
+    assert np.array_equal(tuned.values_and_log_probs(ids)[1].data, loaded.values_and_log_probs(ids)[1].data)
+    assert not np.allclose(loaded.values_and_log_probs(ids)[1].data, base_out, atol=1e-9)
 
 
 def _lora_policy(config, seed):
@@ -381,7 +395,7 @@ DIFFERENTIAL_CASES = {
     "bench_lora_tempered": (BENCH, True, 8, {"seed": 3, "temperature": 0.7}),
     "toy_lora_top_k": (TOY, True, 12, {"seed": 4, "top_k": 3, "temperature": 1.5}),
     "bench_short_cap": (BENCH, True, 10, {"seed": 6, "max_len": 5}),
-    "toy_ids": (TOY, False, 6, {"seed": 7, "id_prefix": "rl", "id_start": 3, "source": "generated_rl"}),
+    "toy_ids": (TOY, False, 6, {"seed": 7, "id_prefix": "rl", "id_start": 3}),
 }
 
 
@@ -422,7 +436,7 @@ def test_sampled_log_probs_match_rescoring():
 def test_sequence_log_probs_match_grid_oracle(case):
     lora, lengths, pad_to = TRUNK_CASES[case]
     model = _trunk_case_model(lora)
-    ids = _batch(lengths, pad_to, seed=len(lengths)).ids
+    ids = _batch(lengths, pad_to, seed=len(lengths))
     got = sequence_log_probs(model, ids)
     want = ppo_oracle.sequence_log_probs(model, ids)
     assert got.shape == want.shape == (ids.shape[0], ids.shape[1] - 1)
@@ -439,6 +453,6 @@ def test_sample_fails_loudly_on_a_nan_weight():
 def test_sft_loss_fails_loudly_on_a_nan_weight():
     model = PolicyModel.init(TOY, seed=13)
     model.params["layer0.attn.wk"].data[2, 7] = np.nan
-    batch = encode_batch([_pep("ACDEFG"), _pep("KLM")])
+    ids = encode_batch([_pep("ACDEFG"), _pep("KLM")])
     with pytest.raises(FloatingPointError, match=r"non-finite result in op '\w+'"):
-        sft_loss(model, batch)
+        sft_loss(model, ids)

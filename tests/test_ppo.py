@@ -111,7 +111,7 @@ def test_rollout_grid_matches_the_hand_built_grid():
     policy, cfg = _policy(4), _cfg(n_actors=16, max_len=6, horizon=7)
     capped = 0
     for seed in range(4):
-        samples = sample(policy, cfg.n_actors, max_len=6, seed=seed, source="generated_rl", id_prefix="rl")
+        samples = sample(policy, cfg.n_actors, max_len=6, seed=seed, id_prefix="rl")
         capped += sum(not s.terminated for s in samples)
         batch = rollout(policy, _reward_fn(), cfg, seed=seed)
         for got, want in zip((batch.ids, batch.actions, batch.mask, batch.old_log_probs), _grid_oracle(samples)):
@@ -126,9 +126,9 @@ PACKED_CASES = {
 }
 
 
-def _packed_case(case):
+def _packed_case(case, **ppo):
     overrides, seed = PACKED_CASES[case]
-    cfg = _cfg(clip_eps=0.02, **overrides)
+    cfg = _cfg(clip_eps=0.02, **overrides, **ppo)
     policy = _policy(7)
     batch = compute_advantages(rollout(policy, _reward_fn(), cfg, seed=seed), cfg)
     lengths = [len(p.residues) for p in batch.peptides]
@@ -270,6 +270,15 @@ def test_compute_advantages_matches_manual_gae():
     assert np.allclose(out.returns, raw_ret, atol=1e-12)
     assert abs(out.advantages[valid].mean()) < 1e-9
     assert abs(out.advantages[valid].std() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+@pytest.mark.parametrize("discount, lam", [(0.97, 0.9), (1.0, 0.95)])
+def test_compute_advantages_matches_the_per_row_loop_oracle(case, discount, lam):
+    _, batch, cfg = _packed_case(case, discount=discount, gae_lambda=lam)
+    want_adv, want_ret = ppo_oracle.advantages_and_returns(batch, cfg)
+    assert batch.advantages.tobytes() == want_adv.tobytes()
+    assert batch.returns.tobytes() == want_ret.tobytes()
 
 
 def test_undiscounted_returns_equal_terminal_reward_everywhere():

@@ -337,6 +337,7 @@ def test_build_library_reaches_target_with_partitioned_stats(tmp_path):
         _tiny_policy(), TableScorer(), 25, cfg, seed=3, out_dir=tmp_path
     )
     assert len(records) == 25
+    assert {r.peptide.source for r in records} == {"generated_sft"}  # no LoRA on the policy
     residues = [r.peptide.residues for r in records]
     assert len(set(residues)) == 25
     assert stats["library_size"] == 25
