@@ -9,15 +9,14 @@ config error. Every run writes a resolved-config copy and a run manifest
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, Run, apply_overrides, build_run, load_config, write_resolved
-from .sequences import AnnotationRecord, parse_fasta, write_fasta, write_records, _write_text
+from .config import ConfigError, Run, apply_overrides, build_run, load_config
+from .sequences import AnnotationRecord, parse_fasta, write_fasta, write_json, write_records, _write_text
 
 ENV_OUTPUT_DIR = "AMPRL_OUTPUT_DIR"
 
@@ -50,11 +49,7 @@ def _write_manifest(args, out: Path) -> None:
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
-    _write_text(out / "run_manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-def _write_json(payload, sink: Path) -> None:
-    _write_text(sink, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(manifest, out / "run_manifest.json")
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -116,7 +111,7 @@ def _cmd_sft(args, run: Run, out: Path) -> int:
     model = PolicyModel.init(run.model, seed=run.seed)
     result = train_sft(model, train, val, run.sft)
     result.model.save(out / "sft.ckpt")
-    _write_json(
+    write_json(
         {
             "history": result.history,
             "best_epoch": result.best_epoch,
@@ -136,9 +131,9 @@ def _cmd_train_mic(args, run: Run, out: Path) -> int:
     embedder = Embedder(scale=run.scales)
     model, history = train_mic(train, val, run.mic, embedder)
     model.save(out / "mic.ckpt")
-    _write_json(history, out / "mic_history.json")
+    write_json(history, out / "mic_history.json")
     metrics = evaluate(model, val)
-    _write_json(metrics, out / "mic_metrics.json")
+    write_json(metrics, out / "mic_metrics.json")
     print(f"train-mic: val auroc {metrics['auroc']}")
     return 0
 
@@ -272,7 +267,7 @@ def _cmd_eval(args, run: Run, out: Path) -> int:
         jsd_base=run.eval.jsd_base,
         scale=run.scales,
     )
-    ev.write_comparison_json(report, out / "comparison.json")
+    write_json(report, out / "comparison.json")
     ev.write_comparison_tsv(report, out / "comparison.tsv")
     if args.export_embeddings:
         ev.export_embeddings_tsv(generated, embeddings[0], out / "embeddings_generated.tsv")
@@ -288,7 +283,7 @@ def _cmd_assay(args, run: Run, out: Path) -> int:
     summaries = [ay.summarize(s) for s in series]
     classified, medians = ay.classify_quadrants(summaries)
     ay.write_summaries(classified, out / "assay_summary.tsv")
-    _write_json(medians, out / "assay_medians.json")
+    write_json(medians, out / "assay_medians.json")
     counts = {c: sum(1 for s in classified if s.category == c) for c in ay.CATEGORIES}
     print(f"assay: {len(classified)} series, categories {counts}")
     return 0
@@ -392,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         apply_overrides(cfg, {dotted: getattr(args, attr) for attr, dotted in mapping.items()})
         run = build_run(cfg)
         out = _resolve_output_dir(args, run)
-        write_resolved(cfg, out / "resolved_config.json")
+        write_json(cfg, out / "resolved_config.json")
         _write_manifest(args, out)
         return args.handler(args, run, out)
     except ConfigError as err:

@@ -20,7 +20,7 @@ import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
 from .dataprep import DataprepConfig
 from .evalmetrics import EvalConfig
@@ -30,7 +30,6 @@ from .policy import LoraConfig, ModelConfig, SampleConfig, SftConfig
 from .ppo import PpoConfig
 from .reward import RewardConfig
 from .screening import LibraryConfig, ScreenConfig
-from .sequences import _write_text
 
 
 class ConfigError(ValueError):
@@ -141,10 +140,6 @@ def apply_overrides(cfg: dict, overrides: dict[str, Any]) -> None:
         for part in parts[:-1]:
             node = node[part]
         node[parts[-1]] = value
-
-
-def write_resolved(cfg: dict, sink: str | Path | IO[str]) -> None:
-    _write_text(sink, json.dumps(cfg, sort_keys=True, indent=2) + "\n")
 
 
 def _convert(value, kind):

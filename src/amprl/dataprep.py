@@ -7,7 +7,6 @@ assignments can be ingested to reproduce runs made with other tools.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 from . import rng as _rng
 from .alignment import search
 from .mic import LabeledSet
-from .sequences import Peptide, _write_text, encode
+from .sequences import Peptide, encode, write_json
 
 
 @dataclass
@@ -227,4 +226,4 @@ def write_split_manifest(
             for name, part in zip(split_names, splits)
         },
     }
-    _write_text(sink, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    write_json(payload, sink)

@@ -4,7 +4,6 @@ per-descriptor summaries, and nearest-neighbor embedding distances.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,32 +103,25 @@ class DescriptorSummary:
     mean: float
     std: float
     quantiles: tuple[float, ...]
-    bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
 
 
 def property_summary(
     peptides: Sequence[Peptide],
-    bin_edges: dict[str, tuple[float, ...]] | None = None,
     scale: ScaleTable = DEFAULT_SCALE,
 ) -> dict[str, DescriptorSummary]:
-    """Mean/std/quantiles/histogram per descriptor.
+    """Mean/std/quantiles/histogram per descriptor, over `DEFAULT_BIN_EDGES`.
 
-    Values outside the configured edges land in the first or last bin so the
-    counts always sum to the set size.
+    Values outside the edges land in the first or last bin so the counts
+    always sum to the set size.
     """
     if not peptides:
         raise ValueError("cannot summarize an empty set")
-    edges_map = dict(DEFAULT_BIN_EDGES)
-    if bin_edges:
-        edges_map.update(bin_edges)
     vectors = [descriptor_vector(pep, scale) for pep in peptides]
     out: dict[str, DescriptorSummary] = {}
     for name in DESCRIPTORS:
         values = np.array([float(getattr(v, name)) for v in vectors])
-        edges = np.asarray(edges_map[name], dtype=np.float64)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError(f"bin edges for {name} must be strictly increasing with >= 2 entries")
+        edges = np.asarray(DEFAULT_BIN_EDGES[name], dtype=np.float64)
         clipped = np.clip(values, edges[0], edges[-1])
         counts, _ = np.histogram(clipped, bins=edges)
         out[name] = DescriptorSummary(
@@ -137,7 +129,6 @@ def property_summary(
             mean=float(values.mean()),
             std=float(values.std()),
             quantiles=tuple(float(q) for q in np.quantile(values, _QUANTILES)),
-            bin_edges=tuple(float(e) for e in edges),
             counts=tuple(int(c) for c in counts),
         )
     return out
@@ -183,7 +174,6 @@ def compare_sets(
     embeddings: tuple[np.ndarray, np.ndarray] | None = None,
     thresholds: tuple[float, ...] = (1.0, 3.0),
     jsd_base: float = 2.0,
-    bin_edges: dict[str, tuple[float, ...]] | None = None,
     scale: ScaleTable = DEFAULT_SCALE,
 ) -> dict:
     """Comparison report: frequency divergence, correlation, descriptor
@@ -203,8 +193,8 @@ def compare_sets(
             "reference": {ch: float(f) for ch, f in zip(RESIDUES, freq_ref)},
         },
         "properties": {
-            "generated": {k: _summary_dict(v) for k, v in property_summary(generated, bin_edges, scale).items()},
-            "reference": {k: _summary_dict(v) for k, v in property_summary(reference, bin_edges, scale).items()},
+            "generated": {k: _summary_dict(v) for k, v in property_summary(generated, scale).items()},
+            "reference": {k: _summary_dict(v) for k, v in property_summary(reference, scale).items()},
         },
     }
     if embeddings is not None:
@@ -221,13 +211,9 @@ def _summary_dict(s: DescriptorSummary) -> dict:
         "mean": s.mean,
         "std": s.std,
         "quantiles": list(s.quantiles),
-        "bin_edges": list(s.bin_edges),
+        "bin_edges": [float(e) for e in DEFAULT_BIN_EDGES[s.name]],
         "counts": list(s.counts),
     }
-
-
-def write_comparison_json(report: dict, sink: str | Path | IO[str]) -> None:
-    _write_text(sink, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def write_comparison_tsv(report: dict, sink: str | Path | IO[str]) -> None:

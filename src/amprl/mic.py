@@ -208,6 +208,7 @@ class MicModel:
     def score(self, p: Peptide) -> float:
         return float(self.score_many([p])[0])
 
+    @nm.no_grad()
     def score_many(self, peptides: Sequence[Peptide]) -> np.ndarray:
         """Activity scores of a whole list, one classifier forward."""
         if not peptides:
@@ -246,11 +247,12 @@ class MicModel:
             raise ValueError(f"{path}: unsupported embedder kind {kind!r}")
         if set(meta.get("scale", ())) != {"name", "version", "hydropathy", "pka"}:
             raise ValueError(f"{path}: checkpoint manifest lacks the descriptor scale (name, version, hydropathy, pka)")
+        layers = [f"fc{i}.{part}" for i in range(len(config.hidden) + 1) for part in ("w", "b")]
+        nm.check_tensor_names(path, tensors, ["embed.mean", "embed.std", *layers], "mic_config")
         embedder = Embedder(ScaleTable(**meta["scale"]))
         embedder.mean = tensors["embed.mean"].copy()
         embedder.std = tensors["embed.std"].copy()
-        # a loaded classifier only scores, so its forward records no autodiff graph
-        params = {name: nm.Tensor(arr.copy()) for name, arr in tensors.items() if name.startswith("fc")}
+        params = {name: nm.Tensor(tensors[name].copy()) for name in layers}
         return cls(embedder, params, config)
 
 
@@ -289,6 +291,7 @@ def train_mic(
         loss = focal_loss(model.probabilities(x_train[rows]), y_train[rows], a_train[rows], config.gamma_focal)
         return loss, loss.item(), 1
 
+    @nm.no_grad()
     def validate():
         val_auroc = auroc(model.probabilities(x_val).data, y_val)
         return val_auroc, {"val_auroc": val_auroc}

@@ -1,5 +1,5 @@
-"""Dense float64 tensors, reverse-mode autodiff, Adam, the early-stopping
-training loop, and checkpoint I/O."""
+"""Dense float64 tensors, reverse-mode autodiff with a `no_grad` switch for
+inference, Adam, the early-stopping training loop, and checkpoint I/O."""
 from .tensor import (
     Tensor,
     causal_attention,
@@ -13,12 +13,13 @@ from .tensor import (
     log_softmax,
     matmul,
     minimum,
+    no_grad,
     relu,
     sigmoid,
     softmax,
 )
 from .optim import Adam, check_schedule, train_epochs
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_tensor_names, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor",
@@ -31,6 +32,7 @@ __all__ = [
     "gather_last",
     "clamp",
     "minimum",
+    "no_grad",
     "relu",
     "gelu",
     "sigmoid",
@@ -41,4 +43,5 @@ __all__ = [
     "train_epochs",
     "save_checkpoint",
     "load_checkpoint",
+    "check_tensor_names",
 ]

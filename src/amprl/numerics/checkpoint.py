@@ -101,10 +101,22 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     mpath = path.with_name(path.name + ".json")
     if not mpath.exists():
         raise ValueError(f"{path}: its manifest {mpath.name} is missing")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    if "sha256" not in manifest:
+    try:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: its manifest {mpath.name} is not valid JSON ({err})") from None
+    if not isinstance(manifest, dict) or "sha256" not in manifest:
         raise ValueError(f"{path}: {mpath.name} records no sha256 of the checkpoint")
     digest = hashlib.sha256(blob).hexdigest()
     if manifest["sha256"] != digest:
         raise ValueError(f"{path}: sha256 {digest} differs from the {manifest['sha256']} recorded in {mpath.name}")
     return tensors, manifest.get("meta", {})
+
+
+def check_tensor_names(path: str | Path, names, expected, section: str) -> None:
+    """Raise a ValueError naming the first tensor that a loaded checkpoint and its `section` disagree on."""
+    mismatch = sorted(set(names) ^ set(expected))
+    if mismatch and mismatch[0] in names:
+        raise ValueError(f"{path}: checkpoint holds tensor {mismatch[0]!r}, which its {section} does not define")
+    if mismatch:
+        raise ValueError(f"{path}: checkpoint lacks tensor {mismatch[0]!r}, which its {section} defines")

@@ -5,16 +5,20 @@ output gradient back to them. backward() walks the graph once in reverse
 topological order. Every op validates that its result is finite. The
 closures of the binary ops `add`, `mul`, `matmul` and `minimum` compute an
 operand's gradient only if that operand requires one, so a constant input
-(a feature batch, a mask, a scalar) costs no backward work.
+(a feature batch, a mask, a scalar) costs no backward work. Inside a
+`no_grad()` block ops compute and check the same arrays but attach no
+parents, so inference keeps no graph.
 
 GELU, LayerNorm, causal attention, softmax and log-softmax keep their
 forward in a private array function (`_gelu`, `_layer_norm`, `_attention`,
-`_softmax`, `_log_softmax`) that the no-grad decoder behind
-`amprl.policy.sample` calls too. That decoder builds no nodes, so it checks
-finiteness once per step at the logits, not per op.
+`_softmax`, `_log_softmax`) that the decoder behind `amprl.policy.sample`
+calls too. That decoder builds no nodes, so it checks finiteness once per
+step at its outputs, not per op.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,11 +126,25 @@ def _wrap(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_recording = contextvars.ContextVar("recording", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no autodiff graph inside the block, which nests and is undone on
+    any exit; it holds in the calling thread or task only, and decorates too."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
     if not np.all(np.isfinite(data)):
         raise FloatingPointError(f"non-finite result in op {op!r}")
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -199,12 +199,7 @@ class PolicyModel:
             for name, arr in tensors.items()
             if not name.endswith((".lora_a", ".lora_b"))
         }
-        mismatch = sorted(params.keys() ^ {name for name, _, _ in _base_parameters(config)})
-        if mismatch:
-            name = mismatch[0]
-            if name in params:
-                raise ValueError(f"{path}: checkpoint holds tensor {name!r}, which its model_config does not define")
-            raise ValueError(f"{path}: checkpoint lacks tensor {name!r}, which its model_config defines")
+        nm.check_tensor_names(path, params, [name for name, _, _ in _base_parameters(config)], "model_config")
         model = cls(config, params)
         lora_meta = meta.get("lora")
         if lora_meta:
@@ -334,6 +329,7 @@ def sft_loss(model: PolicyModel, ids: np.ndarray) -> SftLoss:
     return SftLoss(total=total, mean=total * (1.0 / count), token_count=count)
 
 
+@nm.no_grad()
 def sequence_log_probs(model: PolicyModel, ids: np.ndarray) -> np.ndarray:
     """Per-position log-probs of the realized tokens; PAD targets get 0."""
     _, log_probs, rows = model.values_and_log_probs(ids[:, :-1])
@@ -344,15 +340,15 @@ def sequence_log_probs(model: PolicyModel, ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def perplexity(model: PolicyModel, peptides: list[Peptide], batch_size: int = 64) -> float:
-    """exp(mean per-token negative log-likelihood) over the dataset."""
+@nm.no_grad()
+def perplexity(model: PolicyModel, peptides: list[Peptide]) -> float:
+    """exp(mean per-token negative log-likelihood) over the dataset, in chunks of 64."""
     if not peptides:
         raise ValueError("perplexity needs at least one peptide")
     total = 0.0
     count = 0
-    for start in range(0, len(peptides), batch_size):
-        chunk = peptides[start : start + batch_size]
-        out = sft_loss(model, encode_batch(chunk))
+    for start in range(0, len(peptides), 64):
+        out = sft_loss(model, encode_batch(peptides[start : start + 64]))
         total += out.total.item()
         count += out.token_count
     return float(np.exp(total / count))
@@ -436,6 +432,8 @@ class SampledSequence:
     peptide: Peptide
     tokens: np.ndarray
     log_probs: np.ndarray
+    values: np.ndarray
+    entropies: np.ndarray
     terminated: bool
 
 
@@ -449,7 +447,7 @@ def sample(
     id_prefix: str = "gen",
     id_start: int = 0,
 ) -> list[SampledSequence]:
-    """Draw n sequences; per-token log-probs are under the untempered model.
+    """Draw n sequences; per-token log-probs and entropies are under the untempered model.
 
     Each peptide's source is `generated_rl` when the model carries LoRA
     deltas and `generated_sft` otherwise.
@@ -459,7 +457,7 @@ def sample(
     that exhausts the residue budget has EOS forced as its final action (its
     log-prob is still the model's own), and is flagged as not terminated.
     Decoding runs on plain arrays through a key/value cache (`_Decoder`) and
-    gives the same logits as the autodiff forward of the whole prefix.
+    gives the same logits and state values as the autodiff forward of the whole prefix.
     """
     _check_sampling(temperature, top_k)
     limit = model.config.max_len if max_len is None else min(max_len, model.config.max_len)
@@ -467,13 +465,13 @@ def sample(
     decoder = _Decoder(model, n, limit + 1)
 
     tokens = np.full((n, limit + 1), PAD, dtype=np.int64)
-    lps = np.zeros((n, limit + 1))
+    lps, values, entropies = np.zeros((3, n, limit + 1))
     lengths = np.zeros(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     feed = np.full(n, BOS, dtype=np.int64)
 
     for step in range(limit + 1):
-        logits = decoder.step(feed)
+        logits, step_values = decoder.step(feed)
         if step == 0:
             logits[:, EOS] = NEG
         base_lp = _log_softmax(logits)
@@ -493,6 +491,8 @@ def sample(
         rows = np.flatnonzero(alive)
         tokens[rows, step] = choices[rows]
         lps[rows, step] = base_lp[rows, choices[rows]]
+        values[rows, step] = step_values[rows]
+        entropies[rows, step] = -(np.exp(base_lp) * base_lp).sum(axis=-1)[rows]
         lengths[rows] += 1
         feed = np.where(alive, choices, PAD)
         alive &= choices != EOS
@@ -510,6 +510,8 @@ def sample(
                 peptide=pep,
                 tokens=tokens[i, :k].copy(),
                 log_probs=lps[i, :k].copy(),
+                values=values[i, :k].copy(),
+                entropies=entropies[i, :k].copy(),
                 terminated=len(residues) < limit,
             )
         )
@@ -523,7 +525,7 @@ class _Decoder:
     expression as `PolicyModel._weight`. Each layer keeps the keys and
     values of every position fed so far, so a step runs the shared array
     forward `_attention` for one query row over the cache instead of
-    re-running the prefix. No autodiff graph is built, so the logits of
+    re-running the prefix. No autodiff graph is built, so the outputs of
     each step are checked for finiteness here.
     """
 
@@ -540,8 +542,8 @@ class _Decoder:
         ]
         self.pos = 0
 
-    def step(self, feed: np.ndarray) -> np.ndarray:
-        """Next-action logits (n, 21) after feeding one token per row."""
+    def step(self, feed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Next-action logits (n, 21) and state values (n,) after feeding one token per row."""
         cfg, w, t = self.config, self.w, self.pos
         n = feed.shape[0]
         heads = cfg.n_heads
@@ -560,7 +562,8 @@ class _Decoder:
             x = x + np.matmul(m, w[f"{pre}.mlp.w2"]) + w[f"{pre}.mlp.b2"]
         x = _layer_norm(x, w["ln_f.g"], w["ln_f.b"])[0]
         logits = np.matmul(x, w["head.w"]) + w["head.b"]
-        if not np.all(np.isfinite(logits)):
-            raise FloatingPointError(f"non-finite result in op 'decode.logits' at step {t}")
+        values = (np.matmul(x, w["value.w"]) + w["value.b"]).reshape((n,))
+        if not (np.all(np.isfinite(logits)) and np.all(np.isfinite(values))):
+            raise FloatingPointError(f"non-finite result in op 'decode' at step {t}")
         self.pos += 1
-        return logits
+        return logits, values

@@ -80,7 +80,6 @@ class RolloutBatch:
     old_log_probs: np.ndarray
     values: np.ndarray
     rewards_raw: np.ndarray
-    rewards_scaled: np.ndarray
     rewards_whitened: np.ndarray
     step_rewards: np.ndarray
     breakdowns: list[RewardBreakdown]
@@ -100,7 +99,7 @@ def rollout(
     cfg: PpoConfig,
     seed: int,
 ) -> RolloutBatch:
-    """Sample N trajectories, score them in one batch at the end, whiten the rewards."""
+    """Sample N trajectories with the decode's log-probs, values and entropies; score them in one batch, whiten."""
     residue_cap = min(cfg.max_len, cfg.horizon - 1, policy.config.max_len)
     samples = sample(policy, cfg.n_actors, max_len=residue_cap, seed=seed, id_prefix="rl")
     n = len(samples)
@@ -109,25 +108,18 @@ def rollout(
     actions = ids[:, 1:]
     mask = (actions != PAD).astype(np.float64)
 
-    values_t, log_probs_t, rows = policy.values_and_log_probs(ids[:, :-1])
-    lp = log_probs_t.data
-    values, step_entropy = np.zeros((2, actions.size))
-    values[rows], step_entropy[rows] = values_t.data, -(np.exp(lp) * lp).sum(axis=-1)
-    values = values.reshape(actions.shape) * mask
-    mean_entropy = float((step_entropy.reshape(actions.shape) * mask).sum() / mask.sum())
-
     try:
         breakdowns = reward_fn(peptides)
     except Exception as exc:
         raise RuntimeError(f"reward evaluation failed for a batch of {n} sequences: {exc}") from exc
     rewards = np.array([bd.r_total for bd in breakdowns])
 
-    scaled, whitened = process_rewards(rewards)
-    old_lp = np.zeros(actions.shape)
-    step_rewards = np.zeros(actions.shape)
+    _, whitened = process_rewards(rewards)
+    old_lp, values, step_entropy, step_rewards = np.zeros((4,) + actions.shape)
     for i, s in enumerate(samples):
-        old_lp[i, : s.tokens.size] = s.log_probs
-        step_rewards[i, s.tokens.size - 1] = whitened[i]
+        k = s.tokens.size
+        old_lp[i, :k], values[i, :k], step_entropy[i, :k] = s.log_probs, s.values, s.entropies
+        step_rewards[i, k - 1] = whitened[i]
 
     return RolloutBatch(
         ids=ids,
@@ -136,12 +128,11 @@ def rollout(
         old_log_probs=old_lp,
         values=values,
         rewards_raw=rewards,
-        rewards_scaled=scaled,
         rewards_whitened=whitened,
         step_rewards=step_rewards,
         breakdowns=breakdowns,
         peptides=peptides,
-        mean_entropy=mean_entropy,
+        mean_entropy=float((step_entropy * mask).sum() / mask.sum()),
     )
 
 

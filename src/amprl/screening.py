@@ -23,7 +23,7 @@ from .alignment import SimilarityHit, make_hit, search
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
 from .policy import _check_sampling, sample
 from .reward import RewardConfig
-from .sequences import RESIDUE_SET, AnnotationRecord, Peptide, _write_text, encode, write_fasta, write_records
+from .sequences import RESIDUE_SET, AnnotationRecord, Peptide, encode, write_fasta, write_json, write_records
 
 Window = tuple[float, float]
 
@@ -397,5 +397,5 @@ def build_library(
     }
     write_fasta(unique, out / "library.fasta")
     write_records(records, "jsonl", out / "library.jsonl")
-    _write_text(out / "library_stats.json", json.dumps(stats, sort_keys=True, indent=2) + "\n")
+    write_json(stats, out / "library_stats.json")
     return records, stats

@@ -237,6 +237,11 @@ def write_records(
         raise ValueError(f"unknown record format {format!r}; expected 'tsv' or 'jsonl'")
 
 
+def write_json(payload, sink: str | Path | IO[str]) -> None:
+    """A JSON artifact: sorted keys, two-space indent, a final newline."""
+    _write_text(sink, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 def _write_text(sink: str | Path | IO[str], text: str) -> None:
     """Write a whole text payload; paths are written atomically (tmp + rename)."""
     if isinstance(sink, (str, Path)):

@@ -50,6 +50,24 @@ def near_copy(rng, seq, max_len=40):
     return "".join(out)
 
 
+@pytest.fixture
+def graph_nodes(monkeypatch):
+    """Every autodiff node made with parents while the test runs, in order."""
+    from amprl.numerics import tensor
+
+    made = []
+    real = tensor._node
+
+    def recording(*args):
+        out = real(*args)
+        if out._parents:
+            made.append(out)
+        return out
+
+    monkeypatch.setattr(tensor, "_node", recording)
+    return made
+
+
 @pytest.fixture(autouse=True)
 def _clear_output_env(monkeypatch):
     # keeps CLI output routing independent of the invoking shell

@@ -6,6 +6,9 @@ the padding away. `values_and_log_probs` gives those grid outputs,
 `sequence_log_probs` the rescoring built on them, and
 `rollout_values_and_entropy` and `minibatch_losses` the code of
 `ppo.rollout` and `ppo._minibatch_losses` that read them, verbatim.
+`ppo.rollout` has since stopped running a forward of its own: it takes
+values and entropies from the decode, which `rollout_values_and_entropy`
+recomputes from a second full forward of the sampled batch.
 `test_ppo.py` and `test_policy.py` check the packed path against them.
 
 `advantages_and_returns` is `ppo.compute_advantages` as it was before its

@@ -1,8 +1,9 @@
 """The sampler that `amprl.policy.sample` replaced, kept as a test oracle.
 
 At every step it runs the whole growing prefix through the padded autodiff
-trunk of `trunk_oracle` and reads the last position's logits. `test_policy.py` checks the
-KV-cached decoder against it token for token.
+trunk of `trunk_oracle` and reads the last position's logits and state
+value; a step's entropy is that of its untempered log-probs. `test_policy.py`
+checks the KV-cached decoder against it token for token.
 """
 import numpy as np
 
@@ -31,10 +32,13 @@ def sample(
     alive = np.ones(n, dtype=bool)
     token_lists = [[] for _ in range(n)]
     lp_lists = [[] for _ in range(n)]
+    value_lists = [[] for _ in range(n)]
+    entropy_lists = [[] for _ in range(n)]
 
     for step in range(limit + 1):
         hidden = trunk_oracle.forward_hidden(model, rows)
         logits = (nm.matmul(hidden, model.params["head.w"]) + model.params["head.b"]).data[:, -1, :].copy()
+        values = (nm.matmul(hidden, model.params["value.w"]) + model.params["value.b"]).data[:, -1, 0]
         if step == 0:
             logits[:, EOS] = NEG
         base_lp = _log_softmax_rows(logits)
@@ -55,6 +59,8 @@ def sample(
             token = int(choices[i])
             token_lists[i].append(token)
             lp_lists[i].append(float(base_lp[i, token]))
+            value_lists[i].append(float(values[i]))
+            entropy_lists[i].append(float(-np.sum(np.exp(base_lp[i]) * base_lp[i])))
             if token == EOS:
                 alive[i] = False
         if not alive.any():
@@ -73,6 +79,8 @@ def sample(
                 peptide=pep,
                 tokens=tokens,
                 log_probs=np.array(lp_lists[i]),
+                values=np.array(value_lists[i]),
+                entropies=np.array(entropy_lists[i]),
                 terminated=len(residues) < limit,
             )
         )

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import amprl.numerics as nm
 from amprl.cli import ENV_OUTPUT_DIR, main
 from amprl.mic import Embedder, LabeledSet, MicConfig, MicModel, write_labeled_tsv
 from amprl.sequences import Peptide, write_fasta
@@ -182,6 +183,39 @@ def test_checkpoint_without_its_manifest_exits_one(tmp_path, capsys):
     argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
     assert f"error: {path}: its manifest mic.ckpt.json is missing" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.tsv").exists()
+
+
+def test_checkpoint_whose_manifest_is_not_json_exits_one(tmp_path, capsys):
+    path = _save_mic(tmp_path / "mic.ckpt")
+    path.with_name("mic.ckpt.json").write_text("{not json")
+    argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: its manifest mic.ckpt.json is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        ("embed.mean", None, "lacks tensor 'embed.mean', which its mic_config defines"),
+        ("embed.std", None, "lacks tensor 'embed.std', which its mic_config defines"),
+        ("fc1.w", None, "lacks tensor 'fc1.w', which its mic_config defines"),
+        (None, "fc2.w", "holds tensor 'fc2.w', which its mic_config does not define"),
+    ],
+    ids=["without_embed_mean", "without_embed_std", "without_fc1_w", "with_extra_fc2_w"],
+)
+def test_classifier_checkpoint_with_wrong_tensor_names_exits_one(tmp_path, capsys, drop, add, message):
+    # manifest and sha256 intact: the tensors are re-saved through save_checkpoint
+    path = _save_mic(tmp_path / "mic.ckpt")
+    tensors, meta = nm.load_checkpoint(path)
+    tensors.pop(drop, None)
+    if add:
+        tensors[add] = np.ones((4, 1))
+    nm.save_checkpoint(path, tensors, meta=meta)
+    argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: checkpoint {message}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "scores.tsv").exists()
 
 

@@ -17,9 +17,9 @@ from amprl.config import (
     load_config,
     mic_config,
     screen_config,
-    write_resolved,
 )
 from amprl.physchem import DEFAULT_SCALE
+from amprl.sequences import write_json
 
 
 EXPECTED_SECTIONS = {
@@ -171,7 +171,7 @@ def test_write_resolved_is_sorted_and_round_trips(tmp_path):
     cfg = default_config()
     cfg["seed"] = 3
     path = tmp_path / "resolved.json"
-    write_resolved(cfg, path)
+    write_json(cfg, path)
     text = path.read_text()
     # JSON has no tuples, so compare against the normalized form
     assert json.loads(text) == json.loads(json.dumps(cfg))

@@ -15,10 +15,9 @@ from amprl.evalmetrics import (
     js_divergence,
     pearson,
     property_summary,
-    write_comparison_json,
     write_comparison_tsv,
 )
-from amprl.sequences import Peptide
+from amprl.sequences import Peptide, write_json
 
 import encoding_oracle
 from conftest import RESIDUES, random_peptides
@@ -133,7 +132,7 @@ def test_property_summary_counts_sum_to_n():
     assert set(summary) == {"length", "hydrophobicity", "hydrophobic_moment", "net_charge", "isoelectric_point"}
     for name, s in summary.items():
         assert sum(s.counts) == 40
-        assert len(s.counts) == len(s.bin_edges) - 1
+        assert len(s.counts) == len(DEFAULT_BIN_EDGES[name]) - 1
         assert s.quantiles[0] <= s.quantiles[2] <= s.quantiles[4]  # min <= median <= max
 
 
@@ -216,7 +215,7 @@ def test_comparison_serializers(tmp_path):
     ref = random_peptides(8, rng, prefix="r")
     report = compare_sets("demo", gen, ref)
     json_path = tmp_path / "cmp.json"
-    write_comparison_json(report, json_path)
+    write_json(report, json_path)
     back = json.loads(json_path.read_text())
     assert back["set"] == "demo"
     assert back["jsd"] == pytest.approx(report["jsd"])

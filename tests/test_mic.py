@@ -227,6 +227,34 @@ def test_scores_are_probabilities_and_ignore_metadata():
     assert many[0] == pytest.approx(s, abs=1e-12)
 
 
+def test_scoring_and_validation_record_no_autodiff_graph(graph_nodes, monkeypatch):
+    rng = np.random.default_rng(10)
+    train, val = _separable_set(40, rng, "train"), _separable_set(12, rng, "val")
+    validation_nodes = []
+    real_train_epochs = nm.train_epochs
+
+    def checked_train_epochs(params, n, batch_loss, validate, schedule, shuffle):
+        def counted_validate():
+            before = len(graph_nodes)
+            out = validate()
+            validation_nodes.append(len(graph_nodes) - before)
+            return out
+
+        return real_train_epochs(params, n, batch_loss, counted_validate, schedule, shuffle)
+
+    monkeypatch.setattr(nm, "train_epochs", checked_train_epochs)
+    cfg = MicConfig(hidden=(8,), lr=3e-3, epochs=2, batch_size=8, patience=2, seed=0)
+    model, _ = train_mic(train, val, cfg, embedder=_fitted(train.peptides()))
+    assert validation_nodes == [0, 0] and graph_nodes  # the training steps do record a graph
+    assert all(p.requires_grad for p in model.trainable())
+    graph_nodes.clear()
+    scores = model.score_many(val.peptides())
+    evaluate(model, val)
+    assert not graph_nodes
+    recorded = model.probabilities(model.embedder.embed_many(val.peptides()))
+    assert recorded._parents and recorded.data.tobytes() == scores.tobytes()
+
+
 def test_model_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     train = _separable_set(40, rng, "train")

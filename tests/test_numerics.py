@@ -1,6 +1,7 @@
 """Autodiff tensor library: gradients, guards, checkpointing, optimizer."""
 import hashlib
 import json
+import threading
 import tracemalloc
 import warnings
 
@@ -350,6 +351,62 @@ def test_nonfinite_result_trips_error():
             nm.log(a)
 
 
+def test_no_grad_tensor_has_no_parents_and_the_same_data():
+    w = nm.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    recorded = nm.gelu(w * 3.0 + 1.0)
+    with nm.no_grad():
+        out = nm.gelu(w * 3.0 + 1.0)
+    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert out.data.tobytes() == recorded.data.tobytes()
+    with warnings.catch_warnings(), nm.no_grad():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(FloatingPointError):  # the finite checks still run
+            nm.log(w - 5.0)
+
+
+def test_no_grad_nests_and_decorates():
+    w = nm.Tensor(np.ones(3), requires_grad=True)
+
+    @nm.no_grad()
+    def doubled():
+        return w * 2.0
+
+    with nm.no_grad():
+        with nm.no_grad():
+            inner = w * w
+        after_inner = w * w  # leaving the inner block keeps the outer one in force
+        decorated = doubled()
+    assert not (inner.requires_grad or after_inner.requires_grad or decorated.requires_grad)
+    assert doubled()._parents == () and (w * 2.0)._parents
+
+
+def test_no_grad_is_restored_after_an_exception():
+    w = nm.Tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with nm.no_grad():
+            raise RuntimeError("inside")
+    assert (w * w).requires_grad
+
+
+def test_no_grad_holds_only_in_its_own_thread():
+    w = nm.Tensor(np.ones(2), requires_grad=True)
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append((w * w).requires_grad))
+    with nm.no_grad():
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive() and seen == [True]
+
+
+def test_backward_works_after_a_no_grad_block():
+    w = nm.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    with nm.no_grad():
+        frozen = w * w
+    loss = (w * w * 3.0).sum() + (frozen * w).sum()  # frozen enters as a constant
+    loss.backward()
+    assert np.array_equal(w.grad, 6.0 * w.data + frozen.data)
+
+
 def test_softmax_rows_normalize():
     rng = np.random.default_rng(12)
     s = nm.softmax(nm.Tensor(rng.normal(size=(3, 9)) * 10))
@@ -383,6 +440,23 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_missing_file(tmp_path):
     with pytest.raises(OSError):
         nm.load_checkpoint(tmp_path / "absent.ckpt")
+
+
+def test_checkpoint_with_a_manifest_that_is_not_json_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    nm.save_checkpoint(path, {"w": np.ones(3)})
+    (tmp_path / "model.ckpt.json").write_text("{not json")
+    with pytest.raises(ValueError, match="model.ckpt: its manifest model.ckpt.json is not valid JSON"):
+        nm.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"sha256"', "{}"])
+def test_checkpoint_with_a_manifest_that_is_no_object_with_a_sha256_is_rejected(tmp_path, text):
+    path = tmp_path / "model.ckpt"
+    nm.save_checkpoint(path, {"w": np.ones(3)})
+    (tmp_path / "model.ckpt.json").write_text(text)
+    with pytest.raises(ValueError, match="model.ckpt: model.ckpt.json records no sha256 of the checkpoint"):
+        nm.load_checkpoint(path)
 
 
 def test_checkpoint_without_its_manifest_is_rejected(tmp_path):

@@ -117,6 +117,22 @@ def test_log_probs_match_sequence_scoring():
     assert perplexity(model, [pep]) == pytest.approx(float(np.exp(-lp.mean())), rel=1e-9)
 
 
+@pytest.mark.parametrize("lora", [False, True])
+def test_perplexity_and_rescoring_record_no_autodiff_graph(graph_nodes, lora):
+    model = _lora_policy(TOY, seed=3) if lora else PolicyModel.init(TOY, seed=3)
+    assert model.trainable() and all(p.requires_grad for p in model.trainable())
+    peps = random_peptides(70, np.random.default_rng(3), min_len=1, max_len=TOY.max_len)  # two chunks of perplexity
+    ppl = perplexity(model, peps)
+    rescored = sequence_log_probs(model, encode_batch(peps[:5]))
+    assert not graph_nodes
+    # the same forwards outside the block record a graph and give the same numbers
+    losses = [sft_loss(model, encode_batch(peps[start : start + 64])) for start in (0, 64)]
+    assert graph_nodes
+    total = sum(out.total.item() for out in losses)
+    assert ppl == float(np.exp(total / sum(out.token_count for out in losses)))
+    assert rescored.tobytes() == ppo_oracle.sequence_log_probs(model, encode_batch(peps[:5])).tobytes()
+
+
 def test_sampling_is_reproducible_and_respects_budget():
     model = PolicyModel.init(TOY, seed=3)
     a = sample(model, 12, max_len=9, seed=7)
@@ -410,8 +426,10 @@ def test_cached_sampler_matches_full_prefix_oracle(case):
         assert g.peptide == w.peptide
         assert np.array_equal(g.tokens, w.tokens)
         assert g.terminated == w.terminated
-        assert g.log_probs.shape == w.log_probs.shape
-        assert np.max(np.abs(g.log_probs - w.log_probs)) <= 1e-12
+        for field in ("log_probs", "values", "entropies"):
+            got_steps, want_steps = getattr(g, field), getattr(w, field)
+            assert got_steps.shape == want_steps.shape == g.tokens.shape
+            assert np.max(np.abs(got_steps - want_steps)) <= 1e-12, field
     if "max_len" in kwargs:
         assert not all(g.terminated for g in got)  # EOS forced at the residue cap
     else:

@@ -14,6 +14,7 @@ from amprl.sequences import (
     encode,
     parse_fasta,
     write_fasta,
+    write_json,
     write_records,
 )
 
@@ -196,3 +197,14 @@ def test_records_jsonl_is_sorted_and_stable():
     assert a.getvalue() == b.getvalue()
     obj = json.loads(a.getvalue())
     assert list(obj) == sorted(obj)
+
+
+def test_write_json_sorts_keys_indents_two_spaces_and_ends_in_a_newline(tmp_path):
+    path = tmp_path / "sub" / "artifact.json"
+    write_json({"b": [1, 2.5], "a": {"y": None, "x": "s"}}, path)
+    expected = '{\n  "a": {\n    "x": "s",\n    "y": null\n  },\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+    assert path.read_text(encoding="utf-8") == expected
+    assert sorted(p.name for p in path.parent.iterdir()) == ["artifact.json"]  # no temp file left behind
+    buf = io.StringIO()
+    write_json([], buf)
+    assert buf.getvalue() == "[]\n"
