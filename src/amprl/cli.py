@@ -56,10 +56,11 @@ def _write_manifest(args, out: Path) -> None:
 
 
 def _cmd_props(args, run: Run, out: Path) -> int:
-    from .physchem import descriptor_vector
+    from .physchem import descriptor_vectors
 
     peptides = parse_fasta(_require(args.input, "--input"))
-    records = [AnnotationRecord(peptide=p, properties=descriptor_vector(p, run.scales)) for p in peptides]
+    properties = descriptor_vectors(peptides, run.scales)
+    records = [AnnotationRecord(peptide=p, properties=v) for p, v in zip(peptides, properties, strict=True)]
     write_records(records, "tsv", out / "props.tsv")
     print(f"props: {len(records)} records -> {out / 'props.tsv'}")
     return 0

@@ -11,7 +11,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
+from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable, descriptors
 from .sequences import RESIDUES, Peptide, _write_text, encode
 
 
@@ -84,8 +84,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     return float(np.sum(xc * yc) / (sx * sy))
 
 
-DESCRIPTORS = ("length", "hydrophobicity", "hydrophobic_moment", "net_charge", "isoelectric_point")
-
 DEFAULT_BIN_EDGES: dict[str, tuple[float, ...]] = {
     "length": tuple(float(v) for v in range(0, 65, 5)),
     "hydrophobicity": tuple(np.round(np.arange(-3.0, 3.01, 0.5), 10)),
@@ -117,10 +115,8 @@ def property_summary(
     """
     if not peptides:
         raise ValueError("cannot summarize an empty set")
-    vectors = [descriptor_vector(pep, scale) for pep in peptides]
     out: dict[str, DescriptorSummary] = {}
-    for name in DESCRIPTORS:
-        values = np.array([float(getattr(v, name)) for v in vectors])
+    for name, values in zip(DESCRIPTORS, descriptors(peptides, scale).T):
         edges = np.asarray(DEFAULT_BIN_EDGES[name], dtype=np.float64)
         clipped = np.clip(values, edges[0], edges[-1])
         counts, _ = np.histogram(clipped, bins=edges)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics.tensor import reduce_mean
-from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
+from .physchem import DEFAULT_SCALE, ScaleTable, descriptors
 from .rng import substream
 from .sequences import RESIDUES, Peptide, encode
 
@@ -99,9 +99,7 @@ class Embedder:
         """Unstandardized feature matrix, one row per peptide."""
         n = len(peptides)
         raw = np.empty((n, BUILTIN_DIM))
-        for row, p in zip(raw, peptides):
-            props = descriptor_vector(p, self.scale)
-            row[:5] = (props.length, props.hydrophobicity, props.hydrophobic_moment, props.net_charge, props.isoelectric_point)
+        raw[:, :5] = descriptors(peptides, self.scale)
         codes, lengths = encode([p.residues for p in peptides])
         codes = codes[codes < len(RESIDUES)]  # row-major, so the peptides' codes end to end
         rows = np.repeat(np.arange(n), lengths)

@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
-from .sequences import RESIDUES, Peptide
+import numpy as np
+
+from .sequences import RESIDUES, Peptide, encode
 
 # Eisenberg consensus hydropathy, one value per canonical residue.
 EISENBERG_HYDROPATHY = {
@@ -34,10 +37,6 @@ PKA = {
     "R": 12.48,
 }
 
-_BASIC_SIDECHAINS = ("K", "R", "H")
-_ACIDIC_SIDECHAINS = ("D", "E", "C", "Y")
-
-
 @dataclass(frozen=True)
 class ScaleTable:
     """Versioned constant tables; the numbers are data and may be overridden."""
@@ -51,6 +50,9 @@ class ScaleTable:
         missing = [r for r in RESIDUES if r not in self.hydropathy]
         if missing:
             raise ValueError(f"hydropathy table missing residues: {', '.join(missing)}")
+        for key, value in self.hydropathy.items():
+            if not math.isfinite(value):
+                raise ValueError(f"hydropathy for {key!r} is not finite: {value}")
         for key, value in self.pka.items():
             if not (0.0 < value < 14.0):
                 raise ValueError(f"pKa for {key!r} out of (0,14): {value}")
@@ -118,77 +120,73 @@ class PropertyVector:
             raise ValueError("net charge exceeds residue count")
 
 
-def mean_hydrophobicity(p: Peptide, scale: ScaleTable = DEFAULT_SCALE) -> float:
-    """Arithmetic mean of per-residue hydropathy values."""
-    return sum(scale.hydropathy[r] for r in p.residues) / len(p.residues)
+DESCRIPTORS = ("length", "hydrophobicity", "hydrophobic_moment", "net_charge", "isoelectric_point")
+
+# the ionizable groups: a base's term is +1 / (1 + 10^(pH - pKa)), an acid's -1 / (1 + 10^(pKa - pH))
+_GROUPS = ("n_term", "c_term", "K", "R", "H", "D", "E", "C", "Y")
+_SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+# a residue code's column in `_hh_charges`' terms: 0 is both termini, 1-7 the side chains, 8 no charge
+_TERM_OF_CODE = np.full(len(RESIDUES) + 1, 8)
+_TERM_OF_CODE[[RESIDUES.index(g) for g in _GROUPS[2:]]] = np.arange(1, 8)
 
 
-def hydrophobic_moment(p: Peptide, scale: ScaleTable = DEFAULT_SCALE, delta_deg: float = 100.0) -> float:
-    """Mean helical-wheel moment with residue n at angle n*delta (n from 0)."""
-    delta = math.radians(delta_deg)
-    sin_sum = 0.0
-    cos_sum = 0.0
-    for n, r in enumerate(p.residues):
-        h = scale.hydropathy[r]
-        sin_sum += h * math.sin(n * delta)
-        cos_sum += h * math.cos(n * delta)
-    return math.hypot(sin_sum, cos_sum) / len(p.residues)
+def descriptors(peptides: Sequence[Peptide], scale: ScaleTable = DEFAULT_SCALE) -> np.ndarray:
+    """Each peptide's five descriptors: an (n, 5) matrix in DESCRIPTORS order.
 
-
-def net_charge(p: Peptide) -> float:
-    """Formal charge: K/R/H count +1, D/E count -1, termini excluded.
-
-    His is +1 by the stated rule even though its pKa sits below pH 7; this
-    follows the charge rule as given rather than the pKa table.
+    The moment puts residue n at n * 100 degrees on the helical wheel. The
+    net charge is the formal one; pI is where the Henderson-Hasselbalch
+    charge crosses zero. Sums run in sequence order and the pH terms use
+    Python's float power, so no row depends on the other rows.
     """
-    positive = sum(p.residues.count(r) for r in ("K", "R", "H"))
-    negative = sum(p.residues.count(r) for r in ("D", "E"))
-    return float(positive - negative)
+    if not peptides:
+        return np.empty((0, len(DESCRIPTORS)))
+    codes, lengths = encode([p.residues for p in peptides])
+    # + 0.0 turns a -0.0 entry into 0.0, as a sum that starts from 0 does
+    h = (np.append([scale.hydropathy[r] for r in RESIDUES], 0.0) + 0.0)[codes]
+    angles = [n * math.radians(100.0) for n in range(codes.shape[1])]
+    sines = np.cumsum(h * [math.sin(a) for a in angles], axis=1)[:, -1].tolist()
+    cosines = np.cumsum(h * [math.cos(a) for a in angles], axis=1)[:, -1].tolist()
+    moments = np.divide([math.hypot(s, c) for s, c in zip(sines, cosines)], lengths)
+    charges = [np.isin(codes, [RESIDUES.index(r) for r in group]).sum(axis=1) for group in ("KRH", "DE")]
+    pis = _isoelectric_points(codes, np.array([scale.pka[g] for g in _GROUPS]))
+    return np.column_stack([lengths, np.cumsum(h, axis=1)[:, -1] / lengths, moments, charges[0] - charges[1], pis])
 
 
-def hh_charge(residues: str, ph: float, scale: ScaleTable = DEFAULT_SCALE) -> float:
-    """Continuous Henderson-Hasselbalch charge including both termini."""
-    q = 1.0 / (1.0 + 10.0 ** (ph - scale.pka["n_term"]))
-    q -= 1.0 / (1.0 + 10.0 ** (scale.pka["c_term"] - ph))
-    for r in residues:
-        if r in _BASIC_SIDECHAINS:
-            q += 1.0 / (1.0 + 10.0 ** (ph - scale.pka[r]))
-        elif r in _ACIDIC_SIDECHAINS:
-            q -= 1.0 / (1.0 + 10.0 ** (scale.pka[r] - ph))
-    return q
+def _hh_charges(columns: np.ndarray, ph: np.ndarray, pka: np.ndarray) -> np.ndarray:
+    """Each row's Henderson-Hasselbalch charge at its own pH, summed over its `_TERM_OF_CODE` columns in order."""
+    powers = np.reshape([10.0**x for x in ((ph[:, None] - pka) * _SIGN).ravel().tolist()], (len(ph), len(_GROUPS)))
+    terms = _SIGN / (1.0 + powers)
+    terms = np.column_stack([terms[:, 0] + terms[:, 1], terms[:, 2:], np.zeros(len(ph))])
+    return np.cumsum(terms[np.arange(len(ph))[:, None], columns], axis=1)[:, -1]
 
 
-def isoelectric_point(p: Peptide, scale: ScaleTable = DEFAULT_SCALE, tol: float = 1e-6) -> float:
-    """pH where the continuous charge crosses zero, by bisection on [0,14].
+def _isoelectric_points(codes: np.ndarray, pka: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Bisection on [0,14], one step for all rows still open, until |charge| < tol.
 
-    The charge is strictly decreasing in pH, so the root is unique. If the
-    charge keeps one sign over the whole interval the nearer endpoint is
-    returned.
+    The charge falls strictly with pH. If it keeps one sign over [0,14], the
+    nearer endpoint is the pI.
     """
-    lo, hi = 0.0, 14.0
-    if hh_charge(p.residues, lo, scale) < 0.0:
-        return 0.0
-    if hh_charge(p.residues, hi, scale) > 0.0:
-        return 14.0
-    mid = 7.0
+    columns = np.column_stack([np.zeros(len(codes), dtype=np.int64), _TERM_OF_CODE[codes]])  # the termini first
+    pis = np.where(_hh_charges(columns, np.zeros(len(codes)), pka) < 0.0, 0.0, np.nan)
+    pis[np.isnan(pis) & (_hh_charges(columns, np.full(len(codes), 14.0), pka) > 0.0)] = 14.0
+    live = np.flatnonzero(np.isnan(pis))
+    columns, lo, hi = columns[live], np.zeros(live.size), np.full(live.size, 14.0)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        q = hh_charge(p.residues, mid, scale)
-        if abs(q) < tol:
-            return mid
-        if q > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid
+        if not live.size:
+            break
+        pis[live] = mid = 0.5 * (lo + hi)
+        charge = _hh_charges(columns, mid, pka)
+        lo, hi = np.where(charge > 0.0, mid, lo), np.where(charge > 0.0, hi, mid)
+        open_ = np.abs(charge) >= tol
+        live, columns, lo, hi = live[open_], columns[open_], lo[open_], hi[open_]
+    return pis
+
+
+def descriptor_vectors(peptides: Sequence[Peptide], scale: ScaleTable = DEFAULT_SCALE) -> list[PropertyVector]:
+    """One PropertyVector per peptide, from one `descriptors` pass."""
+    return [PropertyVector(int(row[0]), *row[1:]) for row in descriptors(peptides, scale).tolist()]
 
 
 def descriptor_vector(p: Peptide, scale: ScaleTable = DEFAULT_SCALE) -> PropertyVector:
-    """Assemble all five descriptors for one peptide."""
-    return PropertyVector(
-        length=len(p.residues),
-        hydrophobicity=mean_hydrophobicity(p, scale),
-        hydrophobic_moment=hydrophobic_moment(p, scale),
-        net_charge=net_charge(p),
-        isoelectric_point=isoelectric_point(p, scale),
-    )
+    """All five descriptors of one peptide."""
+    return descriptor_vectors([p], scale)[0]

@@ -194,22 +194,24 @@ class PolicyModel:
             raise ValueError(f"{path}: checkpoint manifest lacks model_config")
         config = ModelConfig(**meta["model_config"])
         base_trainable = bool(meta.get("base_trainable", True))
+        lora_meta = meta.get("lora") or {}
+        targets = lora_meta.get("targets", ())
+        expected = [name for name, _, _ in _base_parameters(config)]
+        expected += [f"{target}.{part}" for target in targets for part in ("lora_a", "lora_b")]
+        nm.check_tensor_names(path, tensors, expected, "manifest")
         params = {
             name: nm.Tensor(arr.copy(), requires_grad=base_trainable)
             for name, arr in tensors.items()
             if not name.endswith((".lora_a", ".lora_b"))
         }
-        nm.check_tensor_names(path, params, [name for name, _, _ in _base_parameters(config)], "model_config")
         model = cls(config, params)
-        lora_meta = meta.get("lora")
-        if lora_meta:
-            for target in lora_meta["targets"]:
-                model.lora[target] = LoraDelta(
-                    a=nm.Tensor(tensors[f"{target}.lora_a"].copy(), requires_grad=True),
-                    b=nm.Tensor(tensors[f"{target}.lora_b"].copy(), requires_grad=True),
-                    rank=int(lora_meta["rank"]),
-                    scaling=float(lora_meta["scaling"]),
-                )
+        for target in targets:
+            model.lora[target] = LoraDelta(
+                a=nm.Tensor(tensors[f"{target}.lora_a"].copy(), requires_grad=True),
+                b=nm.Tensor(tensors[f"{target}.lora_b"].copy(), requires_grad=True),
+                rank=int(lora_meta["rank"]),
+                scaling=float(lora_meta["scaling"]),
+            )
         return model
 
 

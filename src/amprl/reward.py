@@ -6,7 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .physchem import DEFAULT_SCALE, PropertyVector, ScaleTable, descriptor_vector
+from .physchem import DEFAULT_SCALE, PropertyVector, ScaleTable, descriptor_vectors
 
 
 def _clip(value: float, lo: float, hi: float) -> float:
@@ -120,8 +120,7 @@ def make_reward_fn(
 
     def reward_fn(peptides) -> list[RewardBreakdown]:
         scores = scorer.score_many(peptides)
-        return [
-            score_reward(float(s), descriptor_vector(p, scale), cfg) for p, s in zip(peptides, scores, strict=True)
-        ]
+        props = descriptor_vectors(peptides, scale)
+        return [score_reward(float(s), v, cfg) for v, s in zip(props, scores, strict=True)]
 
     return reward_fn

@@ -20,10 +20,10 @@ import numpy as np
 
 from . import rng as _rng
 from .alignment import SimilarityHit, make_hit, search
-from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vector
+from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vectors
 from .policy import _check_sampling, sample
 from .reward import RewardConfig
-from .sequences import RESIDUE_SET, AnnotationRecord, Peptide, encode, write_fasta, write_json, write_records
+from .sequences import RESIDUE_LETTERS, RESIDUE_SET, AnnotationRecord, Peptide, encode, write_fasta, write_json, write_records
 
 Window = tuple[float, float]
 
@@ -243,7 +243,7 @@ def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = json.loads(line, parse_int=float)  # a 400-digit int becomes inf, not an OverflowError
         except json.JSONDecodeError as err:
             raise ValueError(f"{path} line {n}: invalid JSON ({err})") from None
         if not isinstance(row, dict) or "sequence" not in row or "scores" not in row:
@@ -252,12 +252,13 @@ def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
             raise ValueError(f"{path} line {n}: 'sequence' must be a string")
         if not isinstance(row["scores"], dict):
             raise ValueError(f"{path} line {n}: 'scores' must be an object")
-        seq = row["sequence"].strip().upper()
+        seq = row["sequence"].strip()
         if not seq:
             raise ValueError(f"{path} line {n}: empty sequence")
-        bad = [ch for ch in seq if ch not in RESIDUE_SET]
+        bad = [ch for ch in seq if ch not in RESIDUE_LETTERS]
         if bad:
             raise ValueError(f"{path} line {n}: invalid residue {bad[0]!r}")
+        seq = seq.upper()
         if seq in lines:
             raise ValueError(f"{path} line {n}: sequence {seq} repeats line {lines[seq]}")
         for name, value in row["scores"].items():
@@ -281,11 +282,11 @@ def annotate(
     return [
         AnnotationRecord(
             peptide=pep,
-            properties=descriptor_vector(pep, scale),
+            properties=props,
             mic_score=float(s),
             external_scores=dict((external_scores or {}).get(pep.residues, {})),
         )
-        for pep, s in zip(peptides, scores, strict=True)
+        for pep, props, s in zip(peptides, descriptor_vectors(peptides, scale), scores, strict=True)
     ]
 
 

@@ -15,6 +15,7 @@ if TYPE_CHECKING:
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 RESIDUE_SET = frozenset(RESIDUES)
+RESIDUE_LETTERS = RESIDUE_SET | frozenset(RESIDUES.lower())  # what input files may spell a residue with
 
 SOURCES = ("natural", "generated_sft", "generated_rl", "external")
 
@@ -109,7 +110,7 @@ def parse_fasta(stream: str | Path | IO[str] | Iterable[str], source: str = "nat
         nonlocal header, body_parts
         if header is None:
             return
-        seq = "".join(body_parts).upper()
+        seq = "".join(body_parts)
         if not seq:
             raise ValueError(f"line {header_line}: record {header!r} has an empty sequence body")
         peptides.append(Peptide(id=header, residues=seq, source=source))
@@ -133,11 +134,11 @@ def parse_fasta(stream: str | Path | IO[str] | Iterable[str], source: str = "nat
         else:
             if header is None:
                 raise ValueError(f"line {lineno}: sequence data before any '>' header")
-            chunk = "".join(line.split()).upper()
+            chunk = "".join(line.split())
             for ch in chunk:
-                if ch not in RESIDUE_SET:
+                if ch not in RESIDUE_LETTERS:
                     raise ValueError(f"line {lineno}: invalid residue {ch!r} in record {header!r}")
-            body_parts.append(chunk)
+            body_parts.append(chunk.upper())
     flush()
     return peptides
 

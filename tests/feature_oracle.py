@@ -5,8 +5,10 @@ it featurized whole lists with `np.bincount`, kept as a test oracle.
 """
 import numpy as np
 
-from amprl.physchem import DEFAULT_SCALE, descriptor_vector
+from amprl.physchem import DEFAULT_SCALE
 from amprl.sequences import RESIDUES
+
+from descriptor_oracle import descriptor_vector
 
 _PAIR_INDEX = {a + b: 20 * i + j for i, a in enumerate(RESIDUES) for j, b in enumerate(RESIDUES)}
 

@@ -8,9 +8,11 @@ checks the batch path against these.
 """
 import numpy as np
 
-from amprl.physchem import DEFAULT_SCALE, descriptor_vector
+from amprl.physchem import DEFAULT_SCALE
 from amprl.reward import RewardConfig, score_reward
 from amprl.sequences import AnnotationRecord, Peptide, _write_text
+
+from descriptor_oracle import descriptor_vector
 
 
 def score(model, p):

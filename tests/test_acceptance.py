@@ -18,7 +18,7 @@ from amprl.cli import main
 from amprl.config import MicConfig, ModelConfig, PpoConfig, RewardConfig, ScreenConfig, SftConfig
 from amprl.evalmetrics import aa_frequency, js_divergence
 from amprl.mic import Embedder, LabeledSet, auroc, evaluate, focal_loss, train_mic, write_labeled_tsv
-from amprl.physchem import hh_charge, hydrophobic_moment, isoelectric_point, net_charge
+from amprl.physchem import DESCRIPTORS, descriptors
 from amprl.policy import PolicyModel, attach_lora, encode_batch, sample, sft_loss, train_sft
 from amprl.ppo import _minibatch_losses, compute_advantages, rollout, train_rl
 from amprl.reward import make_reward_fn, process_rewards, r_mic, r_total
@@ -26,6 +26,7 @@ from amprl.screening import annotate, novelty_filter, screen
 from amprl.sequences import Peptide, write_fasta
 
 from conftest import RESIDUES, random_peptides
+from descriptor_oracle import hh_charge
 from gradcheck import grad_check
 
 
@@ -47,6 +48,10 @@ def _criterion(capsys, number, label, budget_s=None):
 
 def _pep(residues, pid="p", source="natural"):
     return Peptide(pid, residues, source)
+
+
+def _column(name, peptides):
+    return descriptors(peptides)[:, DESCRIPTORS.index(name)]
 
 
 # --- 1: closed-form reward formulas ----------------------------------------
@@ -81,13 +86,14 @@ def test_criterion_1_formula_oracles(capsys):
 
 def test_criterion_2_descriptor_suite(capsys):
     with _criterion(capsys, 2, "descriptor suite", budget_s=60):
-        assert hydrophobic_moment(_pep("L" * 18)) == pytest.approx(0.0, abs=1e-9)
-        assert net_charge(_pep("KRH")) == 3.0
-        assert net_charge(_pep("KDE")) == -1.0
+        assert _column("hydrophobic_moment", [_pep("L" * 18)])[0] == pytest.approx(0.0, abs=1e-9)
+        assert _column("net_charge", [_pep("KRH")])[0] == 3.0
+        assert _column("net_charge", [_pep("KDE")])[0] == -1.0
 
         rng = np.random.default_rng(202)
-        for p in random_peptides(1000, rng):
-            assert abs(hh_charge(p.residues, isoelectric_point(p))) < 1e-4
+        peptides = random_peptides(1000, rng)
+        for p, pi in zip(peptides, _column("isoelectric_point", peptides)):
+            assert abs(hh_charge(p.residues, pi)) < 1e-4
 
 
 # --- 3: gradient fidelity ---------------------------------------------------
@@ -241,8 +247,8 @@ class LysineScorer:
 
 def _policy_stats(peptides, scorer):
     s = np.array([scorer.score(p) for p in peptides])
-    charges = np.array([net_charge(p) for p in peptides])
-    pis = np.array([isoelectric_point(p) for p in peptides])
+    charges = _column("net_charge", peptides)
+    pis = _column("isoelectric_point", peptides)
     return {
         "frac_active": float((s >= 0.5).mean()),
         "mean_charge": float(charges.mean()),

@@ -219,6 +219,33 @@ def test_classifier_checkpoint_with_wrong_tensor_names_exits_one(tmp_path, capsy
     assert not (tmp_path / "out" / "scores.tsv").exists()
 
 
+@pytest.mark.parametrize(
+    "drop, add, message",
+    [
+        ("layer0.attn.wq.lora_a", None, "lacks tensor 'layer0.attn.wq.lora_a', which its manifest defines"),
+        (None, "layer0.attn.wk.lora_a", "holds tensor 'layer0.attn.wk.lora_a', which its manifest does not define"),
+    ],
+    ids=["without_a_named_lora_factor", "with_an_unnamed_lora_factor"],
+)
+def test_policy_checkpoint_with_wrong_lora_tensors_exits_one(tmp_path, capsys, drop, add, message):
+    from amprl.policy import ModelConfig, PolicyModel, attach_lora
+
+    # manifest and sha256 intact: the tensors are re-saved through save_checkpoint
+    path = tmp_path / "policy.ckpt"
+    config = ModelConfig(embed_dim=16, n_layers=1, n_heads=2, max_len=10, mlp_ratio=2)
+    attach_lora(PolicyModel.init(config, seed=3), rank=2, scaling=1.0, targets=("wq",)).save(path)
+    tensors, meta = nm.load_checkpoint(path)
+    assert meta["lora"]["targets"] == ["layer0.attn.wq"]
+    tensors.pop(drop, None)
+    if add:
+        tensors[add] = np.ones((16, 2))
+    nm.save_checkpoint(path, tensors, meta=meta)
+    argv = ["sample", "--checkpoint", str(path), "-n", "2", "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert f"error: {path}: checkpoint {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "samples.fasta").exists()
+
+
 def test_checkpoints_with_swapped_manifests_exit_one(tmp_path, capsys):
     # the state of a crash between the binary's rename and the manifest's
     first, second = _save_mic(tmp_path / "a.ckpt", seed=0), _save_mic(tmp_path / "b.ckpt", seed=1)
@@ -359,10 +386,14 @@ def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, me
         ({"screen": {"forbidden_motifs": ["KK", ""]}}, "screen: forbidden motif '' must be a non-empty string"),
         ({"screen": {"forbidden_motifs": ["kk"]}}, "screen: forbidden motif 'kk' must be a non-empty string"),
         ({"screen": {"forbidden_motifs": ["KXK"]}}, "screen: forbidden motif 'KXK' must be a non-empty string"),
+        ({"scales": {"overrides": "nan.scale"}}, "scales: hydropathy for 'A' is not finite: nan"),
+        ({"scales": {"overrides": "inf.scale"}}, "scales: hydropathy for 'K' is not finite: inf"),
     ],
 )
 def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys, monkeypatch, settings, message):
     monkeypatch.chdir(tmp_path)  # the default output directory
+    (tmp_path / "nan.scale").write_text("hydropathy A nan\n")
+    (tmp_path / "inf.scale").write_text("hydropathy K inf\n")
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(settings))
     fasta = _write_fasta(tmp_path)

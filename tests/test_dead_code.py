@@ -40,6 +40,7 @@ ALLOWED = {
     "mic.Embedder.embed": "benchmarks/tracing.py wraps it by name, and it goes with ROADMAP item 2",
     "config.mic_config": "the benchmark builds its classifier's config section with it",
     "config.screen_config": "the benchmark's novelty check reads the screen section with it",
+    "physchem.descriptor_vector": "benchmarks/tracing.py wraps it by name; src/ computes descriptors per set",
 }
 
 

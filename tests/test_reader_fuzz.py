@@ -1,0 +1,114 @@
+"""Seeded fuzz of the text readers: junk input may raise only ValueError.
+
+Each reader gets random printable and control characters, valid files cut
+at a random point, and valid files with random characters replaced. Any
+exception other than ValueError (UnicodeDecodeError is one) fails the test
+with its traceback.
+"""
+import io
+import json
+import string
+
+import numpy as np
+import pytest
+
+from amprl.dataprep import read_cluster_assignments
+from amprl.mic import read_labeled_tsv
+from amprl.physchem import load_scale_overrides
+from amprl.screening import read_external_scores
+from amprl.sequences import parse_fasta
+
+FASTA = ">p1 first\nGLWKKILGKIKAGL\n>p2\nKKLLDDAA\nWWRRHH\n>p3\nfliplvk\n"
+LABELED = "sequence\tlabel\nGLWKKILGKIKAGL\tactive\nKKLLDDAAWWRRHH\tinactive\nFLIPLVK\t1\n"
+SCORES = '{"sequence": "GLWKKILGKIKAGL", "scores": {"plddt": 0.9, "hemolysis": 1}}\n{"sequence": "kkll", "scores": {}}\n'
+CLUSTERS = "# sequence_id\tcluster_id\np1\tc0\np2\tc1\np3\tc0\n"
+SCALE = "# custom table\nhydropathy A 2.0\npka K 10.0\npka n_term 9.1\n"
+
+ALPHABET = string.printable + "".join(map(chr, range(32))) + "\x7féßı>\t\n"
+ROUNDS = 300
+
+
+def _junk(rng, valid):
+    """One of: random characters, `valid` cut short, or `valid` with characters replaced."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return "".join(rng.choice(list(ALPHABET), size=int(rng.integers(0, 80))))
+    if kind == 1:
+        return valid[: int(rng.integers(0, len(valid)))]
+    chars = list(valid)
+    for at in rng.integers(0, len(chars), size=int(rng.integers(1, 6))):
+        chars[at] = str(rng.choice(list(ALPHABET)))
+    return "".join(chars)
+
+
+def _fuzz(read, valid, seed):
+    read(valid)  # the unmutated file parses
+    rng = np.random.default_rng(seed)
+    for _ in range(ROUNDS):
+        text = _junk(rng, valid)
+        try:
+            read(text)
+        except ValueError:
+            pass
+
+
+def _via_file(tmp_path, read):
+    path = tmp_path / "input.txt"
+
+    def run(text):
+        path.write_text(text, encoding="utf-8")
+        return read(path)
+
+    return run
+
+
+def test_parse_fasta_raises_only_value_errors():
+    _fuzz(parse_fasta, FASTA, seed=1)
+
+
+def test_read_labeled_tsv_raises_only_value_errors():
+    _fuzz(lambda text: read_labeled_tsv(io.StringIO(text), split="train"), LABELED, seed=2)
+
+
+def test_read_external_scores_raises_only_value_errors(tmp_path):
+    _fuzz(_via_file(tmp_path, read_external_scores), SCORES, seed=3)
+
+
+def test_read_cluster_assignments_raises_only_value_errors():
+    peptides = parse_fasta(FASTA)
+    _fuzz(lambda text: read_cluster_assignments(io.StringIO(text), peptides), CLUSTERS, seed=4)
+
+
+def test_load_scale_overrides_raises_only_value_errors(tmp_path):
+    _fuzz(_via_file(tmp_path, load_scale_overrides), SCALE, seed=5)
+
+
+def test_file_readers_reject_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "input.txt"
+    rng = np.random.default_rng(6)
+    for read in (read_external_scores, load_scale_overrides, parse_fasta):
+        for _ in range(20):
+            path.write_bytes(b"\xff\xfe" + rng.integers(0, 256, size=40, dtype=np.uint8).tobytes())
+            try:
+                read(path)
+            except ValueError:
+                pass
+
+
+def test_a_letter_that_uppercases_to_residues_is_no_residue(tmp_path):
+    # "ß".upper() is "SS" and "ı".upper() is "I"
+    for letter in "ßı":
+        with pytest.raises(ValueError, match=f"line 2: invalid residue '{letter}' in record 'a'"):
+            parse_fasta(f">a\nGL{letter}K\n")
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps({"sequence": f"GL{letter}K", "scores": {}}) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 1: invalid residue '{letter}'"):
+            read_external_scores(path)
+    assert parse_fasta(">a\nglwk\n")[0].residues == "GLWK"
+
+
+def test_an_external_score_too_large_for_a_float_is_not_finite(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_text('{"sequence": "GLWK", "scores": {"plddt": 1' + "0" * 400 + "}}\n")
+    with pytest.raises(ValueError, match="line 1: score 'plddt' must be a finite number"):
+        read_external_scores(path)
