@@ -11,7 +11,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .sequences import _write_text
+from .sequences import _read_text, _write_text
 
 CATEGORIES = ("potent", "transient", "gradual", "weak")
 
@@ -106,13 +106,10 @@ def read_assay_tsv(stream: str | Path | IO[str]) -> list[FluorescenceSeries]:
 
     Rows group by peptide id in file order; each group's time points must be
     strictly increasing. A value that is not a finite number raises
-    ValueError naming its line.
+    ValueError naming its line. A Path is read as a file and a plain string
+    as the TSV text.
     """
-    if isinstance(stream, (str, Path)):
-        text = Path(stream).read_text()
-    else:
-        text = stream.read()
-    lines = text.splitlines()
+    lines = _read_text(stream).splitlines()
     if not lines:
         raise ValueError("assay file is empty")
     header = tuple(lines[0].rstrip("\n").split("\t"))

@@ -252,27 +252,15 @@ def _cmd_build_library(args, run: Run, out: Path) -> int:
 
 def _cmd_eval(args, run: Run, out: Path) -> int:
     from . import evalmetrics as ev
-    from .mic import Embedder
 
     generated = parse_fasta(_require(args.generated, "--generated"), source="generated_sft")
     reference = parse_fasta(_require(args.reference, "--reference"))
-    embedder = Embedder(scale=run.scales)
-    ref_raw = embedder.features(reference)
-    embeddings = (embedder.fit(ref_raw).embed_many(generated), embedder.standardize(ref_raw))
-    report = ev.compare_sets(
-        args.name,
-        generated,
-        reference,
-        embeddings=embeddings,
-        thresholds=run.eval.thresholds,
-        jsd_base=run.eval.jsd_base,
-        scale=run.scales,
-    )
+    report, (gen_emb, ref_emb) = ev.compare_sets(args.name, generated, reference, run.eval, run.scales)
     write_json(report, out / "comparison.json")
     ev.write_comparison_tsv(report, out / "comparison.tsv")
     if args.export_embeddings:
-        ev.export_embeddings_tsv(generated, embeddings[0], out / "embeddings_generated.tsv")
-        ev.export_embeddings_tsv(reference, embeddings[1], out / "embeddings_reference.tsv")
+        ev.export_embeddings_tsv(generated, gen_emb, out / "embeddings_generated.tsv")
+        ev.export_embeddings_tsv(reference, ref_emb, out / "embeddings_reference.tsv")
     print(f"eval: jsd {report['jsd']:.4f}, pearson {report['pearson']}")
     return 0
 

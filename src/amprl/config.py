@@ -109,7 +109,7 @@ def load_config(path: str | Path | None) -> dict:
     if not file_path.exists():
         raise ConfigError(f"config file not found: {file_path}")
     try:
-        raw = json.loads(file_path.read_text())
+        raw = json.loads(file_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {file_path} is not valid JSON: {err}") from None
     if not isinstance(raw, dict):

@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as _rng
 from .alignment import search
 from .mic import LabeledSet
-from .sequences import Peptide, encode, write_json
+from .sequences import Peptide, _read_text, encode, write_json
 
 
 @dataclass
@@ -174,12 +174,10 @@ def read_cluster_assignments(stream: str | Path | IO[str], peptides: Sequence[Pe
     """Ingest an external (sequence_id, cluster_id) TSV as Cluster objects.
 
     Every peptide must appear exactly once; representatives are the longest
-    member of each cluster (ties broken lexicographically by sequence).
+    member of each cluster (ties broken lexicographically by sequence). A
+    Path is read as a file and a plain string as the TSV text.
     """
-    if isinstance(stream, (str, Path)):
-        text = Path(stream).read_text()
-    else:
-        text = stream.read()
+    text = _read_text(stream)
     by_id = {pep.id: pep for pep in peptides}
     if len(by_id) != len(peptides):
         raise ValueError("peptide ids must be unique for cluster ingestion")

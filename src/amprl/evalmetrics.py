@@ -11,7 +11,8 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable, descriptors
+from .mic import Embedder
+from .physchem import DESCRIPTORS, ScaleTable
 from .sequences import RESIDUES, Peptide, _write_text, encode
 
 
@@ -95,56 +96,31 @@ DEFAULT_BIN_EDGES: dict[str, tuple[float, ...]] = {
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-@dataclass(frozen=True)
-class DescriptorSummary:
-    name: str
-    mean: float
-    std: float
-    quantiles: tuple[float, ...]
-    counts: tuple[int, ...]
-
-
-def property_summary(
-    peptides: Sequence[Peptide],
-    scale: ScaleTable = DEFAULT_SCALE,
-) -> dict[str, DescriptorSummary]:
-    """Mean/std/quantiles/histogram per descriptor, over `DEFAULT_BIN_EDGES`.
+def property_summary(matrix: np.ndarray) -> dict[str, dict]:
+    """Mean/std/quantiles/histogram per column of a `descriptors` matrix,
+    over `DEFAULT_BIN_EDGES`.
 
     Values outside the edges land in the first or last bin so the counts
     always sum to the set size.
     """
-    if not peptides:
+    if not len(matrix):
         raise ValueError("cannot summarize an empty set")
-    out: dict[str, DescriptorSummary] = {}
-    for name, values in zip(DESCRIPTORS, descriptors(peptides, scale).T):
+    out: dict[str, dict] = {}
+    for name, values in zip(DESCRIPTORS, matrix.T):
         edges = np.asarray(DEFAULT_BIN_EDGES[name], dtype=np.float64)
-        clipped = np.clip(values, edges[0], edges[-1])
-        counts, _ = np.histogram(clipped, bins=edges)
-        out[name] = DescriptorSummary(
-            name=name,
-            mean=float(values.mean()),
-            std=float(values.std()),
-            quantiles=tuple(float(q) for q in np.quantile(values, _QUANTILES)),
-            counts=tuple(int(c) for c in counts),
-        )
+        counts, _ = np.histogram(np.clip(values, edges[0], edges[-1]), bins=edges)
+        out[name] = {
+            "mean": float(values.mean()),
+            "std": float(values.std()),
+            "quantiles": [float(q) for q in np.quantile(values, _QUANTILES)],
+            "bin_edges": [float(e) for e in edges],
+            "counts": [int(c) for c in counts],
+        }
     return out
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    distances: tuple[float, ...]
-    thresholds: tuple[float, ...]
-    fractions: tuple[float, ...]
-    mean: float
-
-
-def embedding_distance_profile(
-    gen: np.ndarray,
-    ref: np.ndarray,
-    thresholds: tuple[float, ...] = (1.0, 3.0),
-) -> DistanceProfile:
-    """Nearest-reference Euclidean distance per generated embedding row, plus
-    the fraction of the set within each threshold."""
+def embedding_distance_profile(gen: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Nearest-reference Euclidean distance of each generated embedding row."""
     if not len(gen) or not len(ref):
         raise ValueError("both sets must be non-empty")
     if gen.shape[1] != ref.shape[1]:
@@ -154,62 +130,49 @@ def embedding_distance_profile(
     for k, row in enumerate(gen):
         diff = row - ref
         dists[k] = np.sqrt(np.sum(diff * diff, axis=1)).min()
-    fractions = tuple(float(np.mean(dists <= t)) for t in thresholds)
-    return DistanceProfile(
-        distances=tuple(float(d) for d in dists),
-        thresholds=tuple(float(t) for t in thresholds),
-        fractions=fractions,
-        mean=float(dists.mean()),
-    )
+    return dists
 
 
 def compare_sets(
     name: str,
     generated: Sequence[Peptide],
     reference: Sequence[Peptide],
-    embeddings: tuple[np.ndarray, np.ndarray] | None = None,
-    thresholds: tuple[float, ...] = (1.0, 3.0),
-    jsd_base: float = 2.0,
-    scale: ScaleTable = DEFAULT_SCALE,
-) -> dict:
-    """Comparison report: frequency divergence, correlation, descriptor
-    summaries for both sets, and, given the (generated, reference) embedding
-    matrices, embedding-distance fractions."""
+    cfg: EvalConfig,
+    scale: ScaleTable,
+) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
+    """Comparison report (frequency divergence, correlation, descriptor
+    summaries for both sets, embedding-distance fractions) and the
+    (generated, reference) embedding matrices, standardized by the reference.
+
+    Each set is featurized once; its descriptor summary reads the
+    descriptor columns of its feature matrix before standardization.
+    """
     freq_gen = aa_frequency(generated)
     freq_ref = aa_frequency(reference)
-    report: dict = {
+    embedder = Embedder(scale)
+    gen, ref = embedder.features(generated), embedder.features(reference)
+    k = len(DESCRIPTORS)
+    properties = {"generated": property_summary(gen[:, :k]), "reference": property_summary(ref[:, :k])}
+    embedder.fit(ref)
+    dists = embedding_distance_profile(embedder.standardize(gen), embedder.standardize(ref))
+    report = {
         "set": name,
         "n_generated": len(generated),
         "n_reference": len(reference),
-        "jsd": js_divergence(freq_gen, freq_ref, base=jsd_base),
-        "jsd_base": jsd_base,
+        "jsd": js_divergence(freq_gen, freq_ref, base=cfg.jsd_base),
+        "jsd_base": cfg.jsd_base,
         "pearson": pearson(freq_gen, freq_ref),
         "aa_frequency": {
             "generated": {ch: float(f) for ch, f in zip(RESIDUES, freq_gen)},
             "reference": {ch: float(f) for ch, f in zip(RESIDUES, freq_ref)},
         },
-        "properties": {
-            "generated": {k: _summary_dict(v) for k, v in property_summary(generated, scale).items()},
-            "reference": {k: _summary_dict(v) for k, v in property_summary(reference, scale).items()},
+        "properties": properties,
+        "embedding_distance": {
+            "mean": float(dists.mean()),
+            "fractions": {repr(float(t)): float(np.mean(dists <= t)) for t in cfg.thresholds},
         },
     }
-    if embeddings is not None:
-        profile = embedding_distance_profile(*embeddings, thresholds)
-        report["embedding_distance"] = {
-            "mean": profile.mean,
-            "fractions": {repr(t): f for t, f in zip(profile.thresholds, profile.fractions)},
-        }
-    return report
-
-
-def _summary_dict(s: DescriptorSummary) -> dict:
-    return {
-        "mean": s.mean,
-        "std": s.std,
-        "quantiles": list(s.quantiles),
-        "bin_edges": [float(e) for e in DEFAULT_BIN_EDGES[s.name]],
-        "counts": list(s.counts),
-    }
+    return report, (gen, ref)
 
 
 def write_comparison_tsv(report: dict, sink: str | Path | IO[str]) -> None:
@@ -230,10 +193,9 @@ def write_comparison_tsv(report: dict, sink: str | Path | IO[str]) -> None:
             add(f"{side}.{desc}.mean", stats["mean"])
             add(f"{side}.{desc}.std", stats["std"])
             add(f"{side}.{desc}.median", stats["quantiles"][2])
-    if "embedding_distance" in report:
-        add("embedding.mean_min_distance", report["embedding_distance"]["mean"])
-        for t, f in sorted(report["embedding_distance"]["fractions"].items(), key=lambda kv: float(kv[0])):
-            add(f"embedding.fraction_within_{t}", f)
+    add("embedding.mean_min_distance", report["embedding_distance"]["mean"])
+    for t, f in sorted(report["embedding_distance"]["fractions"].items(), key=lambda kv: float(kv[0])):
+        add(f"embedding.fraction_within_{t}", f)
     _write_text(sink, "\n".join("\t".join(r) for r in rows) + "\n")
 
 

@@ -15,7 +15,7 @@ from . import numerics as nm
 from .numerics.tensor import reduce_mean
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptors
 from .rng import substream
-from .sequences import RESIDUES, Peptide, encode
+from .sequences import RESIDUES, Peptide, _read_text, _write_text, encode
 
 BUILTIN_DIM = 5 + 20 + 400
 
@@ -47,14 +47,11 @@ class LabeledSet:
 
 
 def read_labeled_tsv(stream: str | Path | IO[str], split: str = "") -> LabeledSet:
-    """TSV with header `sequence<TAB>label`; labels active/inactive or 1/0."""
-    if isinstance(stream, (str, Path)) and "\t" not in str(stream) and "\n" not in str(stream):
-        text = Path(stream).read_text(encoding="utf-8")
-    elif isinstance(stream, str):
-        text = stream
-    else:
-        text = stream.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """TSV with header `sequence<TAB>label`; labels active/inactive or 1/0.
+
+    A Path is read as a file and a plain string as the TSV text.
+    """
+    lines = [ln for ln in _read_text(stream).splitlines() if ln.strip()]
     if not lines or lines[0].split("\t")[:2] != ["sequence", "label"]:
         raise ValueError("labeled TSV must start with a 'sequence\\tlabel' header")
     items: list[tuple[Peptide, int]] = []
@@ -72,8 +69,6 @@ def read_labeled_tsv(stream: str | Path | IO[str], split: str = "") -> LabeledSe
 
 def write_labeled_tsv(labeled: LabeledSet, sink: str | Path | IO[str]) -> None:
     """Paired writer for read_labeled_tsv (labels written as active/inactive)."""
-    from .sequences import _write_text
-
     lines = ["sequence\tlabel"]
     for pep, label in labeled.items:
         lines.append(f"{pep.residues}\t{'active' if label else 'inactive'}")
@@ -96,7 +91,11 @@ class Embedder:
         self.std: np.ndarray | None = None
 
     def features(self, peptides: Sequence[Peptide]) -> np.ndarray:
-        """Unstandardized feature matrix, one row per peptide."""
+        """Unstandardized feature matrix, one row per peptide.
+
+        Its first five columns are `descriptors(peptides, self.scale)`
+        as computed, which `evalmetrics.compare_sets` summarizes.
+        """
         n = len(peptides)
         raw = np.empty((n, BUILTIN_DIM))
         raw[:, :5] = descriptors(peptides, self.scale)

@@ -523,20 +523,19 @@ def sample(
 class _Decoder:
     """One token per row per step through the policy, on plain arrays.
 
-    LoRA deltas are merged into the attention weights once, with the same
-    expression as `PolicyModel._weight`. Each layer keeps the keys and
-    values of every position fed so far, so a step runs the shared array
-    forward `_attention` for one query row over the cache instead of
-    re-running the prefix. No autodiff graph is built, so the outputs of
-    each step are checked for finiteness here.
+    LoRA deltas are merged into the attention weights once, by
+    `PolicyModel._weight`. Each layer keeps the keys and values of every
+    position fed so far, so a step runs the shared array forward
+    `_attention` for one query row over the cache instead of re-running the
+    prefix. No autodiff graph is built, so the outputs of each step are
+    checked for finiteness here.
     """
 
     def __init__(self, model: PolicyModel, n: int, steps: int):
         cfg = model.config
         self.config = cfg
-        self.w = {name: p.data for name, p in model.params.items()}
-        for name, delta in model.lora.items():
-            self.w[name] = self.w[name] + np.matmul(delta.a.data, delta.b.data) * (delta.scaling / delta.rank)
+        with nm.no_grad():
+            self.w = {name: model._weight(name).data for name in model.params}
         dh = cfg.embed_dim // cfg.n_heads
         self.cache = [
             (np.zeros((n, cfg.n_heads, steps, dh)), np.zeros((n, cfg.n_heads, steps, dh)))

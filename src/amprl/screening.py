@@ -238,7 +238,7 @@ def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
     """
     table: dict[str, dict[str, float]] = {}
     lines: dict[str, int] = {}
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

@@ -83,11 +83,16 @@ def encode(sequences: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return codes, lengths
 
 
+def _read_text(source: str | Path | IO[str]) -> str:
+    """A whole text input: a Path is a UTF-8 file, a str is the text itself, and a stream is read."""
+    if isinstance(source, Path):
+        return source.read_text(encoding="utf-8")
+    return source if isinstance(source, str) else source.read()
+
+
 def _iter_lines(stream: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
-    if isinstance(stream, Path):
-        yield from io.StringIO(stream.read_text())
-    elif isinstance(stream, str):
-        yield from io.StringIO(stream)
+    if isinstance(stream, (str, Path)):
+        yield from io.StringIO(_read_text(stream))
     else:
         yield from stream
 

@@ -508,3 +508,60 @@ def test_rl_and_build_library_use_the_override_scale(tmp_path, capsys):
     # the same peptides are sampled in both runs; only their hydropathy differs
     assert logs["default"]["mean_charge"] == logs["override"]["mean_charge"]
     assert logs["default"]["mean_hydrophobicity"] != logs["override"]["mean_hydrophobicity"]
+
+
+@pytest.mark.parametrize("empty", ["generated", "reference"])
+def test_eval_with_an_empty_set_exits_one(tmp_path, capsys, empty):
+    paths = {"generated": _write_fasta(tmp_path, "gen.fasta"), "reference": _write_fasta(tmp_path, "ref.fasta")}
+    paths[empty].write_text("")
+    out = tmp_path / "out"
+    argv = ["eval", "--generated", str(paths["generated"]), "--reference", str(paths["reference"])]
+    assert main(argv + ["--output-dir", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "comparison.json").exists()
+
+
+def test_non_ascii_inputs_are_read_as_utf8_under_a_c_locale(tmp_path):
+    """Each input holds a non-ASCII character; the locale's encoding is ASCII."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "amprl.cli", *argv], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+
+    def write(name, text):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        return str(tmp_path / name)
+
+    peps = unique_random_peptides(10, np.random.default_rng(12), min_len=10, max_len=20)
+    fasta = write("in.fasta", "".join(f">{p.id} Défensine n°{k}\n{p.residues}\n" for k, p in enumerate(peps)))
+    config = write("cfg.json", json.dumps({"paths": {"outputs": "sortie-é"}}, ensure_ascii=False))
+    run("props", "--input", fasta, "--config", config, "--output-dir", str(tmp_path / "props"))
+    assert len((tmp_path / "props" / "props.tsv").read_text(encoding="utf-8").splitlines()) == 11
+
+    clusters = write("clusters.tsv", "# grappes à la main\n" + "".join(f"{p.id}\tgroupe-α{k}\n" for k, p in enumerate(peps)))
+    run("dataprep", "--input", fasta, "--clusters", clusters, "--output-dir", str(tmp_path / "dataprep"))
+    manifest = json.loads((tmp_path / "dataprep" / "split_manifest.json").read_text(encoding="utf-8"))
+    assert sum(s["count"] for s in manifest["splits"].values()) == 10
+
+    assay = write(
+        "assay.tsv",
+        "peptide_id\ttime_min\tsample_fluor\tcontrol_fluor\n"
+        "pépt-chaud\t0\t100\t100\npépt-chaud\t10\t220\t100\npépt-froid\t0\t100\t100\npépt-froid\t10\t104\t100\n",
+    )
+    run("assay", "--input", assay, "--output-dir", str(tmp_path / "assay"))
+    summary = (tmp_path / "assay" / "assay_summary.tsv").read_text(encoding="utf-8")
+    assert "pépt-chaud\t" in summary and "pépt-froid\t" in summary
+
+    scores = write("scores.jsonl", json.dumps({"sequence": peps[0].residues, "scores": {"hélicité": 0.9}}, ensure_ascii=False) + "\n")
+    mic = str(_save_mic(tmp_path / "mic.ckpt"))
+    run("screen", "--mic-model", mic, "--input", fasta, "--external-scores", scores, "--output-dir", str(tmp_path / "screen"))
+    rows = [json.loads(line) for line in (tmp_path / "screen" / "screened.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert rows[0]["external_scores"] == {"hélicité": 0.9}

@@ -2,12 +2,17 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from amprl import physchem
+from amprl.cli import main
+from amprl.config import build_run, load_config
 from amprl.evalmetrics import (
     DEFAULT_BIN_EDGES,
+    EvalConfig,
     aa_frequency,
     compare_sets,
     embedding_distance_profile,
@@ -17,9 +22,11 @@ from amprl.evalmetrics import (
     property_summary,
     write_comparison_tsv,
 )
-from amprl.sequences import Peptide, write_json
+from amprl.physchem import DEFAULT_SCALE, descriptors
+from amprl.sequences import Peptide, parse_fasta, write_fasta, write_json
 
 import encoding_oracle
+import eval_oracle
 from conftest import RESIDUES, random_peptides
 
 
@@ -128,31 +135,31 @@ def test_pearson_exact_and_degenerate_cases():
 def test_property_summary_counts_sum_to_n():
     rng = np.random.default_rng(4)
     peps = random_peptides(40, rng)
-    summary = property_summary(peps)
+    summary = property_summary(descriptors(peps))
     assert set(summary) == {"length", "hydrophobicity", "hydrophobic_moment", "net_charge", "isoelectric_point"}
     for name, s in summary.items():
-        assert sum(s.counts) == 40
-        assert len(s.counts) == len(DEFAULT_BIN_EDGES[name]) - 1
-        assert s.quantiles[0] <= s.quantiles[2] <= s.quantiles[4]  # min <= median <= max
+        assert sum(s["counts"]) == 40
+        assert len(s["counts"]) == len(DEFAULT_BIN_EDGES[name]) - 1
+        assert s["quantiles"][0] <= s["quantiles"][2] <= s["quantiles"][4]  # min <= median <= max
 
 
 def test_property_summary_clips_outliers_into_edge_bins():
     # a 58-mer exceeds the last length edge midpoint but must still be counted
     peps = [_pep("long", "K" * 58), _pep("short", "K" * 9)]
-    s = property_summary(peps)["length"]
-    assert sum(s.counts) == 2
-    assert s.counts[-1] == 1  # clipped into the final bin
-    assert s.mean == pytest.approx((58 + 9) / 2)
+    s = property_summary(descriptors(peps))["length"]
+    assert sum(s["counts"]) == 2
+    assert s["counts"][-1] == 1  # clipped into the final bin
+    assert s["mean"] == pytest.approx((58 + 9) / 2)
 
 
 def test_property_summary_statistics_match_numpy():
     rng = np.random.default_rng(5)
     peps = random_peptides(25, rng)
     lengths = np.array([len(p.residues) for p in peps], dtype=float)
-    s = property_summary(peps)["length"]
-    assert s.mean == pytest.approx(lengths.mean())
-    assert s.std == pytest.approx(lengths.std())
-    assert s.quantiles[2] == pytest.approx(np.quantile(lengths, 0.5))
+    s = property_summary(descriptors(peps))["length"]
+    assert s["mean"] == pytest.approx(lengths.mean())
+    assert s["std"] == pytest.approx(lengths.std())
+    assert s["quantiles"][2] == pytest.approx(np.quantile(lengths, 0.5))
 
 
 def test_embedding_distance_profile():
@@ -163,13 +170,11 @@ def test_embedding_distance_profile():
     def embed(peps):
         return np.array([table[p.residues] for p in peps], dtype=float)
 
-    profile = embedding_distance_profile(embed(gen), embed(ref), thresholds=(1.0, 3.0))
+    dists = embedding_distance_profile(embed(gen), embed(ref))
     # nearest-reference distances: g0 -> 0.0, g1 -> min(5.0, sqrt(4+16)=4.47..) = 4.47..
-    assert profile.distances[0] == pytest.approx(0.0)
-    assert profile.distances[1] == pytest.approx(math.hypot(2.0, 4.0))
-    assert profile.fractions[0] == pytest.approx(0.5)  # within 1.0
-    assert profile.fractions[1] == pytest.approx(0.5)  # within 3.0
-    assert profile.mean == pytest.approx(sum(profile.distances) / len(profile.distances))
+    assert dists.shape == (2,)
+    assert dists[0] == pytest.approx(0.0)
+    assert dists[1] == pytest.approx(math.hypot(2.0, 4.0))
 
 
 def test_embedding_distance_profile_matches_broadcast_expression():
@@ -180,17 +185,17 @@ def test_embedding_distance_profile_matches_broadcast_expression():
         table = {p.residues: rng.normal(size=dim) * rng.uniform(0.1, 10.0) for p in gen + ref}
         g = np.stack([table[p.residues] for p in gen])
         r = np.stack([table[p.residues] for p in ref])
-        profile = embedding_distance_profile(g, r)
+        dists = embedding_distance_profile(g, r)
         diff = g[:, None, :] - r[None, :, :]
         expected = np.sqrt(np.sum(diff * diff, axis=2)).min(axis=1)
-        assert profile.distances == tuple(float(d) for d in expected)
+        assert dists.tolist() == expected.tolist()
 
 
 def test_compare_sets_report_shape():
     rng = np.random.default_rng(6)
     gen = random_peptides(15, rng, prefix="g", source="generated_sft")
     ref = random_peptides(20, rng, prefix="r")
-    report = compare_sets("natural", gen, ref)
+    report, (gen_emb, ref_emb) = compare_sets("natural", gen, ref, EvalConfig(), DEFAULT_SCALE)
     assert report["set"] == "natural"
     assert report["n_generated"] == 15 and report["n_reference"] == 20
     assert 0.0 <= report["jsd"] <= 1.0
@@ -198,14 +203,18 @@ def test_compare_sets_report_shape():
     assert -1.0 <= report["pearson"] <= 1.0
     assert len(report["aa_frequency"]["generated"]) == 20
     assert "length" in report["properties"]["generated"]
-    assert "embedding_distance" not in report
+    assert gen_emb.shape == (15, 425) and ref_emb.shape == (20, 425)
+    # the mean and the fractions come from each generated row's nearest-reference distance
+    dists = embedding_distance_profile(gen_emb, ref_emb)
+    assert report["embedding_distance"]["mean"] == float(dists.mean())
+    assert report["embedding_distance"]["fractions"] == {"1.0": float(np.mean(dists <= 1.0)), "3.0": float(np.mean(dists <= 3.0))}
 
 
 def test_compare_sets_jsd_agrees_with_direct_computation():
     rng = np.random.default_rng(7)
     gen = random_peptides(10, rng, prefix="g")
     ref = random_peptides(10, rng, prefix="r")
-    report = compare_sets("x", gen, ref)
+    report, _ = compare_sets("x", gen, ref, EvalConfig(), DEFAULT_SCALE)
     assert report["jsd"] == pytest.approx(js_divergence(aa_frequency(gen), aa_frequency(ref)), abs=1e-12)
 
 
@@ -213,7 +222,7 @@ def test_comparison_serializers(tmp_path):
     rng = np.random.default_rng(8)
     gen = random_peptides(8, rng, prefix="g")
     ref = random_peptides(8, rng, prefix="r")
-    report = compare_sets("demo", gen, ref)
+    report, _ = compare_sets("demo", gen, ref, EvalConfig(), DEFAULT_SCALE)
     json_path = tmp_path / "cmp.json"
     write_json(report, json_path)
     back = json.loads(json_path.read_text())
@@ -246,3 +255,72 @@ def test_default_bin_edges_are_strictly_increasing():
     for name, edges in DEFAULT_BIN_EDGES.items():
         diffs = np.diff(np.asarray(edges))
         assert (diffs > 0).all(), name
+
+
+SCALE_OVERRIDE = "hydropathy W -0.5\nhydropathy K 1.25\npka K 9.75\npka n_term 8.5\n"
+
+
+def _eval_sets(case):
+    """The (generated, reference) peptides of one differential case."""
+    rng = np.random.default_rng(31)
+    ref = random_peptides(30, rng, prefix="r")
+    gen = random_peptides(12, rng, prefix="g", source="generated_sft")
+    if case == "one_generated":
+        gen = gen[:1]
+    elif case == "edge_peptides":
+        # length 1, and all-basic runs (R x 35 and R x 50 reach pI 14)
+        gen = [_pep(f"g{k}", seq) for k, seq in enumerate(["K", "W", "R" * 35, "R" * 50, "K" * 40, "KR"])]
+        ref = ref + [_pep("r_k", "K"), _pep("r_r", "R" * 50)]
+    # a peptide in both sets sits at distance 0
+    gen = gen + [Peptide("shared", ref[3].residues, "generated_sft")]
+    return gen, ref
+
+
+@pytest.mark.parametrize(
+    "case, config, override",
+    [
+        ("random", {}, False),
+        ("random", {"eval": {"thresholds": [0.5, 1.0, 3.0, 10.0], "jsd_base": 10}}, True),
+        ("one_generated", {"eval": {"thresholds": [0.0, 0.5, 1.0, 3.0, 10.0]}}, False),  # 0.0 holds the shared one
+        ("edge_peptides", {}, False),
+        ("edge_peptides", {"eval": {"jsd_base": 10}}, True),
+    ],
+)
+def test_eval_cli_matches_the_oracle_byte_for_byte(tmp_path, capsys, case, config, override):
+    gen, ref = _eval_sets(case)
+    write_fasta(gen, tmp_path / "gen.fasta")
+    write_fasta(ref, tmp_path / "ref.fasta")
+    if override:
+        (tmp_path / "scale.txt").write_text(SCALE_OVERRIDE)
+        config = {**config, "scales": {"overrides": str(tmp_path / "scale.txt")}}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv = ["eval", "--generated", str(tmp_path / "gen.fasta"), "--reference", str(tmp_path / "ref.fasta")]
+    argv += ["--config", str(tmp_path / "cfg.json"), "--export-embeddings", "--output-dir", str(tmp_path / "new")]
+    assert main(argv) == 0
+    run = build_run(load_config(tmp_path / "cfg.json"))
+    generated = parse_fasta(tmp_path / "gen.fasta", source="generated_sft")
+    eval_oracle.cmd_eval(generated, parse_fasta(tmp_path / "ref.fasta"), "generated", run, tmp_path / "old")
+    for name in ("comparison.json", "comparison.tsv", "embeddings_generated.tsv", "embeddings_reference.tsv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes(), name
+    report = json.loads((tmp_path / "new" / "comparison.json").read_text())
+    assert report["embedding_distance"]["fractions"][repr(min(run.eval.thresholds))] > 0.0  # the shared peptide
+
+
+def test_eval_cli_computes_descriptors_once_per_set(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = physchem.descriptors
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    # every binding of the function, so `from .physchem import descriptors` copies count too
+    for module in [m for name, m in sys.modules.items() if name.startswith("amprl")]:
+        if getattr(module, "descriptors", None) is original:
+            monkeypatch.setattr(module, "descriptors", counted)
+    gen, ref = _eval_sets("random")
+    write_fasta(gen, tmp_path / "gen.fasta")
+    write_fasta(ref, tmp_path / "ref.fasta")
+    argv = ["eval", "--generated", str(tmp_path / "gen.fasta"), "--reference", str(tmp_path / "ref.fasta")]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == sorted([len(gen), len(ref)])

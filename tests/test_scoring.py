@@ -122,8 +122,8 @@ def test_distances_and_export_on_matrices_match_the_callable_oracle():
     embed = scoring_oracle.embed_fn(emb)
     gen, ref = _peptides(16, seed=1), _peptides(33, seed=2)
     gen_m, ref_m = emb.embed_many(gen), emb.embed_many(ref)
-    profile = embedding_distance_profile(gen_m, ref_m)
-    assert profile.distances == scoring_oracle.nearest_distances(gen, ref, embed)
+    dists = embedding_distance_profile(gen_m, ref_m)
+    assert tuple(dists.tolist()) == scoring_oracle.nearest_distances(gen, ref, embed)
     for peps, matrix in ((gen, gen_m), (ref, ref_m)):
         got, want = io.StringIO(), io.StringIO()
         export_embeddings_tsv(peps, matrix, got)
