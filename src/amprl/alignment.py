@@ -18,7 +18,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .sequences import RESIDUES, Peptide, encode
+from .sequences import RESIDUES, Peptide, encode, write_tsv
 
 _BLOSUM62_ORDER = "ARNDCQEGHILKMFPSTWYV"
 _BLOSUM62_ROWS = """
@@ -400,20 +400,8 @@ HIT_COLUMNS = ("Query", "Target", "%Identity", "Length", "E-value", "Bits")
 
 
 def write_hit_table(hits: Iterable[SimilarityHit], sink: str | Path | IO[str]) -> None:
-    from .sequences import _write_text
-
-    lines = ["\t".join(HIT_COLUMNS)]
-    for h in hits:
-        lines.append(
-            "\t".join(
-                (
-                    h.query,
-                    h.target,
-                    f"{h.identity_pct:g}",
-                    str(h.length),
-                    f"{h.evalue:.3g}".upper(),
-                    f"{h.bits:.1f}",
-                )
-            )
-        )
-    _write_text(sink, "\n".join(lines) + "\n")
+    rows = [
+        (h.query, h.target, f"{h.identity_pct:g}", str(h.length), f"{h.evalue:.3g}".upper(), f"{h.bits:.1f}")
+        for h in hits
+    ]
+    write_tsv(HIT_COLUMNS, rows, sink)

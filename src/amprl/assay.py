@@ -11,7 +11,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .sequences import _read_text, _write_text
+from .sequences import _read_text, write_tsv
 
 CATEGORIES = ("potent", "transient", "gradual", "weak")
 
@@ -149,9 +149,5 @@ def read_assay_tsv(stream: str | Path | IO[str]) -> list[FluorescenceSeries]:
 
 
 def write_summaries(summaries: Iterable[KineticSummary], sink: str | Path | IO[str]) -> None:
-    lines = ["\t".join(SUMMARY_COLUMNS)]
-    for s in summaries:
-        lines.append(
-            "\t".join((s.peptide_id, repr(float(s.max_rel)), repr(float(s.auc)), s.category or ""))
-        )
-    _write_text(sink, "\n".join(lines) + "\n")
+    rows = [(s.peptide_id, repr(float(s.max_rel)), repr(float(s.auc)), s.category or "") for s in summaries]
+    write_tsv(SUMMARY_COLUMNS, rows, sink)

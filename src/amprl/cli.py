@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, Run, apply_overrides, build_run, load_config
-from .sequences import AnnotationRecord, parse_fasta, write_fasta, write_json, write_records, _write_text
+from .sequences import AnnotationRecord, parse_fasta, write_fasta, write_json, write_records, write_tsv
 
 ENV_OUTPUT_DIR = "AMPRL_OUTPUT_DIR"
 
@@ -144,10 +144,8 @@ def _cmd_score_mic(args, run: Run, out: Path) -> int:
 
     model = MicModel.load(_require(args.model, "--model"))
     peptides = parse_fasta(_require(args.input, "--input"))
-    lines = ["id\tsequence\tmic_score"]
-    for p, s in zip(peptides, model.score_many(peptides)):
-        lines.append(f"{p.id}\t{p.residues}\t{float(s)!r}")
-    _write_text(out / "scores.tsv", "\n".join(lines) + "\n")
+    rows = [(p.id, p.residues, repr(float(s))) for p, s in zip(peptides, model.score_many(peptides))]
+    write_tsv(("id", "sequence", "mic_score"), rows, out / "scores.tsv")
     print(f"score-mic: {len(peptides)} sequences -> {out / 'scores.tsv'}")
     return 0
 
@@ -281,6 +279,17 @@ def _cmd_assay(args, run: Run, out: Path) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _set_name(text: str) -> str:
+    """An `eval --name`: one TSV cell, so no tab or line break, and valid UTF-8 (no surrogate-escaped argv byte)."""
+    if "\t" in text or "".join(text.splitlines()) != text:
+        raise argparse.ArgumentTypeError(f"{text!r} holds a tab or a line break")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not valid UTF-8") from None
+    return text
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON run-config file")
     sub.add_argument("--seed", type=int, help="global seed override")
@@ -347,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("eval", help="distribution comparison between two sets")
     p.add_argument("--generated", help="generated FASTA")
     p.add_argument("--reference", help="reference FASTA")
-    p.add_argument("--name", default="generated", help="set label used in the report")
+    p.add_argument("--name", default="generated", type=_set_name, help="set label used in the report (no tab or line break)")
     p.add_argument("--export-embeddings", action="store_true", help="also write raw embedding TSVs")
     p.set_defaults(handler=_cmd_eval)
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .mic import Embedder
 from .physchem import DESCRIPTORS, ScaleTable
-from .sequences import RESIDUES, Peptide, _write_text, encode
+from .sequences import RESIDUES, Peptide, encode, write_tsv
 
 
 def aa_frequency(peptides: Sequence[Peptide]) -> np.ndarray:
@@ -69,7 +69,7 @@ def js_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
-    """Sample correlation; None when either input is constant (undefined)."""
+    """Sample correlation, clipped to [-1, 1] as np.corrcoef does; None when either input is constant (undefined)."""
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
@@ -82,7 +82,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float | None:
     sy = float(np.sqrt(np.sum(yc * yc)))
     if sx < 1e-12 or sy < 1e-12:
         return None
-    return float(np.sum(xc * yc) / (sx * sy))
+    return float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
 
 
 DEFAULT_BIN_EDGES: dict[str, tuple[float, ...]] = {
@@ -177,7 +177,7 @@ def compare_sets(
 
 def write_comparison_tsv(report: dict, sink: str | Path | IO[str]) -> None:
     """Flat (set, metric, value) rows for the headline numbers."""
-    rows = [("set", "metric", "value")]
+    rows = []
     name = report["set"]
 
     def add(metric: str, value) -> None:
@@ -196,7 +196,7 @@ def write_comparison_tsv(report: dict, sink: str | Path | IO[str]) -> None:
     add("embedding.mean_min_distance", report["embedding_distance"]["mean"])
     for t, f in sorted(report["embedding_distance"]["fractions"].items(), key=lambda kv: float(kv[0])):
         add(f"embedding.fraction_within_{t}", f)
-    _write_text(sink, "\n".join("\t".join(r) for r in rows) + "\n")
+    write_tsv(("set", "metric", "value"), rows, sink)
 
 
 def export_embeddings_tsv(
@@ -209,7 +209,5 @@ def export_embeddings_tsv(
         raise ValueError("cannot export an empty set")
     if len(matrix) != len(peptides):
         raise ValueError(f"{len(matrix)} embedding rows for {len(peptides)} peptides")
-    lines = ["\t".join(["id"] + [f"e{i}" for i in range(matrix.shape[1])])]
-    for pep, vec in zip(peptides, matrix):
-        lines.append("\t".join([pep.id] + [repr(float(v)) for v in vec]))
-    _write_text(sink, "\n".join(lines) + "\n")
+    header = ["id"] + [f"e{i}" for i in range(matrix.shape[1])]
+    write_tsv(header, ([pep.id] + [repr(float(v)) for v in vec] for pep, vec in zip(peptides, matrix)), sink)

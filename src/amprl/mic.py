@@ -15,7 +15,7 @@ from . import numerics as nm
 from .numerics.tensor import reduce_mean
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptors
 from .rng import substream
-from .sequences import RESIDUES, Peptide, _read_text, _write_text, encode
+from .sequences import RESIDUES, Peptide, _read_text, encode, write_tsv
 
 BUILTIN_DIM = 5 + 20 + 400
 
@@ -69,10 +69,8 @@ def read_labeled_tsv(stream: str | Path | IO[str], split: str = "") -> LabeledSe
 
 def write_labeled_tsv(labeled: LabeledSet, sink: str | Path | IO[str]) -> None:
     """Paired writer for read_labeled_tsv (labels written as active/inactive)."""
-    lines = ["sequence\tlabel"]
-    for pep, label in labeled.items:
-        lines.append(f"{pep.residues}\t{'active' if label else 'inactive'}")
-    _write_text(sink, "\n".join(lines) + "\n")
+    rows = [(pep.residues, "active" if label else "inactive") for pep, label in labeled.items]
+    write_tsv(("sequence", "label"), rows, sink)
 
 
 class Embedder:

@@ -9,21 +9,22 @@ Layout (all integers little-endian):
     data float64*prod(shape)
 
 A JSON manifest is written next to the binary (same path + ".json") listing
-tensor names/shapes, the binary's sha256 and caller metadata. Writes are
-atomic (tmp + rename), but the two renames are separate, so loading
-refuses a binary without its manifest, and checks that the manifest records
-the binary's sha256 and that nothing follows the last tensor.
+tensor names/shapes, the binary's sha256 and caller metadata. Each file is
+written all or nothing (`sequences._write_bytes`), the binary first, but the
+two writes are separate, so loading refuses a binary without its manifest,
+and checks that the manifest records the binary's sha256 and that nothing
+follows the last tensor.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from ..sequences import _write_bytes, write_json
 from .tensor import Tensor
 
 MAGIC = b"AMPTNSR\x00"
@@ -32,7 +33,6 @@ VERSION = 1
 
 def save_checkpoint(path: str | Path, tensors: dict, meta: dict | None = None) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     chunks = [MAGIC, struct.pack("<II", VERSION, len(tensors))]
     manifest_tensors = []
     for name in sorted(tensors):
@@ -47,13 +47,9 @@ def save_checkpoint(path: str | Path, tensors: dict, meta: dict | None = None) -
         manifest_tensors.append({"name": name, "shape": list(arr.shape)})
 
     digest = hashlib.sha256()
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as f:
-        for chunk in chunks:
-            f.write(chunk)
-            digest.update(chunk)
-    os.replace(tmp, path)
-
+    for chunk in chunks:
+        digest.update(chunk)
+    _write_bytes(path, chunks)
     manifest = {
         "format": "amprl-checkpoint",
         "version": VERSION,
@@ -61,10 +57,7 @@ def save_checkpoint(path: str | Path, tensors: dict, meta: dict | None = None) -
         "tensors": manifest_tensors,
         "meta": meta or {},
     }
-    mpath = path.with_name(path.name + ".json")
-    mtmp = mpath.with_name(mpath.name + ".tmp")
-    mtmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    os.replace(mtmp, mpath)
+    write_json(manifest, path.with_name(path.name + ".json"))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

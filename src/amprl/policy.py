@@ -54,15 +54,12 @@ class LoraDelta:
     scaling: float
 
 
-def encode_batch(peptides: list[Peptide], pad_to: int | None = None) -> np.ndarray:
+def encode_batch(peptides: list[Peptide]) -> np.ndarray:
     """The int64 (B, T) ids grid: rows of [BOS, residues..., EOS, PAD...]."""
     if not peptides:
         raise ValueError("cannot encode an empty batch")
     codes, lengths = encode([p.residues for p in peptides])
-    width = codes.shape[1] + 2
-    if pad_to is not None:
-        width = max(width, pad_to)
-    ids = np.full((len(peptides), width), PAD, dtype=np.int64)
+    ids = np.full((len(peptides), codes.shape[1] + 2), PAD, dtype=np.int64)
     ids[:, 0] = BOS
     ids[:, 1 : codes.shape[1] + 1] = np.where(codes < len(RESIDUES), codes, PAD)
     ids[np.arange(len(peptides)), lengths + 1] = EOS

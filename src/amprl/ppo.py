@@ -18,6 +18,7 @@ from .physchem import DEFAULT_SCALE, ScaleTable
 from .policy import PAD, PolicyModel, encode_batch, sample
 from .reward import RewardBreakdown, RewardConfig, process_rewards
 from .rng import substream
+from .sequences import write_tsv
 
 LOG_COLUMNS = (
     "iteration",
@@ -312,13 +313,5 @@ def train_rl(
 
 def write_training_log(rows: list[dict], sink: str | Path | IO[str]) -> None:
     """TSV with one row per iteration in the documented column order."""
-    from .sequences import _write_text
-
-    lines = ["\t".join(LOG_COLUMNS)]
-    for row in rows:
-        lines.append(
-            "\t".join(
-                str(row[c]) if c in _INTEGER_COLUMNS else repr(float(row[c])) for c in LOG_COLUMNS
-            )
-        )
-    _write_text(sink, "\n".join(lines) + "\n")
+    cells = [[str(row[c]) if c in _INTEGER_COLUMNS else repr(float(row[c])) for c in LOG_COLUMNS] for row in rows]
+    write_tsv(LOG_COLUMNS, cells, sink)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -195,43 +195,24 @@ def write_records(
     the provenance tag or external score map. JSONL is lossless.
     """
     if format == "tsv":
-        lines = ["\t".join(TSV_COLUMNS)]
+        rows = []
         for r in records:
-            p = r.properties
-            lines.append(
-                "\t".join(
-                    (
-                        r.peptide.id,
-                        r.peptide.residues,
-                        str(p.length),
-                        _fmt(p.hydrophobicity),
-                        _fmt(p.hydrophobic_moment),
-                        _fmt(p.net_charge),
-                        _fmt(p.isoelectric_point),
-                        "" if r.mic_score is None else _fmt(r.mic_score),
-                        r.verdict,
-                        ";".join(r.reject_reasons),
-                    )
-                )
+            length, *values = astuple(r.properties)
+            mic = "" if r.mic_score is None else _fmt(r.mic_score)
+            rows.append(
+                (r.peptide.id, r.peptide.residues, str(length), *map(_fmt, values), mic, r.verdict, ";".join(r.reject_reasons))
             )
-        _write_text(sink, "\n".join(lines) + "\n")
+        write_tsv(TSV_COLUMNS, rows, sink)
     elif format == "jsonl":
         lines = []
         for r in records:
-            p = r.properties
             obj = {
                 "peptide": {
                     "id": r.peptide.id,
                     "residues": r.peptide.residues,
                     "source": r.peptide.source,
                 },
-                "properties": {
-                    "length": p.length,
-                    "hydrophobicity": p.hydrophobicity,
-                    "hydrophobic_moment": p.hydrophobic_moment,
-                    "net_charge": p.net_charge,
-                    "isoelectric_point": p.isoelectric_point,
-                },
+                "properties": asdict(r.properties),
                 "mic_score": r.mic_score,
                 "external_scores": r.external_scores,
                 "verdict": r.verdict,
@@ -243,18 +224,47 @@ def write_records(
         raise ValueError(f"unknown record format {format!r}; expected 'tsv' or 'jsonl'")
 
 
+def write_tsv(header: Sequence[str], rows: Iterable[Sequence[str]], sink: str | Path | IO[str]) -> None:
+    """A TSV artifact: the header line, one tab-joined line per row of strings, a final newline.
+
+    Raises ValueError, before anything is written, when a row would not read
+    back as len(header) fields: a wrong cell count, or a cell holding a tab
+    or a line break.
+    """
+    lines = ["\t".join(header)]
+    lines.extend("\t".join(row) for row in rows)
+    if any(line.count("\t") != len(header) - 1 or "".join(line.splitlines()) != line for line in lines):
+        raise ValueError(f"a TSV row does not split into the {len(header)} columns {', '.join(header)}")
+    _write_text(sink, "\n".join(lines) + "\n")
+
+
 def write_json(payload, sink: str | Path | IO[str]) -> None:
     """A JSON artifact: sorted keys, two-space indent, a final newline."""
     _write_text(sink, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_text(sink: str | Path | IO[str], text: str) -> None:
-    """Write a whole text payload; paths are written atomically (tmp + rename)."""
+    """Write a whole text payload; a path gets UTF-8 through `_write_bytes`, so a text it cannot encode writes nothing."""
     if isinstance(sink, (str, Path)):
-        path = Path(sink)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
+        _write_bytes(Path(sink), [text.encode("utf-8")])
     else:
         sink.write(text)
+
+
+def _write_bytes(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write a file all or nothing: the chunks go to `<name>.tmp`, which then replaces `path`.
+
+    On any failure the tmp file is removed and the error re-raised, so `path`
+    holds either its old content or every chunk. This is the only place in
+    the package that writes a file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -13,10 +13,8 @@ from amprl.sequences import RESIDUES
 _RES_TO_ID = {r: i for i, r in enumerate(RESIDUES)}
 
 
-def encode_batch(peptides, pad_to=None):
+def encode_batch(peptides):
     width = max(len(p.residues) for p in peptides) + 2
-    if pad_to is not None:
-        width = max(width, pad_to)
     ids = np.full((len(peptides), width), PAD, dtype=np.int64)
     for i, p in enumerate(peptides):
         ids[i, 0] = BOS

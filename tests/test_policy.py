@@ -41,6 +41,11 @@ def _pep(residues, pid="t"):
     return Peptide(pid, residues, "natural")
 
 
+def _widen(ids, width):
+    """The ids grid with PAD columns appended up to `width`."""
+    return np.pad(ids, ((0, 0), (0, max(width - ids.shape[1], 0))), constant_values=PAD)
+
+
 def test_token_scheme():
     assert (EOS, BOS, PAD) == (20, 21, 22)
     ids = encode_batch([_pep("ACD"), _pep("KLWKLW")])
@@ -54,13 +59,12 @@ def test_token_scheme():
         assert (row[eos_at[0] + 1:] == PAD).all()
 
 
-@pytest.mark.parametrize("pad_to", [None, 3, 60])
-def test_encode_batch_matches_per_residue_oracle(pad_to):
+def test_encode_batch_matches_per_residue_oracle():
     rng = np.random.default_rng(4)
     peps = [_pep(r) for r in RESIDUES] + [_pep(RESIDUES)] + random_peptides(40, rng, min_len=1, max_len=50)
     for batch in (peps, peps[:1], peps[-7:]):
-        ids = encode_batch(batch, pad_to=pad_to)
-        expected = encoding_oracle.encode_batch(batch, pad_to=pad_to)
+        ids = encode_batch(batch)
+        expected = encoding_oracle.encode_batch(batch)
         assert ids.dtype == expected.dtype and np.array_equal(ids, expected)
 
 
@@ -187,17 +191,15 @@ def test_sft_ignores_padding():
     model = PolicyModel.init(TOY, seed=5)
     peps = [_pep("ACDEF", "a"), _pep("KLW", "b")]
     tight = sft_loss(model, encode_batch(peps))
-    padded = sft_loss(model, encode_batch(peps, pad_to=16))
+    padded = sft_loss(model, _widen(encode_batch(peps), 16))
     assert tight.token_count == padded.token_count
     assert tight.mean.item() == pytest.approx(padded.mean.item(), rel=1e-9)
 
 
 def _batch(lengths, pad_to=None, seed=0):
     rng = np.random.default_rng(seed)
-    return encode_batch(
-        [_pep("".join(rng.choice(list(RESIDUES), size=n)), f"p{i}") for i, n in enumerate(lengths)],
-        pad_to=pad_to,
-    )
+    ids = encode_batch([_pep("".join(rng.choice(list(RESIDUES), size=n)), f"p{i}") for i, n in enumerate(lengths)])
+    return _widen(ids, pad_to or 0)
 
 
 def _trunk_case_model(lora):
@@ -281,7 +283,7 @@ def test_trunk_rejects_a_row_without_bos_or_past_the_context():
     model = PolicyModel.init(TOY, seed=0)
     with pytest.raises(ValueError, match="BOS-prefixed"):
         model.values_and_log_probs(np.array([[BOS, 3, EOS], [3, 4, EOS]]))
-    too_long = encode_batch([_pep("A" * TOY.max_len)], pad_to=TOY.context_len + 1)
+    too_long = _widen(encode_batch([_pep("A" * TOY.max_len)]), TOY.context_len + 1)
     with pytest.raises(ValueError, match="exceeds context"):
         model.values_and_log_probs(too_long)
 
