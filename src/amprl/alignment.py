@@ -1,8 +1,8 @@
 """Pairwise sequence alignment: global and local, affine gaps, BLOSUM62.
 
 Global alignments drive clustering identity; local alignments drive the
-novelty search. Both searches run `search`, one query against many targets,
-on sequences coded by `sequences.encode`; `align_global` and `align_local`
+novelty search. Both searches run `search`, which aligns (query, target)
+pairs of sequences coded by `sequences.encode`; `align_global` and `align_local`
 give the full alignment of one pair of strings. A gap of length k costs
 open + k * extend. Bit scores and E-values use fixed Karlin-Altschul
 parameters for the gapped BLOSUM62 (11,1) scheme; they are approximate and
@@ -206,58 +206,76 @@ def align_local(a: str, b: str) -> LocalAlignment | None:
     )
 
 
-# Targets aligned per numpy row step by `search`; bounds its memory to
-# SEARCH_BLOCK x longest target whatever the number of targets.
+# (query, target) pairs aligned per numpy row step by `search`; bounds its
+# memory to SEARCH_BLOCK x longest target whatever the number of pairs.
 SEARCH_BLOCK = 256
-# `encode`'s padding code scores _NEG against every residue
-_PADDED_SCORES = np.hstack([_SCORES, np.full((len(_SCORES), 1), _NEG)])
+# BLOSUM62 over `encode`'s codes with the padding code as a 21st row and
+# column scoring _NEG, flattened: entry a * 21 + b scores code a against b
+_ALPHABET = len(RESIDUES) + 1
+_PADDED_SCORES = np.full((_ALPHABET, _ALPHABET), _NEG)
+_PADDED_SCORES[:-1, :-1] = _SCORES
+_PADDED_SCORES = _PADDED_SCORES.ravel()
 
 
-def search(query: np.ndarray, targets: tuple[np.ndarray, np.ndarray], *, local: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Align `query` against every target: optimal scores, matches and columns.
+def search(
+    queries: tuple[np.ndarray, np.ndarray], targets: tuple[np.ndarray, np.ndarray], *, local: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Align each query against the target in the same row: optimal scores, matches and columns.
 
-    `query` is one sequence's codes, unpadded, and `targets` is `encode`'s
-    (codes, lengths) pair. Each entry is what `align_local` (local) or
+    `queries` and `targets` are `encode`-style (codes, lengths) pairs with one
+    row per alignment; one query against many targets passes its codes as an
+    `np.broadcast_to` row. Each entry is what `align_local` (local) or
     `align_global` reports for that pair; a local pair with no alignment
-    scores 0 with 0 matches and 0 columns. Targets are aligned SEARCH_BLOCK at
-    a time, one query row per numpy step, in int64. Matches and columns are
-    carried through the fill along the predecessor `_traceback` would take, so
-    no traceback runs.
+    scores 0 with 0 matches and 0 columns. Pairs are aligned SEARCH_BLOCK at a
+    time, one query row per numpy step across the block, in int64. Matches
+    and columns are carried through the fill along the predecessor
+    `_traceback` would take, so no traceback runs.
 
-    The query and the longest target may hold 2**26 residues together. Within
-    that range no score derived from the _NEG sentinel can reach a real score,
-    and every score, packed score and tally fits in int64; longer inputs raise
-    ValueError before anything is allocated.
+    The longest query and the longest target may hold 2**26 residues
+    together. Within that range no score derived from the _NEG sentinel can
+    reach a real score, and every score, packed score and tally fits in
+    int64; longer inputs raise ValueError before anything is allocated.
     """
+    query_codes, query_lengths = queries
     codes, lengths = targets
-    if not len(query) or not np.all(lengths):
+    if len(query_lengths) != len(lengths):
+        raise ValueError(f"{len(query_lengths)} queries for {len(lengths)} targets")
+    if not (np.all(query_lengths) and np.all(lengths)):
         raise ValueError("cannot align an empty sequence")
-    if len(query) + int(lengths.max(initial=0)) > 2**26:
+    if int(query_lengths.max(initial=0)) + int(lengths.max(initial=0)) > 2**26:
         raise ValueError(f"search aligns a query and target of at most {2**26} residues together")
-    parts = [
-        _search_block(query, codes[k : k + SEARCH_BLOCK], lengths[k : k + SEARCH_BLOCK], local)
-        for k in range(0, len(lengths), SEARCH_BLOCK)
-    ]
-    parts = parts or [(np.zeros(0), np.zeros(0, dtype=np.int64))]
-    scores = np.concatenate([s for s, _ in parts]).astype(np.float64)
-    tallies = np.concatenate([t for _, t in parts])
-    columns, matches = np.divmod(tallies, len(query) + 1)
+    scores = np.zeros(len(lengths))
+    matches = np.zeros(len(lengths), dtype=np.int64)
+    columns = np.zeros(len(lengths), dtype=np.int64)
+    for k in range(0, len(lengths), SEARCH_BLOCK):
+        block = slice(k, k + SEARCH_BLOCK)
+        scores[block], tallies = _search_block(query_codes[block], query_lengths[block], codes[block], lengths[block], local)
+        columns[block], matches[block] = np.divmod(tallies, int(query_lengths[block].max()) + 1)
     return scores, matches, columns
 
 
-def _search_block(query: np.ndarray, codes: np.ndarray, lengths: np.ndarray, local: bool) -> tuple[np.ndarray, np.ndarray]:
-    """`_fill`'s recurrence across a block of targets, in integers, one row kept.
+def _search_block(
+    query_codes: np.ndarray, query_lengths: np.ndarray, codes: np.ndarray, lengths: np.ndarray, local: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_fill`'s recurrence across a block of (query, target) pairs, in integers, one row kept.
 
-    The block is target-major: cell (j, t) is column j of target t, so each
-    step is one contiguous vector op across the targets. Beside each M, X and
-    Y cell runs a tally, columns * (n + 1) + matches, of the walk `_traceback`
-    would make from that cell (matches <= n, the query length). Returns each
-    target's score and the tally of its optimal walk. The row arrays are
-    allocated once and swapped between rows.
+    The block is pair-major: cell (j, t) is column j of pair t, so each step
+    is one contiguous vector op across the pairs, and step i reads row i of
+    every query. A query shorter than the block's longest runs on through
+    padding rows, which score _NEG against everything; no cell of a pair's
+    own table depends on them, so a global pair's finals are read at its own
+    last query row, and a local pair's padding rows hold 0, which never beats
+    its best. Beside each M, X and Y cell runs a tally, columns * step +
+    matches with step the block's longest query + 1, of the walk `_traceback`
+    would make from that cell. Returns each pair's score and the tally of its
+    optimal walk. The row arrays are allocated once and swapped between rows.
     """
-    n, count = len(query), len(lengths)
+    n, count = int(query_lengths.max()), len(lengths)
     width = int(lengths.max())
-    codes = np.ascontiguousarray(codes[:, :width].T)
+    query_rows = np.ascontiguousarray(query_codes[:, :n].T, dtype=np.int64)
+    codes = np.ascontiguousarray(codes[:, :width].T, dtype=np.int64)
+    # codes * 21 + the row's query code indexes _PADDED_SCORES
+    score_index = codes * _ALPHABET
     step = n + 1
     bits = width.bit_length()
     low = (1 << bits) - 1
@@ -279,6 +297,9 @@ def _search_block(query: np.ndarray, codes: np.ndarray, lengths: np.ndarray, loc
         M[0] = 0
         Y[1:] = -y_gap
         TY[1:] = y_step
+        # the pairs whose query ends at each row, and their finals there
+        ending = {int(i): np.flatnonzero(query_lengths == i) for i in np.unique(query_lengths)}
+        finals, final_tallies = np.empty((3, count), dtype=np.int64), np.empty((3, count), dtype=np.int64)
     rows_now = (M, X, Y, TM, TX, TY)
     # column 0 of Y, TM and TY keeps its row-0 value in every row
     spare = tuple(a.copy() for a in rows_now)
@@ -287,10 +308,10 @@ def _search_block(query: np.ndarray, codes: np.ndarray, lengths: np.ndarray, loc
     sel = np.empty((width, count), dtype=bool)
     best = np.zeros(count, dtype=np.int64)
     best_tally = np.zeros(count, dtype=np.int64)
-    profile = _PADDED_SCORES[query]
     for i in range(1, n + 1):
         (pM, pX, pY, pTM, pTX, pTY), (M, X, Y, TM, TX, TY) = rows_now, spare
         rows_now, spare = spare, rows_now
+        query = query_rows[i - 1]
         M[0] = 0 if local else _NEG
         X[0] = _NEG if local else -(GAP_OPEN + GAP_EXTEND * i)
         TX[0] = 0 if local else step * i
@@ -311,11 +332,13 @@ def _search_block(query: np.ndarray, codes: np.ndarray, lengths: np.ndarray, loc
             # the local walk stops where the predecessor scores 0
             np.not_equal(diag, 0, out=sel)
             np.multiply(pred, sel, out=pred)
-        np.take(profile[i - 1], codes, out=sub)
+        # every index is in range, and mode="clip" spares take's buffered copy
+        np.add(score_index, query, out=packed)
+        np.take(_PADDED_SCORES, packed, out=sub, mode="clip")
         np.add(diag, sub, out=M[1:])
         if local:
             np.maximum(M[1:], 0, out=M[1:])
-        np.equal(codes, query[i - 1], out=sel)
+        np.equal(codes, query, out=sel)
         np.add(pred, sel, out=TM[1:])
         np.add(TM[1:], step, out=TM[1:])
 
@@ -337,7 +360,7 @@ def _search_block(query: np.ndarray, codes: np.ndarray, lengths: np.ndarray, loc
         np.bitwise_and(packed, low, out=k)
         np.multiply(k, count, out=pred)
         np.add(pred, targets, out=pred)
-        np.take(TM.ravel(), pred, out=TY[1:])
+        np.take(TM.ravel(), pred, out=TY[1:], mode="clip")
         np.multiply(k, step, out=k)
         np.subtract(y_step, k, out=k)
         np.add(TY[1:], k, out=TY[1:])
@@ -350,13 +373,16 @@ def _search_block(query: np.ndarray, codes: np.ndarray, lengths: np.ndarray, loc
             better = top > best
             np.maximum(best, top, out=best)
             best_tally += better * (TM.ravel()[j * count + targets] - best_tally)
+        elif i in ending:
+            ends = ending[i]
+            at = lengths[ends] * count + ends
+            for state, (V, T) in enumerate(((M, TM), (X, TX), (Y, TY))):
+                finals[state, ends] = V.ravel()[at]
+                final_tallies[state, ends] = T.ravel()[at]
     if local:
         return best, best_tally
-    at = lengths * count + targets
-    finals = np.stack([M.ravel()[at], X.ravel()[at], Y.ravel()[at]])
     state = np.argmax(finals, axis=0)
-    tallies = np.stack([TM.ravel()[at], TX.ravel()[at], TY.ravel()[at]])
-    return finals[state, targets], tallies[state, targets]
+    return finals[state, targets], final_tallies[state, targets]
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as _rng
 from .alignment import search
 from .mic import LabeledSet
-from .sequences import Peptide, _read_text, encode, write_json
+from .sequences import RESIDUES, Peptide, _read_text, encode, write_json
 
 
 @dataclass
@@ -77,29 +77,71 @@ def _greedy_order(peptides: Sequence[Peptide]) -> list[Peptide]:
     return sorted(peptides, key=lambda p: (-len(p), p.residues, p.id))
 
 
+# peptides of the greedy order clustered per alignment search
+CLUSTER_BATCH = 16
+
+
+def _composition(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Residue counts per row of `encode`'s codes, (rows, len(RESIDUES))."""
+    alphabet = len(RESIDUES) + 1
+    cells = np.arange(len(lengths))[:, None] * alphabet + codes
+    return np.bincount(cells.ravel(), minlength=len(lengths) * alphabet).reshape(-1, alphabet)[:, :-1]
+
+
+def _identity_bound(counts: np.ndarray, lengths: np.ndarray, query: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Each (query, target) row pair's composition bound on global identity.
+
+    Matches never exceed the summed smaller residue counts and columns never
+    fall below the longer length, and IEEE division is monotone, so a pair
+    whose bound is below a threshold has identity (matches / columns) below it.
+    """
+    shared = np.minimum(counts[query], counts[target]).sum(axis=1)
+    return shared / np.maximum(lengths[query], lengths[target])
+
+
 def greedy_cluster(peptides: Sequence[Peptide], identity_threshold: float = 0.40) -> list[Cluster]:
     """Longest-first greedy clustering on global-alignment identity.
 
     Each peptide joins the first existing cluster whose representative it
     matches at or above the threshold, else it founds a new cluster. The
-    peptides are encoded once, and one search aligns a peptide against every
-    representative. The ordering (length descending, then sequence, then id)
-    makes the result independent of input order.
+    ordering (length descending, then sequence, then id) makes the result
+    independent of input order.
+
+    The peptides are encoded once and taken CLUSTER_BATCH at a time. One
+    search aligns each peptide of a batch against every representative and
+    every earlier peptide of the batch, after dropping each pair whose
+    `_identity_bound` is below the threshold: no dropped pair could have
+    joined. Each peptide then joins the first representative it passes, in
+    founding order.
     """
     _check_identity_threshold(identity_threshold)
     ordered = _greedy_order(peptides)
     codes, lengths = encode([p.residues for p in ordered])
+    counts = _composition(codes, lengths)
+    # each batch gathers its pairs' rows: codes fit a byte, counts the length limit
+    codes, counts = codes.astype(np.uint8), counts.astype(np.int32)
     clusters: list[Cluster] = []
-    representatives: list[int] = []  # rows of codes
-    for k, pep in enumerate(ordered):
-        reps = (codes[representatives], lengths[representatives])
-        _, matches, columns = search(codes[k, : lengths[k]], reps, local=False)
-        joins = np.flatnonzero(matches / columns >= identity_threshold)
-        if joins.size:
-            clusters[int(joins[0])].members.append(pep)
-        else:
-            clusters.append(Cluster(representative=pep, members=[pep]))
-            representatives.append(k)
+    cluster_of = np.full(len(ordered), -1)  # the cluster a representative founded
+    for start in range(0, len(ordered), CLUSTER_BATCH):
+        representatives = np.flatnonzero(cluster_of >= 0)  # rows of codes, in founding order
+        batch = range(start, min(start + CLUSTER_BATCH, len(ordered)))
+        query = np.repeat(batch, len(representatives) + np.arange(len(batch)))
+        target = np.concatenate([np.concatenate([representatives, np.arange(start, b)]) for b in batch])
+        admitted = _identity_bound(counts, lengths, query, target) >= identity_threshold
+        query, target = query[admitted], target[admitted]
+        _, matches, columns = search((codes[query], lengths[query]), (codes[target], lengths[target]), local=False)
+        passed = matches / columns >= identity_threshold
+        query, target = query[passed], target[passed]
+        # the passed targets of peptide b, ascending, are target[edges[b - start] : edges[b - start + 1]]
+        edges = np.searchsorted(query, np.arange(batch.start, batch.stop + 1))
+        for b, lo, hi in zip(batch, edges[:-1], edges[1:]):
+            homes = cluster_of[target[lo:hi]]
+            homes = homes[homes >= 0]
+            if homes.size:
+                clusters[homes[0]].members.append(ordered[b])
+            else:
+                cluster_of[b] = len(clusters)
+                clusters.append(Cluster(representative=ordered[b], members=[ordered[b]]))
     return clusters
 
 

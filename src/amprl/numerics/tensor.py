@@ -359,15 +359,20 @@ def minimum(a, b) -> Tensor:
 
 
 def embedding(table, ids: np.ndarray) -> Tensor:
-    """Row lookup: output shape ids.shape + (dim,). Gradient scatter-adds."""
+    """Row lookup: output shape ids.shape + (dim,).
+
+    The gradient scatter-adds by one bincount over table cells, which sums
+    each cell's terms in row order from 0.0, as `np.add.at` does, bit for bit.
+    """
     table = _wrap(table)
     idx = np.asarray(ids)
     data = table.data[idx]
 
     def backward(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return ((table, gt),)
+        rows, dim = table.data.shape
+        cells = idx.reshape(-1, 1) * dim + np.arange(dim)
+        gt = np.bincount(cells.ravel(), weights=g.ravel(), minlength=rows * dim)
+        return ((table, gt.reshape(rows, dim)),)
 
     return _node(data, (table,), backward, "embedding")
 

@@ -141,7 +141,8 @@ def novelty_filter(
     hits: list[SimilarityHit] = []
     for record, codes, n in zip(records, queries, lengths):
         query = record.peptide
-        scores, matches, columns = search(codes[:n], targets, local=True)
+        pairs = (np.broadcast_to(codes[:n], (len(reference), n)), np.broadcast_to(n, len(reference)))
+        scores, matches, columns = search(pairs, targets, local=True)
         # columns is 0 only where nothing aligned, and then fails the coverage test
         identity = matches / np.maximum(columns, 1)
         similar = bool(np.any((columns > cfg.novelty_coverage * n) & (identity >= cfg.novelty_identity)))

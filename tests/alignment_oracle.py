@@ -4,17 +4,26 @@ The scalar kernel builds the substitution grid with a per-cell dict lookup
 and has separate global and local tracebacks; `test_alignment.py` checks the
 shared kernel and the batched search against it field for field.
 `search_block` is the float, target-per-row block kernel that the integer,
-target-major `amprl.alignment._search_block` replaced; the two must return
-equal scores and tallies.
+target-major block kernel replaced; the two must return equal scores and
+tallies.
+`query_search` and `query_search_block` are that integer kernel as it was
+before `amprl.alignment.search` took (query, target) pairs: one query against
+a block of targets, one query row per numpy step.
 `greedy_cluster` and `novelty_filter` are the per-pair loops that the batched
-search replaced in `amprl.dataprep` and `amprl.screening`.
+search replaced in `amprl.dataprep` and `amprl.screening`, and
+`greedy_cluster_per_query` is the clustering loop that ran one `query_search`
+per peptide before `amprl.dataprep.greedy_cluster` aligned a batch of
+peptides per search.
 """
 import dataclasses
 
 import numpy as np
 
 from amprl.alignment import (
+    _NEG as _INT_NEG,
+    _SCORES,
     BLOSUM62,
+    SEARCH_BLOCK,
     GAP_EXTEND,
     GAP_OPEN,
     GlobalAlignment,
@@ -24,7 +33,7 @@ from amprl.alignment import (
     make_hit,
 )
 from amprl.dataprep import Cluster
-from amprl.sequences import RESIDUES
+from amprl.sequences import RESIDUES, encode
 
 _NEG = -1.0e9
 
@@ -293,3 +302,161 @@ def search_block(query, codes, lengths, local):
     state = np.argmax(finals, axis=0)
     tallies = np.stack([TM[rows, lengths], TX[rows, lengths], TY[rows, lengths]])
     return finals[state, rows], tallies[state, rows]
+
+
+def greedy_cluster_per_query(peptides, identity_threshold):
+    ordered = sorted(peptides, key=lambda p: (-len(p), p.residues, p.id))
+    codes, lengths = encode([p.residues for p in ordered])
+    clusters = []
+    representatives = []  # rows of codes
+    for k, pep in enumerate(ordered):
+        reps = (codes[representatives], lengths[representatives])
+        _, matches, columns = query_search(codes[k, : lengths[k]], reps, local=False)
+        joins = np.flatnonzero(matches / columns >= identity_threshold)
+        if joins.size:
+            clusters[int(joins[0])].members.append(pep)
+        else:
+            clusters.append(Cluster(representative=pep, members=[pep]))
+            representatives.append(k)
+    return clusters
+
+
+# `encode`'s padding code scores _INT_NEG against every residue
+_INT_PADDED_SCORES = np.hstack([_SCORES, np.full((len(_SCORES), 1), _INT_NEG)])
+
+
+def query_search(query, targets, *, local):
+    """Align one query, as its unpadded codes, against every target of
+    `encode`'s (codes, lengths) pair: the per-query search that
+    `amprl.alignment.search`'s (query, target) pairs replaced. Returns scores,
+    matches and columns, SEARCH_BLOCK targets at a time, one query row per
+    numpy step, and raises ValueError past 2**26 residues together.
+    """
+    codes, lengths = targets
+    if not len(query) or not np.all(lengths):
+        raise ValueError("cannot align an empty sequence")
+    if len(query) + int(lengths.max(initial=0)) > 2**26:
+        raise ValueError(f"search aligns a query and target of at most {2**26} residues together")
+    parts = [
+        query_search_block(query, codes[k : k + SEARCH_BLOCK], lengths[k : k + SEARCH_BLOCK], local)
+        for k in range(0, len(lengths), SEARCH_BLOCK)
+    ]
+    parts = parts or [(np.zeros(0), np.zeros(0, dtype=np.int64))]
+    scores = np.concatenate([s for s, _ in parts]).astype(np.float64)
+    tallies = np.concatenate([t for _, t in parts])
+    columns, matches = np.divmod(tallies, len(query) + 1)
+    return scores, matches, columns
+
+
+def query_search_block(query, codes, lengths, local):
+    """`_fill`'s recurrence across a block of targets, in integers, one row kept.
+
+    The block is target-major: cell (j, t) is column j of target t, so each
+    step is one contiguous vector op across the targets. Beside each M, X and
+    Y cell runs a tally, columns * (n + 1) + matches, of the walk `_traceback`
+    would make from that cell (matches <= n, the query length). Returns each
+    target's score and the tally of its optimal walk. The row arrays are
+    allocated once and swapped between rows.
+    """
+    n, count = len(query), len(lengths)
+    width = int(lengths.max())
+    codes = np.ascontiguousarray(codes[:, :width].T)
+    step = n + 1
+    bits = width.bit_length()
+    low = (1 << bits) - 1
+    cols = np.arange(width)[:, None]
+    targets = np.arange(count)
+    y_gap = GAP_OPEN + GAP_EXTEND * (cols + 1)
+    y_step = step * (cols + 1)
+    # (M + extend * col) << bits | col: the running maximum of the packed
+    # values carries the last column attaining it, where Y's traceback opens
+    y_key = (GAP_EXTEND * cols << bits) | cols
+    # M << bits | (width - col): the maximum is the row's first maximum cell
+    first_key = width - np.arange(width + 1)[:, None]
+    shape = (width + 1, count)
+    M, X, Y = (np.full(shape, _INT_NEG) for _ in range(3))
+    TM, TX, TY = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+    if local:
+        M[:] = 0
+    else:
+        M[0] = 0
+        Y[1:] = -y_gap
+        TY[1:] = y_step
+    rows_now = (M, X, Y, TM, TX, TY)
+    # column 0 of Y, TM and TY keeps its row-0 value in every row
+    spare = tuple(a.copy() for a in rows_now)
+    diag, pred, sub, packed, k = (np.empty((width, count), dtype=np.int64) for _ in range(5))
+    shifted = np.empty(shape, dtype=np.int64)
+    sel = np.empty((width, count), dtype=bool)
+    best = np.zeros(count, dtype=np.int64)
+    best_tally = np.zeros(count, dtype=np.int64)
+    profile = _INT_PADDED_SCORES[query]
+    for i in range(1, n + 1):
+        (pM, pX, pY, pTM, pTX, pTY), (M, X, Y, TM, TX, TY) = rows_now, spare
+        rows_now, spare = spare, rows_now
+        M[0] = 0 if local else _INT_NEG
+        X[0] = _INT_NEG if local else -(GAP_OPEN + GAP_EXTEND * i)
+        TX[0] = 0 if local else step * i
+
+        np.maximum(pM[:-1], pX[:-1], out=diag)
+        np.maximum(diag, pY[:-1], out=diag)
+        # a match step's predecessor, tested in _traceback's order M, X, Y, by
+        # integer blends a + sel * (b - a)
+        np.equal(pX[:-1], diag, out=sel)
+        np.subtract(pTX[:-1], pTY[:-1], out=pred)
+        np.multiply(pred, sel, out=pred)
+        np.add(pred, pTY[:-1], out=pred)
+        np.equal(pM[:-1], diag, out=sel)
+        np.subtract(pTM[:-1], pred, out=sub)
+        np.multiply(sub, sel, out=sub)
+        np.add(pred, sub, out=pred)
+        if local:
+            # the local walk stops where the predecessor scores 0
+            np.not_equal(diag, 0, out=sel)
+            np.multiply(pred, sel, out=pred)
+        np.take(profile[i - 1], codes, out=sub)
+        np.add(diag, sub, out=M[1:])
+        if local:
+            np.maximum(M[1:], 0, out=M[1:])
+        np.equal(codes, query[i - 1], out=sel)
+        np.add(pred, sel, out=TM[1:])
+        np.add(TM[1:], step, out=TM[1:])
+
+        opened = np.subtract(pM[1:], GAP_OPEN + GAP_EXTEND, out=diag)
+        np.subtract(pX[1:], GAP_EXTEND, out=X[1:])
+        np.maximum(opened, X[1:], out=X[1:])
+        np.equal(X[1:], opened, out=sel)
+        np.subtract(pTM[1:], pTX[1:], out=pred)
+        np.multiply(pred, sel, out=pred)
+        np.add(pred, pTX[1:], out=TX[1:])
+        np.add(TX[1:], step, out=TX[1:])
+
+        np.left_shift(M, bits, out=shifted)
+        np.add(shifted[:-1], y_key, out=packed)
+        np.maximum.accumulate(packed, axis=0, out=packed)
+        np.right_shift(packed, bits, out=Y[1:])
+        np.subtract(Y[1:], y_gap, out=Y[1:])
+        # Y[i, j] opened from M[i, k] at the last k < j where the running maximum is attained
+        np.bitwise_and(packed, low, out=k)
+        np.multiply(k, count, out=pred)
+        np.add(pred, targets, out=pred)
+        np.take(TM.ravel(), pred, out=TY[1:])
+        np.multiply(k, step, out=k)
+        np.subtract(y_step, k, out=k)
+        np.add(TY[1:], k, out=TY[1:])
+
+        if local:
+            # the first maximum cell in row-major order, as np.argmax(M) picks it
+            top = np.bitwise_or(shifted, first_key, out=shifted).max(axis=0)
+            j = width - (top & low)
+            top >>= bits
+            better = top > best
+            np.maximum(best, top, out=best)
+            best_tally += better * (TM.ravel()[j * count + targets] - best_tally)
+    if local:
+        return best, best_tally
+    at = lengths * count + targets
+    finals = np.stack([M.ravel()[at], X.ravel()[at], Y.ravel()[at]])
+    state = np.argmax(finals, axis=0)
+    tallies = np.stack([TM.ravel()[at], TX.ravel()[at], TY.ravel()[at]])
+    return finals[state, targets], tallies[state, targets]

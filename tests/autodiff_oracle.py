@@ -5,7 +5,8 @@ operands: each backward computes the gradient of both operands, and
 `Tensor.backward` discards the one that does not require a gradient.
 `test_numerics.py` checks that the pruned ops give the trainable operand the
 same gradient bit for bit. `tanh` builds the composed GELU that the fused
-`nm.gelu` is checked against.
+`nm.gelu` is checked against. `embedding` scatters its gradient with
+`np.add.at`, as `nm.embedding` did before its one bincount.
 """
 import numpy as np
 
@@ -65,3 +66,17 @@ def tanh(a):
         return ((a, g * (1.0 - data * data)),)
 
     return _node(data, (a,), backward, "tanh")
+
+
+def embedding(table, ids):
+    """`nm.embedding` with the `np.add.at` scatter its backward replaced."""
+    table = _wrap(table)
+    idx = np.asarray(ids)
+    data = table.data[idx]
+
+    def backward(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.data.shape[-1]))
+        return ((table, gt),)
+
+    return _node(data, (table,), backward, "embedding")

@@ -75,6 +75,12 @@ def _codes(seq):
     return encode([seq])[0][0]
 
 
+def _against(query, count):
+    """`query`'s codes as a zero-copy query row for `count` pairs."""
+    codes = _codes(query)
+    return np.broadcast_to(codes, (count, len(codes))), np.broadcast_to(len(codes), count)
+
+
 # BLOSUM62 as NCBI publishes it, with its row and column labels
 _PUBLISHED_BLOSUM62 = """
    A  R  N  D  C  Q  E  G  H  I  L  K  M  F  P  S  T  W  Y  V
@@ -112,7 +118,7 @@ def test_blosum_table_matches_the_published_matrix():
     # the scores the kernels use, re-indexed to the residue codes, are the same
     for (x, y), v in published.items():
         assert align_global(x, y).score == v
-        scores, _, _ = search(_codes(x), encode([y]), local=False)
+        scores, _, _ = search(encode([x]), encode([y]), local=False)
         assert scores.tolist() == [v]
 
 
@@ -232,7 +238,7 @@ def test_search_matches_scalar_oracle_field_for_field():
         rng.shuffle(targets)
         assert len(targets) > SEARCH_BLOCK
         for local in (False, True):
-            scores, matches, columns = search(_codes(query), encode(targets), local=local)
+            scores, matches, columns = search(_against(query, len(targets)), encode(targets), local=local)
             assert len(scores) == len(matches) == len(columns) == len(targets)
             for k, target in enumerate(targets):
                 if local:
@@ -248,15 +254,61 @@ def test_search_matches_scalar_oracle_field_for_field():
     assert outcomes == {False, True}  # both outcomes of the local search are exercised
 
 
+def test_pair_kernel_matches_the_per_query_kernel_and_the_scalar_oracle():
+    # more pairs than one block, in random order, so each block mixes queries
+    # of every length 1..40 with a query over 200 residues; exact, near and
+    # duplicate pairs; each query's pairs are also run through the per-query
+    # kernel the pair kernel replaced
+    rng = np.random.default_rng(14)
+    queries = [_rand_seq(rng, length, length) for length in range(1, 41)] + [_rand_seq(rng, 201, 230)]
+    pairs = []
+    for query in queries:
+        pairs += [(query, _rand_seq(rng, 1, 40)) for _ in range(6)]
+        pairs += [(query, near_copy(rng, query, max_len=250)), (query, query)]
+    pairs += [pairs[int(k)] for k in rng.integers(len(pairs), size=30)]
+    pairs = [pairs[int(k)] for k in rng.permutation(len(pairs))]
+    assert len(pairs) > SEARCH_BLOCK
+    blocks = [{len(q) for q, _ in pairs[k : k + SEARCH_BLOCK]} for k in range(0, len(pairs), SEARCH_BLOCK)]
+    assert all(max(lengths) > 200 and min(lengths) <= 5 for lengths in blocks)
+    outcomes = set()
+    for local in (False, True):
+        scores, matches, columns = search(encode([q for q, _ in pairs]), encode([t for _, t in pairs]), local=local)
+        got = list(zip(scores.tolist(), matches.tolist(), columns.tolist()))
+        per_query = {}
+        for query in queries:
+            targets = sorted({t for q, t in pairs if q == query})
+            found = zip(*alignment_oracle.query_search(_codes(query), encode(targets), local=local))
+            per_query.update({(query, t): tuple(v.item() for v in row) for t, row in zip(targets, found)})
+        for (query, target), row in zip(pairs, got):
+            if local:
+                aln = alignment_oracle.align_local(query, target)
+                expected = (0.0, 0, 0) if aln is None else (aln.score, aln.matches, aln.columns)
+                outcomes.add(aln is None)
+            else:
+                aln = alignment_oracle.align_global(query, target)
+                expected = (aln.score, aln.matches, aln.columns)
+            assert row == expected == per_query[query, target], (local, query, target)
+        # one query broadcast against every target, over more than one block
+        wide = [t for _, t in pairs]
+        got = search(_against(queries[-1], len(wide)), encode(wide), local=local)
+        want = alignment_oracle.query_search(_codes(queries[-1]), encode(wide), local=local)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert outcomes == {False, True}
+
+
 def test_search_edge_cases():
     for local in (False, True):
         with pytest.raises(ValueError, match="cannot align an empty sequence"):
-            search(_codes(""), encode(["KLW"]), local=local)
+            search(_against("", 1), encode(["KLW"]), local=local)
         with pytest.raises(ValueError, match="cannot align an empty sequence"):
-            search(_codes("KLW"), encode(["KLW", ""]), local=local)
+            search(_against("KLW", 2), encode(["KLW", ""]), local=local)
+        with pytest.raises(ValueError, match="cannot align an empty sequence"):
+            search(encode(["KLW", ""]), encode(["KLW", "KLW"]), local=local)
         with pytest.raises(ValueError, match="substitution"):
-            search(_codes("KLW"), encode(["KBW"]), local=local)
-        assert [a.shape for a in search(_codes("KLW"), encode([]), local=local)] == [(0,), (0,), (0,)]
+            search(_against("KLW", 1), encode(["KBW"]), local=local)
+        with pytest.raises(ValueError, match="2 queries for 3 targets"):
+            search(_against("KLW", 2), encode(["KLW"] * 3), local=local)
+        assert [a.shape for a in search(_against("KLW", 0), encode([]), local=local)] == [(0,), (0,), (0,)]
 
 
 def _runs(rng, lo, hi):
@@ -284,7 +336,8 @@ def test_integer_kernel_matches_float_oracle():
         codes, lengths = encode(targets)
         q = _codes(query)
         for local in (False, True):
-            scores, tallies = alignment._search_block(q, codes, lengths, local)
+            # one query per block, so both kernels pack tallies with step len(query) + 1
+            scores, tallies = alignment._search_block(*_against(query, len(targets)), codes, lengths, local)
             expected_scores, expected_tallies = alignment_oracle.search_block(q, codes, lengths, local)
             assert np.array_equal(scores, expected_scores), (local, query)
             assert np.array_equal(tallies, expected_tallies), (local, query)
@@ -295,36 +348,48 @@ def test_integer_kernel_matches_float_oracle():
 def test_search_length_limit(monkeypatch):
     # the limit is checked before the kernel runs, so zero-stride views of
     # sequences at and just past it cost no memory
-    def long(length):
-        return np.broadcast_to(np.int64(0), (length,))
+    def zeros(rows, length):
+        return np.broadcast_to(np.int64(0), (rows, length))
+
+    def one(length):
+        return zeros(1, length), np.array([length])
 
     calls = []
-    monkeypatch.setattr(alignment, "_search_block", lambda q, c, lens, local: calls.append(len(q)) or (lens, lens))
+    monkeypatch.setattr(
+        alignment, "_search_block", lambda qc, ql, c, lens, local: calls.append(int(ql.max())) or (lens, lens)
+    )
     short = encode(["A"])
     for local in (False, True):
         for n in (1, 2**25, 2**26 - 1):
-            wide = (long(2**26 - n)[None, :], np.array([2**26 - n]))
-            search(long(n), wide, local=local)
-            search(long(2**26 - 1), short, local=local)
+            wide = one(2**26 - n)
+            search(one(n), wide, local=local)
+            search(one(2**26 - 1), short, local=local)
             with pytest.raises(ValueError, match=str(2**26)):
-                search(long(n + 1), wide, local=local)
+                search(one(n + 1), wide, local=local)
             with pytest.raises(ValueError, match=str(2**26)):
-                search(long(n), (long(2**26 - n + 1)[None, :], np.array([2**26 - n + 1])), local=local)
+                search(one(n), one(2**26 - n + 1), local=local)
+            # the limit holds for the longest query and the longest target of a call
+            with pytest.raises(ValueError, match=str(2**26)):
+                search((zeros(2, n + 1), np.array([1, n + 1])), (zeros(2, 2**26 - n), np.array([2**26 - n, 1])), local=local)
     assert len(calls) == 12
 
 
 def test_kernel_values_fit_at_the_length_limit():
-    # at n + width = 2**26 residues: a real score is at least minus the cost of
-    # a path of three mismatches and three gaps; one derived from the _NEG
-    # sentinel lies between _NEG minus that cost and _NEG + 11 * min(n, width),
-    # so the two never meet; a packed score adds bit_length(width) bits to a
-    # score plus a column; a tally is at most (n + width) * (n + 1) + n
+    # at n + width = 2**26 residues, n the block's longest query and width its
+    # longest target: a real score is at least minus the cost of a path of
+    # three mismatches and three gaps; one derived from the _NEG sentinel lies
+    # between _NEG minus that cost and _NEG + 11 * min(n, width), so the two
+    # never meet. Past a pair's own last query row or column a cell adds _NEG
+    # at most twice, since X keeps a gap from a cell that holds at most one,
+    # so every value lies above 2 * _NEG minus that cost. A packed score adds
+    # bit_length(width) bits to a score plus a column; a tally is at most
+    # (n + width) * (n + 1) + n
     total = 2**26
     for n in (1, total // 2, total - 1):
         width = total - n
         cost = 3 * 4 + 3 * GAP_OPEN + GAP_EXTEND * total
         assert alignment._NEG + 11 * min(n, width) < -cost
-        assert (abs(alignment._NEG) + cost + total) << width.bit_length() < 2**63
+        assert (2 * abs(alignment._NEG) + cost + total) << width.bit_length() < 2**63
         assert total * (n + 1) + n < 2**63
 
 

@@ -1,10 +1,12 @@
 """Corpus curation: length filter, clustering, cluster-aware splits, balancing."""
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from amprl import dataprep
 from amprl.alignment import identity_global
 from amprl.dataprep import (
     Cluster,
@@ -15,10 +17,10 @@ from amprl.dataprep import (
     split_by_cluster,
     write_split_manifest,
 )
-from amprl.sequences import Peptide
+from amprl.sequences import Peptide, encode
 
 import alignment_oracle
-from conftest import near_copy, random_peptides, unique_random_peptides
+from conftest import RESIDUES, near_copy, random_peptides, unique_random_peptides
 
 
 def _pep(pid, residues):
@@ -110,6 +112,111 @@ def test_greedy_cluster_matches_per_pair_oracle(threshold):
     assert [(c.representative.id, [m.id for m in c.members]) for c in got] == [
         (c.representative.id, [m.id for m in c.members]) for c in want
     ]
+
+
+def _members(clusters):
+    return [(c.representative.id, [m.id for m in c.members]) for c in clusters]
+
+
+def _shuffles(rng, n, length):
+    # one composition in n orders, so the composition bound of every pair is exactly 1
+    base = list(rng.choice(list(RESIDUES), size=length))
+    return [_pep(f"perm{k}", "".join(rng.permutation(base))) for k in range(n)]
+
+
+def _cluster_sets():
+    rng = np.random.default_rng(23)
+    families = _families(rng)
+    big = unique_random_peptides(1, rng, min_len=20, max_len=20, prefix="big")[0]
+    bases = unique_random_peptides(5, rng, min_len=8, max_len=40, prefix="base")
+    return {
+        # set sizes around CLUSTER_BATCH, so batches end exactly, one short and one over
+        **{f"mixed{n}": [families[int(k)] for k in rng.choice(len(families), size=n, replace=False)] for n in (15, 16, 17, 33)},
+        "duplicates": [_pep(f"dup{k}", bases[k % 5].residues) for k in range(33)],
+        "singletons": unique_random_peptides(33, rng, min_len=8, max_len=40, prefix="solo"),
+        "one_cluster": [big] + [_pep(f"near{k}", near_copy(rng, big.residues)) for k in range(32)],
+        "shuffled": _shuffles(rng, 33, 18),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cluster_sets()))
+def test_batched_greedy_cluster_matches_the_per_query_and_per_pair_oracles(name):
+    peps = _cluster_sets()[name]
+    for threshold in (0.2, 0.4, 0.6, 0.8, 1.0):
+        got = _members(greedy_cluster(peps, identity_threshold=threshold))
+        assert got == _members(alignment_oracle.greedy_cluster_per_query(peps, threshold)), threshold
+        assert got == _members(alignment_oracle.greedy_cluster(peps, threshold)), threshold
+
+
+def test_the_sets_reach_every_clustering_outcome():
+    sets = _cluster_sets()
+    assert len(greedy_cluster(sets["singletons"], 0.4)) == 33
+    assert len(greedy_cluster(sets["one_cluster"], 0.4)) == 1
+    assert len(greedy_cluster(sets["duplicates"], 1.0)) == 5
+    assert 1 < len(greedy_cluster(sets["mixed33"], 0.4)) < 33
+    # a shuffle keeps the composition but not the alignment
+    assert len(greedy_cluster(sets["shuffled"], 1.0)) == 33
+
+
+def test_the_composition_bound_is_tight_on_a_shuffle_and_never_drops_a_joining_pair():
+    rng = np.random.default_rng(24)
+    families = _families(rng)
+    peps = [families[int(k)] for k in rng.choice(len(families), size=40, replace=False)] + _shuffles(rng, 12, 25)
+    ordered = dataprep._greedy_order(peps)
+    codes, lengths = encode([p.residues for p in ordered])
+    counts = dataprep._composition(codes, lengths)
+    assert counts.sum(axis=1).tolist() == lengths.tolist()
+    later, earlier = np.tril_indices(len(ordered), k=-1)
+    bound = dataprep._identity_bound(counts, lengths, later, earlier)
+    shuffled = np.array([p.id.startswith("perm") for p in ordered])
+    assert np.all(bound[shuffled[later] & shuffled[earlier]] == 1.0)
+    # every pair a threshold up to 1.0 can drop, with its scalar identity
+    identity = {
+        k: alignment_oracle.align_global(ordered[later[k]].residues, ordered[earlier[k]].residues).identity
+        for k in np.flatnonzero(bound < 1.0)
+    }
+    for threshold in (0.2, 0.4, 0.6, 0.8, 1.0):
+        dropped = np.flatnonzero(bound < threshold)
+        assert dropped.size  # the bound prunes at every threshold
+        assert all(identity[k] < threshold for k in dropped), threshold
+
+
+def test_greedy_cluster_searches_once_per_batch_over_the_admitted_pairs(monkeypatch):
+    searched = []
+    real = dataprep.search
+    monkeypatch.setattr(dataprep, "search", lambda q, t, *, local: searched.append(len(q[1])) or real(q, t, local=local))
+    peps = _families(np.random.default_rng(25))
+    threshold = 0.4
+    greedy_cluster(peps, identity_threshold=threshold)
+    ordered = dataprep._greedy_order(peps)
+    rank = {p.id: k for k, p in enumerate(ordered)}
+    founders = sorted(rank[c.representative.id] for c in alignment_oracle.greedy_cluster(peps, threshold))
+    codes, lengths = encode([p.residues for p in ordered])
+    counts = dataprep._composition(codes, lengths)
+    # each peptide of a batch against the representatives founded before the
+    # batch, then against the earlier peptides of its batch
+    candidates, admitted = 0, []
+    for start in range(0, len(ordered), dataprep.CLUSTER_BATCH):
+        batch = range(start, min(start + dataprep.CLUSTER_BATCH, len(ordered)))
+        pairs = np.array([(b, t) for b in batch for t in [f for f in founders if f < start] + list(range(start, b))])
+        candidates += len(pairs)
+        admitted.append(int(np.sum(dataprep._identity_bound(counts, lengths, pairs[:, 0], pairs[:, 1]) >= threshold)))
+    assert searched == admitted
+    assert sum(admitted) < 0.9 * candidates
+
+
+def test_greedy_cluster_memory_grows_linearly():
+    # each batch's pair arrays hold CLUSTER_BATCH x (representatives + CLUSTER_BATCH) rows
+    peaks = {}
+    for n in (200, 400):
+        peps = random_peptides(n, np.random.default_rng(n))
+        tracemalloc.start()
+        try:
+            greedy_cluster(peps, identity_threshold=0.4)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] <= 2.5 * peaks[200], peaks
 
 
 def test_greedy_cluster_founding_order_is_longest_first():

@@ -196,6 +196,23 @@ def test_embedding_and_gather_grads():
     assert grad_check(f, [table]) < TOL
 
 
+def test_embedding_scatter_matches_add_at_bit_for_bit():
+    # repeated ids, magnitudes from 1e-8 to 1e8 and signed zeros: each table
+    # cell must sum its terms in the order and from the start np.add.at does
+    rng = np.random.default_rng(16)
+    for _ in range(100):
+        rows, dim = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        ids = rng.integers(0, rows, size=(int(rng.integers(1, 901)),))
+        if rng.random() < 0.5:
+            ids = ids.reshape(-1, 1) if ids.size % 2 else ids.reshape(2, -1)
+        g = rng.normal(size=ids.shape + (dim,)) * 10.0 ** rng.uniform(-8, 8, size=ids.shape + (dim,))
+        g[rng.random(g.shape) < 0.3] = -0.0
+        table = nm.Tensor(rng.normal(size=(rows, dim)), requires_grad=True)
+        ((_, got),) = nm.embedding(table, ids)._backward(g)
+        ((_, want),) = autodiff_oracle.embedding(table, ids)._backward(g)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_place_rows():
     rng = np.random.default_rng(13)
     packed = _param(rng, 4, 3)
