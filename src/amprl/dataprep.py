@@ -15,9 +15,9 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .alignment import search
+from .alignment import _composition, search
 from .mic import LabeledSet
-from .sequences import RESIDUES, Peptide, _read_text, encode, write_json
+from .sequences import Peptide, _read_text, encode, write_json
 
 
 @dataclass
@@ -79,13 +79,6 @@ def _greedy_order(peptides: Sequence[Peptide]) -> list[Peptide]:
 
 # peptides of the greedy order clustered per alignment search
 CLUSTER_BATCH = 16
-
-
-def _composition(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Residue counts per row of `encode`'s codes, (rows, len(RESIDUES))."""
-    alphabet = len(RESIDUES) + 1
-    cells = np.arange(len(lengths))[:, None] * alphabet + codes
-    return np.bincount(cells.ravel(), minlength=len(lengths) * alphabet).reshape(-1, alphabet)[:, :-1]
 
 
 def _identity_bound(counts: np.ndarray, lengths: np.ndarray, query: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .alignment import SimilarityHit, make_hit, search
+from .alignment import GAP_EXTEND, GAP_OPEN, _SCORES, SimilarityHit, _composition, local_scores, make_hit, search
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vectors
 from .policy import _check_sampling, sample
 from .reward import RewardConfig
@@ -120,6 +120,30 @@ def screen(records: Sequence[AnnotationRecord], cfg: ScreenConfig) -> tuple[list
     return kept, rejected
 
 
+# the least a match column of a local alignment scores (the smallest diagonal
+# BLOSUM62 entry), and the most any other column costs: the worst mismatch or
+# the opening column of a gap
+_MATCH_MIN = int(np.diag(_SCORES).min())
+_OTHER_COST = max(-int(_SCORES[~np.eye(len(_SCORES), dtype=bool)].min()), GAP_OPEN + GAP_EXTEND)
+
+
+def _novelty_bounds(n: int, cfg: ScreenConfig) -> tuple[float, float | None]:
+    """Two bounds that every similar pair of a candidate of n residues exceeds: (overlap, score).
+
+    A similar alignment has m >= identity * c matches over c > coverage * n
+    columns. Its matches pair equal residues, so the pair's composition
+    overlap (the sum over residues of the smaller count) is at least m. Its
+    score, the pair's best local score, is at least
+    (_MATCH_MIN + _OTHER_COST) * m - _OTHER_COST * c >= slope * c, which bounds
+    it by slope * coverage * n when the slope is positive (else the score
+    bound is None). Overlaps and scores are integers, so lowering each bound
+    by 1 covers the rounding of the float tests: it can only admit more pairs.
+    """
+    overlap = cfg.novelty_identity * cfg.novelty_coverage * n - 1
+    slope = (_MATCH_MIN + _OTHER_COST) * cfg.novelty_identity - _OTHER_COST
+    return overlap, (slope * cfg.novelty_coverage * n - 1 if slope > 0 else None)
+
+
 def novelty_filter(
     records: Sequence[AnnotationRecord],
     reference: Sequence[Peptide],
@@ -130,27 +154,58 @@ def novelty_filter(
 
     Returns (kept, removed, hits); hits hold the best-scoring alignment per
     candidate that aligned at all, including kept candidates.
+
+    A pair is admitted when it exceeds both `_novelty_bounds`; no other pair
+    can be similar. The first pass scores with `local_scores`, a candidate
+    per call as a broadcast row, the pairs whose scores the second pass needs
+    and would not give: all of them when there is a score bound, else those
+    the overlap bound drops. The second pass is one `search` over the
+    admitted pairs plus each candidate's best first-pass pair (highest score,
+    then smallest target id), so a candidate's best tallied pair is its best
+    hit. Memory holds one candidate's scores at a time and the tallied pairs.
     """
     if not reference:
         raise ValueError("reference set must be non-empty")
     db_residues = sum(len(t) for t in reference)
+    query_codes, query_lengths = encode([r.peptide.residues for r in records])
     targets = encode([t.residues for t in reference])
-    queries, lengths = encode([r.peptide.residues for r in records])
+    query_counts, target_counts = _composition(query_codes, query_lengths), _composition(*targets)
+    # codes fit a byte, so the gathered pairs cost a byte per residue
+    query_codes, target_codes = query_codes.astype(np.uint8), targets[0].astype(np.uint8)
+    pair_query: list[int] = []
+    pair_target: list[int] = []
+    spans: dict[int, range] = {}
+    # shortest candidate first, so each block of the second pass runs about as many rows as its queries hold
+    for q in np.argsort(query_lengths, kind="stable").tolist():
+        n = query_lengths[q]
+        overlap, score_bound = _novelty_bounds(n, cfg)
+        admitted = np.minimum(target_counts, query_counts[q]).sum(axis=1) > overlap
+        scored = np.arange(len(reference)) if score_bound is not None else np.flatnonzero(~admitted)
+        rows = (np.broadcast_to(query_codes[q, :n], (len(scored), n)), np.broadcast_to(n, len(scored)))
+        scores = local_scores(rows, (target_codes[scored], targets[1][scored]))
+        if score_bound is not None:
+            admitted &= scores > score_bound
+        if scores.size and scores.max() > 0.0:
+            admitted[min(scored[scores == scores.max()], key=lambda k: reference[k].id)] = True
+        tallied = np.flatnonzero(admitted).tolist()
+        spans[q] = range(len(pair_target), len(pair_target) + len(tallied))
+        pair_query += [q] * len(tallied)
+        pair_target += tallied
+    query, target = np.array(pair_query, dtype=np.int64), np.array(pair_target, dtype=np.int64)
+    scores, matches, columns = search(
+        (query_codes[query], query_lengths[query]), (target_codes[target], targets[1][target]), local=True
+    )
+    # columns is 0 only where nothing aligned, and then fails the coverage test
+    similar = (columns > cfg.novelty_coverage * query_lengths[query]) & (matches / np.maximum(columns, 1) >= cfg.novelty_identity)
     kept: list[AnnotationRecord] = []
     removed: list[AnnotationRecord] = []
     hits: list[SimilarityHit] = []
-    for record, codes, n in zip(records, queries, lengths):
-        query = record.peptide
-        pairs = (np.broadcast_to(codes[:n], (len(reference), n)), np.broadcast_to(n, len(reference)))
-        scores, matches, columns = search(pairs, targets, local=True)
-        # columns is 0 only where nothing aligned, and then fails the coverage test
-        identity = matches / np.maximum(columns, 1)
-        similar = bool(np.any((columns > cfg.novelty_coverage * n) & (identity >= cfg.novelty_identity)))
-        aligned = np.flatnonzero(scores > 0.0)
-        if aligned.size:
-            k = min(aligned, key=lambda k: (-scores[k], reference[k].id))
-            hits.append(make_hit(query, reference[k], scores[k], matches[k], columns[k], db_residues))
-        if similar:
+    for q, record in enumerate(records):
+        aligned = [k for k in spans[q] if scores[k] > 0.0]
+        if aligned:
+            k = min(aligned, key=lambda k: (-scores[k], reference[target[k]].id))
+            hits.append(make_hit(record.peptide, reference[target[k]], scores[k], matches[k], columns[k], db_residues))
+        if similar[spans[q].start : spans[q].stop].any():
             removed.append(dataclasses.replace(record, verdict="rejected", reject_reasons=("novelty",)))
         else:
             kept.append(record)

@@ -13,9 +13,13 @@ a block of targets, one query row per numpy step.
 search replaced in `amprl.dataprep` and `amprl.screening`, and
 `greedy_cluster_per_query` is the clustering loop that ran one `query_search`
 per peptide before `amprl.dataprep.greedy_cluster` aligned a batch of
-peptides per search.
+peptides per search. `novelty_filter_per_candidate` is the novelty loop that
+ran one tallying `search` per candidate against the whole reference before
+`amprl.screening.novelty_filter` scored every pair first and tallied only the
+pairs its bounds admit.
 """
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -28,9 +32,9 @@ from amprl.alignment import (
     GAP_OPEN,
     GlobalAlignment,
     LocalAlignment,
-    align_local as scalar_align_local,
     identity_global,
     make_hit,
+    search,
 )
 from amprl.dataprep import Cluster
 from amprl.sequences import RESIDUES, encode
@@ -186,6 +190,10 @@ def greedy_cluster(peptides, identity_threshold):
     return clusters
 
 
+# `novelty_filter` meets the same pairs under many screening configs
+cached_align_local = functools.cache(align_local)
+
+
 def novelty_filter(records, reference, cfg):
     db_residues = sum(len(t) for t in reference)
     kept, removed, hits = [], [], []
@@ -194,7 +202,7 @@ def novelty_filter(records, reference, cfg):
         best = None
         similar = False
         for target in reference:
-            aln = scalar_align_local(query.residues, target.residues)
+            aln = cached_align_local(query.residues, target.residues)
             if aln is None:
                 continue
             if best is None or (-aln.score, target.id) < (-best[0], best[1]):
@@ -204,6 +212,31 @@ def novelty_filter(records, reference, cfg):
         if best is not None:
             aln = best[3]
             hits.append(make_hit(query, best[2], aln.score, aln.matches, aln.columns, db_residues))
+        if similar:
+            removed.append(dataclasses.replace(record, verdict="rejected", reject_reasons=("novelty",)))
+        else:
+            kept.append(record)
+    return kept, removed, hits
+
+
+def novelty_filter_per_candidate(records, reference, cfg):
+    if not reference:
+        raise ValueError("reference set must be non-empty")
+    db_residues = sum(len(t) for t in reference)
+    targets = encode([t.residues for t in reference])
+    queries, lengths = encode([r.peptide.residues for r in records])
+    kept, removed, hits = [], [], []
+    for record, codes, n in zip(records, queries, lengths):
+        query = record.peptide
+        pairs = (np.broadcast_to(codes[:n], (len(reference), n)), np.broadcast_to(n, len(reference)))
+        scores, matches, columns = search(pairs, targets, local=True)
+        # columns is 0 only where nothing aligned, and then fails the coverage test
+        identity = matches / np.maximum(columns, 1)
+        similar = bool(np.any((columns > cfg.novelty_coverage * n) & (identity >= cfg.novelty_identity)))
+        aligned = np.flatnonzero(scores > 0.0)
+        if aligned.size:
+            k = min(aligned, key=lambda k: (-scores[k], reference[k].id))
+            hits.append(make_hit(query, reference[k], scores[k], matches[k], columns[k], db_residues))
         if similar:
             removed.append(dataclasses.replace(record, verdict="rejected", reject_reasons=("novelty",)))
         else:

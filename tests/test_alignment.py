@@ -18,6 +18,7 @@ from amprl.alignment import (
     approximate_bits,
     approximate_evalue,
     identity_global,
+    local_scores,
     make_hit,
     search,
     write_hit_table,
@@ -296,6 +297,56 @@ def test_pair_kernel_matches_the_per_query_kernel_and_the_scalar_oracle():
     assert outcomes == {False, True}
 
 
+def test_local_scores_match_search_and_the_scalar_oracle():
+    # shuffled pairs over more than one block: queries of every length 1..40
+    # and one over 200 residues, against random targets, near copies and
+    # exact copies; then one query broadcast against every target
+    rng = np.random.default_rng(15)
+    queries = [_rand_seq(rng, length, length) for length in range(1, 41)] + [_rand_seq(rng, 201, 230)]
+    pairs = []
+    for query in queries:
+        pairs += [(query, _rand_seq(rng, 1, 40)) for _ in range(6)]
+        pairs += [(query, near_copy(rng, query, max_len=250)), (query, query)]
+    pairs = [pairs[int(k)] for k in rng.permutation(len(pairs))]
+    assert len(pairs) > SEARCH_BLOCK
+    queries_in, targets_in = encode([q for q, _ in pairs]), encode([t for _, t in pairs])
+    scores = local_scores(queries_in, targets_in)
+    assert np.array_equal(scores, search(queries_in, targets_in, local=True)[0])
+    expected = [getattr(alignment_oracle.align_local(q, t), "score", 0.0) for q, t in pairs]
+    assert scores.tolist() == expected
+    assert 0.0 in expected and len(set(expected)) > 50
+    wide = [t for _, t in pairs]
+    for query in (queries[0], queries[17], queries[-1]):
+        broadcast = _against(query, len(wide))
+        assert np.array_equal(local_scores(broadcast, encode(wide)), search(broadcast, encode(wide), local=True)[0])
+    assert local_scores(_against("KLW", 0), encode([])).shape == (0,)
+
+
+def test_local_scores_refuse_what_search_refuses(monkeypatch):
+    for queries, targets, message in (
+        (_against("", 1), encode(["KLW"]), "cannot align an empty sequence"),
+        (_against("KLW", 2), encode(["KLW", ""]), "cannot align an empty sequence"),
+        (_against("KLW", 2), encode(["KLW"] * 3), "2 queries for 3 targets"),
+    ):
+        for run in (local_scores, lambda q, t: search(q, t, local=True)):
+            with pytest.raises(ValueError, match=message):
+                run(queries, targets)
+
+    # the length limit, on zero-stride views, before the kernel runs
+    def one(length):
+        return np.broadcast_to(np.int64(0), (1, length)), np.array([length])
+
+    calls = []
+    monkeypatch.setattr(alignment, "_score_block", lambda qc, ql, c, lens: calls.append(int(ql.max())) or lens)
+    for n in (1, 2**25, 2**26 - 1):
+        local_scores(one(n), one(2**26 - n))
+        with pytest.raises(ValueError, match=str(2**26)):
+            local_scores(one(n + 1), one(2**26 - n))
+        with pytest.raises(ValueError, match=str(2**26)):
+            local_scores(one(n), one(2**26 - n + 1))
+    assert calls == [1, 2**25, 2**26 - 1]
+
+
 def test_search_edge_cases():
     for local in (False, True):
         with pytest.raises(ValueError, match="cannot align an empty sequence"):
@@ -391,6 +442,8 @@ def test_kernel_values_fit_at_the_length_limit():
         assert alignment._NEG + 11 * min(n, width) < -cost
         assert (2 * abs(alignment._NEG) + cost + total) << width.bit_length() < 2**63
         assert total * (n + 1) + n < 2**63
+        # the score-only kernel's int32 values: [_NEG - 1, 11 * min(n, width) + width]
+        assert alignment._NEG - 1 > -(2**31) and 11 * min(n, width) + width < 2**31
 
 
 def test_local_self_alignment_is_full_length():

@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from amprl.alignment import write_hit_table
 from amprl.policy import ModelConfig, PolicyModel
 from amprl.screening import (
+    _novelty_bounds,
     ScreenConfig,
     annotate,
     build_library,
@@ -24,7 +27,7 @@ from amprl.screening import (
 from amprl.sequences import Peptide, write_records
 
 import alignment_oracle
-from conftest import near_copy, unique_random_peptides
+from conftest import RESIDUES, near_copy, unique_random_peptides
 
 
 class TableScorer:
@@ -167,26 +170,142 @@ def test_novelty_with_disjoint_reference_keeps_everything():
     assert removed == [] and hits == []
 
 
-def test_novelty_filter_matches_per_pair_oracle():
+# the identity x coverage grid the novelty bounds are checked on: identity
+# 0.75 and below leaves only the composition bound, 0.76 the loosest score bound
+NOVELTY_CONFIGS = [
+    ScreenConfig(novelty_identity=identity, novelty_coverage=coverage)
+    for identity in (0.5, 0.75, 0.76, 0.9, 1.0)
+    for coverage in (0.1, 0.7, 1.0)
+]
+
+# pairs within 10% of a bound, so that a bound 10% higher drops a similar pair:
+# - identity exactly 0.5 over 60 columns, just above 0.7 of 85 residues, and
+#   every residue the pair shares is one of its 30 matches: an overlap of 30
+#   against 0.5 * 0.7 * 85 = 29.75;
+# - identity 1 over 15 columns of residues whose matches score the least,
+#   just above 0.7 of 20 residues: a score of 60 against 4 * 0.7 * 20 = 56
+TIGHT_PAIRS = [("IL" * 30 + "D" * 25, "I" * 60), ("AILSV" * 3 + "DDDDD", "AILSV" * 3)]
+
+
+def _overlap(a, b):
+    """Sum over residues of the smaller count in a and b."""
+    counts = Counter(b)
+    return sum(min(k, counts[r]) for r, k in Counter(a).items())
+
+
+def _similar(query, target, cfg):
+    aln = alignment_oracle.cached_align_local(query, target)
+    return aln is not None and aln.columns > cfg.novelty_coverage * len(query) and aln.identity >= cfg.novelty_identity
+
+
+@pytest.mark.parametrize("cfg", NOVELTY_CONFIGS, ids=lambda c: f"{c.novelty_identity}-{c.novelty_coverage}")
+def test_novelty_bounds_never_drop_a_similar_pair(cfg):
+    # random pairs of 1-40 residues, near copies with substitutions and indels, and the tight pairs
+    rng = np.random.default_rng(23)
+    pairs = [tuple("".join(rng.choice(list(RESIDUES), size=rng.integers(1, 41))) for _ in "ab") for _ in range(150)]
+    pairs += [(a, near_copy(rng, a)) for a, _ in pairs] + TIGHT_PAIRS
+    similar = 0
+    for query, target in pairs:
+        overlap, score = _novelty_bounds(len(query), cfg)
+        aln = alignment_oracle.cached_align_local(query, target)
+        admitted = _overlap(query, target) > overlap and (score is None or (aln is not None and aln.score > score))
+        if _similar(query, target, cfg):
+            similar += 1
+            assert admitted, (query, target)
+    assert similar > 0 or cfg.novelty_coverage == 1.0
+
+
+def test_tight_pairs_sit_within_a_tenth_of_their_bound():
+    identity_half, identity_one = (ScreenConfig(novelty_identity=i, novelty_coverage=0.7) for i in (0.5, 1.0))
+    (query, target), (block, copy) = TIGHT_PAIRS
+    assert _similar(query, target, identity_half)
+    overlap, _ = _novelty_bounds(len(query), identity_half)
+    assert overlap < _overlap(query, target) <= 1.1 * (overlap + 1) - 1
+    assert _similar(block, copy, identity_one)
+    _, score = _novelty_bounds(len(block), identity_one)
+    assert score < alignment_oracle.cached_align_local(block, copy).score <= 1.1 * (score + 1) - 1
+
+
+def _novelty_fixture():
+    """References and candidates that reach every branch of the novelty filter.
+
+    No reference holds C, so the all-C candidate has no positive hit. Two
+    references share a sequence under ids listed in reverse order, so a best
+    hit ties on score. The W-led candidate's best hit (three substitutions, 85%
+    identity) is not its only similar pair at identity 0.9, which is a shorter
+    exact copy. Each TIGHT_PAIRS query is a candidate with its target among the
+    references, and its best hit is another reference, which is not similar
+    under the config that its tight pair is similar under.
+    """
     rng = np.random.default_rng(22)
-    reference = unique_random_peptides(80, rng, min_len=8, max_len=40, prefix="ref", source="external")
+    reference = [
+        Peptide(p.id, p.residues.replace("C", "A"), p.source)
+        for p in unique_random_peptides(80, rng, min_len=8, max_len=40, prefix="ref", source="external")
+    ]
     # one sequence under two ids, listed in reverse id order: a best-hit score tie
     reference += [Peptide(pid, reference[7].residues, "external") for pid in ("aaa_b", "aaa_a")]
-    picks = rng.choice(len(reference), size=24, replace=False)
+    block = "KLAKKLAKKLAKKLAK"
+    subst3 = "WWWW" + "E" + block[1:7] + "E" + block[8:14] + "EK"
+    reference += [Peptide("exact16", block, "external"), Peptide("subst3", subst3, "external")]
+    reference += [Peptide(f"tight{k}", target, "external") for k, (_, target) in enumerate(TIGHT_PAIRS)]
+    reference += [Peptide("over0", "IL" * 25, "external"), Peptide("over1", "AILSV" * 3 + "DDDDE", "external")]
+    picks = rng.choice(80, size=24, replace=False)
     candidates = [_pep(f"near{k}", near_copy(rng, reference[int(k)].residues)) for k in picks]
-    candidates += [_pep("copy7", reference[7].residues)]
+    candidates += [_pep("copy7", reference[7].residues), _pep("lone", "CCCCCCCC"), _pep("wled", "WWWW" + block)]
+    candidates += [_pep(f"at_bound{k}", query) for k, (query, _) in enumerate(TIGHT_PAIRS)]
     candidates += unique_random_peptides(10, rng, min_len=8, max_len=40, prefix="new")
-    records = _records(candidates)
+    return _records(candidates), reference
+
+
+@pytest.mark.parametrize("cfg", NOVELTY_CONFIGS, ids=lambda c: f"{c.novelty_identity}-{c.novelty_coverage}")
+def test_novelty_filter_matches_per_pair_oracle(cfg):
+    records, reference = _novelty_fixture()
     outputs = []
-    for run in (novelty_filter, alignment_oracle.novelty_filter):
-        kept, removed, hits = run(records, reference, ScreenConfig())
-        assert kept and removed
+    for run in (novelty_filter, alignment_oracle.novelty_filter_per_candidate, alignment_oracle.novelty_filter):
+        kept, removed, hits = run(records, reference, cfg)
         table, screened = io.StringIO(), io.StringIO()
         write_hit_table(hits, table)
         write_records(kept + removed, "jsonl", screened)
         outputs.append((table.getvalue(), screened.getvalue()))
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     assert "copy7\taaa_a\t" in outputs[0][0]
+    assert "lone\t" not in outputs[0][0]
+    assert "wled\tsubst3\t" in outputs[0][0]
+    assert "at_bound0\tover0\t" in outputs[0][0] and "at_bound1\tover1\t" in outputs[0][0]
+
+
+def test_novelty_fixture_reaches_each_case():
+    records, reference = _novelty_fixture()
+    by_id = {r.peptide.id: r.peptide.residues for r in records}
+    strict = ScreenConfig(novelty_identity=0.9, novelty_coverage=0.7)
+    similar = [t.id for t in reference if _similar(by_id["wled"], t.residues, strict)]
+    assert similar == ["exact16"]
+    for k, (_, target) in enumerate(TIGHT_PAIRS):
+        cfg = ScreenConfig(novelty_identity=(0.5, 1.0)[k], novelty_coverage=0.7)
+        assert [t.id for t in reference if _similar(by_id[f"at_bound{k}"], t.residues, cfg)] == [f"tight{k}"]
+    kept, removed, _ = novelty_filter(records, reference, strict)
+    assert kept and removed
+
+
+def test_novelty_filter_of_no_candidates():
+    reference = [Peptide("ref", "KLWKKLLKKW", "natural")]
+    assert novelty_filter([], reference, ScreenConfig()) == ([], [], [])
+
+
+@pytest.mark.parametrize("identity", [0.9, 0.5])
+def test_novelty_filter_memory_grows_linearly(identity):
+    # one candidate's pairs are scored at a time, and only the admitted pairs are tallied
+    records = _records(unique_random_peptides(10, np.random.default_rng(5), min_len=8, max_len=40, prefix="cand"))
+    peaks = {}
+    for n in (300, 600):
+        reference = unique_random_peptides(n, np.random.default_rng(n), min_len=8, max_len=40, prefix="ref")
+        tracemalloc.start()
+        try:
+            novelty_filter(records, reference, ScreenConfig(novelty_identity=identity))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[600] <= 2.5 * peaks[300], peaks
 
 
 def test_max_identity_by_query():
