@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -120,15 +121,14 @@ class PolicyModel:
             return w
         return w + nm.matmul(delta.a, delta.b) * (delta.scaling / delta.rank)
 
-    def forward_hidden(self, ids: np.ndarray) -> tuple[nm.Tensor, np.ndarray]:
-        """Final-layer hidden states of the non-PAD positions of `ids`.
+    def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor, np.ndarray]:
+        """The policy's one forward: state values (N,) and action log-probs
+        (N, 21) of the non-PAD positions of `ids`, and their flat indices.
 
-        Returns (hidden, rows): hidden is (N, D), one row per non-PAD token
-        in row-major order, and rows holds their flat indices into `ids`.
         Every op runs on these N rows; each layer's attention is one
         `nm.causal_attention` node, which alone visits the padded (B, T)
         grid. That is exact because a position attends to none after it and
-        PAD only follows real tokens.
+        PAD only follows real tokens. EOS is masked at position 0 of every row.
         """
         cfg = self.config
         b, t = ids.shape
@@ -143,31 +143,13 @@ class PolicyModel:
         x = nm.embedding(self.params["tok_embed"], ids.reshape(-1)[rows]) + nm.embedding(
             self.params["pos_embed"], rows % t
         )
-        for i in range(cfg.n_layers):
-            pre = f"layer{i}"
-            h = nm.layer_norm(x, self.params[f"{pre}.ln1.g"], self.params[f"{pre}.ln1.b"])
-            q = nm.matmul(h, self._weight(f"{pre}.attn.wq")) + self.params[f"{pre}.attn.qb"]
-            k = nm.matmul(h, self._weight(f"{pre}.attn.wk"))
-            v = nm.matmul(h, self._weight(f"{pre}.attn.wv")) + self.params[f"{pre}.attn.vb"]
-            ctx = nm.causal_attention(q, k, v, rows, (b, t), cfg.n_heads)
-            x = x + nm.matmul(ctx, self._weight(f"{pre}.attn.wo")) + self.params[f"{pre}.attn.ob"]
-            h2 = nm.layer_norm(x, self.params[f"{pre}.ln2.g"], self.params[f"{pre}.ln2.b"])
-            m = nm.gelu(nm.matmul(h2, self.params[f"{pre}.mlp.w1"]) + self.params[f"{pre}.mlp.b1"])
-            x = x + nm.matmul(m, self.params[f"{pre}.mlp.w2"]) + self.params[f"{pre}.mlp.b2"]
-        return nm.layer_norm(x, self.params["ln_f.g"], self.params["ln_f.b"]), rows
-
-    def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor, np.ndarray]:
-        """The policy's one forward: state values (N,) and action log-probs
-        (N, 21) of the non-PAD positions of `ids`, and their flat indices.
-
-        The EOS action is masked at position 0 of every row.
-        """
-        hidden, rows = self.forward_hidden(ids)
-        values = nm.matmul(hidden, self.params["value.w"]) + self.params["value.b"]
-        logits = nm.matmul(hidden, self.params["head.w"]) + self.params["head.b"]
+        w = {name: self._weight(name) for name in self.params}
+        values, logits = _trunk(
+            cfg, w, x, lambda _, q, k, v: nm.causal_attention(q, k, v, rows, (b, t), cfg.n_heads), _TENSOR_OPS
+        )
         eos_mask = np.zeros(logits.shape)
-        eos_mask[rows % ids.shape[1] == 0, EOS] = NEG
-        return values.reshape((rows.size,)), nm.log_softmax(logits + eos_mask, axis=-1), rows
+        eos_mask[rows % t == 0, EOS] = NEG
+        return values, nm.log_softmax(logits + eos_mask, axis=-1), rows
 
     # --- persistence --------------------------------------------------------
 
@@ -210,6 +192,41 @@ class PolicyModel:
                 scaling=float(lora_meta["scaling"]),
             )
         return model
+
+
+# The two op sets `_trunk` runs on. The Tensor ops look `nm` up at each
+# call, so a wrapper installed there (as benchmarks/tracing.py does) sees them.
+_TENSOR_OPS = SimpleNamespace(
+    matmul=lambda a, b: nm.matmul(a, b),
+    layer_norm=lambda x, g, b: nm.layer_norm(x, g, b),
+    gelu=lambda x: nm.gelu(x),
+)
+# Decoding builds no autodiff graph, and a Tensor per op would slow it by about a quarter.
+_ARRAY_OPS = SimpleNamespace(
+    matmul=np.matmul,
+    layer_norm=lambda x, g, b: _layer_norm(x, g, b)[0],
+    gelu=lambda x: _gelu(x)[0],
+)
+
+
+def _trunk(config: ModelConfig, w: dict, x, attend, ops) -> tuple:
+    """State values (N,) and action logits (N, 21) of the N embedded rows `x`:
+    the pre-norm blocks, final LayerNorm and both heads over `w`, the
+    LoRA-merged weights, with `attend(layer, q, k, v)` as each layer's causal
+    attention, on `_TENSOR_OPS` (autodiff tensors) or `_ARRAY_OPS` (arrays)."""
+    for i in range(config.n_layers):
+        pre = f"layer{i}"
+        h = ops.layer_norm(x, w[f"{pre}.ln1.g"], w[f"{pre}.ln1.b"])
+        q = ops.matmul(h, w[f"{pre}.attn.wq"]) + w[f"{pre}.attn.qb"]
+        k = ops.matmul(h, w[f"{pre}.attn.wk"])
+        v = ops.matmul(h, w[f"{pre}.attn.wv"]) + w[f"{pre}.attn.vb"]
+        x = x + ops.matmul(attend(i, q, k, v), w[f"{pre}.attn.wo"]) + w[f"{pre}.attn.ob"]
+        h2 = ops.layer_norm(x, w[f"{pre}.ln2.g"], w[f"{pre}.ln2.b"])
+        m = ops.gelu(ops.matmul(h2, w[f"{pre}.mlp.w1"]) + w[f"{pre}.mlp.b1"])
+        x = x + ops.matmul(m, w[f"{pre}.mlp.w2"]) + w[f"{pre}.mlp.b2"]
+    x = ops.layer_norm(x, w["ln_f.g"], w["ln_f.b"])
+    values = ops.matmul(x, w["value.w"]) + w["value.b"]
+    return values.reshape((x.shape[0],)), ops.matmul(x, w["head.w"]) + w["head.b"]
 
 
 def _base_parameters(config: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
@@ -408,10 +425,10 @@ def train_sft(
 
 
 def _check_sampling(temperature: float, top_k: int | None) -> None:
-    if temperature <= 0.0:
+    if not temperature > 0.0:  # NaN too
         raise ValueError("temperature must be positive")
-    if top_k is not None and top_k < 1:
-        raise ValueError("top_k must be >= 1 when given")
+    if top_k is not None and not 1 <= top_k <= N_ACTIONS:
+        raise ValueError(f"top_k must be >= 1 when given and at most {N_ACTIONS} (valid range 1..{N_ACTIONS}), got {top_k}")
 
 
 @dataclass(frozen=True)
@@ -455,13 +472,25 @@ def sample(
     step, so row i's outcome does not depend on when other rows finish. A row
     that exhausts the residue budget has EOS forced as its final action (its
     log-prob is still the model's own), and is flagged as not terminated.
-    Decoding runs on plain arrays through a key/value cache (`_Decoder`) and
-    gives the same logits and state values as the autodiff forward of the whole prefix.
+    Decoding runs `_trunk` on plain arrays, with LoRA merged once, over a
+    key/value cache of the positions fed so far, and gives the same logits
+    and state values as the autodiff forward of the whole prefix.
     """
     _check_sampling(temperature, top_k)
-    limit = model.config.max_len if max_len is None else min(max_len, model.config.max_len)
+    cfg = model.config
+    limit = cfg.max_len if max_len is None else min(max_len, cfg.max_len)
     rng = substream(seed, "policy.sample")
-    decoder = _Decoder(model, n, limit + 1)
+    with nm.no_grad():
+        w = {name: model._weight(name).data for name in model.params}
+    heads = cfg.n_heads
+    dh = cfg.embed_dim // heads
+    keys, vals = np.zeros((2, cfg.n_layers, n, heads, limit + 1, dh))
+
+    def attend(layer, q, k, v):
+        keys[layer, :, :, step] = k.reshape((n, heads, dh))
+        vals[layer, :, :, step] = v.reshape((n, heads, dh))
+        ctx = _attention(q.reshape((n, heads, 1, dh)), keys[layer, :, :, : step + 1], vals[layer, :, :, : step + 1])[0]
+        return ctx.reshape((n, cfg.embed_dim))
 
     tokens = np.full((n, limit + 1), PAD, dtype=np.int64)
     lps, values, entropies = np.zeros((3, n, limit + 1))
@@ -470,11 +499,13 @@ def sample(
     feed = np.full(n, BOS, dtype=np.int64)
 
     for step in range(limit + 1):
-        logits, step_values = decoder.step(feed)
-        if step == 0:
-            logits[:, EOS] = NEG
-        base_lp = _log_softmax(logits)
+        step_values, logits = _trunk(cfg, w, w["tok_embed"][feed] + w["pos_embed"][step], attend, _ARRAY_OPS)
+        if not (np.all(np.isfinite(logits)) and np.all(np.isfinite(step_values))):
+            raise FloatingPointError(f"non-finite result in op 'decode' at step {step}")
         sample_logits = logits / temperature
+        if step == 0:  # masked after tempering too, which a large temperature would undo
+            logits[:, EOS] = sample_logits[:, EOS] = NEG
+        base_lp = _log_softmax(logits)
         if step == limit:
             # residue budget exhausted; EOS is the only remaining action
             sample_logits = np.where(
@@ -516,52 +547,3 @@ def sample(
         )
     return out
 
-
-class _Decoder:
-    """One token per row per step through the policy, on plain arrays.
-
-    LoRA deltas are merged into the attention weights once, by
-    `PolicyModel._weight`. Each layer keeps the keys and values of every
-    position fed so far, so a step runs the shared array forward
-    `_attention` for one query row over the cache instead of re-running the
-    prefix. No autodiff graph is built, so the outputs of each step are
-    checked for finiteness here.
-    """
-
-    def __init__(self, model: PolicyModel, n: int, steps: int):
-        cfg = model.config
-        self.config = cfg
-        with nm.no_grad():
-            self.w = {name: model._weight(name).data for name in model.params}
-        dh = cfg.embed_dim // cfg.n_heads
-        self.cache = [
-            (np.zeros((n, cfg.n_heads, steps, dh)), np.zeros((n, cfg.n_heads, steps, dh)))
-            for _ in range(cfg.n_layers)
-        ]
-        self.pos = 0
-
-    def step(self, feed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Next-action logits (n, 21) and state values (n,) after feeding one token per row."""
-        cfg, w, t = self.config, self.w, self.pos
-        n = feed.shape[0]
-        heads = cfg.n_heads
-        dh = cfg.embed_dim // heads
-        x = w["tok_embed"][feed] + w["pos_embed"][t]
-        for i, (k_cache, v_cache) in enumerate(self.cache):
-            pre = f"layer{i}"
-            h = _layer_norm(x, w[f"{pre}.ln1.g"], w[f"{pre}.ln1.b"])[0]
-            q = (np.matmul(h, w[f"{pre}.attn.wq"]) + w[f"{pre}.attn.qb"]).reshape((n, heads, 1, dh))
-            k_cache[:, :, t] = np.matmul(h, w[f"{pre}.attn.wk"]).reshape((n, heads, dh))
-            v_cache[:, :, t] = (np.matmul(h, w[f"{pre}.attn.wv"]) + w[f"{pre}.attn.vb"]).reshape((n, heads, dh))
-            ctx = _attention(q, k_cache[:, :, : t + 1], v_cache[:, :, : t + 1])[0].reshape((n, cfg.embed_dim))
-            x = x + np.matmul(ctx, w[f"{pre}.attn.wo"]) + w[f"{pre}.attn.ob"]
-            h2 = _layer_norm(x, w[f"{pre}.ln2.g"], w[f"{pre}.ln2.b"])[0]
-            m = _gelu(np.matmul(h2, w[f"{pre}.mlp.w1"]) + w[f"{pre}.mlp.b1"])[0]
-            x = x + np.matmul(m, w[f"{pre}.mlp.w2"]) + w[f"{pre}.mlp.b2"]
-        x = _layer_norm(x, w["ln_f.g"], w["ln_f.b"])[0]
-        logits = np.matmul(x, w["head.w"]) + w["head.b"]
-        values = (np.matmul(x, w["value.w"]) + w["value.b"]).reshape((n,))
-        if not (np.all(np.isfinite(logits)) and np.all(np.isfinite(values))):
-            raise FloatingPointError(f"non-finite result in op 'decode' at step {t}")
-        self.pos += 1
-        return logits, values

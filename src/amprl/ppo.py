@@ -81,10 +81,8 @@ class RolloutBatch:
     old_log_probs: np.ndarray
     values: np.ndarray
     rewards_raw: np.ndarray
-    rewards_whitened: np.ndarray
     step_rewards: np.ndarray
     breakdowns: list[RewardBreakdown]
-    peptides: list
     mean_entropy: float
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
@@ -129,10 +127,8 @@ def rollout(
         old_log_probs=old_lp,
         values=values,
         rewards_raw=rewards,
-        rewards_whitened=whitened,
         step_rewards=step_rewards,
         breakdowns=breakdowns,
-        peptides=peptides,
         mean_entropy=float((step_entropy * mask).sum() / mask.sum()),
     )
 

@@ -68,6 +68,22 @@ def graph_nodes(monkeypatch):
     return made
 
 
+@pytest.fixture
+def tensors_made(monkeypatch):
+    """The shape of every `Tensor` constructed while the test runs, in order."""
+    from amprl.numerics import tensor
+
+    made = []
+    init = tensor.Tensor.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.data.shape)
+
+    monkeypatch.setattr(tensor.Tensor, "__init__", recording)
+    return made
+
+
 @pytest.fixture(autouse=True)
 def _clear_output_env(monkeypatch):
     # keeps CLI output routing independent of the invoking shell

@@ -388,6 +388,8 @@ def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, me
         ({"screen": {"forbidden_motifs": ["KXK"]}}, "screen: forbidden motif 'KXK' must be a non-empty string"),
         ({"scales": {"overrides": "nan.scale"}}, "scales: hydropathy for 'A' is not finite: nan"),
         ({"scales": {"overrides": "inf.scale"}}, "scales: hydropathy for 'K' is not finite: inf"),
+        ({"sample": {"top_k": 22}}, "sample: top_k must be >= 1 when given and at most 21 (valid range 1..21), got 22"),
+        ({"library": {"top_k": 22}}, "library: top_k must be >= 1 when given and at most 21 (valid range 1..21), got 22"),
     ],
 )
 def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys, monkeypatch, settings, message):

@@ -223,6 +223,21 @@ def test_reexports_and_foreign_attributes_do_not_count_as_references(tmp_path):
     assert _unreferenced(tmp_path) == ["ops.core.tanh"]
 
 
+def test_a_module_level_namespace_references_its_functions_and_a_parameter_does_not(tmp_path):
+    # why `policy._TENSOR_OPS` names the ops `_trunk` reaches through its `ops` parameter
+    ops = tmp_path / "ops"
+    ops.mkdir()
+    (ops / "__init__.py").write_text("from .core import gelu, layer_norm\n")
+    (ops / "core.py").write_text("def gelu(a):\n    return a\n\n\ndef layer_norm(a):\n    return a\n")
+    (tmp_path / "model.py").write_text(
+        "from types import SimpleNamespace\n\nfrom . import ops as nm\n\n"
+        "TENSOR_OPS = SimpleNamespace(gelu=nm.gelu)\n\n\n"
+        "def trunk(x, ops):\n    return ops.layer_norm(ops.gelu(x))\n\n\n"
+        "def run(x):\n    return trunk(x, TENSOR_OPS)\n\n\nENTRY = run\n"
+    )
+    assert _unreferenced(tmp_path) == ["ops.core.layer_norm"]
+
+
 def test_a_method_needs_an_attribute_access_outside_its_own_body(tmp_path):
     (tmp_path / "model.py").write_text(
         "class Model:\n"

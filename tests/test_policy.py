@@ -10,6 +10,7 @@ from amprl.numerics.tensor import reduce_sum
 from amprl.policy import (
     BOS,
     EOS,
+    N_ACTIONS,
     PAD,
     ModelConfig,
     PolicyModel,
@@ -169,6 +170,26 @@ def test_top_k_restricts_support():
     assert first == {top1}
 
 
+def test_top_k_must_lie_within_the_action_count():
+    model = PolicyModel.init(TOY, seed=10)
+    with pytest.raises(ValueError, match=r"valid range 1\.\.21\), got 22"):
+        sample(model, 2, top_k=N_ACTIONS + 1)
+    # the whole action set truncates nothing
+    for got, want in zip(sample(model, 6, seed=3, top_k=N_ACTIONS), sample(model, 6, seed=3), strict=True):
+        assert np.array_equal(got.tokens, want.tokens)
+
+
+def test_a_nan_temperature_is_rejected():
+    with pytest.raises(ValueError, match="temperature must be positive"):
+        sample(PolicyModel.init(TOY, seed=10), 2, temperature=float("nan"))
+
+
+def test_a_large_temperature_never_draws_eos_first():
+    # NEG / 1e9 is -1: tempering the masked logits would leave EOS a likely first draw
+    draws = sample(PolicyModel.init(TOY, seed=10), 200, temperature=1e9, seed=0)
+    assert min(len(s.peptide.residues) for s in draws) >= 1
+
+
 def test_sft_loss_matches_manual_nll():
     model = PolicyModel.init(TOY, seed=4)
     peps = [_pep("ACDEF", "a"), _pep("KLW", "b")]
@@ -270,6 +291,41 @@ def test_packed_trunk_matches_padded_oracle(case):
         _grads(model, ppo_like(*model.values_and_log_probs(inputs))),
         _grads(model, ppo_like(*trunk_oracle.values_and_log_probs(model, inputs))),
     )
+
+
+def _jittered(model, seed):
+    """`model` with every tensor, biases and LayerNorm gains included, moved off its initial value."""
+    rng = np.random.default_rng(seed)
+    for t in model.named_tensors().values():
+        t.data += rng.normal(0.0, 0.02, size=t.data.shape)
+    return model
+
+
+@pytest.mark.parametrize("case", sorted(TRUNK_CASES))
+def test_trunk_matches_the_packed_forward_it_replaced_bit_for_bit(case):
+    lora, lengths, pad_to = TRUNK_CASES[case]
+    model = _jittered(_trunk_case_model(lora), seed=len(lengths))
+    ids = _batch(lengths, pad_to, seed=len(lengths))
+    for inputs in (ids, ids[:, :-1]):
+        got = model.values_and_log_probs(inputs)
+        want = trunk_oracle.packed_values_and_log_probs(model, inputs)
+        assert got[2].tobytes() == want[2].tobytes()
+        assert got[0].data.tobytes() == want[0].data.tobytes()
+        assert got[1].data.tobytes() == want[1].data.tobytes()
+    got_total, want_total = sft_loss(model, ids).total, trunk_oracle.packed_sft_loss_total(model, ids)
+    assert got_total.data.tobytes() == want_total.data.tobytes()
+    for g, w in zip(_grads(model, got_total), _grads(model, want_total), strict=True):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_the_training_trunk_looks_its_ops_up_in_numerics_at_each_call(monkeypatch):
+    # so a wrapper installed on `amprl.numerics` after import, as benchmarks/tracing.py does, sees them
+    calls = []
+    for name in ("matmul", "layer_norm", "gelu"):
+        monkeypatch.setattr(nm, name, lambda *args, _real=getattr(nm, name), _name=name: calls.append(_name) or _real(*args))
+    PolicyModel.init(TOY, seed=0).values_and_log_probs(encode_batch([_pep("ACDKLM")]))
+    per_layer = ["layer_norm", "matmul", "matmul", "matmul", "matmul", "layer_norm", "matmul", "gelu", "matmul"]
+    assert calls == per_layer * TOY.n_layers + ["layer_norm", "matmul", "matmul"]
 
 
 def test_trunk_rejects_pad_before_a_real_token():
@@ -437,6 +493,32 @@ def test_cached_sampler_matches_full_prefix_oracle(case):
     else:
         # rows finish at different steps, so dead rows are fed PAD while others decode
         assert len({g.tokens.size for g in got}) > 1
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_sampler_matches_the_cached_decoder_it_replaced_bit_for_bit(case):
+    config, lora, n, kwargs = DIFFERENTIAL_CASES[case]
+    model = _jittered(_lora_policy(config, seed=11) if lora else PolicyModel.init(config, seed=11), seed=n)
+    got = sample(model, n, **kwargs)
+    want = sampler_oracle.cached_sample(model, n, **kwargs)
+    for g, w in zip(got, want, strict=True):
+        assert g.peptide == w.peptide and g.terminated == w.terminated
+        for field in ("tokens", "log_probs", "values", "entropies"):
+            assert getattr(g, field).tobytes() == getattr(w, field).tobytes(), field
+
+
+@pytest.mark.parametrize("lora", [False, True])
+def test_sample_builds_no_tensor_after_the_lora_merge(tensors_made, lora):
+    model = _lora_policy(TOY, seed=14) if lora else PolicyModel.init(TOY, seed=14)
+    tensors_made.clear()
+    with nm.no_grad():
+        for name in model.params:
+            model._weight(name)
+    merge = list(tensors_made)
+    tensors_made.clear()
+    sample(model, 6, seed=1)
+    assert tensors_made == merge
+    assert bool(merge) == lora
 
 
 def test_sampled_log_probs_match_rescoring():

@@ -7,7 +7,7 @@ import pytest
 
 import amprl.numerics as nm
 import ppo_oracle
-from amprl.policy import BOS, EOS, PAD, ModelConfig, PolicyModel, attach_lora, sample
+from amprl.policy import BOS, EOS, PAD, ModelConfig, PolicyModel, attach_lora, decode_tokens, sample
 from amprl.ppo import (
     LOG_COLUMNS,
     PpoConfig,
@@ -19,7 +19,8 @@ from amprl.ppo import (
     train_rl,
     write_training_log,
 )
-from amprl.reward import RewardConfig, make_reward_fn
+from amprl.reward import RewardConfig, make_reward_fn, process_rewards
+from amprl.sequences import Peptide
 
 TOY = ModelConfig(embed_dim=16, n_layers=1, n_heads=2, max_len=16, mlp_ratio=2, init_std=0.02)
 
@@ -69,20 +70,22 @@ def test_rollout_is_seed_deterministic():
     c = rollout(policy, _reward_fn(), cfg, seed=6)
     assert np.array_equal(a.ids, b.ids)
     assert np.array_equal(a.old_log_probs, b.old_log_probs)
-    assert np.array_equal(a.rewards_whitened, b.rewards_whitened)
+    assert np.array_equal(a.step_rewards, b.step_rewards)
     assert not np.array_equal(a.ids, c.ids)
 
 
 def test_rollout_trajectory_structure():
     batch = rollout(_policy(2), _reward_fn(), _cfg(), seed=3)
     assert batch.n == 8
-    for i, pep in enumerate(batch.peptides):
+    _, whitened = process_rewards(batch.rewards_raw)
+    for i, actions in enumerate(batch.actions):
         steps = int(batch.mask[i].sum())
-        assert steps == len(pep.residues) + 1  # residues plus the stop action
-        assert len(pep.residues) >= 1
+        residues = decode_tokens(actions)
+        assert steps == len(residues) + 1  # residues plus the stop action
+        assert len(residues) >= 1
         assert batch.actions[i, steps - 1] == EOS
         # terminal whitened reward on the stop step, zero elsewhere
-        assert batch.step_rewards[i, steps - 1] == batch.rewards_whitened[i]
+        assert batch.step_rewards[i, steps - 1] == whitened[i]
         assert np.all(batch.step_rewards[i, : steps - 1] == 0.0)
         assert np.all(batch.values[i, steps:] == 0.0)
         assert np.all(batch.old_log_probs[i, :steps] <= 0.0)
@@ -131,7 +134,7 @@ def _packed_case(case, **ppo):
     cfg = _cfg(clip_eps=0.02, **overrides, **ppo)
     policy = _policy(7)
     batch = compute_advantages(rollout(policy, _reward_fn(), cfg, seed=seed), cfg)
-    lengths = [len(p.residues) for p in batch.peptides]
+    lengths = [len(decode_tokens(actions)) for actions in batch.actions]
     assert len(set(lengths)) > 1
     if case == "residue_cap":
         assert max(lengths) == cfg.max_len  # EOS forced on these rows
@@ -196,7 +199,7 @@ def test_minibatch_losses_match_grid_oracle(case):
 
 def test_rollout_rewards_match_scorer():
     batch = rollout(_policy(3), _reward_fn(), _cfg(), seed=9)
-    expected = _reward_fn()(batch.peptides)
+    expected = _reward_fn()([Peptide(f"rl{i}", decode_tokens(a), "generated_rl") for i, a in enumerate(batch.actions)])
     for raw, bd in zip(batch.rewards_raw, expected, strict=True):
         assert raw == pytest.approx(bd.r_total, abs=1e-12)
 
@@ -238,11 +241,9 @@ def _synthetic_batch(rng, n=5, t_max=7):
         mask=mask,
         old_log_probs=np.zeros((n, t_max)),
         values=values,
-        rewards_raw=terminal.copy(),
-        rewards_whitened=terminal,
+        rewards_raw=terminal,
         step_rewards=step_rewards,
         breakdowns=[],
-        peptides=[],
         mean_entropy=0.0,
     )
 
@@ -297,7 +298,7 @@ def test_undiscounted_returns_equal_terminal_reward_everywhere():
     out = compute_advantages(batch, _cfg(discount=1.0))
     for i in range(batch.n):
         steps = int(batch.mask[i].sum())
-        assert np.allclose(out.returns[i, :steps], batch.rewards_whitened[i], atol=1e-12)
+        assert np.allclose(out.returns[i, :steps], batch.rewards_raw[i], atol=1e-12)
 
 
 def test_degenerate_advantages_whiten_to_zero():

@@ -1,9 +1,14 @@
-"""The padded trunk that `PolicyModel.forward_hidden` replaced, kept as a test oracle.
+"""Two earlier forms of the policy's training forward, kept as test oracles.
 
-Every op runs on the full (B, T) grid, PAD positions included, and the
-losses multiply a mask over PAD. `test_policy.py` checks the packed trunk
-against it at every non-PAD position: log-probs, values, the SFT loss and
-every trainable gradient.
+`forward_hidden` is the padded trunk: every op runs on the full (B, T)
+grid, PAD positions included, and the losses multiply a mask over PAD.
+`test_policy.py` checks the packed forward against it at every non-PAD
+position: log-probs, values, the SFT loss and every trainable gradient.
+
+`packed_values_and_log_probs` is the packed forward as it stood before
+training and sampling shared one `_trunk`: the layer loop, final LayerNorm
+and heads written out on autodiff tensors. `test_policy.py` checks
+`values_and_log_probs` and `sft_loss` against it bit for bit.
 
 `composed_attention` is the chain of elementary autodiff ops that
 `nm.causal_attention` fused into one node; `test_numerics.py` checks the
@@ -144,3 +149,37 @@ def sft_loss_total(model, ids):
     mask = (targets != PAD).astype(np.float64)
     token_lp = nm.gather_last(action_log_probs(model, inputs), np.where(targets == PAD, 0, targets))
     return -reduce_sum(token_lp * mask), int(mask.sum())
+
+
+def packed_values_and_log_probs(model, ids):
+    """Values (N,), action log-probs (N, 21) and flat indices of the non-PAD positions of `ids`."""
+    cfg = model.config
+    b, t = ids.shape
+    p = model.params
+    rows = np.flatnonzero(ids != PAD)
+    x = nm.embedding(p["tok_embed"], ids.reshape(-1)[rows]) + nm.embedding(p["pos_embed"], rows % t)
+    for i in range(cfg.n_layers):
+        pre = f"layer{i}"
+        h = nm.layer_norm(x, p[f"{pre}.ln1.g"], p[f"{pre}.ln1.b"])
+        q = nm.matmul(h, model._weight(f"{pre}.attn.wq")) + p[f"{pre}.attn.qb"]
+        k = nm.matmul(h, model._weight(f"{pre}.attn.wk"))
+        v = nm.matmul(h, model._weight(f"{pre}.attn.wv")) + p[f"{pre}.attn.vb"]
+        ctx = nm.causal_attention(q, k, v, rows, (b, t), cfg.n_heads)
+        x = x + nm.matmul(ctx, model._weight(f"{pre}.attn.wo")) + p[f"{pre}.attn.ob"]
+        h2 = nm.layer_norm(x, p[f"{pre}.ln2.g"], p[f"{pre}.ln2.b"])
+        m = nm.gelu(nm.matmul(h2, p[f"{pre}.mlp.w1"]) + p[f"{pre}.mlp.b1"])
+        x = x + nm.matmul(m, p[f"{pre}.mlp.w2"]) + p[f"{pre}.mlp.b2"]
+    hidden = nm.layer_norm(x, p["ln_f.g"], p["ln_f.b"])
+    values = nm.matmul(hidden, p["value.w"]) + p["value.b"]
+    logits = nm.matmul(hidden, p["head.w"]) + p["head.b"]
+    eos_mask = np.zeros(logits.shape)
+    eos_mask[rows % t == 0, EOS] = NEG
+    return values.reshape((rows.size,)), nm.log_softmax(logits + eos_mask, axis=-1), rows
+
+
+def packed_sft_loss_total(model, ids):
+    """`sft_loss`'s summed next-token NLL over `packed_values_and_log_probs`."""
+    _, log_probs, rows = packed_values_and_log_probs(model, ids[:, :-1])
+    targets = ids[:, 1:].reshape(-1)[rows]
+    mask = (targets != PAD).astype(np.float64)
+    return -reduce_sum(nm.gather_last(log_probs, np.where(targets == PAD, 0, targets)) * mask)
