@@ -15,7 +15,7 @@ from . import numerics as nm
 from .numerics.tensor import reduce_mean
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptors
 from .rng import substream
-from .sequences import RESIDUES, Peptide, _read_text, encode, write_tsv
+from .sequences import RESIDUE_LETTERS, RESIDUES, Peptide, _read_text, encode, write_tsv
 
 BUILTIN_DIM = 5 + 20 + 400
 
@@ -49,21 +49,28 @@ class LabeledSet:
 def read_labeled_tsv(stream: str | Path | IO[str], split: str = "") -> LabeledSet:
     """TSV with header `sequence<TAB>label`; labels active/inactive or 1/0.
 
-    A Path is read as a file and a plain string as the TSV text.
+    A Path is read as a file and a plain string as the TSV text. Blank lines
+    are skipped but counted, so errors and `row<N>` ids name file lines. A
+    sequence is stripped and uppercased as `parse_fasta` does.
     """
-    lines = [ln for ln in _read_text(stream).splitlines() if ln.strip()]
-    if not lines or lines[0].split("\t")[:2] != ["sequence", "label"]:
+    lines = [(n, ln) for n, ln in enumerate(_read_text(stream).splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].split("\t")[:2] != ["sequence", "label"]:
         raise ValueError("labeled TSV must start with a 'sequence\\tlabel' header")
     items: list[tuple[Peptide, int]] = []
     mapping = {"active": 1, "inactive": 0, "1": 1, "0": 0}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) < 2:
             raise ValueError(f"line {lineno}: expected sequence and label")
-        seq, label = parts[0], parts[1]
+        seq, label = parts[0].strip(), parts[1]
         if label not in mapping:
             raise ValueError(f"line {lineno}: unknown label {label!r}")
-        items.append((Peptide(id=f"row{lineno}", residues=seq), mapping[label]))
+        if not seq:
+            raise ValueError(f"line {lineno}: empty sequence")
+        bad = [ch for ch in seq if ch not in RESIDUE_LETTERS]
+        if bad:
+            raise ValueError(f"line {lineno}: invalid residue {bad[0]!r}")
+        items.append((Peptide(id=f"row{lineno}", residues=seq.upper()), mapping[label]))
     return LabeledSet(items=items, split=split)
 
 
@@ -166,6 +173,11 @@ class MicConfig:
             raise ValueError("hidden sizes must be positive")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0,1)")
+        if not self.gamma_focal >= 0.0:
+            raise ValueError(f"gamma_focal must be >= 0, got {self.gamma_focal}")
+        for key in ("alpha_pos", "alpha_neg"):
+            if getattr(self, key) is not None and not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive when given, got {getattr(self, key)}")
         nm.check_schedule(self)
 
 

@@ -41,6 +41,8 @@ class ModelConfig:
             raise ValueError("model dimensions must be positive")
         if self.embed_dim % self.n_heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")
+        if not self.init_std > 0.0:  # 0 would zero every normal-initialised weight
+            raise ValueError(f"init_std must be positive, got {self.init_std}")
 
     @property
     def context_len(self) -> int:
@@ -267,9 +269,11 @@ def _base_parameters(config: ModelConfig) -> list[tuple[str, tuple[int, ...], st
 _LORA_TARGETS = {"wq", "wk", "wv", "wo"}
 
 
-def _check_lora(rank: int, targets: tuple[str, ...]) -> None:
+def _check_lora(rank: int, scaling: float, targets: tuple[str, ...]) -> None:
     if rank < 1:
         raise ValueError(f"LoRA rank must be >= 1, got {rank}")
+    if not abs(scaling) > 0.0:  # at 0 both factors get zero gradients, so every lora_b stays 0
+        raise ValueError(f"LoRA scaling must be non-zero, got {scaling}")
     if not targets:
         raise ValueError(f"LoRA needs at least one target of {sorted(_LORA_TARGETS)}")
     unknown = [t for t in targets if t not in _LORA_TARGETS]
@@ -284,7 +288,7 @@ class LoraConfig:
     targets: tuple[str, ...] = ("wq", "wv")
 
     def __post_init__(self) -> None:
-        _check_lora(self.rank, self.targets)
+        _check_lora(self.rank, self.scaling, self.targets)
 
 
 def attach_lora(
@@ -300,7 +304,7 @@ def attach_lora(
     The second factor starts at zero, so attaching never changes the forward
     pass. With freeze_base the base weights stop receiving gradients.
     """
-    _check_lora(rank, targets)
+    _check_lora(rank, scaling, targets)
     for i in range(model.config.n_layers):
         for proj in targets:
             name = f"layer{i}.attn.{proj}"

@@ -14,9 +14,9 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics.tensor import exp as t_exp, reduce_sum
-from .physchem import DEFAULT_SCALE, ScaleTable
+from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable
 from .policy import PAD, PolicyModel, encode_batch, sample
-from .reward import RewardBreakdown, RewardConfig, process_rewards
+from .reward import RewardBatch, RewardConfig, process_rewards
 from .rng import substream
 from .sequences import write_tsv
 
@@ -60,17 +60,19 @@ class PpoConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.clip_eps < 1.0):
             raise ValueError(f"clip epsilon must lie in (0,1), got {self.clip_eps}")
-        if self.n_actors < 1 or self.horizon < 1:
-            raise ValueError("actor count and horizon must be >= 1")
-        if self.minibatch_size < 1 or self.epochs < 1 or self.iterations < 1:
-            raise ValueError("epochs, minibatch size and iterations must be >= 1")
+        # whitening needs two rewards, and a trajectory one residue and its EOS
+        lows = dict(n_actors=2, max_len=1, horizon=2, epochs=1, minibatch_size=1, iterations=1, checkpoint_every=0, value_coef=0)
+        for key, low in lows.items():
+            if not getattr(self, key) >= low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         for key in ("discount", "gae_lambda"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ValueError(f"{key} must lie in [0, 1], got {getattr(self, key)}")
-        if not self.ratio_guard > 0.0:
-            raise ValueError(f"ratio_guard must be positive, got {self.ratio_guard}")
+        for key in ("ratio_guard", "max_logp_gap"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
 
 
 @dataclass
@@ -80,9 +82,8 @@ class RolloutBatch:
     mask: np.ndarray
     old_log_probs: np.ndarray
     values: np.ndarray
-    rewards_raw: np.ndarray
+    rewards: RewardBatch
     step_rewards: np.ndarray
-    breakdowns: list[RewardBreakdown]
     mean_entropy: float
     advantages: np.ndarray | None = None
     returns: np.ndarray | None = None
@@ -108,12 +109,11 @@ def rollout(
     mask = (actions != PAD).astype(np.float64)
 
     try:
-        breakdowns = reward_fn(peptides)
+        rewards = reward_fn(peptides)
     except Exception as exc:
         raise RuntimeError(f"reward evaluation failed for a batch of {n} sequences: {exc}") from exc
-    rewards = np.array([bd.r_total for bd in breakdowns])
 
-    _, whitened = process_rewards(rewards)
+    _, whitened = process_rewards(rewards.r_total)
     old_lp, values, step_entropy, step_rewards = np.zeros((4,) + actions.shape)
     for i, s in enumerate(samples):
         k = s.tokens.size
@@ -126,9 +126,8 @@ def rollout(
         mask=mask,
         old_log_probs=old_lp,
         values=values,
-        rewards_raw=rewards,
+        rewards=rewards,
         step_rewards=step_rewards,
-        breakdowns=breakdowns,
         mean_entropy=float((step_entropy * mask).sum() / mask.sum()),
     )
 
@@ -280,17 +279,16 @@ def train_rl(
                 clip_fracs.append(losses.clip_fraction)
                 kls.append(losses.approx_kl)
 
-        mean_s = float(np.mean([bd.s for bd in batch.breakdowns]))
-        frac_active = float(np.mean([bd.s >= reward_cfg.breakpoint for bd in batch.breakdowns]))
+        column = dict(zip(DESCRIPTORS, batch.rewards.descriptors.T))
         row = {
             "iteration": iteration,
-            "mean_reward": float(batch.rewards_raw.mean()),
-            "mean_s": mean_s,
-            "frac_active": frac_active,
-            "mean_charge": float(np.mean([bd.props.net_charge for bd in batch.breakdowns])),
-            "mean_hydrophobicity": float(np.mean([bd.props.hydrophobicity for bd in batch.breakdowns])),
-            "mean_moment": float(np.mean([bd.props.hydrophobic_moment for bd in batch.breakdowns])),
-            "mean_pI": float(np.mean([bd.props.isoelectric_point for bd in batch.breakdowns])),
+            "mean_reward": float(np.mean(batch.rewards.r_total)),
+            "mean_s": float(np.mean(batch.rewards.s)),
+            "frac_active": float(np.mean(batch.rewards.s >= reward_cfg.breakpoint)),
+            "mean_charge": float(np.mean(column["net_charge"])),
+            "mean_hydrophobicity": float(np.mean(column["hydrophobicity"])),
+            "mean_moment": float(np.mean(column["hydrophobic_moment"])),
+            "mean_pI": float(np.mean(column["isoelectric_point"])),
             "entropy": batch.mean_entropy,
             "policy_loss": float(np.mean(policy_losses)) if policy_losses else 0.0,
             "value_loss": float(np.mean(value_losses)) if value_losses else 0.0,

@@ -1,4 +1,4 @@
-"""Composite RL reward: piecewise MIC term, clamped property term, mix, whitening."""
+"""Composite RL reward over a batch: piecewise MIC term, clamped property term, mix, whitening."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,11 +6,7 @@ from typing import Callable
 
 import numpy as np
 
-from .physchem import DEFAULT_SCALE, PropertyVector, ScaleTable, descriptor_vectors
-
-
-def _clip(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
+from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable, descriptors
 
 
 @dataclass(frozen=True)
@@ -38,54 +34,53 @@ class RewardConfig:
 
 
 @dataclass(frozen=True)
-class RewardBreakdown:
-    s: float
-    r_mic: float
-    r_property: float
-    property_terms: dict[str, float]
-    r_total: float
-    props: PropertyVector  # the descriptors the property term was computed from
+class RewardBatch:
+    """A batch's reward, one row per peptide; `descriptors` is a `physchem.descriptors` matrix."""
+
+    s: np.ndarray
+    descriptors: np.ndarray
+    r_mic: np.ndarray
+    r_property: np.ndarray
+    r_total: np.ndarray
 
 
-def r_mic(s: float, cfg: RewardConfig = RewardConfig()) -> float:
-    """1.0 at or above the breakpoint, else (s - offset) * beta."""
-    if not (0.0 <= s <= 1.0):
-        raise ValueError(f"classifier score must lie in [0,1], got {s}")
-    if s >= cfg.breakpoint:
-        return 1.0
-    return (s - cfg.offset) * cfg.beta
+def r_mic(s, cfg: RewardConfig = RewardConfig()):
+    """1.0 at or above the breakpoint, else (s - offset) * beta; of one score or an array of them."""
+    scores = np.asarray(s, dtype=np.float64)
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        raise ValueError(f"classifier score must lie in [0,1], got {scores[outside][0]}")
+    return np.where(scores >= cfg.breakpoint, 1.0, (scores - cfg.offset) * cfg.beta)[()]
 
 
-def r_property(props: PropertyVector, cfg: RewardConfig = RewardConfig()) -> tuple[float, dict[str, float]]:
-    """Weighted sum of clamped descriptors plus the constant term."""
-    d1, d2, d3, d4, d5 = cfg.weights
-    terms = {
-        "hydrophobicity": d1 * _clip(props.hydrophobicity, *cfg.clamp_hydrophobicity),
-        "hydrophobic_moment": d2 * _clip(props.hydrophobic_moment, *cfg.clamp_moment),
-        "net_charge": d3 * _clip(props.net_charge, *cfg.clamp_charge),
-        "isoelectric_point": d4 * _clip(props.isoelectric_point, *cfg.clamp_isoelectric),
-        "constant": d5,
-    }
-    return sum(terms.values()), terms
+def r_property(desc: np.ndarray, cfg: RewardConfig = RewardConfig()) -> np.ndarray:
+    """Weighted sum of the clamped descriptors plus the constant term, for each row of `desc`."""
+    column = dict(zip(DESCRIPTORS, desc.T))
+    clamped = (
+        ("hydrophobicity", cfg.clamp_hydrophobicity),
+        ("hydrophobic_moment", cfg.clamp_moment),
+        ("net_charge", cfg.clamp_charge),
+        ("isoelectric_point", cfg.clamp_isoelectric),
+    )
+    total = 0.0
+    for weight, (name, (lo, hi)) in zip(cfg.weights, clamped):
+        total = total + weight * np.minimum(np.maximum(column[name], lo), hi)
+    return total + cfg.weights[4]
 
 
-def r_total(r_prop: float, r_mic_value: float, cfg: RewardConfig = RewardConfig()) -> float:
-    """Convex combination lambda * r_property + (1 - lambda) * r_mic."""
+def r_total(r_prop, r_mic_value, cfg: RewardConfig = RewardConfig()):
+    """Convex combination lambda * r_property + (1 - lambda) * r_mic, of scalars or arrays."""
     lam = cfg.mix_lambda
     return lam * r_prop + (1.0 - lam) * r_mic_value
 
 
-def score_reward(s: float, props: PropertyVector, cfg: RewardConfig = RewardConfig()) -> RewardBreakdown:
-    mic_term = r_mic(s, cfg)
-    prop_term, terms = r_property(props, cfg)
-    return RewardBreakdown(
-        s=s,
-        r_mic=mic_term,
-        r_property=prop_term,
-        property_terms=terms,
-        r_total=r_total(prop_term, mic_term, cfg),
-        props=props,
-    )
+def score_reward(s, desc: np.ndarray, cfg: RewardConfig = RewardConfig()) -> RewardBatch:
+    """The reward of a batch from its classifier scores and the matching `descriptors` rows."""
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape != (len(desc),):
+        raise ValueError(f"expected {len(desc)} classifier scores, got an array of shape {s.shape}")
+    mic_term, prop_term = r_mic(s, cfg), r_property(desc, cfg)
+    return RewardBatch(s, desc, mic_term, prop_term, r_total(prop_term, mic_term, cfg))
 
 
 def process_rewards(batch) -> tuple[np.ndarray, np.ndarray]:
@@ -115,12 +110,10 @@ def make_reward_fn(
     scale: ScaleTable = DEFAULT_SCALE,
 ) -> Callable:
     """Bind a classifier-like scorer (anything with .score_many(peptides) ->
-    array) and a descriptor scale into a peptides -> breakdowns function that
-    scores the whole list in one call."""
+    array) and a descriptor scale into a peptides -> RewardBatch function
+    that scores the whole list in one call and one descriptor pass."""
 
-    def reward_fn(peptides) -> list[RewardBreakdown]:
-        scores = scorer.score_many(peptides)
-        props = descriptor_vectors(peptides, scale)
-        return [score_reward(float(s), v, cfg) for v, s in zip(props, scores, strict=True)]
+    def reward_fn(peptides) -> RewardBatch:
+        return score_reward(scorer.score_many(peptides), descriptors(peptides, scale), cfg)
 
     return reward_fn

@@ -9,10 +9,11 @@ checks the batch path against these.
 import numpy as np
 
 from amprl.physchem import DEFAULT_SCALE
-from amprl.reward import RewardConfig, score_reward
+from amprl.reward import RewardConfig
 from amprl.sequences import AnnotationRecord, Peptide, _write_text
 
 from descriptor_oracle import descriptor_vector
+from reward_oracle import score_reward
 
 
 def score(model, p):

@@ -356,6 +356,12 @@ def test_config_value_of_the_wrong_type_is_config_error(tmp_path, capsys, sectio
         ("discount", -1.0, "discount must lie in [0, 1], got -1.0"),
         ("gae_lambda", 5.0, "gae_lambda must lie in [0, 1], got 5.0"),
         ("ratio_guard", -0.5, "ratio_guard must be positive, got -0.5"),
+        ("n_actors", 1, "n_actors must be >= 2, got 1"),
+        ("max_len", 0, "max_len must be >= 1, got 0"),
+        ("horizon", 1, "horizon must be >= 2, got 1"),
+        ("max_logp_gap", -1.0, "max_logp_gap must be positive, got -1.0"),
+        ("checkpoint_every", -3, "checkpoint_every must be >= 0, got -3"),
+        ("value_coef", -0.5, "value_coef must be >= 0, got -0.5"),
     ],
 )
 def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, message):
@@ -390,6 +396,13 @@ def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, me
         ({"scales": {"overrides": "inf.scale"}}, "scales: hydropathy for 'K' is not finite: inf"),
         ({"sample": {"top_k": 22}}, "sample: top_k must be >= 1 when given and at most 21 (valid range 1..21), got 22"),
         ({"library": {"top_k": 22}}, "library: top_k must be >= 1 when given and at most 21 (valid range 1..21), got 22"),
+        ({"lora": {"scaling": 0}}, "lora: LoRA scaling must be non-zero, got 0.0"),
+        ({"mic": {"gamma_focal": -2}}, "mic: gamma_focal must be >= 0, got -2.0"),
+        ({"mic": {"alpha_pos": 0}}, "mic: alpha_pos must be positive when given, got 0.0"),
+        ({"mic": {"alpha_pos": -1}}, "mic: alpha_pos must be positive when given, got -1.0"),
+        ({"mic": {"alpha_neg": 0}}, "mic: alpha_neg must be positive when given, got 0.0"),
+        ({"model": {"init_std": 0}}, "model: init_std must be positive, got 0.0"),
+        ({"model": {"init_std": -0.02}}, "model: init_std must be positive, got -0.02"),
     ],
 )
 def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys, monkeypatch, settings, message):

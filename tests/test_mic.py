@@ -381,3 +381,19 @@ def test_labeled_tsv_rejects_bad_rows():
         read_labeled_tsv(io.StringIO("seq\tlabel\nKKK\tactive\n"))
     with pytest.raises(ValueError, match="label"):
         read_labeled_tsv(io.StringIO("sequence\tlabel\nKKKKKKKK\tmaybe\n"))
+    # blank lines count, so errors name the line of the file
+    with pytest.raises(ValueError, match="^line 5: unknown label 'maybe'$"):
+        read_labeled_tsv(io.StringIO("sequence\tlabel\nKKK\tactive\n\n\nGGG\tmaybe\n"))
+    with pytest.raises(ValueError, match="^line 3: invalid residue 'X'$"):
+        read_labeled_tsv(io.StringIO("sequence\tlabel\n\nKXK\tactive\n"))
+    with pytest.raises(ValueError, match="^line 2: empty sequence$"):
+        read_labeled_tsv(io.StringIO("sequence\tlabel\n  \tactive\n"))
+    with pytest.raises(ValueError, match="^line 2: invalid residue ' '$"):
+        read_labeled_tsv(io.StringIO("sequence\tlabel\nKK LL\tactive\n"))
+
+
+def test_labeled_tsv_names_rows_by_file_line_and_reads_sequences_as_fasta_does():
+    got = read_labeled_tsv(io.StringIO("\nsequence\tlabel\n\nacde\t1\n ACDF \tinactive\n"), split="val")
+    assert [(p.id, p.residues, y) for p, y in got.items] == [("row4", "ACDE", 1), ("row5", "ACDF", 0)]
+    with pytest.raises(ValueError, match="duplicate sequence"):
+        read_labeled_tsv(io.StringIO("sequence\tlabel\nacde\t1\nACDE\t0\n"), split="val")

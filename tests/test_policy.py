@@ -436,6 +436,15 @@ def test_attach_lora_rejects_an_empty_target_list():
     assert not model.lora and all(p.requires_grad for p in model.params.values())
 
 
+def test_attach_lora_rejects_a_zero_scaling():
+    # at scaling 0 both factors get zero gradients, so every lora_b would stay exactly 0
+    model = PolicyModel.init(TOY, seed=12)
+    for scaling in (0.0, -0.0, float("nan")):
+        with pytest.raises(ValueError, match="LoRA scaling must be non-zero"):
+            attach_lora(model, rank=2, scaling=scaling)
+    assert not model.lora and all(p.requires_grad for p in model.params.values())
+
+
 def test_lora_round_trip_through_checkpoint(tmp_path):
     ids = encode_batch([_pep("ACDKLM")])
     model = PolicyModel.init(TOY, seed=13)

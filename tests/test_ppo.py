@@ -7,6 +7,7 @@ import pytest
 
 import amprl.numerics as nm
 import ppo_oracle
+import reward_oracle
 from amprl.policy import BOS, EOS, PAD, ModelConfig, PolicyModel, attach_lora, decode_tokens, sample
 from amprl.ppo import (
     LOG_COLUMNS,
@@ -20,7 +21,9 @@ from amprl.ppo import (
     write_training_log,
 )
 from amprl.reward import RewardConfig, make_reward_fn, process_rewards
+from amprl.rng import substream
 from amprl.sequences import Peptide
+from descriptor_oracle import descriptor_vector
 
 TOY = ModelConfig(embed_dim=16, n_layers=1, n_heads=2, max_len=16, mlp_ratio=2, init_std=0.02)
 
@@ -77,7 +80,7 @@ def test_rollout_is_seed_deterministic():
 def test_rollout_trajectory_structure():
     batch = rollout(_policy(2), _reward_fn(), _cfg(), seed=3)
     assert batch.n == 8
-    _, whitened = process_rewards(batch.rewards_raw)
+    _, whitened = process_rewards(batch.rewards.r_total)
     for i, actions in enumerate(batch.actions):
         steps = int(batch.mask[i].sum())
         residues = decode_tokens(actions)
@@ -200,8 +203,8 @@ def test_minibatch_losses_match_grid_oracle(case):
 def test_rollout_rewards_match_scorer():
     batch = rollout(_policy(3), _reward_fn(), _cfg(), seed=9)
     expected = _reward_fn()([Peptide(f"rl{i}", decode_tokens(a), "generated_rl") for i, a in enumerate(batch.actions)])
-    for raw, bd in zip(batch.rewards_raw, expected, strict=True):
-        assert raw == pytest.approx(bd.r_total, abs=1e-12)
+    for field in ("s", "descriptors", "r_mic", "r_property", "r_total"):
+        assert getattr(batch.rewards, field).tobytes() == getattr(expected, field).tobytes(), field
 
 
 def test_rollout_scores_the_batch_in_one_call():
@@ -221,7 +224,7 @@ def test_rollout_reward_failure_is_a_runtime_error():
         def score_many(self, peptides):
             return np.full(len(peptides), 1.5)  # outside [0,1]
 
-    with pytest.raises(RuntimeError, match="reward evaluation failed for a batch of 8 sequences"):
+    with pytest.raises(RuntimeError, match=r"reward evaluation failed for a batch of 8 sequences: .* got 1\.5"):
         rollout(_policy(3), make_reward_fn(BrokenScorer(), RewardConfig()), _cfg(), seed=9)
 
 
@@ -241,9 +244,8 @@ def _synthetic_batch(rng, n=5, t_max=7):
         mask=mask,
         old_log_probs=np.zeros((n, t_max)),
         values=values,
-        rewards_raw=terminal,
+        rewards=None,  # advantages read only the step grids
         step_rewards=step_rewards,
-        breakdowns=[],
         mean_entropy=0.0,
     )
 
@@ -298,7 +300,7 @@ def test_undiscounted_returns_equal_terminal_reward_everywhere():
     out = compute_advantages(batch, _cfg(discount=1.0))
     for i in range(batch.n):
         steps = int(batch.mask[i].sum())
-        assert np.allclose(out.returns[i, :steps], batch.rewards_raw[i], atol=1e-12)
+        assert np.allclose(out.returns[i, :steps], batch.step_rewards[i, steps - 1], atol=1e-12)
 
 
 def test_degenerate_advantages_whiten_to_zero():
@@ -444,6 +446,29 @@ def test_train_rl_freezes_base_and_logs(tmp_path):
         assert row["value_loss"] > 0.0
     header = log_path.read_text().splitlines()[0]
     assert header == "\t".join(LOG_COLUMNS)
+
+
+def test_train_rl_log_means_match_the_per_peptide_breakdowns():
+    cfg, seed = _cfg(n_actors=24, iterations=1), 3
+    # the first iteration's rollout, drawn from the policy before any update
+    first = rollout(_policy(7), _reward_fn(), cfg, seed=int(substream(seed, "ppo.rollout.1").integers(1 << 62)))
+    peptides = [Peptide(f"rl{i}", decode_tokens(a), "generated_rl") for i, a in enumerate(first.actions)]
+    breakdowns = [
+        reward_oracle.score_reward(float(LysineScorer().score_many([p])[0]), descriptor_vector(p), RewardConfig())
+        for p in peptides
+    ]
+    row = train_rl(_policy(7), LysineScorer(), RewardConfig(), cfg, seed=seed)[1][0]
+    want = {
+        "mean_reward": float(np.array([bd.r_total for bd in breakdowns]).mean()),
+        "mean_s": float(np.mean([bd.s for bd in breakdowns])),
+        "frac_active": float(np.mean([bd.s >= RewardConfig().breakpoint for bd in breakdowns])),
+        "mean_charge": float(np.mean([bd.props.net_charge for bd in breakdowns])),
+        "mean_hydrophobicity": float(np.mean([bd.props.hydrophobicity for bd in breakdowns])),
+        "mean_moment": float(np.mean([bd.props.hydrophobic_moment for bd in breakdowns])),
+        "mean_pI": float(np.mean([bd.props.isoelectric_point for bd in breakdowns])),
+    }
+    assert {key: row[key] for key in want} == want
+    assert 0.0 < want["frac_active"] < 1.0
 
 
 def test_train_rl_is_seed_deterministic():

@@ -104,6 +104,8 @@ def test_a_letter_that_uppercases_to_residues_is_no_residue(tmp_path):
         path.write_text(json.dumps({"sequence": f"GL{letter}K", "scores": {}}) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"line 1: invalid residue '{letter}'"):
             read_external_scores(path)
+        with pytest.raises(ValueError, match=f"line 2: invalid residue '{letter}'"):
+            read_labeled_tsv(f"sequence\tlabel\nGL{letter}K\tactive\n")
     assert parse_fasta(">a\nglwk\n")[0].residues == "GLWK"
 
 

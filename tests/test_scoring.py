@@ -5,6 +5,8 @@ list may differ from one-row scores by rounding, because the BLAS library can
 pick a different kernel for a different row count; the bound is 1e-14.
 """
 import io
+import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -79,21 +81,26 @@ def test_reward_fn_matches_per_peptide_oracle(n):
     got = make_reward_fn(scorer, cfg)(peps)
     oracle = scoring_oracle.make_reward_fn(lambda p: scoring_oracle.score(model, p), cfg)
     assert scorer.batches == [n]
-    assert len(got) == n
-    for g, p in zip(got, peps):
-        w = oracle(p)
-        assert (g.props, g.property_terms, g.r_property) == (w.props, w.property_terms, w.r_property)
-        for field in ("s", "r_mic", "r_total"):
-            assert abs(getattr(g, field) - getattr(w, field)) <= SCORE_TOLERANCE, field
+    want = [oracle(p) for p in peps]
+    assert got.descriptors.tolist() == [list(astuple(w.props)) for w in want]
+    assert got.r_property.tobytes() == np.array([w.r_property for w in want]).tobytes()
+    for field in ("s", "r_mic", "r_total"):
+        column = getattr(got, field)
+        assert column.shape == (n,), field
+        assert np.max(np.abs(column - [getattr(w, field) for w in want])) <= SCORE_TOLERANCE, field
 
 
 def test_reward_fn_rejects_a_scorer_of_the_wrong_length():
-    class Short:
-        def score_many(self, peptides):
-            return np.full(len(peptides) - 1, 0.5)
+    class Scorer:
+        def __init__(self, shape):
+            self.shape = shape
 
-    with pytest.raises(ValueError):
-        make_reward_fn(Short())(_peptides(3))
+        def score_many(self, peptides):
+            return np.full(self.shape, 0.5)
+
+    for shape in ((2,), (4,), (1, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"expected 3 classifier scores, got an array of shape {shape}")):
+            make_reward_fn(Scorer(shape))(_peptides(3))
 
 
 def test_batched_embeddings_equal_per_peptide_oracle():
