@@ -168,13 +168,14 @@ def _cmd_sample(args, run: Run, out: Path) -> int:
 
 def _cmd_rl(args, run: Run, out: Path) -> int:
     from .mic import MicModel
-    from .policy import PolicyModel, attach_lora
+    from .policy import LoraConfig, PolicyModel, attach_lora
     from .ppo import train_rl
 
-    policy = PolicyModel.load(_require(args.sft_checkpoint, "--sft-checkpoint"))
+    policy, lora = PolicyModel.load(_require(args.sft_checkpoint, "--sft-checkpoint")), run.lora
     if not policy.lora:
-        lora = run.lora
-        attach_lora(policy, rank=lora.rank, scaling=lora.scaling, targets=lora.targets, freeze_base=True, seed=run.seed)
+        attach_lora(policy, rank=lora.rank, scaling=lora.scaling, targets=lora.targets, seed=run.seed)
+    elif policy.lora_config() != LoraConfig(lora.rank, lora.scaling, tuple(sorted(set(lora.targets)))):
+        raise ConfigError(f"{args.sft_checkpoint} holds LoRA {policy.lora_config()}, but the run's lora section is {lora}")
     scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
     policy, logs = train_rl(
         policy,

@@ -246,17 +246,20 @@ class MicModel:
         tensors, meta = nm.load_checkpoint(path)
         if "mic_config" not in meta:
             raise ValueError(f"{path}: checkpoint manifest lacks mic_config")
-        raw = meta["mic_config"]
-        # manifests written before `cutoff` left MicConfig still record it; it is ignored
-        config = MicConfig(hidden=tuple(raw["hidden"]), gamma_focal=raw["gamma_focal"], threshold=raw["threshold"])
         kind = meta.get("embedder_kind", "builtin_features")
         if kind != "builtin_features":
             raise ValueError(f"{path}: unsupported embedder kind {kind!r}")
-        if set(meta.get("scale", ())) != {"name", "version", "hydropathy", "pka"}:
+        if not isinstance(meta.get("scale"), dict) or set(meta["scale"]) != {"name", "version", "hydropathy", "pka"}:
             raise ValueError(f"{path}: checkpoint manifest lacks the descriptor scale (name, version, hydropathy, pka)")
+        try:
+            raw = meta["mic_config"]
+            # manifests written before `cutoff` left MicConfig still record it; it is ignored
+            config = MicConfig(hidden=tuple(raw["hidden"]), gamma_focal=raw["gamma_focal"], threshold=raw["threshold"])
+            embedder = Embedder(ScaleTable(**meta["scale"]))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ValueError(f"{path}: checkpoint manifest holds a bad mic_config or scale ({err!r})") from None
         layers = [f"fc{i}.{part}" for i in range(len(config.hidden) + 1) for part in ("w", "b")]
         nm.check_tensor_names(path, tensors, ["embed.mean", "embed.std", *layers], "mic_config")
-        embedder = Embedder(ScaleTable(**meta["scale"]))
         embedder.mean = tensors["embed.mean"].copy()
         embedder.std = tensors["embed.std"].copy()
         params = {name: nm.Tensor(tensors[name].copy()) for name in layers}

@@ -103,6 +103,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     digest = hashlib.sha256(blob).hexdigest()
     if manifest["sha256"] != digest:
         raise ValueError(f"{path}: sha256 {digest} differs from the {manifest['sha256']} recorded in {mpath.name}")
+    if not isinstance(manifest.get("meta", {}), dict):
+        raise ValueError(f"{path}: the meta of {mpath.name} is not a JSON object")
     return tensors, manifest.get("meta", {})
 
 

@@ -49,14 +49,6 @@ class ModelConfig:
         return self.max_len + 2
 
 
-@dataclass
-class LoraDelta:
-    a: nm.Tensor
-    b: nm.Tensor
-    rank: int
-    scaling: float
-
-
 def encode_batch(peptides: list[Peptide]) -> np.ndarray:
     """The int64 (B, T) ids grid: rows of [BOS, residues..., EOS, PAD...]."""
     if not peptides:
@@ -82,10 +74,11 @@ def decode_tokens(tokens: np.ndarray) -> str:
 class PolicyModel:
     """Pre-norm causal transformer over the peptide alphabet with a value head."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, nm.Tensor], lora: dict[str, LoraDelta] | None = None):
+    def __init__(self, config: ModelConfig, params: dict[str, nm.Tensor]):
         self.config = config
         self.params = params
-        self.lora = lora or {}
+        self.lora: dict[str, tuple[nm.Tensor, nm.Tensor]] = {}  # W -> (A, B): W + (scaling / r) A B, r = A's columns
+        self.scaling = 0.0
 
     # --- construction -----------------------------------------------------
 
@@ -101,27 +94,35 @@ class PolicyModel:
             params[name] = nm.Tensor(data, requires_grad=True)
         return cls(config, params)
 
+    def _set_trainable(self) -> None:
+        """With adapters, the adapters and the value head (the PPO critic) train; without, every base tensor does."""
+        for name, p in self.params.items():
+            p.requires_grad = not self.lora or name in ("value.w", "value.b")
+
     def trainable(self) -> list[nm.Tensor]:
-        out = [p for p in self.params.values() if p.requires_grad]
-        for delta in self.lora.values():
-            out.extend([delta.a, delta.b])
-        return out
+        return [p for p in self.params.values() if p.requires_grad] + [f for pair in self.lora.values() for f in pair]
 
     def named_tensors(self) -> dict[str, nm.Tensor]:
         out = dict(self.params)
-        for name, delta in self.lora.items():
-            out[f"{name}.lora_a"] = delta.a
-            out[f"{name}.lora_b"] = delta.b
+        for name, (a, b) in self.lora.items():
+            out[f"{name}.lora_a"], out[f"{name}.lora_b"] = a, b
         return out
+
+    def lora_config(self) -> "LoraConfig | None":
+        """The rank, scaling and projections of the adapters, as `attach_lora` takes them."""
+        if not self.lora:
+            return None
+        a, _ = next(iter(self.lora.values()))
+        return LoraConfig(a.shape[1], self.scaling, tuple(sorted({name.rsplit(".", 1)[1] for name in self.lora})))
 
     # --- forward ----------------------------------------------------------
 
     def _weight(self, name: str) -> nm.Tensor:
         w = self.params[name]
-        delta = self.lora.get(name)
-        if delta is None:
+        if name not in self.lora:
             return w
-        return w + nm.matmul(delta.a, delta.b) * (delta.scaling / delta.rank)
+        a, b = self.lora[name]
+        return w + nm.matmul(a, b) * (self.scaling / a.shape[1])
 
     def values_and_log_probs(self, ids: np.ndarray) -> tuple[nm.Tensor, nm.Tensor, np.ndarray]:
         """The policy's one forward: state values (N,) and action log-probs
@@ -158,41 +159,35 @@ class PolicyModel:
     def save(self, path: str | Path, meta: dict | None = None) -> None:
         info = dict(meta or {})
         info["model_config"] = asdict(self.config)
-        info["base_trainable"] = any(p.requires_grad for p in self.params.values())
         if self.lora:
-            first = next(iter(self.lora.values()))
-            info["lora"] = {
-                "rank": first.rank,
-                "scaling": first.scaling,
-                "targets": sorted(self.lora),
-            }
+            info["lora"] = {"rank": self.lora_config().rank, "scaling": self.scaling, "targets": sorted(self.lora)}
         nm.save_checkpoint(path, self.named_tensors(), meta=info)
 
     @classmethod
     def load(cls, path: str | Path) -> "PolicyModel":
+        """The saved policy: the tensors `init` and `attach_lora` make for its manifest, at their shapes,
+        and the trainable set they imply. The `base_trainable` key of older manifests is ignored."""
         tensors, meta = nm.load_checkpoint(path)
         if "model_config" not in meta:
             raise ValueError(f"{path}: checkpoint manifest lacks model_config")
-        config = ModelConfig(**meta["model_config"])
-        base_trainable = bool(meta.get("base_trainable", True))
-        lora_meta = meta.get("lora") or {}
-        targets = lora_meta.get("targets", ())
-        expected = [name for name, _, _ in _base_parameters(config)]
-        expected += [f"{target}.{part}" for target in targets for part in ("lora_a", "lora_b")]
-        nm.check_tensor_names(path, tensors, expected, "manifest")
-        params = {
-            name: nm.Tensor(arr.copy(), requires_grad=base_trainable)
-            for name, arr in tensors.items()
-            if not name.endswith((".lora_a", ".lora_b"))
-        }
-        model = cls(config, params)
-        for target in targets:
-            model.lora[target] = LoraDelta(
-                a=nm.Tensor(tensors[f"{target}.lora_a"].copy(), requires_grad=True),
-                b=nm.Tensor(tensors[f"{target}.lora_b"].copy(), requires_grad=True),
-                rank=int(lora_meta["rank"]),
-                scaling=float(lora_meta["scaling"]),
-            )
+        try:
+            config = ModelConfig(**meta["model_config"])
+            model = cls(config, {name: nm.Tensor(np.zeros(shape)) for name, shape, _ in _base_parameters(config)})
+            if "lora" in meta:
+                lora = meta["lora"]
+                projections = tuple(sorted({name.rsplit(".", 1)[-1] for name in lora["targets"]}))
+                attach_lora(model, lora["rank"], float(lora["scaling"]), projections)
+                if sorted(model.lora) != sorted(lora["targets"]):
+                    raise ValueError(f"targets {lora['targets']} are not the ones attach_lora makes for them")
+        except (KeyError, TypeError, ValueError, AttributeError) as err:
+            raise ValueError(f"{path}: checkpoint manifest holds a bad model_config or lora ({err!r})") from None
+        named = model.named_tensors()
+        nm.check_tensor_names(path, tensors, named, "manifest")
+        for name, t in named.items():
+            if tensors[name].shape != t.shape:
+                raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, its manifest defines {t.shape}")
+            t.data = tensors[name]
+        model._set_trainable()
         return model
 
 
@@ -296,31 +291,27 @@ def attach_lora(
     rank: int,
     scaling: float,
     targets: tuple[str, ...] = ("wq", "wv"),
-    freeze_base: bool = True,
     seed: int = 0,
 ) -> PolicyModel:
-    """Add low-rank deltas to the named attention projections (in place).
+    """Add low-rank adapters to the named attention projections (in place).
 
     The second factor starts at zero, so attaching never changes the forward
-    pass. With freeze_base the base weights stop receiving gradients.
+    pass. From then on only the adapters and the value head train.
     """
     _check_lora(rank, scaling, targets)
+    if rank > model.config.embed_dim:  # such adapters add nothing that rank embed_dim cannot, and only allocate
+        raise ValueError(f"LoRA rank {rank} exceeds embed_dim {model.config.embed_dim}")
     for i in range(model.config.n_layers):
         for proj in targets:
             name = f"layer{i}.attn.{proj}"
             d_in, d_out = model.params[name].data.shape
             rng = substream(seed, f"lora.{name}")
-            model.lora[name] = LoraDelta(
-                a=nm.Tensor(rng.normal(0.0, 0.02, size=(d_in, rank)), requires_grad=True),
-                b=nm.Tensor(np.zeros((rank, d_out)), requires_grad=True),
-                rank=rank,
-                scaling=scaling,
+            model.lora[name] = (
+                nm.Tensor(rng.normal(0.0, 0.02, size=(d_in, rank)), requires_grad=True),
+                nm.Tensor(np.zeros((rank, d_out)), requires_grad=True),
             )
-    if freeze_base:
-        for p in model.params.values():
-            p.requires_grad = False
-        model.params["value.w"].requires_grad = True
-        model.params["value.b"].requires_grad = True
+    model.scaling = scaling
+    model._set_trainable()
     return model
 
 
@@ -464,10 +455,9 @@ def sample(
     top_k: int | None = None,
     max_len: int | None = None,
     seed: int = 0,
-    id_prefix: str = "gen",
-    id_start: int = 0,
 ) -> list[SampledSequence]:
-    """Draw n sequences; per-token log-probs and entropies are under the untempered model.
+    """Draw n sequences, with ids gen0, gen1, ...; per-token log-probs and
+    entropies are under the untempered model.
 
     Each peptide's source is `generated_rl` when the model carries LoRA
     deltas and `generated_sft` otherwise.
@@ -538,7 +528,7 @@ def sample(
     for i in range(n):
         k = int(lengths[i])
         residues = decode_tokens(tokens[i, :k])
-        pep = Peptide(id=f"{id_prefix}{id_start + i}", residues=residues, source=source)
+        pep = Peptide(id=f"gen{i}", residues=residues, source=source)
         out.append(
             SampledSequence(
                 peptide=pep,

@@ -101,7 +101,7 @@ def rollout(
 ) -> RolloutBatch:
     """Sample N trajectories with the decode's log-probs, values and entropies; score them in one batch, whiten."""
     residue_cap = min(cfg.max_len, cfg.horizon - 1, policy.config.max_len)
-    samples = sample(policy, cfg.n_actors, max_len=residue_cap, seed=seed, id_prefix="rl")
+    samples = sample(policy, cfg.n_actors, max_len=residue_cap, seed=seed)
     n = len(samples)
     peptides = [s.peptide for s in samples]
     ids = encode_batch(peptides)

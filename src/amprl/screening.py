@@ -386,10 +386,14 @@ def build_library(
 ) -> tuple[list[AnnotationRecord], dict]:
     """Sample until target_count unique length-valid sequences, annotate, persist.
 
-    Aborts when a whole sampling batch is nearly all duplicates (stagnation)
+    Aborts before sampling when the policy's `max_len` lies below the length
+    window, when a whole sampling batch is nearly all duplicates (stagnation)
     or when the sampling budget is exhausted without reaching the target.
     """
     _check_target_count(target_count)
+    if cfg.min_length > policy.config.max_len:
+        window = f"[{cfg.min_length}, {cfg.max_length}]"
+        raise ValueError(f"no length in the screen window {window} is at most the policy's max_len {policy.config.max_len}")
     out = Path(out_dir)
     unique: list[Peptide] = []
     seen: set[str] = set()
@@ -405,15 +409,7 @@ def build_library(
                 f"sampling budget exhausted: {len(unique)}/{target_count} unique after {sampled_total} samples"
             )
         batch_seed = int(_rng.substream(seed, f"library.batch.{batch_index}").integers(1 << 62))
-        draws = sample(
-            policy,
-            cfg.batch_size,
-            temperature=temperature,
-            top_k=top_k,
-            seed=batch_seed,
-            id_prefix="lib",
-            id_start=sampled_total,
-        )
+        draws = sample(policy, cfg.batch_size, temperature=temperature, top_k=top_k, seed=batch_seed)
         batch_dups = 0
         for draw in draws:
             sampled_total += 1

@@ -28,8 +28,6 @@ def sample(
     top_k=None,
     max_len=None,
     seed=0,
-    id_prefix="gen",
-    id_start=0,
 ):
     limit = model.config.max_len if max_len is None else min(max_len, model.config.max_len)
     rng = substream(seed, "policy.sample")
@@ -79,7 +77,7 @@ def sample(
     for i in range(n):
         tokens = np.array(token_lists[i], dtype=np.int64)
         residues = decode_tokens(tokens)
-        pep = Peptide(id=f"{id_prefix}{id_start + i}", residues=residues, source=source)
+        pep = Peptide(id=f"gen{i}", residues=residues, source=source)
         out.append(
             SampledSequence(
                 peptide=pep,
@@ -111,8 +109,6 @@ def cached_sample(
     top_k=None,
     max_len=None,
     seed=0,
-    id_prefix="gen",
-    id_start=0,
 ):
     limit = model.config.max_len if max_len is None else min(max_len, model.config.max_len)
     rng = substream(seed, "policy.sample")
@@ -155,7 +151,7 @@ def cached_sample(
     for i in range(n):
         k = int(lengths[i])
         residues = decode_tokens(tokens[i, :k])
-        pep = Peptide(id=f"{id_prefix}{id_start + i}", residues=residues, source=source)
+        pep = Peptide(id=f"gen{i}", residues=residues, source=source)
         out.append(
             SampledSequence(
                 peptide=pep,

@@ -281,7 +281,7 @@ def test_criterion_5_rl_behavioral(capsys):
         sft = train_sft(base, train, val, SftConfig(epochs=30, batch_size=64, lr=3e-3, patience=10, seed=2)).model
         before = _policy_stats([d.peptide for d in sample(sft, 200, seed=99)], scorer)
 
-        policy = attach_lora(sft, rank=8, scaling=2.0, targets=("wq", "wv"), freeze_base=True, seed=8)
+        policy = attach_lora(sft, rank=8, scaling=2.0, targets=("wq", "wv"), seed=8)
         base_weights = {
             name: tensor.data.copy()
             for name, tensor in policy.named_tensors().items()

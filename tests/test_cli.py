@@ -219,6 +219,57 @@ def test_classifier_checkpoint_with_wrong_tensor_names_exits_one(tmp_path, capsy
     assert not (tmp_path / "out" / "scores.tsv").exists()
 
 
+def _edit_meta(path, edit):
+    """Apply `edit` to the `meta` of `path`'s manifest; the recorded sha256 covers only the binary, so it stays valid."""
+    manifest = path.with_name(path.name + ".json")
+    payload = json.loads(manifest.read_text())
+    edit(payload["meta"])
+    manifest.write_text(json.dumps(payload))
+
+
+TOY_POLICY = {"embed_dim": 16, "n_layers": 1, "n_heads": 2, "max_len": 10, "mlp_ratio": 2}
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        ("score-mic", lambda meta: meta.update(mic_config={})),
+        ("score-mic", lambda meta: meta.update(mic_config=[])),
+        ("score-mic", lambda meta: meta["mic_config"].update(hidden="8")),
+        ("score-mic", lambda meta: meta["mic_config"].update(threshold="x")),
+        ("score-mic", lambda meta: meta["scale"].update(pka={"K": "x"})),
+        ("sample", lambda meta: meta["model_config"].update(depth=2)),
+        ("sample", lambda meta: meta["model_config"].update(embed_dim="16")),
+        ("sample", lambda meta: meta.update(model_config=[])),
+    ],
+    ids=[
+        "mic_config_empty",
+        "mic_config_a_list",
+        "hidden_a_string",
+        "threshold_a_string",
+        "pka_a_string",
+        "model_config_extra_key",
+        "embed_dim_a_string",
+        "model_config_a_list",
+    ],
+)
+def test_checkpoint_manifest_with_a_missing_key_or_a_wrong_json_type_exits_one(tmp_path, capsys, command, edit):
+    from amprl.policy import ModelConfig, PolicyModel
+
+    if command == "score-mic":
+        path = _save_mic(tmp_path / "mic.ckpt")
+        argv, artifact = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))], "scores.tsv"
+    else:
+        path = tmp_path / "policy.ckpt"
+        PolicyModel.init(ModelConfig(**TOY_POLICY), seed=3).save(path)
+        argv, artifact = ["sample", "--checkpoint", str(path), "-n", "2"], "samples.fasta"
+    _edit_meta(path, edit)
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1  # main returned, so no traceback
+    section = "mic_config or scale" if command == "score-mic" else "model_config or lora"
+    assert capsys.readouterr().err.startswith(f"error: {path}: checkpoint manifest holds a bad {section} (")
+    assert not (tmp_path / "out" / artifact).exists()
+
+
 @pytest.mark.parametrize(
     "drop, add, message",
     [
@@ -243,6 +294,38 @@ def test_policy_checkpoint_with_wrong_lora_tensors_exits_one(tmp_path, capsys, d
     argv = ["sample", "--checkpoint", str(path), "-n", "2", "--output-dir", str(tmp_path / "out")]
     assert main(argv) == 1
     assert f"error: {path}: checkpoint {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "samples.fasta").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lora: lora.update(rank=2), "tensor 'layer0.attn.wq.lora_a' has shape (16, 4), its manifest defines (16, 2)"),
+        (lambda lora: lora.update(rank=8), "tensor 'layer0.attn.wq.lora_a' has shape (16, 4), its manifest defines (16, 8)"),
+        (lambda lora: lora["targets"].append("layer0.mlp.w1"), "unknown LoRA targets: w1"),
+        (lambda lora: lora["targets"].append("layer1.attn.wq"), "are not the ones attach_lora makes"),
+        (lambda lora: lora.update(scaling=0.0), "LoRA scaling must be non-zero"),
+        (lambda lora: lora.update(rank=10**12), "LoRA rank 1000000000000 exceeds embed_dim 16"),
+    ],
+    ids=[
+        "rank_below_the_adapters",
+        "rank_above_the_adapters",
+        "unknown_projection",
+        "absent_layer",
+        "zero_scaling",
+        "rank_above_embed_dim",
+    ],
+)
+def test_policy_manifest_naming_adapters_attach_lora_cannot_make_exits_one(tmp_path, capsys, edit, message):
+    from amprl.policy import ModelConfig, PolicyModel, attach_lora
+
+    path = tmp_path / "policy.ckpt"
+    attach_lora(PolicyModel.init(ModelConfig(**TOY_POLICY), seed=3), rank=4, scaling=1.0, targets=("wq",)).save(path)
+    _edit_meta(path, lambda meta: edit(meta["lora"]))
+    argv = ["sample", "--checkpoint", str(path), "-n", "2", "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
     assert not (tmp_path / "out" / "samples.fasta").exists()
 
 
@@ -523,6 +606,73 @@ def test_rl_and_build_library_use_the_override_scale(tmp_path, capsys):
     # the same peptides are sampled in both runs; only their hydropathy differs
     assert logs["default"]["mean_charge"] == logs["override"]["mean_charge"]
     assert logs["default"]["mean_hydrophobicity"] != logs["override"]["mean_hydrophobicity"]
+
+
+TOY_PPO = {"iterations": 1, "n_actors": 8, "horizon": 11, "max_len": 10, "minibatch_size": 4, "epochs": 2}
+
+
+def _rl_inputs(tmp_path, **sections):
+    """An SFT policy, a classifier and a run config for a one-iteration `rl` on the toy policy."""
+    from amprl.policy import ModelConfig, PolicyModel
+
+    PolicyModel.init(ModelConfig(**TOY_POLICY), seed=3).save(tmp_path / "sft.ckpt")
+    _save_mic(tmp_path / "mic.ckpt")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"ppo": TOY_PPO, **sections}))
+    return cfg
+
+
+def _rl(tmp_path, cfg, checkpoint, out):
+    argv = ["rl", "--sft-checkpoint", str(checkpoint), "--mic-model", str(tmp_path / "mic.ckpt")]
+    return main(argv + ["--config", str(cfg), "--output-dir", str(out)])
+
+
+@pytest.mark.parametrize("resume_from", ["rl.ckpt", "policy_iter0001.ckpt"])
+def test_rl_from_a_lora_checkpoint_trains_only_its_adapters_and_value_head(tmp_path, capsys, resume_from):
+    cfg = _rl_inputs(tmp_path, ppo={**TOY_PPO, "checkpoint_every": 1})
+    assert _rl(tmp_path, cfg, tmp_path / "sft.ckpt", tmp_path / "first") == 0
+    assert _rl(tmp_path, cfg, tmp_path / "first" / resume_from, tmp_path / "second") == 0
+    before, _ = nm.load_checkpoint(tmp_path / "first" / resume_from)
+    after, _ = nm.load_checkpoint(tmp_path / "second" / "rl.ckpt")
+    assert sorted(before) == sorted(after)
+    changed = {name for name in before if before[name].tobytes() != after[name].tobytes()}
+    adapters = {name for name in before if ".lora_" in name}
+    assert changed - adapters == {"value.w", "value.b"}
+    assert changed & adapters  # the resumed run did train
+
+
+@pytest.mark.parametrize(
+    "lora, named",
+    [
+        ({"rank": 4}, "rank=4"),
+        ({"scaling": 2.0}, "scaling=2.0"),
+        ({"targets": ["wq", "wk"]}, "targets=('wq', 'wk')"),
+    ],
+    ids=["rank", "scaling", "targets"],
+)
+def test_rl_from_a_lora_checkpoint_with_another_lora_section_exits_two(tmp_path, capsys, lora, named):
+    from amprl.policy import PolicyModel, attach_lora
+
+    cfg = _rl_inputs(tmp_path, lora={"rank": 2, "scaling": 1.0, "targets": ["wv", "wq"], **lora})
+    checkpoint = tmp_path / "lora.ckpt"
+    attach_lora(PolicyModel.load(tmp_path / "sft.ckpt"), rank=2, scaling=1.0, targets=("wq", "wv")).save(checkpoint)
+    out = tmp_path / "out"
+    assert _rl(tmp_path, cfg, checkpoint, out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {checkpoint} holds LoRA LoraConfig(rank=2, scaling=1.0, targets=('wq', 'wv'))")
+    assert named in err.split("but the run's lora section is LoraConfig(")[1]
+    assert not (out / "rl.ckpt").exists() and not (out / "rl_log.tsv").exists()
+
+
+def test_rl_from_a_lora_checkpoint_runs_when_its_lora_section_names_the_same_adapters(tmp_path, capsys):
+    from amprl.policy import PolicyModel, attach_lora
+
+    # the same projections in another order, and a repeated one, make the same adapters
+    cfg = _rl_inputs(tmp_path, lora={"rank": 2, "scaling": 1.0, "targets": ["wv", "wq", "wv"]})
+    checkpoint = tmp_path / "lora.ckpt"
+    attach_lora(PolicyModel.load(tmp_path / "sft.ckpt"), rank=2, scaling=1.0, targets=("wq", "wv")).save(checkpoint)
+    assert _rl(tmp_path, cfg, checkpoint, tmp_path / "out") == 0
+    assert (tmp_path / "out" / "rl.ckpt").exists()
 
 
 @pytest.mark.parametrize("empty", ["generated", "reference"])

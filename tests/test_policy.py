@@ -1,4 +1,5 @@
 """Autoregressive policy: tokenization, forward pass, sampling, SFT, LoRA."""
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -153,8 +154,8 @@ def test_sampling_is_reproducible_and_respects_budget():
 
 def test_sample_ids_and_source():
     model = PolicyModel.init(TOY, seed=3)
-    out = sample(model, 3, max_len=6, seed=0, id_prefix="gen", id_start=5)
-    assert [s.peptide.id for s in out] == ["gen5", "gen6", "gen7"]
+    out = sample(model, 3, max_len=6, seed=0)
+    assert [s.peptide.id for s in out] == ["gen0", "gen1", "gen2"]
     assert all(s.peptide.source == "generated_sft" for s in out)
     # a LoRA-attached policy is the RL-tuned generator
     out = sample(attach_lora(model, rank=2, scaling=1.0), 3, max_len=6, seed=0)
@@ -227,7 +228,10 @@ def _trunk_case_model(lora):
     model = PolicyModel.init(TOY, seed=21)
     if lora is None:
         return model
-    attach_lora(model, rank=2, scaling=4.0, targets=("wq", "wk", "wv", "wo"), freeze_base=lora == "frozen", seed=5)
+    attach_lora(model, rank=2, scaling=4.0, targets=("wq", "wk", "wv", "wo"), seed=5)
+    if lora == "unfrozen":  # the base trains too, so its gradients are compared as well
+        for p in model.params.values():
+            p.requires_grad = True
     rng = np.random.default_rng(22)
     for name, t in model.named_tensors().items():
         if name.endswith("lora_b"):
@@ -346,9 +350,9 @@ def test_trunk_rejects_a_row_without_bos_or_past_the_context():
 
 def test_sft_loss_grad_check_with_padding_and_lora():
     config = ModelConfig(embed_dim=8, n_layers=1, n_heads=2, max_len=10, mlp_ratio=2, init_std=0.05)
-    model = attach_lora(
-        PolicyModel.init(config, seed=6), rank=2, scaling=2.0, targets=("wq", "wk", "wv", "wo"), freeze_base=False, seed=7
-    )
+    model = attach_lora(PolicyModel.init(config, seed=6), rank=2, scaling=2.0, targets=("wq", "wk", "wv", "wo"), seed=7)
+    for p in model.params.values():  # check the base's gradients as well as the adapters'
+        p.requires_grad = True
     rng = np.random.default_rng(8)
     for name, t in model.named_tensors().items():
         if name.endswith("lora_b"):
@@ -445,6 +449,15 @@ def test_attach_lora_rejects_a_zero_scaling():
     assert not model.lora and all(p.requires_grad for p in model.params.values())
 
 
+def test_attach_lora_rejects_a_rank_above_embed_dim():
+    # a rank of 10**12 would draw an embed_dim x 10**12 factor before anything else failed
+    model = PolicyModel.init(TOY, seed=12)
+    with pytest.raises(ValueError, match=f"LoRA rank {10**12} exceeds embed_dim {TOY.embed_dim}"):
+        attach_lora(model, rank=10**12, scaling=1.0)
+    assert not model.lora and all(p.requires_grad for p in model.params.values())
+    assert attach_lora(model, rank=TOY.embed_dim, scaling=1.0).lora_config().rank == TOY.embed_dim
+
+
 def test_lora_round_trip_through_checkpoint(tmp_path):
     ids = encode_batch([_pep("ACDKLM")])
     model = PolicyModel.init(TOY, seed=13)
@@ -459,6 +472,34 @@ def test_lora_round_trip_through_checkpoint(tmp_path):
     loaded = PolicyModel.load(path)
     assert np.array_equal(tuned.values_and_log_probs(ids)[1].data, loaded.values_and_log_probs(ids)[1].data)
     assert not np.allclose(loaded.values_and_log_probs(ids)[1].data, base_out, atol=1e-9)
+
+
+def _trainable_names(model):
+    trainable = {id(p) for p in model.trainable()}
+    assert trainable == {id(t) for t in model.named_tensors().values() if t.requires_grad}
+    return {name for name, t in model.named_tensors().items() if id(t) in trainable}
+
+
+@pytest.mark.parametrize("lora", [False, True])
+def test_save_and_load_keep_the_trainable_set(tmp_path, lora):
+    model = PolicyModel.init(TOY, seed=14)
+    if lora:
+        attach_lora(model, rank=2, scaling=0.5, targets=("wq", "wo"), seed=3)
+        want = {"value.w", "value.b"} | {name for name in model.named_tensors() if ".lora_" in name}
+    else:
+        want = set(model.params)
+    assert _trainable_names(model) == want
+    path = tmp_path / "policy.ckpt"
+    model.save(path)
+    manifest = path.with_name("policy.ckpt.json")
+    payload = json.loads(manifest.read_text())
+    assert "base_trainable" not in payload["meta"]
+    assert _trainable_names(PolicyModel.load(path)) == want
+    # manifests written while `save` recorded base_trainable still load, with the key ignored
+    for stale in (True, False):
+        payload["meta"]["base_trainable"] = stale
+        manifest.write_text(json.dumps(payload))
+        assert _trainable_names(PolicyModel.load(path)) == want
 
 
 def _lora_policy(config, seed):
@@ -478,7 +519,7 @@ DIFFERENTIAL_CASES = {
     "bench_lora_tempered": (BENCH, True, 8, {"seed": 3, "temperature": 0.7}),
     "toy_lora_top_k": (TOY, True, 12, {"seed": 4, "top_k": 3, "temperature": 1.5}),
     "bench_short_cap": (BENCH, True, 10, {"seed": 6, "max_len": 5}),
-    "toy_ids": (TOY, False, 6, {"seed": 7, "id_prefix": "rl", "id_start": 3}),
+    "toy_ids": (TOY, False, 6, {"seed": 7}),
 }
 
 

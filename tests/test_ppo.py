@@ -117,7 +117,7 @@ def test_rollout_grid_matches_the_hand_built_grid():
     policy, cfg = _policy(4), _cfg(n_actors=16, max_len=6, horizon=7)
     capped = 0
     for seed in range(4):
-        samples = sample(policy, cfg.n_actors, max_len=6, seed=seed, id_prefix="rl")
+        samples = sample(policy, cfg.n_actors, max_len=6, seed=seed)
         capped += sum(not s.terminated for s in samples)
         batch = rollout(policy, _reward_fn(), cfg, seed=seed)
         for got, want in zip((batch.ids, batch.actions, batch.mask, batch.old_log_probs), _grid_oracle(samples)):

@@ -491,6 +491,23 @@ def test_build_library_stagnation_aborts(tmp_path):
         build_library(_tiny_policy(max_len=1), TableScorer(), 50, cfg, seed=2, out_dir=tmp_path)
 
 
+def test_build_library_stops_before_sampling_when_no_length_fits_the_policy(tmp_path, monkeypatch):
+    import amprl.screening as screening
+
+    calls = []
+    real = screening.sample
+    monkeypatch.setattr(screening, "sample", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    # a 20-30 window on a policy that stops at 10 residues once sampled 10,688 draws before giving up
+    cfg = ScreenConfig(min_length=20, max_length=30, batch_size=16)
+    message = "no length in the screen window [20, 30] is at most the policy's max_len 10"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_library(_tiny_policy(max_len=10), TableScorer(), 50, cfg, seed=0, out_dir=tmp_path)
+    assert calls == [] and not list(tmp_path.iterdir())
+    # a window whose shortest length is max_len itself samples
+    records, _ = build_library(_tiny_policy(max_len=6), TableScorer(), 2, ScreenConfig(min_length=6, max_length=9), seed=0, out_dir=tmp_path)
+    assert calls and [len(r.peptide.residues) for r in records] == [6, 6]
+
+
 def test_build_library_rejects_bad_target(tmp_path):
     with pytest.raises(ValueError):
         build_library(_tiny_policy(), TableScorer(), 0, ScreenConfig(), seed=0, out_dir=tmp_path)
