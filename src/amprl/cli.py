@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, Run, apply_overrides, build_run, load_config
-from .sequences import AnnotationRecord, parse_fasta, write_fasta, write_json, write_records, write_tsv
+from .sequences import PeptideTable, parse_fasta, write_fasta, write_json, write_records, write_tsv
 
 ENV_OUTPUT_DIR = "AMPRL_OUTPUT_DIR"
 
@@ -42,10 +42,10 @@ def _resolve_output_dir(args, run: Run) -> Path:
     return out
 
 
-def _write_manifest(args, out: Path) -> None:
+def _write_manifest(args, argv: list[str], out: Path) -> None:
     manifest = {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     }
@@ -56,13 +56,11 @@ def _write_manifest(args, out: Path) -> None:
 
 
 def _cmd_props(args, run: Run, out: Path) -> int:
-    from .physchem import descriptor_vectors
+    from .physchem import descriptors
 
     peptides = parse_fasta(_require(args.input, "--input"))
-    properties = descriptor_vectors(peptides, run.scales)
-    records = [AnnotationRecord(peptide=p, properties=v) for p, v in zip(peptides, properties, strict=True)]
-    write_records(records, "tsv", out / "props.tsv")
-    print(f"props: {len(records)} records -> {out / 'props.tsv'}")
+    write_records(PeptideTable(peptides, descriptors(peptides, run.scales)), "tsv", out / "props.tsv")
+    print(f"props: {len(peptides)} records -> {out / 'props.tsv'}")
     return 0
 
 
@@ -202,26 +200,22 @@ def _cmd_screen(args, run: Run, out: Path) -> int:
     candidates = parse_fasta(_require(args.input, "--input"))
     scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
     external = sc.read_external_scores(_require(args.external_scores, "--external-scores")) if args.external_scores else None
-    records = sc.annotate(candidates, scorer, external, scale)
-    kept, rejected = sc.screen(records, scfg)
+    table = sc.screen(sc.annotate(candidates, scorer, external, scale), scfg)
     hits = []
     if args.reference:
         reference = parse_fasta(_require(args.reference, "--reference"), source="external")
-        kept, removed, hits = sc.novelty_filter(kept, reference, scfg)
-        rejected.extend(removed)
+        _, removed, hits = sc.novelty_filter(table, reference, scfg)
+        table = table.reject(removed, "novelty")
     write_hit_table(hits, out / "hits.tsv")
-    by_id = {r.peptide.id: r for r in kept + rejected}
-    ordered = [by_id[p.id] for p in candidates]
-    write_records(ordered, "jsonl", out / "screened.jsonl")
-    ranked = sc.prioritize(kept, sc.default_property_windows(run.reward), sc.max_identity_by_query(hits))
-    selected = []
-    if ranked:
-        embedder = Embedder(scale=scale)
-        raw = embedder.features([r.peptide for r in ranked])
-        selected = sc.diversity_select(ranked, scfg.diversity_k, embedder.fit(raw).standardize(raw))
-    write_fasta([r.peptide for r in selected], out / "selected.fasta")
-    write_records(selected, "jsonl", out / "selected.jsonl")
-    print(f"screen: {len(kept)} kept, {len(rejected)} rejected, {len(selected)} selected")
+    write_records(table, "jsonl", out / "screened.jsonl")
+    ranked = sc.prioritize(table, sc.default_property_windows(run.reward), hits)
+    selected = ranked
+    if len(ranked):
+        raw = table.features[ranked]
+        selected = sc.diversity_select(ranked, scfg.diversity_k, Embedder(scale).fit(raw).standardize(raw))
+    write_fasta([table.peptides[i] for i in selected], out / "selected.fasta")
+    write_records(table.take(selected), "jsonl", out / "selected.jsonl")
+    print(f"screen: {len(ranked)} kept, {len(table) - len(ranked)} rejected, {len(selected)} selected")
     return 0
 
 
@@ -233,7 +227,7 @@ def _cmd_build_library(args, run: Run, out: Path) -> int:
     policy = PolicyModel.load(_require(args.checkpoint, "--checkpoint"))
     scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
     external = sc.read_external_scores(_require(args.external_scores, "--external-scores")) if args.external_scores else None
-    records, stats = sc.build_library(
+    table, stats = sc.build_library(
         policy,
         scorer,
         run.library.target_count,
@@ -245,7 +239,7 @@ def _cmd_build_library(args, run: Run, out: Path) -> int:
         top_k=run.library.top_k,
         scale=run.scales,
     )
-    print(f"build-library: {len(records)} unique sequences from {stats['sampled_total']} samples")
+    print(f"build-library: {len(table)} unique sequences from {stats['sampled_total']} samples")
     return 0
 
 
@@ -372,6 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -387,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         run = build_run(cfg)
         out = _resolve_output_dir(args, run)
         write_json(cfg, out / "resolved_config.json")
-        _write_manifest(args, out)
+        _write_manifest(args, argv, out)
         return args.handler(args, run, out)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -216,11 +216,16 @@ class MicModel:
         return float(self.score_many([p])[0])
 
     @nm.no_grad()
-    def score_many(self, peptides: Sequence[Peptide]) -> np.ndarray:
-        """Activity scores of a whole list, one classifier forward."""
+    def score_many(self, peptides: Sequence[Peptide], features: np.ndarray | None = None) -> np.ndarray:
+        """Activity scores of a whole list, one classifier forward.
+
+        `features`, when given, is the list's `features` matrix on this
+        model's scale; a standardized copy of it is scored.
+        """
         if not peptides:
             return np.zeros(0)
-        return self.probabilities(self.embedder.embed_many(peptides)).data
+        raw = self.embedder.features(peptides) if features is None else features.copy()
+        return self.probabilities(self.embedder.standardize(raw)).data
 
     def trainable(self) -> list[nm.Tensor]:
         return list(self.params.values())
@@ -258,12 +263,29 @@ class MicModel:
             embedder = Embedder(ScaleTable(**meta["scale"]))
         except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: checkpoint manifest holds a bad mic_config or scale ({err!r})") from None
-        layers = [f"fc{i}.{part}" for i in range(len(config.hidden) + 1) for part in ("w", "b")]
-        nm.check_tensor_names(path, tensors, ["embed.mean", "embed.std", *layers], "mic_config")
+        sizes = (embedder.dim, *config.hidden, 1)
+        layers = {}
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            layers[f"fc{i}.w"], layers[f"fc{i}.b"] = (fan_in, fan_out), (fan_out,)
+        nm.check_tensors(path, tensors, {"embed.mean": (embedder.dim,), "embed.std": (embedder.dim,), **layers}, "mic_config")
         embedder.mean = tensors["embed.mean"].copy()
         embedder.std = tensors["embed.std"].copy()
         params = {name: nm.Tensor(tensors[name].copy()) for name in layers}
         return cls(embedder, params, config)
+
+
+def features_and_scores(peptides: Sequence[Peptide], scorer, scale: ScaleTable = DEFAULT_SCALE) -> tuple[np.ndarray, np.ndarray]:
+    """`Embedder(scale).features(peptides)` and the scorer's scores of the peptides.
+
+    A scorer is anything with `.score_many(peptides)`. A `MicModel` whose
+    embedder has this scale scores a copy of the matrix, so the set's
+    descriptors are computed once; any other scorer scores the peptides
+    itself.
+    """
+    features = Embedder(scale).features(peptides)
+    if isinstance(scorer, MicModel) and scorer.embedder.scale == scale:
+        return features, scorer.score_many(peptides, features)
+    return features, scorer.score_many(peptides)
 
 
 def train_mic(

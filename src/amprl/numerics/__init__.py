@@ -19,7 +19,7 @@ from .tensor import (
     softmax,
 )
 from .optim import Adam, check_schedule, train_epochs
-from .checkpoint import check_tensor_names, load_checkpoint, save_checkpoint
+from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 
 __all__ = [
     "Tensor",
@@ -43,5 +43,5 @@ __all__ = [
     "train_epochs",
     "save_checkpoint",
     "load_checkpoint",
-    "check_tensor_names",
+    "check_tensors",
 ]

@@ -108,10 +108,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, manifest.get("meta", {})
 
 
-def check_tensor_names(path: str | Path, names, expected, section: str) -> None:
-    """Raise a ValueError naming the first tensor that a loaded checkpoint and its `section` disagree on."""
-    mismatch = sorted(set(names) ^ set(expected))
-    if mismatch and mismatch[0] in names:
+def check_tensors(path: str | Path, tensors: dict[str, np.ndarray], expected: dict[str, tuple], section: str) -> None:
+    """Raise a ValueError naming the first tensor whose name or shape a loaded checkpoint and its `section` disagree on.
+
+    `expected` maps each tensor name to its shape as a tuple; shapes are checked in its order.
+    """
+    mismatch = sorted(set(tensors) ^ set(expected))
+    if mismatch and mismatch[0] in tensors:
         raise ValueError(f"{path}: checkpoint holds tensor {mismatch[0]!r}, which its {section} does not define")
     if mismatch:
         raise ValueError(f"{path}: checkpoint lacks tensor {mismatch[0]!r}, which its {section} defines")
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, its {section} defines {shape}")

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sequences import RESIDUES, Peptide, encode
+from .sequences import DESCRIPTORS, RESIDUES, Peptide, encode
 
 # Eisenberg consensus hydropathy, one value per canonical residue.
 EISENBERG_HYDROPATHY = {
@@ -99,29 +99,6 @@ def load_scale_overrides(path: str | Path, base: ScaleTable = DEFAULT_SCALE) -> 
     return ScaleTable(name=base.name, version=base.version + "+overrides", hydropathy=hydropathy, pka=pka)
 
 
-@dataclass(frozen=True)
-class PropertyVector:
-    """The five reward descriptors for one peptide."""
-
-    length: int
-    hydrophobicity: float
-    hydrophobic_moment: float
-    net_charge: float
-    isoelectric_point: float
-
-    def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("length must be >= 1")
-        if self.hydrophobic_moment < 0.0:
-            raise ValueError("hydrophobic moment must be >= 0")
-        if not (0.0 <= self.isoelectric_point <= 14.0):
-            raise ValueError("isoelectric point must lie in [0,14]")
-        if abs(self.net_charge) > self.length + 1:
-            raise ValueError("net charge exceeds residue count")
-
-
-DESCRIPTORS = ("length", "hydrophobicity", "hydrophobic_moment", "net_charge", "isoelectric_point")
-
 # the ionizable groups: a base's term is +1 / (1 + 10^(pH - pKa)), an acid's -1 / (1 + 10^(pKa - pH))
 _GROUPS = ("n_term", "c_term", "K", "R", "H", "D", "E", "C", "Y")
 _SIGN = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
@@ -182,11 +159,6 @@ def _isoelectric_points(codes: np.ndarray, pka: np.ndarray, tol: float = 1e-6) -
     return pis
 
 
-def descriptor_vectors(peptides: Sequence[Peptide], scale: ScaleTable = DEFAULT_SCALE) -> list[PropertyVector]:
-    """One PropertyVector per peptide, from one `descriptors` pass."""
-    return [PropertyVector(int(row[0]), *row[1:]) for row in descriptors(peptides, scale).tolist()]
-
-
-def descriptor_vector(p: Peptide, scale: ScaleTable = DEFAULT_SCALE) -> PropertyVector:
-    """All five descriptors of one peptide."""
-    return descriptor_vectors([p], scale)[0]
+def descriptor_vector(p: Peptide, scale: ScaleTable = DEFAULT_SCALE) -> np.ndarray:
+    """All five descriptors of one peptide: its `descriptors` row."""
+    return descriptors([p], scale)[0]

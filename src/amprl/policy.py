@@ -182,10 +182,8 @@ class PolicyModel:
         except (KeyError, TypeError, ValueError, AttributeError) as err:
             raise ValueError(f"{path}: checkpoint manifest holds a bad model_config or lora ({err!r})") from None
         named = model.named_tensors()
-        nm.check_tensor_names(path, tensors, named, "manifest")
+        nm.check_tensors(path, tensors, {name: t.shape for name, t in named.items()}, "manifest")
         for name, t in named.items():
-            if tensors[name].shape != t.shape:
-                raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, its manifest defines {t.shape}")
             t.data = tensors[name]
         model._set_trainable()
         return model

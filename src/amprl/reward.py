@@ -6,7 +6,8 @@ from typing import Callable
 
 import numpy as np
 
-from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable, descriptors
+from .mic import features_and_scores
+from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable
 
 
 @dataclass(frozen=True)
@@ -111,9 +112,12 @@ def make_reward_fn(
 ) -> Callable:
     """Bind a classifier-like scorer (anything with .score_many(peptides) ->
     array) and a descriptor scale into a peptides -> RewardBatch function
-    that scores the whole list in one call and one descriptor pass."""
+    that scores the whole list in one call. The descriptors are the first
+    columns of `mic.features_and_scores`' matrix, so a classifier on the
+    same scale reads them from the one descriptor pass."""
 
     def reward_fn(peptides) -> RewardBatch:
-        return score_reward(scorer.score_many(peptides), descriptors(peptides, scale), cfg)
+        features, scores = features_and_scores(peptides, scorer, scale)
+        return score_reward(scores, features[:, : len(DESCRIPTORS)], cfg)
 
     return reward_fn

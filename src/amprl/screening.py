@@ -9,10 +9,10 @@ table.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
@@ -20,10 +20,11 @@ import numpy as np
 
 from . import rng as _rng
 from .alignment import GAP_EXTEND, GAP_OPEN, _SCORES, SimilarityHit, _composition, local_scores, make_hit, search
-from .physchem import DEFAULT_SCALE, ScaleTable, descriptor_vectors
+from .mic import features_and_scores
+from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable
 from .policy import _check_sampling, sample
 from .reward import RewardConfig
-from .sequences import RESIDUE_LETTERS, RESIDUE_SET, AnnotationRecord, Peptide, encode, write_fasta, write_json, write_records
+from .sequences import RESIDUE_LETTERS, RESIDUE_SET, Peptide, PeptideTable, encode, write_fasta, write_json, write_records
 
 Window = tuple[float, float]
 
@@ -79,45 +80,44 @@ def default_property_windows(cfg: RewardConfig = RewardConfig()) -> dict[str, Wi
     }
 
 
-def _failed_filters(record: AnnotationRecord, cfg: ScreenConfig) -> list[str]:
-    if record.mic_score is None:
-        raise ValueError(f"record {record.peptide.id!r} is missing mic_score")
-    reasons: list[str] = []
-    if record.mic_score < cfg.mic_cutoff:
-        reasons.append("mic_score")
-    if not cfg.min_length <= record.properties.length <= cfg.max_length:
-        reasons.append("length")
-    checks = (
-        ("hydrophobicity", cfg.hydrophobicity_window, record.properties.hydrophobicity),
-        ("hydrophobic_moment", cfg.moment_window, record.properties.hydrophobic_moment),
-        ("net_charge", cfg.charge_window, record.properties.net_charge),
-        ("isoelectric_point", cfg.isoelectric_window, record.properties.isoelectric_point),
+def _in_windows(table: PeptideTable, rows, windows: dict[str, Window]) -> dict[str, np.ndarray]:
+    """For each descriptor that `windows` names, whether each of `rows` lies inside its window (bounds included)."""
+    column = dict(zip(DESCRIPTORS, table.features[rows, : len(DESCRIPTORS)].T))
+    return {name: (lo <= column[name]) & (column[name] <= hi) for name, (lo, hi) in windows.items()}
+
+
+def screen(table: PeptideTable, cfg: ScreenConfig) -> PeptideTable:
+    """The table with each row's failed filters as its reasons; a row with none is kept.
+
+    Each filter is a boolean column, and a row's reasons follow this order:
+    mic_score, length, the four property windows, the motifs, the external
+    minimums. A row without an external score that the config names raises
+    ValueError, which names the first such row.
+    """
+    names = [name for name, _ in cfg.external_minimums]
+    for peptide, scores in zip(table.peptides, table.external):
+        missing = [name for name in names if name not in scores]
+        if missing:
+            raise ValueError(f"record {peptide.id!r} is missing external score {missing[0]!r}")
+    windows = {
+        "length": (cfg.min_length, cfg.max_length),
+        "hydrophobicity": cfg.hydrophobicity_window,
+        "hydrophobic_moment": cfg.moment_window,
+        "net_charge": cfg.charge_window,
+        "isoelectric_point": cfg.isoelectric_window,
+    }
+    inside = _in_windows(table, slice(None), {name: w for name, w in windows.items() if w is not None})
+    failed = [("mic_score", table.scores < cfg.mic_cutoff), *((name, ~ok) for name, ok in inside.items())]
+    failed += [(f"motif:{m}", np.array([m in p.residues for p in table.peptides], dtype=bool)) for m in cfg.forbidden_motifs]
+    failed += [
+        (f"external:{name}", np.array([scores[name] < minimum for scores in table.external], dtype=bool))
+        for name, minimum in cfg.external_minimums
+    ]
+    reasons = [f for f, _ in failed]
+    columns = np.column_stack([column for _, column in failed]).tolist()
+    return PeptideTable(
+        table.peptides, table.features, table.scores, table.external, [tuple(compress(reasons, row)) for row in columns]
     )
-    for name, window, value in checks:
-        if window is not None and not window[0] <= value <= window[1]:
-            reasons.append(name)
-    for motif in cfg.forbidden_motifs:
-        if motif in record.peptide.residues:
-            reasons.append(f"motif:{motif}")
-    for name, minimum in cfg.external_minimums:
-        if name not in record.external_scores:
-            raise ValueError(f"record {record.peptide.id!r} is missing external score {name!r}")
-        if record.external_scores[name] < minimum:
-            reasons.append(f"external:{name}")
-    return reasons
-
-
-def screen(records: Sequence[AnnotationRecord], cfg: ScreenConfig) -> tuple[list[AnnotationRecord], list[AnnotationRecord]]:
-    """Partition records into (kept, rejected); rejections list every failed filter."""
-    kept: list[AnnotationRecord] = []
-    rejected: list[AnnotationRecord] = []
-    for record in records:
-        reasons = _failed_filters(record, cfg)
-        if reasons:
-            rejected.append(dataclasses.replace(record, verdict="rejected", reject_reasons=tuple(reasons)))
-        else:
-            kept.append(dataclasses.replace(record, verdict="kept", reject_reasons=()))
-    return kept, rejected
 
 
 # the least a match column of a local alignment scores (the smallest diagonal
@@ -145,15 +145,17 @@ def _novelty_bounds(n: int, cfg: ScreenConfig) -> tuple[float, float | None]:
 
 
 def novelty_filter(
-    records: Sequence[AnnotationRecord],
+    table: PeptideTable,
     reference: Sequence[Peptide],
     cfg: ScreenConfig,
-) -> tuple[list[AnnotationRecord], list[AnnotationRecord], list[SimilarityHit]]:
-    """Drop candidates with a reference match covering more than the coverage
-    fraction of their length at or above the identity threshold.
+) -> tuple[np.ndarray, np.ndarray, list[SimilarityHit]]:
+    """Split the table's kept rows by whether a reference match covers more
+    than the coverage fraction of the candidate's length at or above the
+    identity threshold.
 
-    Returns (kept, removed, hits); hits hold the best-scoring alignment per
-    candidate that aligned at all, including kept candidates.
+    Returns (kept, removed, hits): the rows without and with such a match,
+    in table order, and the best-scoring alignment per queried candidate
+    that aligned at all, including kept candidates.
 
     A pair is admitted when it exceeds both `_novelty_bounds`; no other pair
     can be similar. The first pass scores with `local_scores`, a candidate
@@ -167,7 +169,9 @@ def novelty_filter(
     if not reference:
         raise ValueError("reference set must be non-empty")
     db_residues = sum(len(t) for t in reference)
-    query_codes, query_lengths = encode([r.peptide.residues for r in records])
+    candidates = table.kept()
+    queries = [table.peptides[i] for i in candidates]
+    query_codes, query_lengths = encode([p.residues for p in queries])
     targets = encode([t.residues for t in reference])
     query_counts, target_counts = _composition(query_codes, query_lengths), _composition(*targets)
     # codes fit a byte, so the gathered pairs cost a byte per residue
@@ -197,80 +201,51 @@ def novelty_filter(
     )
     # columns is 0 only where nothing aligned, and then fails the coverage test
     similar = (columns > cfg.novelty_coverage * query_lengths[query]) & (matches / np.maximum(columns, 1) >= cfg.novelty_identity)
-    kept: list[AnnotationRecord] = []
-    removed: list[AnnotationRecord] = []
     hits: list[SimilarityHit] = []
-    for q, record in enumerate(records):
+    for q, peptide in enumerate(queries):
         aligned = [k for k in spans[q] if scores[k] > 0.0]
         if aligned:
             k = min(aligned, key=lambda k: (-scores[k], reference[target[k]].id))
-            hits.append(make_hit(record.peptide, reference[target[k]], scores[k], matches[k], columns[k], db_residues))
-        if similar[spans[q].start : spans[q].stop].any():
-            removed.append(dataclasses.replace(record, verdict="rejected", reject_reasons=("novelty",)))
-        else:
-            kept.append(record)
-    return kept, removed, hits
+            hits.append(make_hit(peptide, reference[target[k]], scores[k], matches[k], columns[k], db_residues))
+    removed = np.array([similar[spans[q].start : spans[q].stop].any() for q in range(len(queries))], dtype=bool)
+    return candidates[~removed], candidates[removed], hits
 
 
-def max_identity_by_query(hits: Sequence[SimilarityHit]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for hit in hits:
-        frac = hit.identity_pct / 100.0
-        if frac > out.get(hit.query, 0.0):
-            out[hit.query] = frac
-    return out
+def prioritize(table: PeptideTable, windows: dict[str, Window], hits: Sequence[SimilarityHit] = ()) -> np.ndarray:
+    """The kept rows in rank order, by one stable lexsort: score descending,
+    satisfied property windows descending, identity of the candidate's
+    reference hit ascending (0.0 without one), then residues. `hits` are
+    `novelty_filter`'s, at most one per candidate."""
+    rows = table.kept()
+    identity = {hit.query: hit.identity_pct / 100.0 for hit in hits}
+    peptides = [table.peptides[i] for i in rows]
+    satisfied = np.zeros(len(rows), dtype=np.int64)
+    for inside in _in_windows(table, rows, windows).values():
+        satisfied += inside
+    keys = (
+        np.array([p.residues for p in peptides], dtype=str),
+        np.array([identity.get(p.id, 0.0) for p in peptides]),
+        -satisfied,
+        -table.scores[rows],
+    )
+    return rows[np.lexsort(keys)]
 
 
-def _windows_satisfied(record: AnnotationRecord, windows: dict[str, Window]) -> int:
-    values = {
-        "hydrophobicity": record.properties.hydrophobicity,
-        "hydrophobic_moment": record.properties.hydrophobic_moment,
-        "net_charge": record.properties.net_charge,
-        "isoelectric_point": record.properties.isoelectric_point,
-    }
-    return sum(1 for name, (lo, hi) in windows.items() if lo <= values[name] <= hi)
-
-
-def prioritize(
-    records: Sequence[AnnotationRecord],
-    windows: dict[str, Window],
-    max_identity: dict[str, float] | None = None,
-) -> list[AnnotationRecord]:
-    """Total order: mic_score desc, satisfied property windows desc, smallest
-    max identity to the reference, then sequence."""
-    ident = max_identity or {}
-
-    def key(record: AnnotationRecord):
-        if record.mic_score is None:
-            raise ValueError(f"record {record.peptide.id!r} is missing mic_score")
-        return (
-            -record.mic_score,
-            -_windows_satisfied(record, windows),
-            ident.get(record.peptide.id, 0.0),
-            record.peptide.residues,
-        )
-
-    return sorted(records, key=key)
-
-
-def diversity_select(
-    records: Sequence[AnnotationRecord],
-    k: int,
-    points: np.ndarray,
-) -> list[AnnotationRecord]:
+def diversity_select(rows: np.ndarray, k: int, points: np.ndarray) -> np.ndarray:
     """Greedy max-min (farthest point) subset of size min(k, n).
 
-    Row i of `points` embeds records[i]. Records must arrive in priority
-    order; selection starts from the first and distance ties keep the
+    Row i of `points` embeds rows[i]. Rows must arrive in priority order;
+    selection starts from the first and distance ties keep the
     higher-priority candidate.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not records:
-        return []
-    if len(points) != len(records):
-        raise ValueError(f"{len(points)} embedding rows for {len(records)} records")
-    n = len(records)
+    rows = np.asarray(rows, dtype=np.int64)
+    if not len(rows):
+        return rows
+    if len(points) != len(rows):
+        raise ValueError(f"{len(points)} embedding rows for {len(rows)} table rows")
+    n = len(rows)
     chosen = [0]
     min_dist = np.linalg.norm(points - points[0], axis=1)
     while len(chosen) < min(k, n):
@@ -280,7 +255,7 @@ def diversity_select(
             break
         chosen.append(nxt)
         min_dist = np.minimum(min_dist, np.linalg.norm(points - points[nxt], axis=1))
-    return [records[i] for i in chosen]
+    return rows[chosen]
 
 
 def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
@@ -331,19 +306,19 @@ def annotate(
     scorer,
     external_scores: dict[str, dict[str, float]] | None = None,
     scale: ScaleTable = DEFAULT_SCALE,
-) -> list[AnnotationRecord]:
-    """Attach descriptors, activity score (one `score_many` call), and any
-    external scores."""
-    scores = scorer.score_many(peptides)
-    return [
-        AnnotationRecord(
-            peptide=pep,
-            properties=props,
-            mic_score=float(s),
-            external_scores=dict((external_scores or {}).get(pep.residues, {})),
-        )
-        for pep, props, s in zip(peptides, descriptor_vectors(peptides, scale), scores, strict=True)
-    ]
+) -> PeptideTable:
+    """The candidates' table: one `features` matrix on `scale`, the
+    activity scores (one `score_many` call, on a copy of that matrix when
+    the classifier's scale is `scale`), and any external scores."""
+    features, scores = features_and_scores(peptides, scorer, scale)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(peptides),):
+        raise ValueError(f"expected {len(peptides)} classifier scores, got an array of shape {scores.shape}")
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    if outside.any():
+        raise ValueError(f"mic_score must lie in [0,1], got {scores[outside][0]}")
+    by_sequence = external_scores or {}
+    return PeptideTable(list(peptides), features, scores, [dict(by_sequence.get(p.residues, {})) for p in peptides])
 
 
 def _ratio_row(name: str, total: int, passed: int) -> dict:
@@ -383,7 +358,7 @@ def build_library(
     temperature: float = 1.0,
     top_k: int | None = None,
     scale: ScaleTable = DEFAULT_SCALE,
-) -> tuple[list[AnnotationRecord], dict]:
+) -> tuple[PeptideTable, dict]:
     """Sample until target_count unique length-valid sequences, annotate, persist.
 
     Aborts before sampling when the policy's `max_len` lies below the length
@@ -431,24 +406,24 @@ def build_library(
         batch_index += 1
     surplus = len(unique) - target_count
     unique = unique[:target_count]
-    records = annotate(unique, scorer, external_scores, scale)
+    table = annotate(unique, scorer, external_scores, scale)
 
     length_pass = sampled_total - length_fail
     unique_pass = length_pass - duplicate_fail
     stats = {
         "target_count": target_count,
         "sampled_total": sampled_total,
-        "library_size": len(records),
+        "library_size": len(table),
         "filters": [
             _ratio_row("length", sampled_total, length_pass),
             _ratio_row("duplicate", length_pass, unique_pass),
             _ratio_row("surplus", unique_pass, unique_pass - surplus),
         ],
         "annotation": [
-            _ratio_row("mic_score", len(records), sum(1 for r in records if r.mic_score >= cfg.mic_cutoff)),
+            _ratio_row("mic_score", len(table), int(np.sum(table.scores >= cfg.mic_cutoff))),
         ],
     }
     write_fasta(unique, out / "library.fasta")
-    write_records(records, "jsonl", out / "library.jsonl")
+    write_records(table, "jsonl", out / "library.jsonl")
     write_json(stats, out / "library_stats.json")
-    return records, stats
+    return table, stats

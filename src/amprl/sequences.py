@@ -4,14 +4,11 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .physchem import PropertyVector
 
 RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 RESIDUE_SET = frozenset(RESIDUES)
@@ -19,18 +16,10 @@ RESIDUE_LETTERS = RESIDUE_SET | frozenset(RESIDUES.lower())  # what input files 
 
 SOURCES = ("natural", "generated_sft", "generated_rl", "external")
 
-TSV_COLUMNS = (
-    "id",
-    "sequence",
-    "length",
-    "hydrophobicity",
-    "hydrophobic_moment",
-    "net_charge",
-    "isoelectric_point",
-    "mic_score",
-    "verdict",
-    "reject_reasons",
-)
+# the five `physchem.descriptors` columns, in order
+DESCRIPTORS = ("length", "hydrophobicity", "hydrophobic_moment", "net_charge", "isoelectric_point")
+
+TSV_COLUMNS = ("id", "sequence", *DESCRIPTORS, "mic_score", "verdict", "reject_reasons")
 
 
 @dataclass(frozen=True)
@@ -159,64 +148,89 @@ def write_fasta(peptides: Iterable[Peptide], sink: str | Path | IO[str], width: 
 
 
 @dataclass(frozen=True)
-class AnnotationRecord:
-    """A peptide with its descriptors, scores, and screening verdict."""
+class PeptideTable:
+    """Annotated peptides as columns, one row per peptide.
 
-    peptide: Peptide
-    properties: "PropertyVector"
-    mic_score: float | None = None
-    external_scores: dict[str, float] = field(default_factory=dict)
-    verdict: str = "kept"
-    reject_reasons: tuple[str, ...] = ()
+    The first five columns of `features` are the `DESCRIPTORS`; screening
+    keeps the whole `mic.Embedder.features` matrix there. `scores` holds the
+    classifier scores, or is None when nothing was scored. `external` holds
+    each row's external scores, and `reasons` each row's failed filters,
+    which are empty while the row is kept. Both default to empty rows.
+    """
+
+    peptides: list[Peptide]
+    features: np.ndarray
+    scores: np.ndarray | None = None
+    external: list[dict[str, float]] | None = None
+    reasons: list[tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
-        if self.verdict not in ("kept", "rejected"):
-            raise ValueError(f"verdict must be 'kept' or 'rejected', got {self.verdict!r}")
-        if self.verdict == "rejected" and not self.reject_reasons:
-            raise ValueError("rejected verdict requires at least one reason")
-        if self.verdict == "kept" and self.reject_reasons:
-            raise ValueError("kept verdict must have no reject reasons")
-        if self.mic_score is not None and not (0.0 <= self.mic_score <= 1.0):
-            raise ValueError(f"mic_score must lie in [0,1], got {self.mic_score}")
+        if self.external is None:
+            object.__setattr__(self, "external", [{} for _ in self.peptides])
+        if self.reasons is None:
+            object.__setattr__(self, "reasons", [()] * len(self.peptides))
+
+    def __len__(self) -> int:
+        return len(self.peptides)
+
+    def kept(self) -> np.ndarray:
+        """The rows without a failed filter, in table order."""
+        return np.flatnonzero([not r for r in self.reasons])
+
+    def take(self, rows) -> "PeptideTable":
+        """The table of `rows`, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return PeptideTable(
+            [self.peptides[i] for i in rows],
+            self.features[rows],
+            None if self.scores is None else self.scores[rows],
+            [self.external[i] for i in rows],
+            [self.reasons[i] for i in rows],
+        )
+
+    def reject(self, rows, reason: str) -> "PeptideTable":
+        """The table with `reason` added to the failed filters of `rows`."""
+        reasons = list(self.reasons)
+        for i in rows:
+            reasons[i] += (reason,)
+        return PeptideTable(self.peptides, self.features, self.scores, self.external, reasons)
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_records(
-    records: Iterable[AnnotationRecord],
-    format: str,
-    sink: str | Path | IO[str],
-) -> None:
-    """Serialize annotation records, one line per record.
+def write_records(table: PeptideTable, format: str, sink: str | Path | IO[str]) -> None:
+    """Serialize a table, one line per row; a row's verdict is "kept" when it has no failed filter.
 
     TSV is the plot-ready export with a fixed column order; it does not carry
     the provenance tag or external score map. JSONL is lossless.
     """
+    rows = zip(
+        table.peptides,
+        table.features[:, : len(DESCRIPTORS)].tolist(),
+        [None] * len(table) if table.scores is None else table.scores.tolist(),
+        table.external,
+        table.reasons,
+        strict=True,
+    )
     if format == "tsv":
-        rows = []
-        for r in records:
-            length, *values = astuple(r.properties)
-            mic = "" if r.mic_score is None else _fmt(r.mic_score)
-            rows.append(
-                (r.peptide.id, r.peptide.residues, str(length), *map(_fmt, values), mic, r.verdict, ";".join(r.reject_reasons))
-            )
-        write_tsv(TSV_COLUMNS, rows, sink)
+        lines = [
+            (p.id, p.residues, str(int(desc[0])), *map(_fmt, desc[1:]), "" if s is None else _fmt(s))
+            + ("rejected" if r else "kept", ";".join(r))
+            for p, desc, s, _, r in rows
+        ]
+        write_tsv(TSV_COLUMNS, lines, sink)
     elif format == "jsonl":
         lines = []
-        for r in records:
+        for p, desc, s, ext, r in rows:
             obj = {
-                "peptide": {
-                    "id": r.peptide.id,
-                    "residues": r.peptide.residues,
-                    "source": r.peptide.source,
-                },
-                "properties": asdict(r.properties),
-                "mic_score": r.mic_score,
-                "external_scores": r.external_scores,
-                "verdict": r.verdict,
-                "reject_reasons": list(r.reject_reasons),
+                "peptide": {"id": p.id, "residues": p.residues, "source": p.source},
+                "properties": dict(zip(DESCRIPTORS, [int(desc[0]), *desc[1:]])),
+                "mic_score": s,
+                "external_scores": ext,
+                "verdict": "rejected" if r else "kept",
+                "reject_reasons": list(r),
             }
             lines.append(json.dumps(obj, sort_keys=True, separators=(",", ":")))
         _write_text(sink, "\n".join(lines) + ("\n" if lines else ""))

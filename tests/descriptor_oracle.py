@@ -5,8 +5,10 @@
 """
 import math
 
-from amprl.physchem import DEFAULT_SCALE, PropertyVector, ScaleTable
+from amprl.physchem import DEFAULT_SCALE, ScaleTable
 from amprl.sequences import Peptide
+
+from screening_oracle import PropertyVector
 
 _BASIC_SIDECHAINS = ("K", "R", "H")
 _ACIDIC_SIDECHAINS = ("D", "E", "C", "Y")

@@ -7,8 +7,9 @@ bit for bit.
 """
 from dataclasses import dataclass
 
-from amprl.physchem import PropertyVector
 from amprl.reward import RewardConfig
+
+from screening_oracle import PropertyVector
 
 
 def _clip(value: float, lo: float, hi: float) -> float:

@@ -10,10 +10,11 @@ import numpy as np
 
 from amprl.physchem import DEFAULT_SCALE
 from amprl.reward import RewardConfig
-from amprl.sequences import AnnotationRecord, Peptide, _write_text
+from amprl.sequences import Peptide, _write_text
 
 from descriptor_oracle import descriptor_vector
 from reward_oracle import score_reward
+from screening_oracle import AnnotationRecord
 
 
 def score(model, p):

@@ -390,9 +390,9 @@ def test_criterion_7_screening_novelty(capsys):
         fine = _pep("GIWKKLLKGAKLIG", "fine")
         scorer = TableScorer({low_mic.residues: 0.39, too_long.residues: 0.9, fine.residues: 0.9})
         records = annotate([low_mic, too_long, fine], scorer)
-        kept, rejected = screen(records, ScreenConfig(mic_cutoff=0.4, min_length=8, max_length=50))
-        reasons = {r.peptide.id: r.reject_reasons for r in rejected}
-        assert [r.peptide.id for r in kept] == ["fine"]
+        screened = screen(records, ScreenConfig(mic_cutoff=0.4, min_length=8, max_length=50))
+        reasons = {p.id: r for p, r in zip(screened.peptides, screened.reasons) if r}
+        assert [screened.peptides[i].id for i in screened.kept()] == ["fine"]
         assert reasons["low_mic"] == ("mic_score",)
         assert reasons["too_long"] == ("length",)
 
@@ -407,8 +407,8 @@ def test_criterion_7_screening_novelty(capsys):
         candidates = annotate([duplicate, variant, partial, far], TableScorer({}))
         cfg = ScreenConfig(novelty_identity=0.9, novelty_coverage=0.7)
         kept, removed, hits = novelty_filter(candidates, reference, cfg)
-        assert sorted(r.peptide.id for r in removed) == ["dup", "var"]
-        assert sorted(r.peptide.id for r in kept) == ["far", "partial"]
+        assert sorted(candidates.peptides[i].id for i in removed) == ["dup", "var"]
+        assert sorted(candidates.peptides[i].id for i in kept) == ["far", "partial"]
 
         assert HIT_COLUMNS == ("Query", "Target", "%Identity", "Length", "E-value", "Bits")
         dup_hit = next(h for h in hits if h.query == "dup")

@@ -1,5 +1,6 @@
 """CLI exit codes, output-directory precedence, and artifact layout."""
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def test_props_writes_descriptor_table(tmp_path, capsys):
     assert (out / "resolved_config.json").exists()
     assert (out / "run_manifest.json").exists()
     assert "props: 2 records" in capsys.readouterr().out
+
+
+def test_run_manifest_records_the_argv_main_was_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+    argv = ["props", "--input", str(_write_fasta(tmp_path)), "--output-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["argv"]) == ("props", argv)
 
 
 def test_missing_required_input_is_config_error(tmp_path, capsys):
@@ -216,6 +225,23 @@ def test_classifier_checkpoint_with_wrong_tensor_names_exits_one(tmp_path, capsy
     argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
     assert f"error: {path}: checkpoint {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scores.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    "name, shape, defined",
+    [("fc0.w", (425, 3), (425, 4)), ("embed.mean", (7,), (425,))],
+    ids=["fc0_w_of_another_width", "embed_mean_of_seven_values"],
+)
+def test_classifier_checkpoint_with_a_wrong_tensor_shape_exits_one(tmp_path, capsys, name, shape, defined):
+    # manifest and sha256 intact: the tensors are re-saved through save_checkpoint
+    path = _save_mic(tmp_path / "mic.ckpt")
+    tensors, meta = nm.load_checkpoint(path)
+    tensors[name] = np.ones(shape)
+    nm.save_checkpoint(path, tensors, meta=meta)
+    argv = ["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path))]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
+    assert f"error: {path}: tensor {name!r} has shape {shape}, its mic_config defines {defined}" in capsys.readouterr().err
     assert not (tmp_path / "out" / "scores.tsv").exists()
 
 
@@ -570,7 +596,7 @@ def test_dataprep_subcommand_writes_splits(tmp_path, capsys):
 
 
 def test_rl_and_build_library_use_the_override_scale(tmp_path, capsys):
-    from amprl.physchem import DEFAULT_SCALE, descriptor_vector, load_scale_overrides
+    from amprl.physchem import DEFAULT_SCALE, DESCRIPTORS, descriptor_vector, load_scale_overrides
     from amprl.policy import ModelConfig, PolicyModel
 
     PolicyModel.init(ModelConfig(embed_dim=16, n_layers=1, n_heads=2, max_len=10, mlp_ratio=2), seed=3).save(
@@ -602,7 +628,7 @@ def test_rl_and_build_library_use_the_override_scale(tmp_path, capsys):
         for line in (out / "library.jsonl").read_text().splitlines():
             record = json.loads(line)
             pep = Peptide("x", record["peptide"]["residues"])
-            assert record["properties"]["hydrophobicity"] == descriptor_vector(pep, scale).hydrophobicity
+            assert record["properties"]["hydrophobicity"] == descriptor_vector(pep, scale)[DESCRIPTORS.index("hydrophobicity")]
     # the same peptides are sampled in both runs; only their hydropathy differs
     assert logs["default"]["mean_charge"] == logs["override"]["mean_charge"]
     assert logs["default"]["mean_hydrophobicity"] != logs["override"]["mean_hydrophobicity"]

@@ -6,6 +6,7 @@ exception other than ValueError (UnicodeDecodeError is one) fails the test
 with its traceback.
 """
 import io
+import itertools
 import json
 import string
 
@@ -53,9 +54,12 @@ def _fuzz(read, valid, seed):
 
 
 def _via_file(tmp_path, read):
-    path = tmp_path / "input.txt"
+    """`read` on a file holding the text; each call writes a new file, since replacing a file's
+    content can cost a disk flush on some filesystems (ext4), while creating one does not."""
+    names = (tmp_path / f"input{k}.txt" for k in itertools.count())
 
     def run(text):
+        path = next(names)
         path.write_text(text, encoding="utf-8")
         return read(path)
 
@@ -84,10 +88,10 @@ def test_load_scale_overrides_raises_only_value_errors(tmp_path):
 
 
 def test_file_readers_reject_bytes_that_are_not_utf8(tmp_path):
-    path = tmp_path / "input.txt"
     rng = np.random.default_rng(6)
     for read in (read_external_scores, load_scale_overrides, parse_fasta):
-        for _ in range(20):
+        for k in range(20):
+            path = tmp_path / f"{read.__name__}{k}.txt"
             path.write_bytes(b"\xff\xfe" + rng.integers(0, 256, size=40, dtype=np.uint8).tobytes())
             try:
                 read(path)

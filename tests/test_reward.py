@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import reward_oracle
-from amprl.physchem import DESCRIPTORS, PropertyVector, descriptors
+from amprl.physchem import DESCRIPTORS, descriptors
 from amprl.reward import (
     RewardConfig,
     make_reward_fn,
@@ -22,6 +22,7 @@ from amprl.reward import (
 from amprl.sequences import Peptide
 from conftest import random_peptides
 from descriptor_oracle import descriptor_vector
+from screening_oracle import PropertyVector
 
 CFG = RewardConfig()
 

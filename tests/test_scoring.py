@@ -5,7 +5,9 @@ list may differ from one-row scores by rounding, because the BLAS library can
 pick a different kernel for a different row count; the bound is 1e-14.
 """
 import io
+import json
 import re
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -19,6 +21,7 @@ from amprl.screening import annotate, default_property_windows, diversity_select
 from amprl.sequences import write_fasta
 
 import scoring_oracle
+import screening_oracle
 from conftest import random_peptides, unique_random_peptides
 
 BATCH_SIZES = (1, 8, 16, 33)
@@ -66,10 +69,14 @@ def test_annotate_matches_per_peptide_oracle(n):
     got = annotate(peps, scorer, external)
     want = scoring_oracle.annotate(peps, lambda p: scoring_oracle.score(model, p), external)
     assert scorer.batches == [n]
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.peptide, g.properties, g.external_scores) == (w.peptide, w.properties, w.external_scores)
-        assert abs(g.mic_score - w.mic_score) <= SCORE_TOLERANCE
+    assert got.peptides == [w.peptide for w in want]
+    assert got.features[:, :5].tolist() == [list(astuple(w.properties)) for w in want]
+    assert got.external == [w.external_scores for w in want]
+    assert np.max(np.abs(got.scores - [w.mic_score for w in want])) <= SCORE_TOLERANCE
+    # the classifier itself scores a copy of the table's features: the same bits as its own pass
+    direct = annotate(peps, model, external)
+    assert direct.scores.tobytes() == model.score_many(peps).tobytes()
+    assert direct.features.tobytes() == got.features.tobytes() == Embedder().features(peps).tobytes()
 
 
 @pytest.mark.parametrize("n", BATCH_SIZES)
@@ -114,14 +121,18 @@ def test_batched_embeddings_equal_per_peptide_oracle():
 
 def test_diversity_select_on_a_matrix_matches_the_callable_oracle():
     model = _model()
-    ranked = prioritize(annotate(_peptides(33), model), default_property_windows())
+    table = annotate(_peptides(33), model)
+    ranked = prioritize(table, default_property_windows())
+    records = screening_oracle.annotate([table.peptides[i] for i in ranked], model)
     emb = Embedder()
-    raw = emb.features([r.peptide for r in ranked])
+    raw = table.features[ranked]
+    # the table's rows are the features of the ranked peptides on their own
+    assert raw.tobytes() == emb.features([r.peptide for r in records]).tobytes()
     embed = scoring_oracle.embed_fn(emb.fit(raw))
     points = emb.standardize(raw)
     for k in (1, 5, 20, 100):
-        got = diversity_select(ranked, k, points)
-        assert [r.peptide.id for r in got] == [r.peptide.id for r in scoring_oracle.diversity_select(ranked, k, embed)]
+        got = [table.peptides[i].id for i in diversity_select(ranked, k, points)]
+        assert got == [r.peptide.id for r in scoring_oracle.diversity_select(records, k, embed)]
 
 
 def test_distances_and_export_on_matrices_match_the_callable_oracle():
@@ -165,3 +176,48 @@ def test_score_mic_cli_matches_per_peptide_oracle(tmp_path, capsys):
     assert [(pid, seq) for pid, seq, _ in rows] == [(p.id, p.residues) for p in peps]
     for (_, _, s), p in zip(rows, peps):
         assert abs(float(s) - scoring_oracle.score(model, p)) <= SCORE_TOLERANCE
+
+
+@pytest.fixture
+def descriptor_calls(monkeypatch):
+    """The row count of each `physchem.descriptors` call while the test runs, at every binding of it."""
+    from amprl import physchem
+
+    real, calls = physchem.descriptors, []
+
+    def counted(peptides, *args, **kwargs):
+        calls.append(len(peptides))
+        return real(peptides, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "amprl" and getattr(module, "descriptors", None) is real:
+            monkeypatch.setattr(module, "descriptors", counted)
+    return calls
+
+
+def test_screen_build_library_and_rl_compute_each_descriptor_once(tmp_path, capsys, descriptor_calls):
+    from amprl.policy import ModelConfig, PolicyModel
+
+    write_fasta(_peptides(12), tmp_path / "in.fasta")
+    _model().save(tmp_path / "mic.ckpt")
+    PolicyModel.init(ModelConfig(embed_dim=16, n_layers=1, n_heads=2, max_len=10, mlp_ratio=2), seed=3).save(tmp_path / "sft.ckpt")
+    (tmp_path / "scale.txt").write_text("hydropathy K 3.0\n")
+    sections = {
+        "ppo": {"iterations": 2, "n_actors": 8, "horizon": 11, "max_len": 10, "minibatch_size": 4, "epochs": 1},
+        "screen": {"min_length": 1, "max_length": 10, "batch_size": 16},
+        "library": {"target_count": 6},
+    }
+    (tmp_path / "same.json").write_text(json.dumps(sections))
+    (tmp_path / "other.json").write_text(json.dumps({**sections, "scales": {"overrides": str(tmp_path / "scale.txt")}}))
+    mic = ["--mic-model", str(tmp_path / "mic.ckpt")]
+
+    def calls(command, config="same"):
+        descriptor_calls.clear()
+        assert main(command + mic + ["--config", str(tmp_path / f"{config}.json"), "--output-dir", str(tmp_path / config)]) == 0
+        return list(descriptor_calls)
+
+    assert calls(["screen", "--input", str(tmp_path / "in.fasta")]) == [12]
+    assert calls(["rl", "--sft-checkpoint", str(tmp_path / "sft.ckpt")]) == [8, 8]  # one pass per iteration
+    assert calls(["build-library", "--checkpoint", str(tmp_path / "same" / "rl.ckpt")]) == [6]
+    # a classifier on another scale featurizes the set on its own scale
+    assert calls(["screen", "--input", str(tmp_path / "in.fasta")], "other") == [12, 12]

@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from amprl.physchem import descriptor_vector
+from amprl.physchem import descriptors
 from amprl.sequences import (
     RESIDUES,
-    AnnotationRecord,
     Peptide,
+    PeptideTable,
     encode,
     parse_fasta,
     write_fasta,
@@ -118,48 +118,38 @@ def test_parse_fasta_accepts_path_and_raw_text_distinctly(tmp_path):
     assert from_path[0].residues == from_text[0].residues == "KWKW"
 
 
+def _one_row(pep, score, external, reasons):
+    return PeptideTable([pep], descriptors([pep]), np.array([score]), [external], [reasons])
+
+
 def test_records_jsonl_round_trip():
     pep = Peptide("a1", "KKLLKK", "generated_sft")
-    rec = AnnotationRecord(
-        peptide=pep,
-        properties=descriptor_vector(pep),
-        mic_score=0.7,
-        external_scores={"plddt": 0.9},
-        verdict="kept",
-        reject_reasons=(),
-    )
+    table = _one_row(pep, 0.7, {"plddt": 0.9}, ())
     buf = io.StringIO()
-    write_records([rec], "jsonl", buf)
+    write_records(table, "jsonl", buf)
     (line,) = buf.getvalue().splitlines()
-    props = rec.properties
+    length, *props = descriptors([pep])[0].tolist()
     assert json.loads(line) == {
         "peptide": {"id": "a1", "residues": "KKLLKK", "source": "generated_sft"},
         "properties": {
-            "length": props.length,
-            "hydrophobicity": props.hydrophobicity,
-            "hydrophobic_moment": props.hydrophobic_moment,
-            "net_charge": props.net_charge,
-            "isoelectric_point": props.isoelectric_point,
+            "length": length,
+            "hydrophobicity": props[0],
+            "hydrophobic_moment": props[1],
+            "net_charge": props[2],
+            "isoelectric_point": props[3],
         },
         "mic_score": 0.7,
         "external_scores": {"plddt": 0.9},
         "verdict": "kept",
         "reject_reasons": [],
     }
+    assert isinstance(json.loads(line)["properties"]["length"], int)
 
 
 def test_records_tsv_columns_and_reasons():
     pep = Peptide("a1", "KKLLKK", "generated_sft")
-    rec = AnnotationRecord(
-        peptide=pep,
-        properties=descriptor_vector(pep),
-        mic_score=0.39,
-        external_scores={},
-        verdict="rejected",
-        reject_reasons=("mic_score", "length"),
-    )
     buf = io.StringIO()
-    write_records([rec], "tsv", buf)
+    write_records(_one_row(pep, 0.39, {}, ("mic_score", "length")), "tsv", buf)
     lines = buf.getvalue().splitlines()
     header = lines[0].split("\t")
     assert header[:2] == ["id", "sequence"]
@@ -169,31 +159,24 @@ def test_records_tsv_columns_and_reasons():
 
 
 def test_rejected_record_requires_reasons():
-    pep = Peptide("a1", "KKLLKK", "generated_sft")
-    with pytest.raises(ValueError):
-        AnnotationRecord(
-            peptide=pep,
-            properties=descriptor_vector(pep),
-            mic_score=0.1,
-            external_scores={},
-            verdict="rejected",
-            reject_reasons=(),
-        )
+    # the verdict is written from the reasons: a row is rejected exactly when it has one
+    peps = [Peptide("a1", "KKLLKK", "generated_sft"), Peptide("a2", "KWKW")]
+    table = PeptideTable(peps, descriptors(peps), np.array([0.1, 0.9]), None, [("mic_score",), ()])
+    buf = io.StringIO()
+    write_records(table, "jsonl", buf)
+    rows = [json.loads(line) for line in buf.getvalue().splitlines()]
+    assert [(r["verdict"], r["reject_reasons"]) for r in rows] == [("rejected", ["mic_score"]), ("kept", [])]
+    assert table.kept().tolist() == [1]
+    assert table.reject([1], "novelty").reasons == [("mic_score",), ("novelty",)]
+    assert [r["external_scores"] for r in rows] == [{}, {}]
 
 
 def test_records_jsonl_is_sorted_and_stable():
     pep = Peptide("a1", "KWKW", "natural")
-    rec = AnnotationRecord(
-        peptide=pep,
-        properties=descriptor_vector(pep),
-        mic_score=0.5,
-        external_scores={},
-        verdict="kept",
-        reject_reasons=(),
-    )
+    table = _one_row(pep, 0.5, {}, ())
     a, b = io.StringIO(), io.StringIO()
-    write_records([rec], "jsonl", a)
-    write_records([rec], "jsonl", b)
+    write_records(table, "jsonl", a)
+    write_records(table, "jsonl", b)
     assert a.getvalue() == b.getvalue()
     obj = json.loads(a.getvalue())
     assert list(obj) == sorted(obj)

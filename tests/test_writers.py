@@ -19,23 +19,38 @@ from amprl.assay import KineticSummary, write_summaries
 from amprl.cli import main
 from amprl.evalmetrics import EvalConfig, compare_sets, export_embeddings_tsv, write_comparison_tsv
 from amprl.mic import Embedder, LabeledSet, MicConfig, MicModel, write_labeled_tsv
-from amprl.physchem import DEFAULT_SCALE, descriptor_vectors
+from amprl.physchem import DEFAULT_SCALE, descriptors
 from amprl.ppo import LOG_COLUMNS, write_training_log
-from amprl.sequences import AnnotationRecord, Peptide, _write_bytes, _write_text, write_fasta, write_records, write_tsv
+from amprl.sequences import Peptide, PeptideTable, _write_bytes, _write_text, write_fasta, write_records, write_tsv
 
 import writer_oracle
 from conftest import unique_random_peptides
+from screening_oracle import AnnotationRecord, descriptor_vectors
 from test_text_encoding import SRC, _mode
 
 _PEPS = unique_random_peptides(6, np.random.default_rng(31), min_len=1, max_len=30)
 _PEPS[1] = Peptide("pépt-α", _PEPS[1].residues)  # a non-ASCII id
 _PROPS = descriptor_vectors(_PEPS, DEFAULT_SCALE)
 _RECORDS = [
-    AnnotationRecord(_PEPS[0], _PROPS[0]),  # no score
     AnnotationRecord(_PEPS[1], _PROPS[1], mic_score=0.25, external_scores={"hélicité": 0.5, "b": 1e-300}),
     AnnotationRecord(_PEPS[2], _PROPS[2], mic_score=1.0, verdict="rejected", reject_reasons=("motif:KK", "charge")),
     AnnotationRecord(Peptide(_PEPS[3].id, _PEPS[3].residues, "generated_rl"), _PROPS[3], mic_score=0.0),
 ]
+_UNSCORED = [AnnotationRecord(p, v) for p, v in zip(_PEPS, _PROPS)]  # as `props` writes them
+
+
+def _as_table(records):
+    """The `PeptideTable` of the same rows, for the current writer; the oracle writes the records."""
+    peptides = [r.peptide for r in records]
+    scores = None if records and records[0].mic_score is None else np.array([r.mic_score for r in records])
+    return PeptideTable(
+        peptides, descriptors(peptides, DEFAULT_SCALE), scores, [r.external_scores for r in records], [r.reject_reasons for r in records]
+    )
+
+
+def _records_case(records, format):
+    return (records, lambda r, s: write_records(_as_table(r), format, s), lambda r, s: writer_oracle.write_records(r, format, s))
+
 _HITS = [
     SimilarityHit("pépt-α", "ref1", 100.0, 12, 3.2e-7, 40.25),
     SimilarityHit("q2", "réf-β", 33.333333333333336, 9, 12.0, 0.0),
@@ -64,10 +79,12 @@ _EMBEDDING = np.random.default_rng(5).normal(size=(len(_PEPS), 4))
 CASES = {
     "labeled_tsv": (LabeledSet([(p, k % 2) for k, p in enumerate(_PEPS)]), write_labeled_tsv, writer_oracle.write_labeled_tsv),
     "labeled_tsv_empty": (LabeledSet([]), write_labeled_tsv, writer_oracle.write_labeled_tsv),
-    "records_tsv": (_RECORDS, lambda r, s: write_records(r, "tsv", s), lambda r, s: writer_oracle.write_records(r, "tsv", s)),
-    "records_tsv_empty": ([], lambda r, s: write_records(r, "tsv", s), lambda r, s: writer_oracle.write_records(r, "tsv", s)),
-    "records_jsonl": (_RECORDS, lambda r, s: write_records(r, "jsonl", s), lambda r, s: writer_oracle.write_records(r, "jsonl", s)),
-    "records_jsonl_empty": ([], lambda r, s: write_records(r, "jsonl", s), lambda r, s: writer_oracle.write_records(r, "jsonl", s)),
+    "records_tsv": _records_case(_RECORDS, "tsv"),
+    "records_tsv_empty": _records_case([], "tsv"),
+    "records_tsv_unscored": _records_case(_UNSCORED, "tsv"),
+    "records_jsonl": _records_case(_RECORDS, "jsonl"),
+    "records_jsonl_empty": _records_case([], "jsonl"),
+    "records_jsonl_unscored": _records_case(_UNSCORED, "jsonl"),
     "hit_table": (_HITS, write_hit_table, writer_oracle.write_hit_table),
     "hit_table_empty": ([], write_hit_table, writer_oracle.write_hit_table),
     "summaries": (_SUMMARIES, write_summaries, writer_oracle.write_summaries),
