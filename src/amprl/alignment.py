@@ -210,12 +210,40 @@ def align_local(a: str, b: str) -> LocalAlignment | None:
 # (query, target) pairs aligned per numpy row step by `search`; bounds its
 # memory to SEARCH_BLOCK x longest target whatever the number of pairs.
 SEARCH_BLOCK = 256
-# BLOSUM62 over `encode`'s codes with the padding code as a 21st row and
-# column scoring _NEG, flattened: entry a * 21 + b scores code a against b
 _ALPHABET = len(RESIDUES) + 1
-_PADDED_SCORES = np.full((_ALPHABET, _ALPHABET), _NEG)
-_PADDED_SCORES[:-1, :-1] = _SCORES
-_PADDED_SCORES = _PADDED_SCORES.ravel()
+# the int32 kernels' sentinel, and the residues a block's longest query and
+# longest target may hold together for `_search_block` to run in int32
+_NEG32 = -(2**16)
+_INT32_RESIDUES = 2**13
+
+
+def _padded_scores(neg: int, dtype) -> np.ndarray:
+    """BLOSUM62 over `encode`'s codes with the padding code as a 21st row and
+    column scoring `neg`, flattened: entry a * 21 + b scores code a against b."""
+    table = np.full((_ALPHABET, _ALPHABET), neg, dtype=dtype)
+    table[:-1, :-1] = _SCORES
+    return table.ravel()
+
+
+_PADDED_SCORES = _padded_scores(_NEG, np.int64)
+_PADDED_SCORES_32 = _padded_scores(_NEG32, np.int32)
+
+
+def _running_max(a: np.ndarray) -> np.ndarray:
+    """`a`'s running maximum along axis 0, in place, by log-step doubling.
+
+    Step s takes each row's maximum with the row s above it, for s = 1, 2,
+    4, ...; numpy reads the overlapping operand's old values, so after the
+    step with s each row holds the maximum of the 2s rows ending at it
+    (Hillis & Steele 1986). The maximum is exact in integers, so the result
+    is `np.maximum.accumulate(a, axis=0)`'s, in log2(len(a)) full-width
+    steps instead of its row-at-a-time scan.
+    """
+    s = 1
+    while s < len(a):
+        np.maximum(a[s:], a[:-s], out=a[s:])
+        s *= 2
+    return a
 
 
 def _check_pairs(query_lengths: np.ndarray, lengths: np.ndarray) -> None:
@@ -237,14 +265,16 @@ def search(
     `np.broadcast_to` row. Each entry is what `align_local` (local) or
     `align_global` reports for that pair; a local pair with no alignment
     scores 0 with 0 matches and 0 columns. Pairs are aligned SEARCH_BLOCK at a
-    time, one query row per numpy step across the block, in int64. Matches
-    and columns are carried through the fill along the predecessor
-    `_traceback` would take, so no traceback runs.
+    time, one query row per numpy step across the block: in int32 when the
+    block's longest query and longest target hold at most 2**13 residues
+    together, else in int64. Matches and columns are carried through the
+    fill along the predecessor `_traceback` would take, so no traceback runs.
 
     The longest query and the longest target may hold 2**26 residues
-    together. Within that range no score derived from the _NEG sentinel can
-    reach a real score, and every score, packed score and tally fits in
-    int64; longer inputs raise ValueError before anything is allocated.
+    together. Within that range no score derived from a sentinel can reach a
+    real score, and every score, packed score and tally fits its lanes (the
+    bounds are `_search_block`'s); longer inputs raise ValueError before
+    anything is allocated.
     """
     query_codes, query_lengths = queries
     codes, lengths = targets
@@ -267,35 +297,51 @@ def _search_block(
     The block is pair-major: cell (j, t) is column j of pair t, so each step
     is one contiguous vector op across the pairs, and step i reads row i of
     every query. A query shorter than the block's longest runs on through
-    padding rows, which score _NEG against everything; no cell of a pair's
-    own table depends on them, so a global pair's finals are read at its own
-    last query row, and a local pair's padding rows hold 0, which never beats
-    its best. Beside each M, X and Y cell runs a tally, columns * step +
-    matches with step the block's longest query + 1, of the walk `_traceback`
-    would make from that cell. Returns each pair's score and the tally of its
+    padding rows, which score the sentinel against everything; no cell of a
+    pair's own table depends on them, so a global pair's finals are read at
+    its own last query row, and a local pair's padding rows never beat its
+    best. Beside each M, X and Y cell runs a tally, columns * step + matches
+    with step the block's longest query + 1, of the walk `_traceback` would
+    make from that cell. Returns each pair's score and the tally of its
     optimal walk. The row arrays are allocated once and swapped between rows.
+
+    The lanes are int32 with the _NEG32 sentinel when the block's longest
+    query n and longest target width hold at most _INT32_RESIDUES = 2**13
+    residues together and its (width + 1) * pairs cells have int32 indices;
+    otherwise int64 with _NEG, which holds up to `search`'s 2**26. Either
+    way, with total = n + width: a real score is at least minus the cost,
+    45 + total, of a path of three mismatches and three gaps, and at most
+    11 * min(n, width); one derived from the sentinel lies between twice the
+    sentinel minus that cost and the sentinel + 11 * min(n, width), below
+    every real score. A packed Y key is such a score plus a column, shifted
+    by bit_length(width): under (2 * 2**16 + 45 + 2 * 2**13) << 13 < 2**31
+    in int32. A tally is at most total * (n + 1) + n, under 2**27 in int32.
     """
     n, count = int(query_lengths.max()), len(lengths)
     width = int(lengths.max())
-    query_rows = np.ascontiguousarray(query_codes[:, :n].T, dtype=np.int64)
-    codes = np.ascontiguousarray(codes[:, :width].T, dtype=np.int64)
-    # codes * 21 + the row's query code indexes _PADDED_SCORES
+    if n + width <= _INT32_RESIDUES and (width + 1) * count <= 2**31:
+        lane, neg, table = np.int32, _NEG32, _PADDED_SCORES_32
+    else:
+        lane, neg, table = np.int64, _NEG, _PADDED_SCORES
+    query_rows = np.ascontiguousarray(query_codes[:, :n].T, dtype=lane)
+    codes = np.ascontiguousarray(codes[:, :width].T, dtype=lane)
+    # codes * 21 + the row's query code indexes the table
     score_index = codes * _ALPHABET
     step = n + 1
     bits = width.bit_length()
     low = (1 << bits) - 1
-    cols = np.arange(width)[:, None]
-    targets = np.arange(count)
+    cols = np.arange(width, dtype=lane)[:, None]
+    targets = np.arange(count, dtype=lane)
     y_gap = GAP_OPEN + GAP_EXTEND * (cols + 1)
     y_step = step * (cols + 1)
     # (M + extend * col) << bits | col: the running maximum of the packed
     # values carries the last column attaining it, where Y's traceback opens
     y_key = (GAP_EXTEND * cols << bits) | cols
     # M << bits | (width - col): the maximum is the row's first maximum cell
-    first_key = width - np.arange(width + 1)[:, None]
+    first_key = width - np.arange(width + 1, dtype=lane)[:, None]
     shape = (width + 1, count)
-    M, X, Y = (np.full(shape, _NEG) for _ in range(3))
-    TM, TX, TY = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+    M, X, Y = (np.full(shape, neg, dtype=lane) for _ in range(3))
+    TM, TX, TY = (np.zeros(shape, dtype=lane) for _ in range(3))
     if local:
         M[:] = 0
     else:
@@ -304,21 +350,21 @@ def _search_block(
         TY[1:] = y_step
         # the pairs whose query ends at each row, and their finals there
         ending = {int(i): np.flatnonzero(query_lengths == i) for i in np.unique(query_lengths)}
-        finals, final_tallies = np.empty((3, count), dtype=np.int64), np.empty((3, count), dtype=np.int64)
+        finals, final_tallies = np.empty((3, count), dtype=lane), np.empty((3, count), dtype=lane)
     rows_now = (M, X, Y, TM, TX, TY)
     # column 0 of Y, TM and TY keeps its row-0 value in every row
     spare = tuple(a.copy() for a in rows_now)
-    diag, pred, sub, packed, k = (np.empty((width, count), dtype=np.int64) for _ in range(5))
-    shifted = np.empty(shape, dtype=np.int64)
+    diag, pred, sub, packed, k = (np.empty((width, count), dtype=lane) for _ in range(5))
+    shifted = np.empty(shape, dtype=lane)
     sel = np.empty((width, count), dtype=bool)
-    best = np.zeros(count, dtype=np.int64)
-    best_tally = np.zeros(count, dtype=np.int64)
+    best = np.zeros(count, dtype=lane)
+    best_tally = np.zeros(count, dtype=lane)
     for i in range(1, n + 1):
         (pM, pX, pY, pTM, pTX, pTY), (M, X, Y, TM, TX, TY) = rows_now, spare
         rows_now, spare = spare, rows_now
         query = query_rows[i - 1]
-        M[0] = 0 if local else _NEG
-        X[0] = _NEG if local else -(GAP_OPEN + GAP_EXTEND * i)
+        M[0] = 0 if local else neg
+        X[0] = neg if local else -(GAP_OPEN + GAP_EXTEND * i)
         TX[0] = 0 if local else step * i
 
         np.maximum(pM[:-1], pX[:-1], out=diag)
@@ -339,7 +385,7 @@ def _search_block(
             np.multiply(pred, sel, out=pred)
         # every index is in range, and mode="clip" spares take's buffered copy
         np.add(score_index, query, out=packed)
-        np.take(_PADDED_SCORES, packed, out=sub, mode="clip")
+        np.take(table, packed, out=sub, mode="clip")
         np.add(diag, sub, out=M[1:])
         if local:
             np.maximum(M[1:], 0, out=M[1:])
@@ -358,7 +404,7 @@ def _search_block(
 
         np.left_shift(M, bits, out=shifted)
         np.add(shifted[:-1], y_key, out=packed)
-        np.maximum.accumulate(packed, axis=0, out=packed)
+        _running_max(packed)
         np.right_shift(packed, bits, out=Y[1:])
         np.subtract(Y[1:], y_gap, out=Y[1:])
         # Y[i, j] opened from M[i, k] at the last k < j where the running maximum is attained
@@ -407,19 +453,17 @@ def local_scores(queries: tuple[np.ndarray, np.ndarray], targets: tuple[np.ndarr
     return scores
 
 
-# `_score_block`'s table in int32
-_PADDED_SCORES_32 = _PADDED_SCORES.astype(np.int32)
-
-
 def _score_block(query_codes: np.ndarray, query_lengths: np.ndarray, codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """`_search_block`'s local recurrence with no tallies, in int32: each pair's best score.
 
-    The same pair-major block, padding and score gather as `_search_block`,
-    with only the M, X and Y rows. The in-row gap is a plain running maximum,
-    and a cellwise running maximum of M, reduced once, gives each pair's best.
-    Within `search`'s length limit every value fits int32: a local M lies in
-    [0, 11 * 2**25], so M plus a padding score stays at or above _NEG, the
-    Y scan at or below 11 * 2**25 + 2**26, and X at or above _NEG - 1.
+    The same pair-major block, padding, int32 score table and log-step gap
+    scan as `_search_block`, with only the M, X and Y rows; a cellwise
+    running maximum of M, reduced once, gives each pair's best. Within
+    `search`'s length limit every value fits int32 whatever the block: a
+    local M lies in [0, 11 * 2**25], so M plus a padding score stays at or
+    above _NEG32, the Y scan at or below 11 * 2**25 + 2**26, and X at or
+    above _NEG32 - 1. A padding cell only lowers the cell it extends, so it
+    never beats a pair's best.
     """
     n, count = int(query_lengths.max()), len(lengths)
     width = int(lengths.max())
@@ -429,8 +473,8 @@ def _score_block(query_codes: np.ndarray, query_lengths: np.ndarray, codes: np.n
     y_extend = GAP_EXTEND * cols
     y_gap = GAP_OPEN + GAP_EXTEND * (cols + 1)
     shape = (width + 1, count)
-    # column 0 keeps M = 0 and X = Y = _NEG in every row
-    rows_now = (np.zeros(shape, dtype=np.int32), np.full(shape, _NEG, dtype=np.int32), np.full(shape, _NEG, dtype=np.int32))
+    # column 0 keeps M = 0 and X = Y = _NEG32 in every row
+    rows_now = (np.zeros(shape, dtype=np.int32), *(np.full(shape, _NEG32, dtype=np.int32) for _ in range(2)))
     spare = tuple(a.copy() for a in rows_now)
     diag, index, sub, run = (np.empty((width, count), dtype=np.int32) for _ in range(4))
     peak = np.zeros((width, count), dtype=np.int32)
@@ -450,7 +494,7 @@ def _score_block(query_codes: np.ndarray, query_lengths: np.ndarray, codes: np.n
         np.maximum(opened, X[1:], out=X[1:])
 
         np.add(M[:-1], y_extend, out=run)
-        np.maximum.accumulate(run, axis=0, out=run)
+        _running_max(run)
         np.subtract(run, y_gap, out=Y[1:])
     return peak.max(axis=0)
 

@@ -54,6 +54,12 @@ class ScreenConfig:
         for motif in self.forbidden_motifs:
             if not motif or not set(motif) <= RESIDUE_SET:
                 raise ValueError(f"forbidden motif {motif!r} must be a non-empty string of the 20 residues")
+        # a repeat would list its reject reason twice
+        names = tuple(name for name, _ in self.external_minimums)
+        for kind, items in (("forbidden motif", self.forbidden_motifs), ("external minimum", names)):
+            for k, item in enumerate(items):
+                if item in items[:k]:
+                    raise ValueError(f"{kind} {item!r} is listed more than once")
         for name in ("hydrophobicity_window", "moment_window", "charge_window", "isoelectric_window"):
             win = getattr(self, name)
             if win is not None and win[0] > win[1]:

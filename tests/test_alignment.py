@@ -396,6 +396,30 @@ def test_integer_kernel_matches_float_oracle():
     assert checked == 2 * 270 * len(queries)
 
 
+def test_kernel_lanes_agree_across_the_int32_switch():
+    # one block whose longest query and target hold exactly the residues the
+    # int32 lanes admit, and the same block with that target one residue
+    # longer, which runs in int64; both against the float oracle
+    rng = np.random.default_rng(16)
+    for query in (_rand_seq(rng, 20, 30), _runs(rng, 5, 10)):
+        targets = [_rand_seq(rng, 1, 40) for _ in range(16)] + [near_copy(rng, query) for _ in range(12)]
+        targets += [query] * 2 + [_runs(rng, 1, 30) for _ in range(6)] + [query[0] * len(query)]
+        rng.shuffle(targets)
+        limit = alignment._INT32_RESIDUES - len(query)
+        long = (near_copy(rng, query) + "".join(rng.choice(list(RESIDUES), size=limit)))[:limit]
+        at = int(rng.integers(len(targets) + 1))
+        q = _codes(query)
+        for extra, lane in (("", np.int32), ("W", np.int64)):
+            codes, lengths = encode(targets[:at] + [long + extra] + targets[at:])
+            assert len(query) + int(lengths.max()) == alignment._INT32_RESIDUES + len(extra)
+            for local in (False, True):
+                scores, tallies = alignment._search_block(*_against(query, len(lengths)), codes, lengths, local)
+                assert scores.dtype == tallies.dtype == lane
+                expected_scores, expected_tallies = alignment_oracle.search_block(q, codes, lengths, local)
+                assert np.array_equal(scores, expected_scores), (local, query, lane)
+                assert np.array_equal(tallies, expected_tallies), (local, query, lane)
+
+
 def test_search_length_limit(monkeypatch):
     # the limit is checked before the kernel runs, so zero-stride views of
     # sequences at and just past it cost no memory
@@ -442,8 +466,17 @@ def test_kernel_values_fit_at_the_length_limit():
         assert alignment._NEG + 11 * min(n, width) < -cost
         assert (2 * abs(alignment._NEG) + cost + total) << width.bit_length() < 2**63
         assert total * (n + 1) + n < 2**63
-        # the score-only kernel's int32 values: [_NEG - 1, 11 * min(n, width) + width]
-        assert alignment._NEG - 1 > -(2**31) and 11 * min(n, width) + width < 2**31
+        # the score-only kernel's int32 values: [_NEG32 - 1, 11 * min(n, width) + width]
+        assert alignment._NEG32 - 1 > -(2**31) and 11 * min(n, width) + width < 2**31
+    # `_search_block`'s int32 lanes, by the same argument, at the most
+    # residues they admit
+    total = alignment._INT32_RESIDUES
+    for n in (1, total // 2, total - 1):
+        width = total - n
+        cost = 3 * 4 + 3 * GAP_OPEN + GAP_EXTEND * total
+        assert alignment._NEG32 + 11 * min(n, width) < -cost
+        assert (2 * abs(alignment._NEG32) + cost + total) << width.bit_length() < 2**31
+        assert total * (n + 1) + n < 2**31
 
 
 def test_local_self_alignment_is_full_length():

@@ -512,6 +512,11 @@ def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, me
         ({"mic": {"alpha_neg": 0}}, "mic: alpha_neg must be positive when given, got 0.0"),
         ({"model": {"init_std": 0}}, "model: init_std must be positive, got 0.0"),
         ({"model": {"init_std": -0.02}}, "model: init_std must be positive, got -0.02"),
+        ({"screen": {"forbidden_motifs": ["KK", "KK"]}}, "screen: forbidden motif 'KK' is listed more than once"),
+        (
+            {"screen": {"external_minimums": [["plddt", 0.5], ["plddt", 0.2]]}},
+            "screen: external minimum 'plddt' is listed more than once",
+        ),
     ],
 )
 def test_bad_config_value_exits_2_before_writing_anything(tmp_path, capsys, monkeypatch, settings, message):

@@ -136,6 +136,12 @@ def test_screen_config_validation():
         ScreenConfig(novelty_coverage=0.0)
     with pytest.raises(ValueError):
         ScreenConfig(min_length=10, max_length=5)
+    with pytest.raises(ValueError, match="forbidden motif 'KK' is listed more than once"):
+        ScreenConfig(forbidden_motifs=("KK", "W", "KK"))
+    with pytest.raises(ValueError, match="external minimum 'plddt' is listed more than once"):
+        ScreenConfig(external_minimums=(("plddt", 0.5), ("helix", 0.1), ("plddt", 0.2)))
+    # a motif inside another is no repeat
+    assert ScreenConfig(forbidden_motifs=("KK", "KKK")).forbidden_motifs == ("KK", "KKK")
 
 
 def test_novelty_removes_exact_duplicates_and_close_variants():
