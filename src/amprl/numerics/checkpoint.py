@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -73,8 +74,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     tensors: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
+    for _ in range(count):
+        try:
             (name_len,) = struct.unpack_from("<I", blob, offset)
             offset += 4
             name = blob[offset : offset + name_len].decode("utf-8")
@@ -83,12 +84,19 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             offset += 4
             shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
             offset += 8 * ndim
-            size = int(np.prod(shape)) if ndim else 1
+        except (struct.error, ValueError):  # a read past the end of the file
+            raise ValueError(f"{path}: truncated checkpoint") from None
+        size = math.prod(shape)  # Python ints: no shape field wraps or overflows it
+        if 8 * size > len(blob) - offset:
+            raise ValueError(
+                f"{path}: truncated checkpoint: tensor {name!r} of shape {shape} needs {8 * size} bytes, {len(blob) - offset} remain"
+            )
+        try:
             arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
-            offset += 8 * size
-            tensors[name] = arr.astype(np.float64)
-    except (struct.error, ValueError):  # a read past the end of the file
-        raise ValueError(f"{path}: truncated checkpoint") from None
+        except ValueError as err:  # an empty shape with a dimension numpy cannot hold
+            raise ValueError(f"{path}: tensor {name!r} has shape {shape}: {err}") from None
+        offset += 8 * size
+        tensors[name] = arr.astype(np.float64)
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} byte(s) after the last tensor")
     mpath = path.with_name(path.name + ".json")

@@ -13,7 +13,7 @@ class Adam:
     """Adam (Kingma & Ba 2015), updating moments and parameters in place.
 
     Each step evaluates m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
-    p -= (lr * m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps) in that order, so the
+    p -= (lr * (m/(1-b1^t))) / (sqrt(v/(1-b2^t)) + eps) in that order, so the
     result is bit-identical to the out-of-place expressions. A step
     allocates no arrays: intermediates go to two scratch buffers sized to
     the largest parameter and shared by all of them.

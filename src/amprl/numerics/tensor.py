@@ -2,7 +2,10 @@
 
 Each op builds a node holding its parents and a closure that routes the
 output gradient back to them. backward() walks the graph once in reverse
-topological order. Every op validates that its result is finite. The
+topological order and consumes it: each node it passes drops its parents and
+its closure, so the arrays the closure captured are freed during the walk,
+and a later backward that reaches the node raises RuntimeError before any
+gradient is written. Every op validates that its result is finite. The
 closures of the binary ops `add`, `mul`, `matmul` and `minimum` compute an
 operand's gradient only if that operand requires one, so a constant input
 (a feature batch, a mask, a scalar) costs no backward work. Inside a
@@ -59,20 +62,27 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _consumed:
+                _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
+        # keyed by id(): every key belongs to a node that `topo` still holds
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             g = grads.pop(id(node), None)
+            backward = node._backward
+            if backward is not None:
+                node._backward, node._parents = _consumed, ()
             if g is None:
                 continue
-            if node.requires_grad and node._backward is None:
+            if node.requires_grad and backward is None:
                 node.grad = g if node.grad is None else node.grad + g
-            if node._backward is not None:
-                for parent, pg in node._backward(g):
+            if backward is not None:
+                for parent, pg in backward(g):
                     if not parent.requires_grad:
                         continue
                     if parent._backward is None:
@@ -120,6 +130,10 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g):
+    raise RuntimeError("backward reached a node whose graph an earlier backward consumed; build the loss again")
 
 
 def _wrap(value) -> Tensor:

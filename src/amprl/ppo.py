@@ -270,6 +270,7 @@ def train_rl(
                 losses = _minibatch_losses(policy, batch, rows, cfg)
                 if losses.mean_ratio_dev > cfg.ratio_guard:
                     skipped += 1
+                    del losses  # its graph, unwalked, goes before the next forward
                     continue
                 opt.zero_grad()
                 losses.total.backward()

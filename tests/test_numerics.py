@@ -1,6 +1,7 @@
 """Autodiff tensor library: gradients, guards, checkpointing, optimizer."""
 import hashlib
 import json
+import platform
 import threading
 import tracemalloc
 import warnings
@@ -360,6 +361,35 @@ def test_backward_requires_scalar():
         (a * 2).backward()
 
 
+def test_backward_consumes_its_graph_and_a_second_backward_raises():
+    w = nm.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    hidden = nm.gelu(w * 3.0)
+    loss = (hidden * hidden).sum()
+    loss.backward()
+    first = w.grad.copy()
+    assert hidden._parents == () and loss._parents == ()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    assert np.array_equal(w.grad, first)
+
+
+@pytest.mark.parametrize("built_before", [True, False])
+def test_backward_through_a_consumed_subgraph_raises_before_any_gradient(built_before):
+    w = nm.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    v = nm.Tensor(np.array([0.5, 3.0]), requires_grad=True)
+    shared = nm.gelu(w * 3.0)
+
+    def other():  # reaches the shared subgraph and a leaf of its own
+        return (v * v).sum() + (shared * v).sum()
+
+    later = other() if built_before else None
+    (shared * 2.0).sum().backward()
+    first = w.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        (later if built_before else other()).backward()
+    assert np.array_equal(w.grad, first) and v.grad is None
+
+
 def test_nonfinite_result_trips_error():
     a = nm.Tensor(np.array([-1.0]), requires_grad=True)
     with warnings.catch_warnings():
@@ -530,6 +560,12 @@ def test_adam_matches_oracle_bit_for_bit(hyper):
         assert np.array_equal(v, ov)
 
 
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's mallopt; elsewhere it is a no-op")
+def test_importing_the_engine_sets_the_glibc_allocator_policy():
+    # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD both accepted: freed graph memory stays in the heap
+    assert nm._MALLOPT_RESULTS == (1, 1)
+
+
 def test_adam_step_allocates_no_parameter_sized_temporaries():
     rng = np.random.default_rng(12)
     weight = nm.Tensor(rng.normal(size=(425, 256)), requires_grad=True)
@@ -580,14 +616,15 @@ def test_pruned_backward_matches_oracle_for_the_trainable_operand(case):
     oracle_args = (twin, b) if trainable is a else (a, twin)
     expected = getattr(autodiff_oracle, op)(*oracle_args)
     assert np.array_equal(out.data, expected.data)
+    # the backward closure yields a gradient for the trainable operand only (checked before
+    # backward, which consumes the closure)
+    assert [t is trainable for t, _ in out._backward(np.ones_like(out.data))] == [True]
     weights = nm.Tensor(rng.normal(size=out.shape))
     (out * weights).sum().backward()
     (expected * weights).sum().backward()
     assert np.array_equal(trainable.grad, twin.grad)
     constant = b if trainable is a else a
     assert constant.grad is None
-    # the backward closure yields a gradient for the trainable operand only
-    assert [t is trainable for t, _ in out._backward(np.ones_like(out.data))] == [True]
 
 
 def test_grad_check_flags_missing_gradient_paths():

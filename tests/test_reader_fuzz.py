@@ -1,20 +1,27 @@
-"""Seeded fuzz of the text readers: junk input may raise only ValueError.
+"""Seeded fuzz of the text readers and the checkpoint reader: junk input may
+raise only ValueError.
 
-Each reader gets random printable and control characters, valid files cut
-at a random point, and valid files with random characters replaced. Any
-exception other than ValueError (UnicodeDecodeError is one) fails the test
-with its traceback.
+Each text reader gets random printable and control characters, valid files
+cut at a random point, and valid files with random characters replaced. The
+checkpoint reader gets flipped bytes, truncations and 4-byte fields
+overwritten, with the manifest's sha256 recomputed in half the cases so that
+the header parsing is reached. Any exception other than ValueError
+(UnicodeDecodeError is one) fails the test with its traceback.
 """
+import hashlib
 import io
 import itertools
 import json
+import re
 import string
+import struct
 
 import numpy as np
 import pytest
 
 from amprl.dataprep import read_cluster_assignments
 from amprl.mic import read_labeled_tsv
+from amprl.numerics import load_checkpoint, save_checkpoint
 from amprl.physchem import load_scale_overrides
 from amprl.screening import read_external_scores
 from amprl.sequences import parse_fasta
@@ -118,3 +125,59 @@ def test_an_external_score_too_large_for_a_float_is_not_finite(tmp_path):
     path.write_text('{"sequence": "GLWK", "scores": {"plddt": 1' + "0" * 400 + "}}\n")
     with pytest.raises(ValueError, match="line 1: score 'plddt' must be a finite number"):
         read_external_scores(path)
+
+
+CHECKPOINT = {"bias": np.arange(3.0), "empty": np.zeros((0, 3)), "scale": np.array(2.5), "weight": np.arange(12.0).reshape(4, 3)}
+# 4-byte values that make a count, a length or half of a shape field absurd
+FIELDS = (0, 1, 2, 1 << 31, (1 << 32) - 1)
+
+
+def _mutate(rng, blob):
+    """`blob` with bytes flipped, cut short, or one 4-byte field overwritten."""
+    kind = rng.integers(3)
+    if kind == 1:
+        return blob[: int(rng.integers(0, len(blob)))]
+    out = bytearray(blob)
+    if kind == 0:
+        for at in rng.integers(0, len(out), size=int(rng.integers(1, 6))):
+            out[at] ^= int(rng.integers(1, 256))
+    else:
+        at = int(rng.integers(0, len(out) - 3))
+        value = int(rng.integers(1 << 32)) if rng.integers(2) else FIELDS[rng.integers(len(FIELDS))]
+        out[at : at + 4] = struct.pack("<I", value)
+    return bytes(out)
+
+
+def _write_checkpoint(path, blob, manifest, digest):
+    path.write_bytes(blob)
+    path.with_name(path.name + ".json").write_text(json.dumps({**manifest, "sha256": digest}), encoding="utf-8")
+
+
+def test_load_checkpoint_raises_only_value_errors(tmp_path):
+    save_checkpoint(tmp_path / "valid.ckpt", CHECKPOINT, meta={"step": 3})
+    load_checkpoint(tmp_path / "valid.ckpt")  # the unmutated checkpoint loads
+    blob = (tmp_path / "valid.ckpt").read_bytes()
+    manifest = json.loads((tmp_path / "valid.ckpt.json").read_text(encoding="utf-8"))
+    rng = np.random.default_rng(7)
+    for k in range(1000):
+        junk = _mutate(rng, blob)
+        digest = hashlib.sha256(junk).hexdigest() if rng.integers(2) else manifest["sha256"]
+        path = tmp_path / f"junk{k}.ckpt"
+        _write_checkpoint(path, junk, manifest, digest)
+        try:
+            load_checkpoint(path)
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("saved, shape", [((4,), (1 << 63,)), ((4, 3), (1 << 62, 4)), ((4, 3), (0, 1 << 63))])
+def test_a_checkpoint_shape_the_file_cannot_hold_names_the_tensor(tmp_path, saved, shape):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(saved)})
+    manifest = json.loads(path.with_name("model.ckpt.json").read_text(encoding="utf-8"))
+    blob = bytearray(path.read_bytes())
+    at = 8 + 8 + 4 + len("w") + 4  # magic, version and count, name length, name, ndim
+    blob[at : at + 8 * len(shape)] = struct.pack(f"<{len(shape)}Q", *shape)
+    _write_checkpoint(path, bytes(blob), manifest, hashlib.sha256(blob).hexdigest())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + r"(truncated checkpoint: )?tensor 'w' "):
+        load_checkpoint(path)

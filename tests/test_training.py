@@ -1,12 +1,14 @@
 """`numerics.train_epochs`, the one early-stopping loop of `train_sft` and
 `train_mic`: its schedule, and bit-for-bit agreement with the two loops it
 replaced (`training_oracle.py`)."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import amprl.numerics as nm
 from amprl.mic import LabeledSet, MicConfig, train_mic
-from amprl.policy import ModelConfig, PolicyModel, SftConfig, train_sft
+from amprl.policy import ModelConfig, PolicyModel, SftConfig, encode_batch, sft_loss, train_sft
 from amprl.sequences import Peptide
 
 import training_oracle
@@ -102,6 +104,29 @@ def test_train_sft_matches_the_hand_written_loop(run):
         assert len(got.history) == epochs
     else:
         assert len(got.history) < epochs and got.best_epoch < len(got.history)
+
+
+def test_an_sft_epoch_keeps_one_graph_alive():
+    # backward frees the graph it walks, so a step's graph is gone before the next forward
+    # builds one: the peak stays near one graph plus its gradients, not two graphs
+    config = ModelConfig(embed_dim=64, n_layers=2, n_heads=4, max_len=40, mlp_ratio=4, init_std=0.02)
+    rng = np.random.default_rng(5)
+    corpus = [Peptide(f"p{i}", "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), size=25))) for i in range(100)]
+    train, val = corpus[:96], corpus[96:]
+    model = PolicyModel.init(config, seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loss = sft_loss(model, encode_batch(train[:32])).mean
+        graph = tracemalloc.get_traced_memory()[0] - base
+        del loss
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        train_sft(model, train, val, SftConfig(epochs=1, batch_size=32, patience=1, lr=3e-3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * graph
 
 
 def _mic_sets():
