@@ -3,12 +3,13 @@
 Global alignments drive clustering identity; local alignments drive the
 novelty search. Both searches run `search`, which aligns (query, target)
 pairs of sequences coded by `sequences.encode`; `local_scores` gives the same
-pairs' local scores alone, and `align_global` and `align_local` give the full
-alignment of one pair of strings. A gap of length k costs
-open + k * extend. Bit scores and E-values use fixed Karlin-Altschul
-parameters for the gapped BLOSUM62 (11,1) scheme; they are approximate and
-not comparable to MMseqs2 output, while identity and alignment length are
-exact.
+pairs' local scores alone, `lcs_lengths` their longest common subsequences,
+which bound the matches of any alignment, and `align_global` and
+`align_local` give the full alignment of one pair of strings. A gap of
+length k costs open + k * extend. Bit scores and E-values use fixed
+Karlin-Altschul parameters for the gapped BLOSUM62 (11,1) scheme; they are
+approximate and not comparable to MMseqs2 output, while identity and
+alignment length are exact.
 """
 from __future__ import annotations
 
@@ -497,6 +498,71 @@ def _score_block(query_codes: np.ndarray, query_lengths: np.ndarray, codes: np.n
         _running_max(run)
         np.subtract(run, y_gap, out=Y[1:])
     return peak.max(axis=0)
+
+
+# the residues a query of `lcs_lengths` may hold: one uint64 word
+LCS_WORD = 64
+# (query, target) pairs per `lcs_lengths` step, so a block's masks stay in cache
+LCS_BLOCK = 4096
+
+
+def lcs_lengths(queries: tuple[np.ndarray, np.ndarray], targets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Each (query, target) pair's longest common subsequence length.
+
+    Takes the pairs as `search` does, one row per pair, and refuses the
+    same inputs. The LCS gives the matches of any alignment of a pair an
+    exact upper bound: its matched columns are a common subsequence. A query
+    is one uint64 word, bit i for residue i, so a query of more than
+    LCS_WORD residues raises ValueError. Pairs run LCS_BLOCK at a time in
+    `_lcs_block`.
+    """
+    query_codes, query_lengths = queries
+    codes, lengths = targets
+    _check_pairs(query_lengths, lengths)
+    n = int(query_lengths.max(initial=0))
+    if n > LCS_WORD:
+        raise ValueError(f"lcs_lengths holds a query of at most {LCS_WORD} residues, got {n}")
+    common = np.zeros(len(lengths), dtype=np.int64)
+    for k in range(0, len(lengths), LCS_BLOCK):
+        block = slice(k, k + LCS_BLOCK)
+        common[block] = _lcs_block(query_codes[block, :n], codes[block], lengths[block])
+    return common
+
+
+def _lcs_block(query_codes: np.ndarray, codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The bit-parallel LCS of Allison & Dix (1986), in Hyyrö's (2004) form,
+    across a block of pairs, one step per target column.
+
+    Bit i of masks[q, c] is set when residue i of query q has code c; the
+    padding code's mask is 0. From v = ~0, each column with m the query's
+    mask of the column's code sets v = (v + (v & m)) | (v & ~m), and the
+    LCS is the number of zero bits of v. A padding column leaves v as it is,
+    and the bits above a query's length stay 1. Consecutive equal query rows,
+    as callers repeat a query, share one mask table. Every operation is on
+    arrays, where a uint64 add wraps without a warning.
+    """
+    count = len(lengths)
+    first = np.ones(count, dtype=bool)
+    np.any(query_codes[1:] != query_codes[:-1], axis=1, out=first[1:])
+    # masks[q * 21 + c], for the query q of each run of equal rows
+    query_index = np.ascontiguousarray(query_codes[first].T, dtype=np.intp)
+    query_index += np.arange(query_index.shape[1]) * _ALPHABET
+    masks = np.zeros(query_index.shape[1] * _ALPHABET, dtype=np.uint64)
+    for i, at in enumerate(query_index):
+        masks[at] |= np.uint64(1) << np.uint64(i)
+    masks.reshape(-1, _ALPHABET)[:, -1] = 0
+    index = np.ascontiguousarray(codes[:, : int(lengths.max())].T, dtype=np.intp)
+    index += (np.cumsum(first) - 1) * _ALPHABET
+    v = np.full(count, ~np.uint64(0))
+    m, u = np.empty(count, dtype=np.uint64), np.empty(count, dtype=np.uint64)
+    for column in index:
+        # every index is in range, and mode="clip" spares take's buffered copy
+        np.take(masks, column, out=m, mode="clip")
+        np.bitwise_and(v, m, out=u)
+        np.subtract(v, u, out=m)  # v & ~m, as u holds only bits of v
+        np.add(v, u, out=v)
+        np.bitwise_or(v, m, out=v)
+    return np.bitwise_count(~v)
 
 
 def _composition(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:

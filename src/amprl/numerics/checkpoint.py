@@ -77,15 +77,18 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     for _ in range(count):
         try:
             (name_len,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
+            at = offset + 4
+            offset = at + name_len
             (ndim,) = struct.unpack_from("<I", blob, offset)
             offset += 4
             shape = struct.unpack_from(f"<{ndim}Q", blob, offset)
             offset += 8 * ndim
-        except (struct.error, ValueError):  # a read past the end of the file
+        except struct.error:  # a read past the end of the file
             raise ValueError(f"{path}: truncated checkpoint") from None
+        try:
+            name = blob[at : at + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: tensor name at byte {at} is not UTF-8") from None
         size = math.prod(shape)  # Python ints: no shape field wraps or overflows it
         if 8 * size > len(blob) - offset:
             raise ValueError(

@@ -17,6 +17,8 @@ peptides per search. `novelty_filter_per_candidate` is the novelty loop that
 ran one tallying `search` per candidate against the whole reference before
 `amprl.screening.novelty_filter` scored every pair first and tallied only the
 pairs its bounds admit.
+`lcs` is the scalar dynamic program for the longest common subsequence that
+`amprl.alignment.lcs_lengths` computes bit-parallel.
 """
 import dataclasses
 import functools
@@ -172,6 +174,10 @@ def align_local(a, b):
     )
 
 
+# `greedy_cluster` meets the same pairs at every threshold a test tries
+cached_identity_global = functools.cache(identity_global)
+
+
 def greedy_cluster(peptides, identity_threshold):
     clusters = []
     for pep in sorted(peptides, key=lambda p: (-len(p), p.residues, p.id)):
@@ -180,7 +186,7 @@ def greedy_cluster(peptides, identity_threshold):
             if pep.residues == cluster.representative.residues:
                 home = cluster
                 break
-            if identity_global(pep.residues, cluster.representative.residues) >= identity_threshold:
+            if cached_identity_global(pep.residues, cluster.representative.residues) >= identity_threshold:
                 home = cluster
                 break
         if home is None:
@@ -493,3 +499,14 @@ def query_search_block(query, codes, lengths, local):
     state = np.argmax(finals, axis=0)
     tallies = np.stack([TM.ravel()[at], TX.ravel()[at], TY.ravel()[at]])
     return finals[state, targets], tallies[state, targets]
+
+
+def lcs(a, b):
+    """The longest common subsequence length of two strings, by the
+    textbook dynamic program, one row at a time."""
+    row = [0] * (len(b) + 1)
+    for x in a:
+        diag, row[0] = 0, 0
+        for j, y in enumerate(b, start=1):
+            diag, row[j] = row[j], diag + 1 if x == y else max(row[j], row[j - 1])
+    return row[-1]

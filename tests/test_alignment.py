@@ -479,6 +479,52 @@ def test_kernel_values_fit_at_the_length_limit():
         assert total * (n + 1) + n < 2**31
 
 
+def _lcs_pairs(rng):
+    # a query of every length 1..LCS_WORD against targets of 1..80 residues,
+    # half over four residues so that common subsequences run long, each
+    # query in consecutive rows as callers repeat it; one-letter peptides,
+    # up to a one-letter query of exactly LCS_WORD residues; then earlier
+    # pairs again, apart from their first rows
+    pairs = []
+    for length in range(1, alignment.LCS_WORD + 1):
+        alphabet = list("KLWA" if length % 2 else RESIDUES)
+        query = "".join(rng.choice(alphabet, size=length))
+        pairs += [(query, "".join(rng.choice(alphabet, size=int(rng.integers(1, 81))))) for _ in range(3)]
+    pairs += [("K" * 64, "K" * 80), ("K" * 64, "K" * 63), ("K" * 64, "L" * 80), ("K", "K"), ("K", "L"), ("KKK", "KLKLK")]
+    return pairs + [pairs[int(k)] for k in rng.integers(len(pairs), size=40)]
+
+
+@pytest.mark.parametrize("block", [5, alignment.LCS_BLOCK])
+def test_lcs_lengths_match_the_scalar_oracle(monkeypatch, block):
+    # blocks of 5 pairs split runs of equal query rows between blocks
+    monkeypatch.setattr(alignment, "LCS_BLOCK", block)
+    pairs = _lcs_pairs(np.random.default_rng(16))
+    expected = [alignment_oracle.lcs(q, t) for q, t in pairs]
+    assert {0, 64} <= set(expected)
+    (query_codes, query_lengths), (codes, lengths) = encode([q for q, _ in pairs]), encode([t for _, t in pairs])
+    assert alignment.lcs_lengths((query_codes, query_lengths), (codes, lengths)).tolist() == expected
+    # codes as bytes, query rows padded past LCS_WORD, targets padded past their longest
+    wide_queries = encode([q for q, _ in pairs] + ["K" * 90])[0][:-1].astype(np.uint8)
+    padded = np.hstack([codes, np.full((len(pairs), 7), len(RESIDUES))]).astype(np.uint8)
+    assert alignment.lcs_lengths((wide_queries, query_lengths), (padded, lengths)).tolist() == expected
+    # one query broadcast against every target, as callers pass it
+    targets = [t for _, t in pairs]
+    for query in ("W", pairs[100][0], "K" * 64):
+        got = alignment.lcs_lengths(_against(query, len(targets)), encode(targets))
+        assert got.tolist() == [alignment_oracle.lcs(query, t) for t in targets]
+
+
+def test_lcs_lengths_edge_cases():
+    assert alignment.lcs_lengths(_against("KLW", 0), encode([])).shape == (0,)
+    assert alignment.lcs_lengths(encode([]), encode([])).shape == (0,)
+    with pytest.raises(ValueError, match="2 queries for 3 targets"):
+        alignment.lcs_lengths(_against("KLW", 2), encode(["KLW"] * 3))
+    with pytest.raises(ValueError, match="cannot align an empty sequence"):
+        alignment.lcs_lengths(_against("KLW", 2), encode(["KLW", ""]))
+    with pytest.raises(ValueError, match="at most 64 residues, got 65"):
+        alignment.lcs_lengths(encode(["K" * 65, "K"]), encode(["K" * 65, "K"]))
+
+
 def test_local_self_alignment_is_full_length():
     rng = np.random.default_rng(3)
     for _ in range(10):

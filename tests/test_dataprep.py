@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from amprl import dataprep
+from amprl import alignment, dataprep
 from amprl.alignment import identity_global
 from amprl.dataprep import (
     Cluster,
@@ -93,10 +93,10 @@ def test_greedy_cluster_members_match_their_representative():
             assert identity_global(m.residues, c.representative.residues) >= 0.8
 
 
-def _families(rng):
+def _families(rng, bases=12):
     # mutated families, exact duplicates under other ids, and unrelated peptides
     peps = []
-    for f, base in enumerate(unique_random_peptides(12, rng, min_len=8, max_len=40, prefix="base")):
+    for f, base in enumerate(unique_random_peptides(bases, rng, min_len=8, max_len=40, prefix="base")):
         peps.append(base)
         peps += [_pep(f"fam{f}_{k}", near_copy(rng, base.residues)) for k in range(4)]
         peps += [_pep(f"dup{f}_{k}", base.residues) for k in range(f % 2)]
@@ -124,18 +124,33 @@ def _shuffles(rng, n, length):
     return [_pep(f"perm{k}", "".join(rng.permutation(base))) for k in range(n)]
 
 
+def _long_families(rng):
+    # families of 65-80 residues, whose queries pass the LCS word and are
+    # aligned unpruned, with near copies that may fall to 64 residues, among
+    # peptides short enough for the bound
+    peps = []
+    for f, base in enumerate(unique_random_peptides(3, rng, min_len=65, max_len=80, prefix="long")):
+        peps.append(base)
+        peps += [_pep(f"long{f}_{k}", near_copy(rng, base.residues, max_len=80)) for k in range(3)]
+    return peps + [_pep("cut", peps[0].residues[:64])] + unique_random_peptides(8, rng, min_len=8, max_len=40, prefix="solo")
+
+
 def _cluster_sets():
     rng = np.random.default_rng(23)
-    families = _families(rng)
+    n = dataprep.CLUSTER_BATCH
+    families = _families(rng, bases=(2 * n + 1) // 5)
     big = unique_random_peptides(1, rng, min_len=20, max_len=20, prefix="big")[0]
     bases = unique_random_peptides(5, rng, min_len=8, max_len=40, prefix="base")
+    sizes = {"mixed_n-1": n - 1, "mixed_n": n, "mixed_n+1": n + 1, "mixed_2n+1": 2 * n + 1}
     return {
-        # set sizes around CLUSTER_BATCH, so batches end exactly, one short and one over
-        **{f"mixed{n}": [families[int(k)] for k in rng.choice(len(families), size=n, replace=False)] for n in (15, 16, 17, 33)},
-        "duplicates": [_pep(f"dup{k}", bases[k % 5].residues) for k in range(33)],
-        "singletons": unique_random_peptides(33, rng, min_len=8, max_len=40, prefix="solo"),
-        "one_cluster": [big] + [_pep(f"near{k}", near_copy(rng, big.residues)) for k in range(32)],
-        "shuffled": _shuffles(rng, 33, 18),
+        # set sizes around n = CLUSTER_BATCH, so batches end exactly, one short and one over
+        **{name: [families[int(k)] for k in rng.choice(len(families), size=size, replace=False)] for name, size in sizes.items()},
+        # one peptide past a batch, which meets the representatives of the first
+        "duplicates": [_pep(f"dup{k}", bases[k % 5].residues) for k in range(n + 1)],
+        "singletons": unique_random_peptides(n + 1, rng, min_len=8, max_len=40, prefix="solo"),
+        "one_cluster": [big] + [_pep(f"near{k}", near_copy(rng, big.residues)) for k in range(n)],
+        "shuffled": _shuffles(rng, n + 1, 18),
+        "long_families": _long_families(rng),
     }
 
 
@@ -150,26 +165,47 @@ def test_batched_greedy_cluster_matches_the_per_query_and_per_pair_oracles(name)
 
 def test_the_sets_reach_every_clustering_outcome():
     sets = _cluster_sets()
-    assert len(greedy_cluster(sets["singletons"], 0.4)) == 33
+    n = dataprep.CLUSTER_BATCH
+    assert len(greedy_cluster(sets["singletons"], 0.4)) == n + 1
     assert len(greedy_cluster(sets["one_cluster"], 0.4)) == 1
     assert len(greedy_cluster(sets["duplicates"], 1.0)) == 5
-    assert 1 < len(greedy_cluster(sets["mixed33"], 0.4)) < 33
+    assert 1 < len(greedy_cluster(sets["mixed_2n+1"], 0.4)) < 2 * n + 1
     # a shuffle keeps the composition but not the alignment
-    assert len(greedy_cluster(sets["shuffled"], 1.0)) == 33
+    assert len(greedy_cluster(sets["shuffled"], 1.0)) == n + 1
+    # a long family joins at 0.4 while its queries pass the LCS word
+    long_families = greedy_cluster(sets["long_families"], 0.4)
+    assert any(len(c) > 1 and len(c.representative) > alignment.LCS_WORD for c in long_families)
+
+
+def _searched_pairs(monkeypatch):
+    """The pairs each `search` call of `dataprep` receives, in call order."""
+    searched = []
+    real = dataprep.search
+    monkeypatch.setattr(dataprep, "search", lambda q, t, *, local: searched.append(len(q[1])) or real(q, t, local=local))
+    return searched
 
 
 def test_the_composition_bound_is_tight_on_a_shuffle_and_never_drops_a_joining_pair():
+    # the composition bound, which screening's overlap bound shares, and the
+    # LCS bound that clustering prunes with, which is never looser: a common
+    # subsequence uses each residue at most the smaller count times
     rng = np.random.default_rng(24)
     families = _families(rng)
     peps = [families[int(k)] for k in rng.choice(len(families), size=40, replace=False)] + _shuffles(rng, 12, 25)
     ordered = dataprep._greedy_order(peps)
     codes, lengths = encode([p.residues for p in ordered])
-    counts = dataprep._composition(codes, lengths)
+    counts = alignment._composition(codes, lengths)
     assert counts.sum(axis=1).tolist() == lengths.tolist()
     later, earlier = np.tril_indices(len(ordered), k=-1)
-    bound = dataprep._identity_bound(counts, lengths, later, earlier)
+    longer = np.maximum(lengths[later], lengths[earlier])
+    composition = np.minimum(counts[later], counts[earlier]).sum(axis=1) / longer
+    common = alignment.lcs_lengths((codes[later], lengths[later]), (codes[earlier], lengths[earlier]))
+    assert common.tolist() == [alignment_oracle.lcs(ordered[q].residues, ordered[t].residues) for q, t in zip(later, earlier)]
+    bound = common / longer
+    assert np.all(bound <= composition)
     shuffled = np.array([p.id.startswith("perm") for p in ordered])
-    assert np.all(bound[shuffled[later] & shuffled[earlier]] == 1.0)
+    both = shuffled[later] & shuffled[earlier]
+    assert np.all(composition[both] == 1.0) and np.all(bound[both] < 1.0)
     # every pair a threshold up to 1.0 can drop, with its scalar identity
     identity = {
         k: alignment_oracle.align_global(ordered[later[k]].residues, ordered[earlier[k]].residues).identity
@@ -179,28 +215,37 @@ def test_the_composition_bound_is_tight_on_a_shuffle_and_never_drops_a_joining_p
         dropped = np.flatnonzero(bound < threshold)
         assert dropped.size  # the bound prunes at every threshold
         assert all(identity[k] < threshold for k in dropped), threshold
+        assert set(np.flatnonzero(composition < threshold)) <= set(dropped)
+
+
+def test_shuffles_at_identity_one_send_no_pair_to_search(monkeypatch):
+    # the composition bound admits every pair of shuffles at 1.0; the LCS bound none
+    searched = _searched_pairs(monkeypatch)
+    peps = _cluster_sets()["shuffled"]
+    assert len(greedy_cluster(peps, identity_threshold=1.0)) == len(peps)
+    assert searched and sum(searched) == 0
 
 
 def test_greedy_cluster_searches_once_per_batch_over_the_admitted_pairs(monkeypatch):
-    searched = []
-    real = dataprep.search
-    monkeypatch.setattr(dataprep, "search", lambda q, t, *, local: searched.append(len(q[1])) or real(q, t, local=local))
-    peps = _families(np.random.default_rng(25))
+    searched = _searched_pairs(monkeypatch)
+    peps = _families(np.random.default_rng(25)) + _long_families(np.random.default_rng(26))
     threshold = 0.4
     greedy_cluster(peps, identity_threshold=threshold)
     ordered = dataprep._greedy_order(peps)
     rank = {p.id: k for k, p in enumerate(ordered)}
     founders = sorted(rank[c.representative.id] for c in alignment_oracle.greedy_cluster(peps, threshold))
-    codes, lengths = encode([p.residues for p in ordered])
-    counts = dataprep._composition(codes, lengths)
     # each peptide of a batch against the representatives founded before the
-    # batch, then against the earlier peptides of its batch
+    # batch, then against the earlier peptides of its batch; a pair is
+    # admitted when its query passes the LCS word or its LCS bound reaches
+    # the threshold
     candidates, admitted = 0, []
     for start in range(0, len(ordered), dataprep.CLUSTER_BATCH):
         batch = range(start, min(start + dataprep.CLUSTER_BATCH, len(ordered)))
-        pairs = np.array([(b, t) for b in batch for t in [f for f in founders if f < start] + list(range(start, b))])
+        pairs = [(ordered[b].residues, ordered[t].residues) for b in batch for t in [f for f in founders if f < start] + list(range(start, b))]
         candidates += len(pairs)
-        admitted.append(int(np.sum(dataprep._identity_bound(counts, lengths, pairs[:, 0], pairs[:, 1]) >= threshold)))
+        admitted.append(
+            sum(len(q) > alignment.LCS_WORD or alignment_oracle.lcs(q, t) / max(len(q), len(t)) >= threshold for q, t in pairs)
+        )
     assert searched == admitted
     assert sum(admitted) < 0.9 * candidates
 

@@ -181,3 +181,15 @@ def test_a_checkpoint_shape_the_file_cannot_hold_names_the_tensor(tmp_path, save
     _write_checkpoint(path, bytes(blob), manifest, hashlib.sha256(blob).hexdigest())
     with pytest.raises(ValueError, match=re.escape(f"{path}: ") + r"(truncated checkpoint: )?tensor 'w' "):
         load_checkpoint(path)
+
+
+def test_a_tensor_name_that_is_not_utf8_is_named_as_such(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, {"w": np.ones(3)})
+    manifest = json.loads(path.with_name("model.ckpt.json").read_text(encoding="utf-8"))
+    blob = bytearray(path.read_bytes())
+    at = 8 + 8 + 4  # magic, version and count, name length
+    blob[at] = 0xFF
+    _write_checkpoint(path, bytes(blob), manifest, hashlib.sha256(blob).hexdigest())
+    with pytest.raises(ValueError, match=re.escape(f"{path}: tensor name at byte {at} is not UTF-8")):
+        load_checkpoint(path)
