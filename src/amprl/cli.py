@@ -3,8 +3,9 @@
 Subcommands cover dataset curation, generator and classifier training, RL
 tuning, sampling, screening, library construction, distribution evaluation,
 and assay analysis. Exit codes: 0 success, 1 runtime error, 2 usage or
-config error. Every run writes a resolved-config copy and a run manifest
-(the only artifact holding timestamps) into the output directory.
+config error. A run refused by its config or file flags writes nothing; a
+run that starts writes a resolved-config copy first and a run manifest (the
+only artifact holding timestamps; it records the exit code) last.
 """
 from __future__ import annotations
 
@@ -19,76 +20,73 @@ from .config import ConfigError, Run, apply_overrides, build_run, load_config
 from .sequences import PeptideTable, parse_fasta, write_fasta, write_json, write_records, write_tsv
 
 ENV_OUTPUT_DIR = "AMPRL_OUTPUT_DIR"
+FAILURES = (ValueError, ArithmeticError, RuntimeError, OSError)  # ConfigError is a ValueError
 
 
-def _require(path: str | None, what: str) -> Path:
-    if path is None:
-        raise ConfigError(f"{what} is required")
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"{what} not found: {p}")
-    return p
+def _check_files(args) -> None:
+    """Refuse a missing, contradictory, absent or directory file flag (each declared by `_file`)."""
+    given = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in args.files}
+    mode = next((m for flag, m in args.files.items() if m and given[flag] is not None), "")
+    need = [flag for flag, m in args.files.items() if m == mode]
+    for flag in need:
+        if given[flag] is None:
+            raise ConfigError(f"{mode} mode needs both {' and '.join(need)}" if mode else f"{flag} is required")
+    clash = [flag for flag, m in args.files.items() if m not in (mode, None) and given[flag] is not None]
+    if clash:
+        raise ConfigError(f"{'/'.join(clash)} and {'/'.join(need)} are mutually exclusive")
+    for flag, path in given.items():
+        if path is not None and (path.is_dir() or not path.exists()):
+            raise ConfigError(f"{flag} is a directory: {path}" if path.is_dir() else f"{flag} not found: {path}")
 
 
 def _resolve_output_dir(args, run: Run) -> Path:
-    if getattr(args, "output_dir", None):
-        chosen = args.output_dir
-    elif os.environ.get(ENV_OUTPUT_DIR):
-        chosen = os.environ[ENV_OUTPUT_DIR]
-    else:
-        chosen = run.paths.outputs
-    out = Path(chosen)
-    out.mkdir(parents=True, exist_ok=True)
+    """The flag, else $AMPRL_OUTPUT_DIR, else `paths.outputs`; it is made by the first file written."""
+    out = Path(args.output_dir or os.environ.get(ENV_OUTPUT_DIR) or run.paths.outputs)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"output directory {out}: {nearest} is not a directory")
     return out
 
 
-def _write_manifest(args, argv: list[str], out: Path) -> None:
-    manifest = {
-        "command": args.command,
-        "argv": argv,
-        "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-    }
-    write_json(manifest, out / "run_manifest.json")
+def _report(err: Exception) -> tuple[int, str]:
+    """Print a failure's line to stderr; return its exit code (2 for a config error, else 1) and the line."""
+    code, line = (2, f"config error: {err}") if isinstance(err, ConfigError) else (1, f"error: {err}")
+    print(line, file=sys.stderr)
+    return code, line
 
 
 # --- subcommand handlers ----------------------------------------------------
 
 
-def _cmd_props(args, run: Run, out: Path) -> int:
+def _cmd_props(args, run: Run, out: Path) -> None:
     from .physchem import descriptors
 
-    peptides = parse_fasta(_require(args.input, "--input"))
+    peptides = parse_fasta(args.input)
     write_records(PeptideTable(peptides, descriptors(peptides, run.scales)), "tsv", out / "props.tsv")
     print(f"props: {len(peptides)} records -> {out / 'props.tsv'}")
-    return 0
 
 
-def _cmd_dataprep(args, run: Run, out: Path) -> int:
+def _cmd_dataprep(args, run: Run, out: Path) -> None:
     from . import dataprep as dp
     from .mic import write_labeled_tsv
 
     section, seed = run.dataprep, run.seed
-    if args.positives or args.negatives:
-        if not (args.positives and args.negatives):
-            raise ConfigError("balance mode needs both --positives and --negatives")
-        if args.input:
-            raise ConfigError("--input and --positives/--negatives are mutually exclusive")
-        pos = parse_fasta(_require(args.positives, "--positives"))
-        neg = parse_fasta(_require(args.negatives, "--negatives"))
+    if args.positives:  # balance mode
+        pos = parse_fasta(args.positives)
+        neg = parse_fasta(args.negatives)
         balanced = dp.balance(pos, neg, seed=seed)
         write_labeled_tsv(balanced, out / "balanced.tsv")
         print(f"dataprep: balanced {len(pos)}+{len(neg)} -> {len(balanced)} -> {out / 'balanced.tsv'}")
-        return 0
+        return
 
-    peptides = parse_fasta(_require(args.input, "--input"))
+    peptides = parse_fasta(args.input)
     kept, rejected = dp.length_filter(peptides, section.min_len, section.max_len)
     if rejected:
         write_fasta(rejected, out / "length_rejected.fasta")
     if not kept:
         raise ValueError("no sequences survive the length filter")
     if args.clusters:
-        clusters = dp.read_cluster_assignments(_require(args.clusters, "--clusters"), kept)
+        clusters = dp.read_cluster_assignments(args.clusters, kept)
     else:
         clusters = dp.greedy_cluster(kept, section.identity_threshold)
     fractions = section.fractions
@@ -99,14 +97,13 @@ def _cmd_dataprep(args, run: Run, out: Path) -> int:
     dp.write_split_manifest(out / "split_manifest.json", names, splits, fractions, seed)
     sizes = ", ".join(f"{name}={len(part)}" for name, part in zip(names, splits))
     print(f"dataprep: {len(peptides)} in, {len(clusters)} clusters, {sizes}")
-    return 0
 
 
-def _cmd_sft(args, run: Run, out: Path) -> int:
+def _cmd_sft(args, run: Run, out: Path) -> None:
     from .policy import PolicyModel, train_sft
 
-    train = parse_fasta(_require(args.train, "--train"))
-    val = parse_fasta(_require(args.val, "--val"))
+    train = parse_fasta(args.train)
+    val = parse_fasta(args.val)
     model = PolicyModel.init(run.model, seed=run.seed)
     result = train_sft(model, train, val, run.sft)
     result.model.save(out / "sft.ckpt")
@@ -119,14 +116,13 @@ def _cmd_sft(args, run: Run, out: Path) -> int:
         out / "sft_history.json",
     )
     print(f"sft: best val perplexity {result.best_val_perplexity:.4f} at epoch {result.best_epoch}")
-    return 0
 
 
-def _cmd_train_mic(args, run: Run, out: Path) -> int:
+def _cmd_train_mic(args, run: Run, out: Path) -> None:
     from .mic import Embedder, evaluate, read_labeled_tsv, train_mic
 
-    train = read_labeled_tsv(_require(args.train, "--train"), split="train")
-    val = read_labeled_tsv(_require(args.val, "--val"), split="val")
+    train = read_labeled_tsv(args.train, split="train")
+    val = read_labeled_tsv(args.val, split="val")
     embedder = Embedder(scale=run.scales)
     model, history = train_mic(train, val, run.mic, embedder)
     model.save(out / "mic.ckpt")
@@ -134,47 +130,38 @@ def _cmd_train_mic(args, run: Run, out: Path) -> int:
     metrics = evaluate(model, val)
     write_json(metrics, out / "mic_metrics.json")
     print(f"train-mic: val auroc {metrics['auroc']}")
-    return 0
 
 
-def _cmd_score_mic(args, run: Run, out: Path) -> int:
+def _cmd_score_mic(args, run: Run, out: Path) -> None:
     from .mic import MicModel
 
-    model = MicModel.load(_require(args.model, "--model"))
-    peptides = parse_fasta(_require(args.input, "--input"))
+    model = MicModel.load(args.model)
+    peptides = parse_fasta(args.input)
     rows = [(p.id, p.residues, repr(float(s))) for p, s in zip(peptides, model.score_many(peptides))]
     write_tsv(("id", "sequence", "mic_score"), rows, out / "scores.tsv")
     print(f"score-mic: {len(peptides)} sequences -> {out / 'scores.tsv'}")
-    return 0
 
 
-def _cmd_sample(args, run: Run, out: Path) -> int:
+def _cmd_sample(args, run: Run, out: Path) -> None:
     from .policy import PolicyModel, sample
 
-    model = PolicyModel.load(_require(args.checkpoint, "--checkpoint"))
-    draws = sample(
-        model,
-        run.sample.n,
-        temperature=run.sample.temperature,
-        top_k=run.sample.top_k,
-        seed=run.seed,
-    )
+    model = PolicyModel.load(args.checkpoint)
+    draws = sample(model, run.sample.n, temperature=run.sample.temperature, top_k=run.sample.top_k, seed=run.seed)
     write_fasta([d.peptide for d in draws], out / "samples.fasta")
     print(f"sample: {len(draws)} sequences -> {out / 'samples.fasta'}")
-    return 0
 
 
-def _cmd_rl(args, run: Run, out: Path) -> int:
+def _cmd_rl(args, run: Run, out: Path) -> None:
     from .mic import MicModel
     from .policy import LoraConfig, PolicyModel, attach_lora
     from .ppo import train_rl
 
-    policy, lora = PolicyModel.load(_require(args.sft_checkpoint, "--sft-checkpoint")), run.lora
+    policy, lora = PolicyModel.load(args.sft_checkpoint), run.lora
     if not policy.lora:
         attach_lora(policy, rank=lora.rank, scaling=lora.scaling, targets=lora.targets, seed=run.seed)
     elif policy.lora_config() != LoraConfig(lora.rank, lora.scaling, tuple(sorted(set(lora.targets)))):
         raise ConfigError(f"{args.sft_checkpoint} holds LoRA {policy.lora_config()}, but the run's lora section is {lora}")
-    scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
+    scorer = MicModel.load(args.mic_model)
     policy, logs = train_rl(
         policy,
         scorer,
@@ -188,22 +175,21 @@ def _cmd_rl(args, run: Run, out: Path) -> int:
     policy.save(out / "rl.ckpt")
     last = logs[-1] if logs else {}
     print(f"rl: {len(logs)} iterations, final mean reward {last.get('mean_reward')}")
-    return 0
 
 
-def _cmd_screen(args, run: Run, out: Path) -> int:
+def _cmd_screen(args, run: Run, out: Path) -> None:
     from . import screening as sc
     from .alignment import write_hit_table
     from .mic import Embedder, MicModel
 
     scfg, scale = run.screen, run.scales
-    candidates = parse_fasta(_require(args.input, "--input"))
-    scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
-    external = sc.read_external_scores(_require(args.external_scores, "--external-scores")) if args.external_scores else None
+    candidates = parse_fasta(args.input)
+    scorer = MicModel.load(args.mic_model)
+    external = sc.read_external_scores(args.external_scores) if args.external_scores else None
     table = sc.screen(sc.annotate(candidates, scorer, external, scale), scfg)
     hits = []
     if args.reference:
-        reference = parse_fasta(_require(args.reference, "--reference"), source="external")
+        reference = parse_fasta(args.reference, source="external")
         _, removed, hits = sc.novelty_filter(table, reference, scfg)
         table = table.reject(removed, "novelty")
     write_hit_table(hits, out / "hits.tsv")
@@ -216,17 +202,16 @@ def _cmd_screen(args, run: Run, out: Path) -> int:
     write_fasta([table.peptides[i] for i in selected], out / "selected.fasta")
     write_records(table.take(selected), "jsonl", out / "selected.jsonl")
     print(f"screen: {len(ranked)} kept, {len(table) - len(ranked)} rejected, {len(selected)} selected")
-    return 0
 
 
-def _cmd_build_library(args, run: Run, out: Path) -> int:
+def _cmd_build_library(args, run: Run, out: Path) -> None:
     from . import screening as sc
     from .mic import MicModel
     from .policy import PolicyModel
 
-    policy = PolicyModel.load(_require(args.checkpoint, "--checkpoint"))
-    scorer = MicModel.load(_require(args.mic_model, "--mic-model"))
-    external = sc.read_external_scores(_require(args.external_scores, "--external-scores")) if args.external_scores else None
+    policy = PolicyModel.load(args.checkpoint)
+    scorer = MicModel.load(args.mic_model)
+    external = sc.read_external_scores(args.external_scores) if args.external_scores else None
     table, stats = sc.build_library(
         policy,
         scorer,
@@ -240,14 +225,13 @@ def _cmd_build_library(args, run: Run, out: Path) -> int:
         scale=run.scales,
     )
     print(f"build-library: {len(table)} unique sequences from {stats['sampled_total']} samples")
-    return 0
 
 
-def _cmd_eval(args, run: Run, out: Path) -> int:
+def _cmd_eval(args, run: Run, out: Path) -> None:
     from . import evalmetrics as ev
 
-    generated = parse_fasta(_require(args.generated, "--generated"), source="generated_sft")
-    reference = parse_fasta(_require(args.reference, "--reference"))
+    generated = parse_fasta(args.generated, source="generated_sft")
+    reference = parse_fasta(args.reference)
     report, (gen_emb, ref_emb) = ev.compare_sets(args.name, generated, reference, run.eval, run.scales)
     write_json(report, out / "comparison.json")
     ev.write_comparison_tsv(report, out / "comparison.tsv")
@@ -255,20 +239,18 @@ def _cmd_eval(args, run: Run, out: Path) -> int:
         ev.export_embeddings_tsv(generated, gen_emb, out / "embeddings_generated.tsv")
         ev.export_embeddings_tsv(reference, ref_emb, out / "embeddings_reference.tsv")
     print(f"eval: jsd {report['jsd']:.4f}, pearson {report['pearson']}")
-    return 0
 
 
-def _cmd_assay(args, run: Run, out: Path) -> int:
+def _cmd_assay(args, run: Run, out: Path) -> None:
     from . import assay as ay
 
-    series = ay.read_assay_tsv(_require(args.input, "--input"))
+    series = ay.read_assay_tsv(args.input)
     summaries = [ay.summarize(s) for s in series]
     classified, medians = ay.classify_quadrants(summaries)
     ay.write_summaries(classified, out / "assay_summary.tsv")
     write_json(medians, out / "assay_medians.json")
     counts = {c: sum(1 for s in classified if s.category == c) for c in ay.CATEGORIES}
     print(f"assay: {len(classified)} series, categories {counts}")
-    return 0
 
 
 # --- parser -----------------------------------------------------------------
@@ -289,6 +271,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON run-config file")
     sub.add_argument("--seed", type=int, help="global seed override")
     sub.add_argument("--output-dir", help=f"artifact directory (or ${ENV_OUTPUT_DIR})")
+    sub.set_defaults(overrides={"seed": "seed", **(sub.get_default("overrides") or {})})
+
+
+def _file(sub: argparse.ArgumentParser, flag: str, help: str, optional: bool = False, mode: str = "") -> None:
+    """Add a path flag that `main` checks before the run. A required flag belongs to the default
+    mode ("") or to a named one (dataprep's balance mode), which giving any of its flags chooses."""
+    sub.add_argument(flag, type=Path, help=help)
+    sub.set_defaults(files={**(sub.get_default("files") or {}), flag: None if optional else mode})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -297,66 +287,66 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
 
     p = subs.add_parser("props", help="compute physicochemical descriptors for a FASTA")
-    p.add_argument("--input", help="input FASTA")
+    _file(p, "--input", "input FASTA")
     p.set_defaults(handler=_cmd_props)
 
     p = subs.add_parser("dataprep", help="length-filter, cluster, and split a corpus; or balance two classes")
-    p.add_argument("--input", help="FASTA to filter/cluster/split")
-    p.add_argument("--clusters", help="external (sequence_id, cluster_id) TSV")
-    p.add_argument("--positives", help="FASTA of positive sequences (balance mode)")
-    p.add_argument("--negatives", help="FASTA of negative sequences (balance mode)")
+    _file(p, "--input", "FASTA to filter/cluster/split")
+    _file(p, "--clusters", "external (sequence_id, cluster_id) TSV", optional=True)
+    _file(p, "--positives", "FASTA of positive sequences (balance mode)", mode="balance")
+    _file(p, "--negatives", "FASTA of negative sequences (balance mode)", mode="balance")
     p.set_defaults(handler=_cmd_dataprep)
 
     p = subs.add_parser("sft", help="supervised fine-tuning of the generator")
-    p.add_argument("--train", help="training FASTA")
-    p.add_argument("--val", help="validation FASTA")
+    _file(p, "--train", "training FASTA")
+    _file(p, "--val", "validation FASTA")
     p.set_defaults(handler=_cmd_sft)
 
     p = subs.add_parser("train-mic", help="train the activity classifier")
-    p.add_argument("--train", help="labeled training TSV (sequence, label)")
-    p.add_argument("--val", help="labeled validation TSV")
+    _file(p, "--train", "labeled training TSV (sequence, label)")
+    _file(p, "--val", "labeled validation TSV")
     p.set_defaults(handler=_cmd_train_mic)
 
     p = subs.add_parser("score-mic", help="score sequences with a trained classifier")
-    p.add_argument("--model", help="classifier checkpoint")
-    p.add_argument("--input", help="input FASTA")
+    _file(p, "--model", "classifier checkpoint")
+    _file(p, "--input", "input FASTA")
     p.set_defaults(handler=_cmd_score_mic)
 
     p = subs.add_parser("sample", help="draw sequences from a policy checkpoint")
-    p.add_argument("--checkpoint", help="policy checkpoint")
+    _file(p, "--checkpoint", "policy checkpoint")
     p.add_argument("-n", type=int, dest="n", help="number of sequences")
     p.add_argument("--temperature", type=float, help="sampling temperature")
     p.add_argument("--top-k", type=int, dest="top_k", help="top-k truncation")
     p.set_defaults(handler=_cmd_sample, overrides={"n": "sample.n", "temperature": "sample.temperature", "top_k": "sample.top_k"})
 
     p = subs.add_parser("rl", help="PPO fine-tuning against the learned reward")
-    p.add_argument("--sft-checkpoint", help="starting policy checkpoint")
-    p.add_argument("--mic-model", help="classifier checkpoint used in the reward")
+    _file(p, "--sft-checkpoint", "starting policy checkpoint")
+    _file(p, "--mic-model", "classifier checkpoint used in the reward")
     p.set_defaults(handler=_cmd_rl)
 
     p = subs.add_parser("screen", help="filter, novelty-check, rank, and diversify candidates")
-    p.add_argument("--input", help="candidate FASTA")
-    p.add_argument("--mic-model", help="classifier checkpoint")
-    p.add_argument("--reference", help="reference FASTA for the novelty filter")
-    p.add_argument("--external-scores", help="JSONL of third-party per-sequence scores")
+    _file(p, "--input", "candidate FASTA")
+    _file(p, "--mic-model", "classifier checkpoint")
+    _file(p, "--reference", "reference FASTA for the novelty filter", optional=True)
+    _file(p, "--external-scores", "JSONL of third-party per-sequence scores", optional=True)
     p.set_defaults(handler=_cmd_screen)
 
     p = subs.add_parser("build-library", help="sample, deduplicate, and annotate a sequence library")
-    p.add_argument("--checkpoint", help="policy checkpoint")
-    p.add_argument("--mic-model", help="classifier checkpoint")
-    p.add_argument("--external-scores", help="JSONL of third-party per-sequence scores")
+    _file(p, "--checkpoint", "policy checkpoint")
+    _file(p, "--mic-model", "classifier checkpoint")
+    _file(p, "--external-scores", "JSONL of third-party per-sequence scores", optional=True)
     p.add_argument("--target-count", type=int, dest="target_count", help="unique sequences to collect")
     p.set_defaults(handler=_cmd_build_library, overrides={"target_count": "library.target_count"})
 
     p = subs.add_parser("eval", help="distribution comparison between two sets")
-    p.add_argument("--generated", help="generated FASTA")
-    p.add_argument("--reference", help="reference FASTA")
+    _file(p, "--generated", "generated FASTA")
+    _file(p, "--reference", "reference FASTA")
     p.add_argument("--name", default="generated", type=_set_name, help="set label used in the report (no tab or line break)")
     p.add_argument("--export-embeddings", action="store_true", help="also write raw embedding TSVs")
     p.set_defaults(handler=_cmd_eval)
 
     p = subs.add_parser("assay", help="kinetic summaries and quadrant classification")
-    p.add_argument("--input", help="assay TSV (peptide_id, time_min, sample_fluor, control_fluor)")
+    _file(p, "--input", "assay TSV (peptide_id, time_min, sample_fluor, control_fluor)")
     p.set_defaults(handler=_cmd_assay)
 
     for sub in subs.choices.values():
@@ -374,22 +364,28 @@ def main(argv: list[str] | None = None) -> int:
     if not getattr(args, "handler", None):
         parser.print_help()
         return 2
-    try:
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    manifest = {"command": args.command, "argv": argv, "version": __version__, "timestamp": stamp}
+    try:  # check everything, then record the config
         cfg = load_config(args.config)
-        apply_overrides(cfg, {"seed": args.seed})
-        mapping = getattr(args, "overrides", {})
-        apply_overrides(cfg, {dotted: getattr(args, attr) for attr, dotted in mapping.items()})
+        apply_overrides(cfg, {dotted: getattr(args, attr) for attr, dotted in args.overrides.items()})
         run = build_run(cfg)
+        _check_files(args)
         out = _resolve_output_dir(args, run)
         write_json(cfg, out / "resolved_config.json")
-        _write_manifest(args, argv, out)
-        return args.handler(args, run, out)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except FAILURES as err:
+        return _report(err)[0]
+    try:  # run
+        args.handler(args, run, out)
+        manifest["exit_code"] = 0
+    except FAILURES as err:
+        manifest["exit_code"], manifest["error"] = _report(err)
+    try:  # record
+        write_json(manifest, out / "run_manifest.json")
+    except OSError as err:
+        code, _ = _report(err)
+        return manifest["exit_code"] or code
+    return manifest["exit_code"]
 
 
 if __name__ == "__main__":

@@ -108,6 +108,8 @@ def load_config(path: str | Path | None) -> dict:
     file_path = Path(path)
     if not file_path.exists():
         raise ConfigError(f"config file not found: {file_path}")
+    if file_path.is_dir():
+        raise ConfigError(f"config file {file_path} is a directory")
     try:
         raw = json.loads(file_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:

@@ -1,4 +1,5 @@
 """CLI exit codes, output-directory precedence, and artifact layout."""
+import argparse
 import json
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import amprl.numerics as nm
-from amprl.cli import ENV_OUTPUT_DIR, main
+from amprl.cli import ENV_OUTPUT_DIR, _build_parser, main
 from amprl.mic import Embedder, LabeledSet, MicConfig, MicModel, write_labeled_tsv
 from amprl.sequences import Peptide, write_fasta
 
@@ -65,6 +66,90 @@ def test_missing_required_input_is_config_error(tmp_path, capsys):
 def test_missing_file_is_config_error(tmp_path, capsys):
     assert main(["props", "--input", str(tmp_path / "nope.fasta"), "--output-dir", str(tmp_path / "o")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def _subcommand_files():
+    """Each subcommand's declared file flags, {flag: mode}, read from the parser (None marks an optional flag)."""
+    subs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sub.get_default("files") or {} for name, sub in subs.choices.items()}
+
+
+def _argv_around(tmp_path, command, flag):
+    """`command` with every other required flag of `flag`'s mode naming an existing file."""
+    files = _subcommand_files()[command]
+    argv = [command]
+    for other, mode in files.items():
+        if other != flag and mode == (files[flag] or ""):
+            argv += [other, str(_write_fasta(tmp_path, other[2:]))]
+    return argv
+
+
+def test_every_subcommand_declares_a_required_file_flag():
+    # the parametrized tests below read these declarations, so an undeclared flag would go untested
+    assert all("" in files.values() for files in _subcommand_files().values())
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, files in _subcommand_files().items() for flag, mode in files.items() if mode == ""],
+)
+def test_a_missing_required_file_flag_exits_2_and_makes_no_output_directory(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert main(_argv_around(tmp_path, command, flag) + ["--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {flag} is required\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["absent", "directory"])
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command, files in _subcommand_files().items() for flag in files]
+)
+def test_an_absent_or_directory_file_path_exits_2_and_makes_no_output_directory(tmp_path, capsys, command, flag, kind):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    out = tmp_path / "out"
+    assert main(_argv_around(tmp_path, command, flag) + [flag, str(path), "--output-dir", str(out)]) == 2
+    message = f"{flag} not found: {path}" if kind == "absent" else f"{flag} is a directory: {path}"
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--positives"], "balance mode needs both --positives and --negatives"),
+        (["--negatives"], "balance mode needs both --positives and --negatives"),
+        (["--input", "--positives"], "balance mode needs both --positives and --negatives"),
+        (["--input", "--positives", "--negatives"], "--input and --positives/--negatives are mutually exclusive"),
+    ],
+)
+def test_dataprep_mode_rules_exit_2_and_make_no_output_directory(tmp_path, capsys, flags, message):
+    argv = ["dataprep"]
+    for flag in flags:
+        argv += [flag, str(_write_fasta(tmp_path, flag[2:]))]
+    out = tmp_path / "out"
+    assert main(argv + ["--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_dataprep_balance_mode_needs_no_input(tmp_path, capsys):
+    pos = _write_fasta(tmp_path, "pos.fasta", ">p1\nKKLLKKLLKK\n>p2\nKKWWKKWWKK\n")
+    neg = _write_fasta(tmp_path, "neg.fasta", ">n1\nDDAADDAADD\n>n2\nEEGGEEGGEE\n")
+    out = tmp_path / "out"
+    assert main(["dataprep", "--positives", str(pos), "--negatives", str(neg), "--output-dir", str(out)]) == 0
+    assert (out / "balanced.tsv").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_an_output_directory_that_is_a_file_exits_2_before_the_run(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under else blocker
+    assert main(["props", "--input", str(_write_fasta(tmp_path)), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: output directory {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_config_unknown_keys_all_reported(tmp_path, capsys):
@@ -175,6 +260,34 @@ def test_truncated_checkpoint_exits_one(tmp_path, capsys, keep):
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 1
     assert f"error: {path}: truncated checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "out" / "scores.tsv").exists()
+
+
+def test_manifest_records_the_exit_code_and_error_line_of_a_runtime_failure(tmp_path, capsys):
+    path = _save_mic(tmp_path / "mic.ckpt")
+    path.write_bytes(path.read_bytes()[:14])
+    out = tmp_path / "out"
+    assert main(["score-mic", "--model", str(path), "--input", str(_write_fasta(tmp_path)), "--output-dir", str(out)]) == 1
+    line = capsys.readouterr().err.rstrip("\n")
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["exit_code"], manifest["error"]) == (1, line)
+    assert line.startswith(f"error: {path}: truncated checkpoint")
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json", "run_manifest.json"]
+
+
+def test_a_manifest_that_cannot_be_written_exits_one(tmp_path, capsys, monkeypatch):
+    import amprl.cli as cli
+
+    def write_json(payload, path):
+        if path.name == "run_manifest.json":
+            raise OSError("No space left on device")
+        return original(payload, path)
+
+    original = cli.write_json
+    monkeypatch.setattr(cli, "write_json", write_json)
+    out = tmp_path / "out"
+    assert main(["props", "--input", str(_write_fasta(tmp_path)), "--output-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert sorted(p.name for p in out.iterdir()) == ["props.tsv", "resolved_config.json"]
 
 
 def test_checkpoint_with_trailing_bytes_exits_one(tmp_path, capsys):
@@ -419,8 +532,8 @@ def test_manifest_is_the_only_timestamped_artifact(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["props", "--input", str(fasta), "--output-dir", str(out)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert set(manifest) == {"command", "argv", "version", "timestamp"}
-    assert manifest["command"] == "props"
+    assert set(manifest) == {"command", "argv", "version", "timestamp", "exit_code"}
+    assert (manifest["command"], manifest["exit_code"]) == ("props", 0)
     resolved_text = (out / "resolved_config.json").read_text()
     assert "timestamp" not in resolved_text
 
@@ -693,6 +806,22 @@ def test_rl_from_a_lora_checkpoint_with_another_lora_section_exits_two(tmp_path,
     assert err.startswith(f"config error: {checkpoint} holds LoRA LoraConfig(rank=2, scaling=1.0, targets=('wq', 'wv'))")
     assert named in err.split("but the run's lora section is LoraConfig(")[1]
     assert not (out / "rl.ckpt").exists() and not (out / "rl_log.tsv").exists()
+
+
+def test_manifest_records_the_lora_section_mismatch_as_a_config_error(tmp_path, capsys):
+    from amprl.policy import PolicyModel, attach_lora
+
+    # the one config error found after resolved_config.json is written: it needs the checkpoint's adapters
+    cfg = _rl_inputs(tmp_path, lora={"rank": 4, "scaling": 1.0, "targets": ["wq", "wv"]})
+    checkpoint = tmp_path / "lora.ckpt"
+    attach_lora(PolicyModel.load(tmp_path / "sft.ckpt"), rank=2, scaling=1.0, targets=("wq", "wv")).save(checkpoint)
+    out = tmp_path / "out"
+    assert _rl(tmp_path, cfg, checkpoint, out) == 2
+    line = capsys.readouterr().err.rstrip("\n")
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert (manifest["command"], manifest["exit_code"], manifest["error"]) == ("rl", 2, line)
+    assert line.startswith(f"config error: {checkpoint} holds LoRA ")
+    assert json.loads((out / "resolved_config.json").read_text())["lora"]["rank"] == 4
 
 
 def test_rl_from_a_lora_checkpoint_runs_when_its_lora_section_names_the_same_adapters(tmp_path, capsys):

@@ -103,6 +103,8 @@ def test_keys_nothing_reads_are_unknown(tmp_path):
 def test_load_config_rejects_bad_files(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "missing.json")
+    with pytest.raises(ConfigError, match="is a directory"):
+        load_config(tmp_path)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
