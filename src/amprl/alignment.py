@@ -3,8 +3,8 @@
 Global alignments drive clustering identity; local alignments drive the
 novelty search. Both searches run `search`, which aligns (query, target)
 pairs of sequences coded by `sequences.encode`; `local_scores` gives the same
-pairs' local scores alone, `lcs_lengths` their longest common subsequences,
-which bound the matches of any alignment, and `align_global` and
+pairs' local scores alone and `match_bound` a bound on the matches of any of
+their alignments, by longest common subsequences; `align_global` and
 `align_local` give the full alignment of one pair of strings. A gap of
 length k costs open + k * extend. Bit scores and E-values use fixed
 Karlin-Altschul parameters for the gapped BLOSUM62 (11,1) scheme; they are
@@ -500,33 +500,34 @@ def _score_block(query_codes: np.ndarray, query_lengths: np.ndarray, codes: np.n
     return peak.max(axis=0)
 
 
-# the residues a query of `lcs_lengths` may hold: one uint64 word
+# the residues a query of `_lcs_block` may hold: one uint64 word
 LCS_WORD = 64
-# (query, target) pairs per `lcs_lengths` step, so a block's masks stay in cache
+# (query, target) pairs per `_lcs_block` step, so a block's masks stay in cache
 LCS_BLOCK = 4096
 
 
-def lcs_lengths(queries: tuple[np.ndarray, np.ndarray], targets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Each (query, target) pair's longest common subsequence length.
+def match_bound(queries: tuple[np.ndarray, np.ndarray], targets: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """An exact upper bound on the matches of any alignment of each (query, target) pair.
 
     Takes the pairs as `search` does, one row per pair, and refuses the
-    same inputs. The LCS gives the matches of any alignment of a pair an
-    exact upper bound: its matched columns are a common subsequence. A query
-    is one uint64 word, bit i for residue i, so a query of more than
-    LCS_WORD residues raises ValueError. Pairs run LCS_BLOCK at a time in
-    `_lcs_block`.
+    same inputs. An alignment's matched columns are a common subsequence, so
+    a pair whose query holds at most LCS_WORD residues is bounded by its
+    longest common subsequence, in `_lcs_block` LCS_BLOCK pairs at a time,
+    and a longer one by its shorter length. Clustering and the novelty
+    filter both prune with it.
     """
     query_codes, query_lengths = queries
     codes, lengths = targets
     _check_pairs(query_lengths, lengths)
-    n = int(query_lengths.max(initial=0))
-    if n > LCS_WORD:
-        raise ValueError(f"lcs_lengths holds a query of at most {LCS_WORD} residues, got {n}")
-    common = np.zeros(len(lengths), dtype=np.int64)
-    for k in range(0, len(lengths), LCS_BLOCK):
+    bound = np.minimum(query_lengths, lengths)
+    short = np.flatnonzero(query_lengths <= LCS_WORD)
+    if len(short) < len(bound):  # gather the short queries' pairs once
+        query_codes, codes, lengths = query_codes[short], codes[short], lengths[short]
+    n = int(query_lengths[short].max(initial=0))
+    for k in range(0, len(short), LCS_BLOCK):
         block = slice(k, k + LCS_BLOCK)
-        common[block] = _lcs_block(query_codes[block, :n], codes[block], lengths[block])
-    return common
+        bound[short[block]] = _lcs_block(query_codes[block, :n], codes[block], lengths[block])
+    return bound
 
 
 def _lcs_block(query_codes: np.ndarray, codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -563,12 +564,6 @@ def _lcs_block(query_codes: np.ndarray, codes: np.ndarray, lengths: np.ndarray) 
         np.add(v, u, out=v)
         np.bitwise_or(v, m, out=v)
     return np.bitwise_count(~v)
-
-
-def _composition(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Residue counts per row of `encode`'s codes, (rows, len(RESIDUES))."""
-    cells = np.arange(len(lengths))[:, None] * _ALPHABET + codes
-    return np.bincount(cells.ravel(), minlength=len(lengths) * _ALPHABET).reshape(-1, _ALPHABET)[:, :-1]
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,15 @@ FAILURES = (ValueError, ArithmeticError, RuntimeError, OSError)  # ConfigError i
 
 
 def _check_files(args) -> None:
-    """Refuse a missing, contradictory, absent or directory file flag (each declared by `_file`)."""
+    """Refuse a missing, contradictory, absent or directory file flag (each declared by `_file`;
+    an optional flag, declared None, belongs to the default mode but may be left out)."""
     given = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in args.files}
     mode = next((m for flag, m in args.files.items() if m and given[flag] is not None), "")
     need = [flag for flag, m in args.files.items() if m == mode]
     for flag in need:
         if given[flag] is None:
             raise ConfigError(f"{mode} mode needs both {' and '.join(need)}" if mode else f"{flag} is required")
-    clash = [flag for flag, m in args.files.items() if m not in (mode, None) and given[flag] is not None]
+    clash = [flag for flag, m in args.files.items() if (m or "") != mode and given[flag] is not None]
     if clash:
         raise ConfigError(f"{'/'.join(clash)} and {'/'.join(need)} are mutually exclusive")
     for flag, path in given.items():

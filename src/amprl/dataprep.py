@@ -15,7 +15,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import rng as _rng
-from .alignment import LCS_WORD, lcs_lengths, search
+from .alignment import match_bound, search
 from .mic import LabeledSet
 from .sequences import Peptide, _read_text, encode, write_json
 
@@ -77,7 +77,7 @@ def _greedy_order(peptides: Sequence[Peptide]) -> list[Peptide]:
     return sorted(peptides, key=lambda p: (-len(p), p.residues, p.id))
 
 
-# peptides of the greedy order clustered per alignment search. The LCS bound
+# peptides of the greedy order clustered per alignment search. The match bound
 # leaves a batch of 16 about 13 alignments per search, so per-call cost
 # dominates. Of 16, 32, 64 and 128, 64 was fastest at 1,200 and 2,400
 # peptides (128 within 4%) and 10-15% slower than 128 at 140-300, whose
@@ -95,12 +95,11 @@ def greedy_cluster(peptides: Sequence[Peptide], identity_threshold: float = 0.40
 
     The peptides are encoded once and taken CLUSTER_BATCH at a time. One
     search aligns each peptide of a batch against every representative and
-    every earlier peptide of the batch, after dropping each pair whose LCS
-    bound, `lcs_lengths` over the longer length, is below the threshold. The
-    bound is exact: an alignment's matches are a common subsequence, its
-    columns are at least the longer length, and IEEE division is monotone,
-    so no dropped pair could have joined. A pair whose query exceeds
-    LCS_WORD residues is aligned unpruned. Each peptide then joins the first
+    every earlier peptide of the batch, after dropping each pair whose
+    `match_bound` over the longer length is below the threshold. The bound
+    is exact: an alignment has at most `match_bound` matches and at least
+    the longer length in columns, and IEEE division is monotone, so no
+    dropped pair could have joined. Each peptide then joins the first
     representative it passes, in founding order.
     """
     _check_identity_threshold(identity_threshold)
@@ -114,13 +113,8 @@ def greedy_cluster(peptides: Sequence[Peptide], identity_threshold: float = 0.40
         batch = range(start, min(start + CLUSTER_BATCH, len(ordered)))
         query = np.repeat(batch, len(representatives) + np.arange(len(batch)))
         target = np.concatenate([np.concatenate([representatives, np.arange(start, b)]) for b in batch])
-        # in the greedy order a query is never longer than its target, and
-        # one too long for the LCS word is admitted unpruned
-        admitted = lengths[query] > LCS_WORD
-        short = np.flatnonzero(~admitted)
-        q, t = query[short], target[short]
-        common = lcs_lengths((codes[q], lengths[q]), (codes[t], lengths[t]))
-        admitted[short] = common / np.maximum(lengths[q], lengths[t]) >= identity_threshold
+        common = match_bound((codes[query], lengths[query]), (codes[target], lengths[target]))
+        admitted = common / np.maximum(lengths[query], lengths[target]) >= identity_threshold
         query, target = query[admitted], target[admitted]
         _, matches, columns = search((codes[query], lengths[query]), (codes[target], lengths[target]), local=False)
         passed = matches / columns >= identity_threshold

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng as _rng
-from .alignment import GAP_EXTEND, GAP_OPEN, _SCORES, SimilarityHit, _composition, local_scores, make_hit, search
+from .alignment import GAP_EXTEND, GAP_OPEN, _SCORES, SimilarityHit, local_scores, make_hit, match_bound, search
 from .mic import features_and_scores
 from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable
 from .policy import _check_sampling, sample
@@ -131,23 +131,33 @@ def screen(table: PeptideTable, cfg: ScreenConfig) -> PeptideTable:
 # the opening column of a gap
 _MATCH_MIN = int(np.diag(_SCORES).min())
 _OTHER_COST = max(-int(_SCORES[~np.eye(len(_SCORES), dtype=bool)].min()), GAP_OPEN + GAP_EXTEND)
+# (candidate, reference) pairs per chunk of `novelty_filter`, which bounds its
+# memory to a chunk's pairs, or one candidate's, plus the two sets
+NOVELTY_PAIRS = 4096
 
 
-def _novelty_bounds(n: int, cfg: ScreenConfig) -> tuple[float, float | None]:
-    """Two bounds that every similar pair of a candidate of n residues exceeds: (overlap, score).
+def _novelty_bounds(n: np.ndarray, cfg: ScreenConfig) -> tuple[np.ndarray, np.ndarray | None]:
+    """Two bounds that every similar pair of a candidate of n residues exceeds, elementwise over n: (matches, score).
 
     A similar alignment has m >= identity * c matches over c > coverage * n
-    columns. Its matches pair equal residues, so the pair's composition
-    overlap (the sum over residues of the smaller count) is at least m. Its
-    score, the pair's best local score, is at least
-    (_MATCH_MIN + _OTHER_COST) * m - _OTHER_COST * c >= slope * c, which bounds
-    it by slope * coverage * n when the slope is positive (else the score
-    bound is None). Overlaps and scores are integers, so lowering each bound
-    by 1 covers the rounding of the float tests: it can only admit more pairs.
+    columns, so the pair's `match_bound`, at least m, exceeds
+    identity * coverage * n. Its score, the pair's best local score, is at
+    least (_MATCH_MIN + _OTHER_COST) * m - _OTHER_COST * c >= slope * c,
+    which bounds it by slope * coverage * n when the slope is positive (else
+    the score bound is None). Both are integers, so lowering each bound by 1
+    covers the rounding of the float tests: it can only admit more pairs.
     """
-    overlap = cfg.novelty_identity * cfg.novelty_coverage * n - 1
+    matches = cfg.novelty_identity * cfg.novelty_coverage * n - 1
     slope = (_MATCH_MIN + _OTHER_COST) * cfg.novelty_identity - _OTHER_COST
-    return overlap, (slope * cfg.novelty_coverage * n - 1 if slope > 0 else None)
+    return matches, (slope * cfg.novelty_coverage * n - 1 if slope > 0 else None)
+
+
+def _best(query: np.ndarray, rank: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """The index of each query's best pair that scores above 0: the highest
+    score, then the smallest reference id rank, then the first pair."""
+    order = np.lexsort((rank, -scores, query))
+    order = order[scores[order] > 0.0]
+    return order[np.unique(query[order], return_index=True)[1]]
 
 
 def novelty_filter(
@@ -164,13 +174,13 @@ def novelty_filter(
     that aligned at all, including kept candidates.
 
     A pair is admitted when it exceeds both `_novelty_bounds`; no other pair
-    can be similar. The first pass scores with `local_scores`, a candidate
-    per call as a broadcast row, the pairs whose scores the second pass needs
-    and would not give: all of them when there is a score bound, else those
-    the overlap bound drops. The second pass is one `search` over the
-    admitted pairs plus each candidate's best first-pass pair (highest score,
-    then smallest target id), so a candidate's best tallied pair is its best
-    hit. Memory holds one candidate's scores at a time and the tallied pairs.
+    can be similar. The candidates go shortest first, in chunks of about
+    NOVELTY_PAIRS pairs, each candidate against every reference. The first
+    pass scores with `local_scores` the pairs whose scores the second pass
+    needs and would not give: all of them when there is a score bound, else
+    those the match bound drops. The second pass is one `search` over the
+    admitted pairs plus each candidate's best first-pass pair, so a
+    candidate's best tallied pair is its best hit; `_best` picks both.
     """
     if not reference:
         raise ValueError("reference set must be non-empty")
@@ -178,43 +188,39 @@ def novelty_filter(
     candidates = table.kept()
     queries = [table.peptides[i] for i in candidates]
     query_codes, query_lengths = encode([p.residues for p in queries])
-    targets = encode([t.residues for t in reference])
-    query_counts, target_counts = _composition(query_codes, query_lengths), _composition(*targets)
+    target_codes, target_lengths = encode([t.residues for t in reference])
     # codes fit a byte, so the gathered pairs cost a byte per residue
-    query_codes, target_codes = query_codes.astype(np.uint8), targets[0].astype(np.uint8)
-    pair_query: list[int] = []
-    pair_target: list[int] = []
-    spans: dict[int, range] = {}
+    query_codes, target_codes = query_codes.astype(np.uint8), target_codes.astype(np.uint8)
+    ids = {pid: k for k, pid in enumerate(sorted({t.id for t in reference}))}
+    rank = np.array([ids[t.id] for t in reference])
+    match_needed, score_needed = _novelty_bounds(query_lengths, cfg)
+
+    def pairs(query, target):
+        return (query_codes[query], query_lengths[query]), (target_codes[target], target_lengths[target])
+
+    removed = np.zeros(len(queries), dtype=bool)
+    hits: dict[int, SimilarityHit] = {}
     # shortest candidate first, so each block of the second pass runs about as many rows as its queries hold
-    for q in np.argsort(query_lengths, kind="stable").tolist():
-        n = query_lengths[q]
-        overlap, score_bound = _novelty_bounds(n, cfg)
-        admitted = np.minimum(target_counts, query_counts[q]).sum(axis=1) > overlap
-        scored = np.arange(len(reference)) if score_bound is not None else np.flatnonzero(~admitted)
-        rows = (np.broadcast_to(query_codes[q, :n], (len(scored), n)), np.broadcast_to(n, len(scored)))
-        scores = local_scores(rows, (target_codes[scored], targets[1][scored]))
-        if score_bound is not None:
-            admitted &= scores > score_bound
-        if scores.size and scores.max() > 0.0:
-            admitted[min(scored[scores == scores.max()], key=lambda k: reference[k].id)] = True
-        tallied = np.flatnonzero(admitted).tolist()
-        spans[q] = range(len(pair_target), len(pair_target) + len(tallied))
-        pair_query += [q] * len(tallied)
-        pair_target += tallied
-    query, target = np.array(pair_query, dtype=np.int64), np.array(pair_target, dtype=np.int64)
-    scores, matches, columns = search(
-        (query_codes[query], query_lengths[query]), (target_codes[target], targets[1][target]), local=True
-    )
-    # columns is 0 only where nothing aligned, and then fails the coverage test
-    similar = (columns > cfg.novelty_coverage * query_lengths[query]) & (matches / np.maximum(columns, 1) >= cfg.novelty_identity)
-    hits: list[SimilarityHit] = []
-    for q, peptide in enumerate(queries):
-        aligned = [k for k in spans[q] if scores[k] > 0.0]
-        if aligned:
-            k = min(aligned, key=lambda k: (-scores[k], reference[target[k]].id))
-            hits.append(make_hit(peptide, reference[target[k]], scores[k], matches[k], columns[k], db_residues))
-    removed = np.array([similar[spans[q].start : spans[q].stop].any() for q in range(len(queries))], dtype=bool)
-    return candidates[~removed], candidates[removed], hits
+    order = np.argsort(query_lengths, kind="stable")
+    step = max(1, NOVELTY_PAIRS // len(reference))
+    for k in range(0, len(order), step):
+        chunk = order[k : k + step]
+        query, target = np.repeat(chunk, len(reference)), np.tile(np.arange(len(reference)), len(chunk))
+        admitted = match_bound(*pairs(query, target)) > match_needed[query]
+        scored = np.arange(len(query)) if score_needed is not None else np.flatnonzero(~admitted)
+        scores = local_scores(*pairs(query[scored], target[scored]))
+        if score_needed is not None:
+            admitted &= scores > score_needed[query]
+        admitted[scored[_best(query[scored], rank[target[scored]], scores)]] = True
+        query, target = query[admitted], target[admitted]
+        scores, matches, columns = search(*pairs(query, target), local=True)
+        # columns is 0 only where nothing aligned, and then fails the coverage test
+        similar = (columns > cfg.novelty_coverage * query_lengths[query]) & (matches / np.maximum(columns, 1) >= cfg.novelty_identity)
+        removed[query[similar]] = True
+        for b in _best(query, rank[target], scores).tolist():
+            q = int(query[b])
+            hits[q] = make_hit(queries[q], reference[target[b]], scores[b], matches[b], columns[b], db_residues)
+    return candidates[~removed], candidates[removed], [hits[q] for q in sorted(hits)]
 
 
 def prioritize(table: PeptideTable, windows: dict[str, Window], hits: Sequence[SimilarityHit] = ()) -> np.ndarray:

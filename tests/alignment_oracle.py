@@ -18,7 +18,7 @@ ran one tallying `search` per candidate against the whole reference before
 `amprl.screening.novelty_filter` scored every pair first and tallied only the
 pairs its bounds admit.
 `lcs` is the scalar dynamic program for the longest common subsequence that
-`amprl.alignment.lcs_lengths` computes bit-parallel.
+`amprl.alignment.match_bound` computes bit-parallel for a short query.
 """
 import dataclasses
 import functools

@@ -495,34 +495,53 @@ def _lcs_pairs(rng):
 
 
 @pytest.mark.parametrize("block", [5, alignment.LCS_BLOCK])
-def test_lcs_lengths_match_the_scalar_oracle(monkeypatch, block):
+def test_match_bound_of_a_short_query_is_the_scalar_lcs(monkeypatch, block):
     # blocks of 5 pairs split runs of equal query rows between blocks
     monkeypatch.setattr(alignment, "LCS_BLOCK", block)
     pairs = _lcs_pairs(np.random.default_rng(16))
     expected = [alignment_oracle.lcs(q, t) for q, t in pairs]
     assert {0, 64} <= set(expected)
     (query_codes, query_lengths), (codes, lengths) = encode([q for q, _ in pairs]), encode([t for _, t in pairs])
-    assert alignment.lcs_lengths((query_codes, query_lengths), (codes, lengths)).tolist() == expected
+    assert alignment.match_bound((query_codes, query_lengths), (codes, lengths)).tolist() == expected
     # codes as bytes, query rows padded past LCS_WORD, targets padded past their longest
     wide_queries = encode([q for q, _ in pairs] + ["K" * 90])[0][:-1].astype(np.uint8)
     padded = np.hstack([codes, np.full((len(pairs), 7), len(RESIDUES))]).astype(np.uint8)
-    assert alignment.lcs_lengths((wide_queries, query_lengths), (padded, lengths)).tolist() == expected
+    assert alignment.match_bound((wide_queries, query_lengths), (padded, lengths)).tolist() == expected
     # one query broadcast against every target, as callers pass it
     targets = [t for _, t in pairs]
     for query in ("W", pairs[100][0], "K" * 64):
-        got = alignment.lcs_lengths(_against(query, len(targets)), encode(targets))
+        got = alignment.match_bound(_against(query, len(targets)), encode(targets))
         assert got.tolist() == [alignment_oracle.lcs(query, t) for t in targets]
 
 
-def test_lcs_lengths_edge_cases():
-    assert alignment.lcs_lengths(_against("KLW", 0), encode([])).shape == (0,)
-    assert alignment.lcs_lengths(encode([]), encode([])).shape == (0,)
+def test_match_bound_edge_cases():
+    assert alignment.match_bound(_against("KLW", 0), encode([])).shape == (0,)
+    assert alignment.match_bound(encode([]), encode([])).shape == (0,)
     with pytest.raises(ValueError, match="2 queries for 3 targets"):
-        alignment.lcs_lengths(_against("KLW", 2), encode(["KLW"] * 3))
+        alignment.match_bound(_against("KLW", 2), encode(["KLW"] * 3))
     with pytest.raises(ValueError, match="cannot align an empty sequence"):
-        alignment.lcs_lengths(_against("KLW", 2), encode(["KLW", ""]))
-    with pytest.raises(ValueError, match="at most 64 residues, got 65"):
-        alignment.lcs_lengths(encode(["K" * 65, "K"]), encode(["K" * 65, "K"]))
+        alignment.match_bound(_against("KLW", 2), encode(["KLW", ""]))
+    with pytest.raises(ValueError, match="cannot align an empty sequence"):
+        alignment.match_bound(_against("K" * 70, 2), encode(["KLW", ""]))
+    # a query past the word is bounded by the shorter length
+    assert alignment.match_bound(encode(["K" * 65, "K"]), encode(["L" * 66, "K"])).tolist() == [65, 1]
+
+
+def test_match_bound_is_the_lcs_up_to_the_word_then_the_shorter_length():
+    rng = np.random.default_rng(17)
+    pairs = _lcs_pairs(rng)[:60]
+    # queries past the word among short ones, against a near copy, a prefix and a longer target
+    for length in (65, 70, 80):
+        query = "".join(rng.choice(list(RESIDUES), size=length))
+        pairs += [(query, near_copy(rng, query, max_len=90)), (query, query[:30]), (query[:40], query)]
+    expected = [alignment_oracle.lcs(q, t) if len(q) <= alignment.LCS_WORD else min(len(q), len(t)) for q, t in pairs]
+    queries, targets = encode([q for q, _ in pairs]), encode([t for _, t in pairs])
+    bound = alignment.match_bound(queries, targets)
+    assert bound.tolist() == expected
+    # it bounds the matches of the optimal global and local alignments
+    for local in (False, True):
+        _, matches, _ = search(queries, targets, local=local)
+        assert np.all(matches <= bound), local
 
 
 def test_local_self_alignment_is_full_length():

@@ -122,6 +122,7 @@ def test_an_absent_or_directory_file_path_exits_2_and_makes_no_output_directory(
         (["--negatives"], "balance mode needs both --positives and --negatives"),
         (["--input", "--positives"], "balance mode needs both --positives and --negatives"),
         (["--input", "--positives", "--negatives"], "--input and --positives/--negatives are mutually exclusive"),
+        (["--positives", "--negatives", "--clusters"], "--clusters and --positives/--negatives are mutually exclusive"),
     ],
 )
 def test_dataprep_mode_rules_exit_2_and_make_no_output_directory(tmp_path, capsys, flags, message):

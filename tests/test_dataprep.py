@@ -126,8 +126,8 @@ def _shuffles(rng, n, length):
 
 def _long_families(rng):
     # families of 65-80 residues, whose queries pass the LCS word and are
-    # aligned unpruned, with near copies that may fall to 64 residues, among
-    # peptides short enough for the bound
+    # bounded by the shorter length, with near copies that may fall to 64
+    # residues, among peptides short enough for the LCS
     peps = []
     for f, base in enumerate(unique_random_peptides(3, rng, min_len=65, max_len=80, prefix="long")):
         peps.append(base)
@@ -186,20 +186,20 @@ def _searched_pairs(monkeypatch):
 
 
 def test_the_composition_bound_is_tight_on_a_shuffle_and_never_drops_a_joining_pair():
-    # the composition bound, which screening's overlap bound shares, and the
-    # LCS bound that clustering prunes with, which is never looser: a common
-    # subsequence uses each residue at most the smaller count times
+    # the composition bound, computed here, and the LCS bound that
+    # `match_bound` gives clustering and screening, which is never looser: a
+    # common subsequence uses each residue at most the smaller count times
     rng = np.random.default_rng(24)
     families = _families(rng)
     peps = [families[int(k)] for k in rng.choice(len(families), size=40, replace=False)] + _shuffles(rng, 12, 25)
     ordered = dataprep._greedy_order(peps)
     codes, lengths = encode([p.residues for p in ordered])
-    counts = alignment._composition(codes, lengths)
+    counts = np.array([[p.residues.count(r) for r in RESIDUES] for p in ordered])
     assert counts.sum(axis=1).tolist() == lengths.tolist()
     later, earlier = np.tril_indices(len(ordered), k=-1)
     longer = np.maximum(lengths[later], lengths[earlier])
     composition = np.minimum(counts[later], counts[earlier]).sum(axis=1) / longer
-    common = alignment.lcs_lengths((codes[later], lengths[later]), (codes[earlier], lengths[earlier]))
+    common = alignment.match_bound((codes[later], lengths[later]), (codes[earlier], lengths[earlier]))
     assert common.tolist() == [alignment_oracle.lcs(ordered[q].residues, ordered[t].residues) for q, t in zip(later, earlier)]
     bound = common / longer
     assert np.all(bound <= composition)
@@ -236,15 +236,19 @@ def test_greedy_cluster_searches_once_per_batch_over_the_admitted_pairs(monkeypa
     founders = sorted(rank[c.representative.id] for c in alignment_oracle.greedy_cluster(peps, threshold))
     # each peptide of a batch against the representatives founded before the
     # batch, then against the earlier peptides of its batch; a pair is
-    # admitted when its query passes the LCS word or its LCS bound reaches
-    # the threshold
+    # admitted when its match bound, the LCS or past the LCS word the shorter
+    # length, reaches the threshold over the longer length
     candidates, admitted = 0, []
     for start in range(0, len(ordered), dataprep.CLUSTER_BATCH):
         batch = range(start, min(start + dataprep.CLUSTER_BATCH, len(ordered)))
         pairs = [(ordered[b].residues, ordered[t].residues) for b in batch for t in [f for f in founders if f < start] + list(range(start, b))]
         candidates += len(pairs)
         admitted.append(
-            sum(len(q) > alignment.LCS_WORD or alignment_oracle.lcs(q, t) / max(len(q), len(t)) >= threshold for q, t in pairs)
+            sum(
+                (min(len(q), len(t)) if len(q) > alignment.LCS_WORD else alignment_oracle.lcs(q, t)) / max(len(q), len(t))
+                >= threshold
+                for q, t in pairs
+            )
         )
     assert searched == admitted
     assert sum(admitted) < 0.9 * candidates

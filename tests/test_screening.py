@@ -9,12 +9,11 @@ import itertools
 import json
 import re
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 
-from amprl.alignment import SimilarityHit, write_hit_table
+from amprl.alignment import LCS_WORD, SimilarityHit, write_hit_table
 from amprl.cli import main
 from amprl.mic import Embedder, MicConfig, MicModel
 from amprl.physchem import DEFAULT_SCALE, load_scale_overrides
@@ -189,7 +188,7 @@ def test_novelty_with_disjoint_reference_keeps_everything():
 
 
 # the identity x coverage grid the novelty bounds are checked on: identity
-# 0.75 and below leaves only the composition bound, 0.76 the loosest score bound
+# 0.75 and below leaves only the match bound, 0.76 the loosest score bound
 NOVELTY_CONFIGS = [
     ScreenConfig(novelty_identity=identity, novelty_coverage=coverage)
     for identity in (0.5, 0.75, 0.76, 0.9, 1.0)
@@ -198,17 +197,11 @@ NOVELTY_CONFIGS = [
 
 # pairs within 10% of a bound, so that a bound 10% higher drops a similar pair:
 # - identity exactly 0.5 over 60 columns, just above 0.7 of 85 residues, and
-#   every residue the pair shares is one of its 30 matches: an overlap of 30
-#   against 0.5 * 0.7 * 85 = 29.75;
+#   its 30 matches are a longest common subsequence: an LCS of 30 against
+#   0.5 * 0.7 * 85 = 29.75;
 # - identity 1 over 15 columns of residues whose matches score the least,
 #   just above 0.7 of 20 residues: a score of 60 against 4 * 0.7 * 20 = 56
 TIGHT_PAIRS = [("IL" * 30 + "D" * 25, "I" * 60), ("AILSV" * 3 + "DDDDD", "AILSV" * 3)]
-
-
-def _overlap(a, b):
-    """Sum over residues of the smaller count in a and b."""
-    counts = Counter(b)
-    return sum(min(k, counts[r]) for r, k in Counter(a).items())
 
 
 def _similar(query, target, cfg):
@@ -218,15 +211,16 @@ def _similar(query, target, cfg):
 
 @pytest.mark.parametrize("cfg", NOVELTY_CONFIGS, ids=lambda c: f"{c.novelty_identity}-{c.novelty_coverage}")
 def test_novelty_bounds_never_drop_a_similar_pair(cfg):
-    # random pairs of 1-40 residues, near copies with substitutions and indels, and the tight pairs
+    # random pairs of 1-40 residues, near copies with substitutions and indels,
+    # and the tight pairs; `match_bound` is never below the LCS
     rng = np.random.default_rng(23)
     pairs = [tuple("".join(rng.choice(list(RESIDUES), size=rng.integers(1, 41))) for _ in "ab") for _ in range(150)]
     pairs += [(a, near_copy(rng, a)) for a, _ in pairs] + TIGHT_PAIRS
     similar = 0
     for query, target in pairs:
-        overlap, score = _novelty_bounds(len(query), cfg)
+        matches, score = _novelty_bounds(len(query), cfg)
         aln = alignment_oracle.cached_align_local(query, target)
-        admitted = _overlap(query, target) > overlap and (score is None or (aln is not None and aln.score > score))
+        admitted = alignment_oracle.lcs(query, target) > matches and (score is None or (aln is not None and aln.score > score))
         if _similar(query, target, cfg):
             similar += 1
             assert admitted, (query, target)
@@ -237,8 +231,8 @@ def test_tight_pairs_sit_within_a_tenth_of_their_bound():
     identity_half, identity_one = (ScreenConfig(novelty_identity=i, novelty_coverage=0.7) for i in (0.5, 1.0))
     (query, target), (block, copy) = TIGHT_PAIRS
     assert _similar(query, target, identity_half)
-    overlap, _ = _novelty_bounds(len(query), identity_half)
-    assert overlap < _overlap(query, target) <= 1.1 * (overlap + 1) - 1
+    matches, _ = _novelty_bounds(len(query), identity_half)
+    assert matches < alignment_oracle.lcs(query, target) <= 1.1 * (matches + 1) - 1
     assert _similar(block, copy, identity_one)
     _, score = _novelty_bounds(len(block), identity_one)
     assert score < alignment_oracle.cached_align_local(block, copy).score <= 1.1 * (score + 1) - 1
@@ -253,7 +247,8 @@ def _novelty_fixture():
     identity) is not its only similar pair at identity 0.9, which is a shorter
     exact copy. Each TIGHT_PAIRS query is a candidate with its target among the
     references, and its best hit is another reference, which is not similar
-    under the config that its tight pair is similar under.
+    under the config that its tight pair is similar under. A candidate longer
+    than LCS_WORD has a near copy among the references.
     """
     rng = np.random.default_rng(22)
     reference = [
@@ -272,6 +267,9 @@ def _novelty_fixture():
     candidates += [_pep("copy7", reference[7].residues), _pep("lone", "CCCCCCCC"), _pep("wled", "WWWW" + block)]
     candidates += [_pep(f"at_bound{k}", query) for k, (query, _) in enumerate(TIGHT_PAIRS)]
     candidates += unique_random_peptides(10, rng, min_len=8, max_len=40, prefix="new")
+    long = "".join(rng.choice(list(RESIDUES.replace("C", "")), size=70))
+    candidates.append(_pep("long", long))
+    reference.append(Peptide("long_copy", near_copy(rng, long, max_len=80).replace("C", "A"), "external"))
     return _table(candidates), reference
 
 
@@ -305,6 +303,8 @@ def test_novelty_fixture_reaches_each_case():
     strict = ScreenConfig(novelty_identity=0.9, novelty_coverage=0.7)
     similar = [t.id for t in reference if _similar(by_id["wled"], t.residues, strict)]
     assert similar == ["exact16"]
+    assert len(by_id["long"]) > LCS_WORD
+    assert [t.id for t in reference if _similar(by_id["long"], t.residues, strict)] == ["long_copy"]
     for k, (_, target) in enumerate(TIGHT_PAIRS):
         cfg = ScreenConfig(novelty_identity=(0.5, 1.0)[k], novelty_coverage=0.7)
         assert [t.id for t in reference if _similar(by_id[f"at_bound{k}"], t.residues, cfg)] == [f"tight{k}"]
@@ -332,6 +332,24 @@ def test_novelty_filter_memory_grows_linearly(identity):
         finally:
             tracemalloc.stop()
     assert peaks[600] <= 2.5 * peaks[300], peaks
+
+
+def test_novelty_filter_memory_grows_with_the_sets_not_their_product():
+    # at identity 0.5 most pairs are tallied. Doubling the candidates and the
+    # references together quadruples the pairs, but memory linear in the two
+    # sets at most doubles: a chunk holds about NOVELTY_PAIRS pairs
+    peaks = {}
+    for n in (1, 2):
+        rng = np.random.default_rng(30 + n)
+        table = _table(unique_random_peptides(20 * n, rng, min_len=8, max_len=40, prefix="cand"))
+        reference = unique_random_peptides(300 * n, rng, min_len=8, max_len=40, prefix="ref")
+        tracemalloc.start()
+        try:
+            novelty_filter(table, reference, ScreenConfig(novelty_identity=0.5))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= 2 * peaks[1], peaks
 
 
 def test_prioritize_reads_hit_identity_as_max_identity_by_query_did():
