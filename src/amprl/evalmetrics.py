@@ -46,6 +46,9 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         _check_log_base(self.jsd_base)
+        # each threshold names one report row, and no distance lies below 0
+        if not all(t >= 0.0 for t in self.thresholds) or len(set(self.thresholds)) < len(self.thresholds):
+            raise ValueError(f"distance thresholds must be >= 0 and distinct, got {list(self.thresholds)}")
 
 
 def js_divergence(p: np.ndarray, q: np.ndarray, base: float = 2.0) -> float:
@@ -119,17 +122,50 @@ def property_summary(matrix: np.ndarray) -> dict[str, dict]:
     return out
 
 
+# (generated, reference) pairs one screen block holds
+_DISTANCE_CELLS = 8192
+
+
 def embedding_distance_profile(gen: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Nearest-reference Euclidean distance of each generated embedding row."""
+    """Nearest-reference Euclidean distance of each generated embedding row:
+    the smallest sqrt(E), E = np.sum(diff * diff), diff = g - r, bit for bit.
+
+    A block's G = |g|^2 + |r|^2 - 2 g.r takes one matmul. With u = 2^-53,
+    gamma_k = k u / (1 - k u) and D = sum((g - r)^2), for any summation order
+    and FMA use (Higham 2002, section 3.1), |G - D| <= gamma_{n+2} (|g| + |r|)^2
+    (gamma_n in |g|^2, |r|^2 and g.r, |g.r| <= |g| |r|, gamma_2 in two sums) and
+    |E - D| <= gamma_{n+2} D <= gamma_{n+2} (|g| + |r|)^2 (n + 2 roundings per
+    nonnegative term). The radius gamma_{2n+8} (|g| + |r|)^2 + (n + 1) tiny adds
+    four units for its own and G -/+ radius's rounding, and a term for underflow.
+    E is recomputed only where G - radius <= the row's least G + radius; sqrt is
+    monotone and correctly rounded. Rows with a squared norm past 2^1020, inf or
+    NaN (all rows if a reference has one) are rechecked against every reference.
+    """
     if not len(gen) or not len(ref):
         raise ValueError("both sets must be non-empty")
     if gen.shape[1] != ref.shape[1]:
         raise ValueError("embedding dimensions differ between sets")
-    # one generated row at a time keeps memory at the size of the reference matrix
+    gen, ref = (np.ascontiguousarray(a, dtype=np.float64) for a in (gen, ref))
+    units = (2 * ref.shape[1] + 8) * 2.0**-53
+    scale, slack = units / (1.0 - units), (ref.shape[1] + 1) * np.finfo(np.float64).tiny
+    sq_ref = np.einsum("ij,ij->i", ref, ref)
     dists = np.empty(len(gen))
-    for k, row in enumerate(gen):
-        diff = row - ref
-        dists[k] = np.sqrt(np.sum(diff * diff, axis=1)).min()
+    step = max(1, _DISTANCE_CELLS // len(ref))  # memory grows with len(ref) alone
+    for start in range(0, len(gen), step):
+        block = gen[start : start + step]
+        sq = np.einsum("ij,ij->i", block, block)
+        with np.errstate(all="ignore"):  # rows past the bound are rechecked in full below
+            screen = sq[:, None] + sq_ref - 2.0 * (block @ ref.T)
+            radius = scale * (np.sqrt(sq)[:, None] + np.sqrt(sq_ref)) ** 2 + slack
+            keep = screen - radius <= (screen + radius).min(axis=1)[:, None]
+        keep[~((sq <= 2.0**1020) & np.all(sq_ref <= 2.0**1020))] = True
+        rows, cols = np.nonzero(keep)
+        best = np.empty(len(rows))
+        for k in range(0, len(rows), len(ref)):  # as many pairs at once as the row-by-row loop held
+            diff = ref[cols[k : k + len(ref)]]
+            diff -= block[rows[k : k + len(ref)]]  # r - g, whose square is (g - r)'s bit for bit
+            best[k : k + len(ref)] = np.sum(diff * diff, axis=1)
+        dists[start : start + step] = np.sqrt(np.minimum.reduceat(best, np.searchsorted(rows, np.arange(len(block)))))
     return dists
 
 

@@ -603,6 +603,8 @@ def test_ppo_value_out_of_range_is_config_error(tmp_path, capsys, key, value, me
         ({"dataprep": {"min_len": 30, "max_len": 5}}, "dataprep: min_len 30 exceeds max_len 5"),
         ({"dataprep": {"identity_threshold": 7}}, "dataprep: identity threshold must lie in (0,1]"),
         ({"eval": {"jsd_base": 1}}, "eval: log base must exceed 1"),
+        ({"eval": {"thresholds": [1.0, 1.0]}}, "eval: distance thresholds must be >= 0 and distinct, got [1.0, 1.0]"),
+        ({"eval": {"thresholds": [-1.0]}}, "eval: distance thresholds must be >= 0 and distinct, got [-1.0]"),
         ({"lora": {"rank": 0}}, "lora: LoRA rank must be >= 1, got 0"),
         ({"lora": {"targets": ["wq", "wz"]}}, "lora: unknown LoRA targets: wz"),
         ({"sample": {"temperature": 0}}, "sample: temperature must be positive"),

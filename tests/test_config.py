@@ -158,6 +158,26 @@ def test_builders_validate_values():
         build_run(cfg)
 
 
+@pytest.mark.parametrize(
+    "thresholds, shown",
+    [
+        ([1.0, 1.0], "[1.0, 1.0]"),
+        ([0.5, 3, 3.0], "[0.5, 3.0, 3.0]"),  # an integer is the float it names
+        ([-1.0], "[-1.0]"),
+        ([2.0, -0.5, 1.0], "[2.0, -0.5, 1.0]"),
+    ],
+)
+def test_eval_thresholds_are_non_negative_and_distinct(thresholds, shown):
+    # a repeat would write one fraction row for two entries, and no distance is negative
+    cfg = default_config()
+    cfg["eval"]["thresholds"] = thresholds
+    with pytest.raises(ConfigError) as err:
+        build_run(cfg)
+    assert str(err.value) == f"eval: distance thresholds must be >= 0 and distinct, got {shown}"
+    cfg["eval"]["thresholds"] = [0.0, 3.0, 1.0]
+    assert build_run(cfg).eval.thresholds == (0.0, 3.0, 1.0)
+
+
 def test_scale_table_override_hook(tmp_path):
     cfg = default_config()
     assert build_run(cfg).scales is DEFAULT_SCALE

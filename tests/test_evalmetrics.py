@@ -2,12 +2,16 @@
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from amprl import physchem
+from amprl import evalmetrics, physchem
 from amprl.cli import main
 from amprl.config import build_run, load_config
 from amprl.evalmetrics import (
@@ -203,6 +207,94 @@ def test_embedding_distance_profile_matches_broadcast_expression():
         assert dists.tolist() == expected.tolist()
 
 
+def _distance_cases(rng):
+    """(name, generated, reference) matrices that stress the screen's bound."""
+    ref = rng.normal(size=(300, 425)) * 3.0
+    gen = rng.normal(size=(90, 425)) * 3.0
+    gen[:30] = ref[rng.integers(0, 300, size=30)]  # exact copies
+    gen[30:60] = ref[:30] + rng.normal(size=(30, 425)) * 1e-9  # near copies
+    yield "copies", gen, ref
+    # references whose distances from one row differ by a few units in the last place
+    unit = rng.normal(size=(120, 425))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    rows = rng.normal(size=(6, 425)) * 5.0
+    ties = rows[np.arange(120) % 6] + unit * 3.0 * (1.0 + rng.integers(-4, 5, size=(120, 1)) * 2.0**-52)
+    yield "near_ties", rows, ties
+    yield "duplicate_references", gen, np.repeat(ref[:20], 15, axis=0)
+    const = ref.copy()
+    const[:, 7] = 0.0
+    yield "constant_column", gen, const
+    yield "integer_grid", rng.integers(-2, 3, size=(50, 8)).astype(float), rng.integers(-2, 3, size=(70, 8)).astype(float)
+    yield "subnormal", gen * 1e-310, ref * 1e-310
+    yield "huge", gen * 1e150, ref * 1e150  # norms near 6e151, just under the screened 2^510
+    bad = gen.copy()
+    bad[1, 0], bad[2, 5], bad[3] = np.nan, np.inf, 1e200
+    yield "unbounded_rows", bad, ref
+    bad_ref = ref.copy()
+    bad_ref[4, 4] = np.nan
+    yield "nan_reference", gen, bad_ref
+    yield "one_dimension", rng.normal(size=(40, 1)), rng.normal(size=(3, 1))
+
+
+@pytest.mark.parametrize("cells", [None, 7, 1])
+def test_embedding_distance_profile_matches_the_row_loop(monkeypatch, cells):
+    # 7 cells make blocks of one to a few rows, and 1 a block per row
+    if cells is not None:
+        monkeypatch.setattr(evalmetrics, "_DISTANCE_CELLS", cells)
+    for name, gen, ref in _distance_cases(np.random.default_rng(32)):
+        with np.errstate(all="ignore"):  # the loop warns on the unbounded rows
+            new = embedding_distance_profile(gen, ref)
+            old = np.array(eval_oracle.embedding_distance_profile(gen, ref).distances)
+        assert np.array_equal(new, old, equal_nan=True), name
+
+
+def test_embedding_distance_profile_memory_stays_flat_in_the_generated_rows():
+    # 8 references make blocks of 1,024 rows; 2,048 and 4,096 rows span 2 and 4
+    rng = np.random.default_rng(33)
+    ref = rng.normal(size=(8, 425))
+    peaks = {}
+    for n in (2048, 4096):
+        gen = rng.normal(size=(n, 425))
+        gen[::5] = ref[rng.integers(0, 8, size=len(gen[::5]))]
+        tracemalloc.start()
+        try:
+            embedding_distance_profile(gen, ref)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] <= 1.1 * peaks[2048], peaks
+
+
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from amprl.evalmetrics import _DISTANCE_CELLS, embedding_distance_profile
+
+rng = np.random.default_rng(34)
+ref = rng.normal(size=(200, 425))
+gen = rng.normal(size=(140, 425))
+gen[::7] = ref[:20]
+# the screen's G, block by block, as the function computes it
+step = _DISTANCE_CELLS // len(ref)
+sq, sq_ref = np.einsum("ij,ij->i", gen, gen), np.einsum("ij,ij->i", ref, ref)
+screens = [sq[k : k + step, None] + sq_ref - 2.0 * (gen[k : k + step] @ ref.T) for k in range(0, len(gen), step)]
+sys.stdout.buffer.write(embedding_distance_profile(gen, ref).tobytes() + np.concatenate(screens).tobytes())
+"""
+
+
+def test_embedding_distances_are_the_same_bytes_for_any_blas_thread_count():
+    src = Path(evalmetrics.__file__).resolve().parents[1]
+    out = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+        out[threads] = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env, capture_output=True, check=True).stdout
+    n = 140 * 8
+    assert out["1"][:n] == out["2"][:n]
+    # the screen itself rounds differently across thread counts; the recheck hides it
+    assert out["1"][n:] != out["2"][n:]
+
+
 def test_compare_sets_report_shape():
     rng = np.random.default_rng(6)
     gen = random_peptides(15, rng, prefix="g", source="generated_sft")
@@ -283,6 +375,16 @@ def _eval_sets(case):
         # length 1, and all-basic runs (R x 35 and R x 50 reach pI 14)
         gen = [_pep(f"g{k}", seq) for k, seq in enumerate(["K", "W", "R" * 35, "R" * 50, "K" * 40, "KR"])]
         ref = ref + [_pep("r_k", "K"), _pep("r_r", "R" * 50)]
+    elif case == "several_blocks":
+        # 30 references make distance blocks of 273 generated rows
+        gen = random_peptides(3 * evalmetrics._DISTANCE_CELLS // len(ref), rng, prefix="g", source="generated_sft")
+    elif case == "copies":
+        # exact copies of references, and copies one residue apart
+        gen = gen + [Peptide(f"c{k}", ref[k].residues, "generated_sft") for k in range(6)]
+        gen += [Peptide(f"n{k}", ("W" if r.residues[0] != "W" else "A") + r.residues[1:], "generated_sft") for k, r in enumerate(ref[6:12])]
+    elif case == "constant_column":
+        # every reference is 20 residues long, so the length column has no spread
+        ref = random_peptides(30, rng, min_len=20, max_len=20, prefix="r")
     # a peptide in both sets sits at distance 0
     gen = gen + [Peptide("shared", ref[3].residues, "generated_sft")]
     return gen, ref
@@ -296,6 +398,9 @@ def _eval_sets(case):
         ("one_generated", {"eval": {"thresholds": [0.0, 0.5, 1.0, 3.0, 10.0]}}, False),  # 0.0 holds the shared one
         ("edge_peptides", {}, False),
         ("edge_peptides", {"eval": {"jsd_base": 10}}, True),
+        ("several_blocks", {"eval": {"thresholds": [0.0, 10.0, 20.0, 30.0]}}, False),
+        ("copies", {"eval": {"thresholds": [0.0, 1.0, 3.0]}}, False),
+        ("constant_column", {}, False),
     ],
 )
 def test_eval_cli_matches_the_oracle_byte_for_byte(tmp_path, capsys, case, config, override):
