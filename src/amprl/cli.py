@@ -10,6 +10,7 @@ only artifact holding timestamps; it records the exit code) last.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -282,6 +283,7 @@ def _file(sub: argparse.ArgumentParser, flag: str, help: str, optional: bool = F
     sub.set_defaults(files={**(sub.get_default("files") or {}), flag: None if optional else mode})
 
 
+@functools.cache  # argparse's reference cycles would otherwise pile up for the cyclic collector on each `main`
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="amprl", description=__doc__)
     parser.add_argument("--version", action="version", version=f"amprl {__version__}")

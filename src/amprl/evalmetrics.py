@@ -122,8 +122,11 @@ def property_summary(matrix: np.ndarray) -> dict[str, dict]:
     return out
 
 
-# (generated, reference) pairs one screen block holds
+# (generated, reference) pairs one screen block holds, and its fewest generated
+# rows: past 8,192 / 8 references a block still reads the reference matrix once
+# for 8 rows, not once per row, and its memory stays linear in |reference|
 _DISTANCE_CELLS = 8192
+_DISTANCE_ROWS = 8
 
 
 def embedding_distance_profile(gen: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -150,7 +153,7 @@ def embedding_distance_profile(gen: np.ndarray, ref: np.ndarray) -> np.ndarray:
     scale, slack = units / (1.0 - units), (ref.shape[1] + 1) * np.finfo(np.float64).tiny
     sq_ref = np.einsum("ij,ij->i", ref, ref)
     dists = np.empty(len(gen))
-    step = max(1, _DISTANCE_CELLS // len(ref))  # memory grows with len(ref) alone
+    step = max(_DISTANCE_ROWS, _DISTANCE_CELLS // len(ref))  # memory grows with len(ref) alone
     for start in range(0, len(gen), step):
         block = gen[start : start + step]
         sq = np.einsum("ij,ij->i", block, block)

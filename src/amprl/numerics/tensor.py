@@ -1,16 +1,31 @@
 """Reverse-mode autodiff over numpy float64 arrays.
 
-Each op builds a node holding its parents and a closure that routes the
-output gradient back to them. backward() walks the graph once in reverse
-topological order and consumes it: each node it passes drops its parents and
-its closure, so the arrays the closure captured are freed during the walk,
-and a later backward that reaches the node raises RuntimeError before any
-gradient is written. Every op validates that its result is finite. The
-closures of the binary ops `add`, `mul`, `matmul` and `minimum` compute an
-operand's gradient only if that operand requires one, so a constant input
-(a feature batch, a mask, a scalar) costs no backward work. Inside a
-`no_grad()` block ops compute and check the same arrays but attach no
-parents, so inference keeps no graph.
+The graph is kept apart from the tensors. An op whose output needs a
+gradient gives it a node record (`_Record`) holding two things: one entry
+per operand, and a backward closure. An operand's entry is its own record
+if it has one, the operand itself if it is a leaf that requires a gradient
+(a parameter), and None if it is a constant. The closure captures only
+the arrays and shapes its formula reads, and the operands' `requires_grad`
+flags as they stood when the op ran; it never captures a `Tensor`. Given
+the output gradient it returns one gradient per operand, None where an
+operand needs none. So the records keep alive exactly what backward reads:
+a matmul keeps its inputs but not its output, an add keeps only shapes,
+`gelu` its input and tanh term, `exp`, `sigmoid` and `softmax` their output,
+`log_softmax` its probabilities, `layer_norm` gamma and its normalized input
+and inverse std, and `causal_attention` the gridded Q, K and V it needs and
+the weights P. Any other intermediate is freed as soon as its caller drops
+its `Tensor`. The binary ops `add`, `mul`, `matmul` and `minimum` keep and
+compute an operand's gradient only if that operand requires one, so a
+constant input (a feature batch, a mask, a scalar) costs no memory or
+backward work.
+
+backward() walks the records once in reverse topological order and consumes
+them: each record it passes drops its entries and its closure, so the arrays
+the closure captured are freed during the walk, and a later backward that
+reaches the record raises RuntimeError before any gradient is written.
+Every op validates that its result is finite. Inside a `no_grad()` block
+ops compute and check the same arrays but attach no record, so inference
+keeps no graph.
 
 GELU, LayerNorm, causal attention, softmax and log-softmax keep their
 forward in a private array function (`_gelu`, `_layer_norm`, `_attention`,
@@ -29,8 +44,19 @@ import numpy as np
 Arrayish = "Tensor | np.ndarray | float | int"
 
 
+class _Record:
+    """One op in the graph: an entry per operand (a `_Record`, a leaf
+    `Tensor` that requires a gradient, or None) and the backward closure."""
+
+    __slots__ = ("parents", "backward")
+
+    def __init__(self, parents: tuple, backward: Callable[[np.ndarray], tuple]):
+        self.parents = parents
+        self.backward = backward
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_record")
 
     # keep numpy from absorbing Tensor operands into object arrays
     __array_ufunc__ = None
@@ -39,8 +65,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._record: _Record | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -52,9 +77,12 @@ class Tensor:
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        # the walk starts at a record that hands the seed gradient to this tensor's
+        # entry, so a leaf takes it as a parameter would
+        root = _Record((_entry(self),), lambda g: (g,))
+        topo: list[_Record] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Record, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -62,34 +90,30 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
-            if node._backward is _consumed:
+            if node.backward is _consumed:
                 _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
-                if id(parent) not in seen:
+            for parent in node.parents:
+                if type(parent) is _Record and id(parent) not in seen:
                     stack.append((parent, False))
-        # keyed by id(): every key belongs to a node that `topo` still holds
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        # keyed by id(): every key belongs to a record that `topo` still holds
+        grads: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         while topo:
             node = topo.pop()
             g = grads.pop(id(node), None)
-            backward = node._backward
-            if backward is not None:
-                node._backward, node._parents = _consumed, ()
+            backward, parents = node.backward, node.parents
+            node.backward, node.parents = _consumed, ()
             if g is None:
                 continue
-            if node.requires_grad and backward is None:
-                node.grad = g if node.grad is None else node.grad + g
-            if backward is not None:
-                for parent, pg in backward(g):
-                    if not parent.requires_grad:
-                        continue
-                    if parent._backward is None:
-                        parent.grad = pg if parent.grad is None else parent.grad + pg
-                    else:
-                        prev = grads.get(id(parent))
-                        grads[id(parent)] = pg if prev is None else prev + pg
+            for parent, pg in zip(parents, backward(g), strict=True):
+                if parent is None or pg is None:
+                    continue
+                if type(parent) is _Record:
+                    prev = grads.get(id(parent))
+                    grads[id(parent)] = pg if prev is None else prev + pg
+                else:
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
 
     # operator sugar
     def __add__(self, other):
@@ -160,9 +184,14 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
     out = Tensor(data)
     if _recording.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._record = _Record(tuple(map(_entry, parents)), backward)
     return out
+
+
+def _entry(t: Tensor):
+    """What a node record holds for an operand: its record, itself if it is a
+    leaf that requires a gradient, else None."""
+    return t._record if t._record is not None else t if t.requires_grad else None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -178,11 +207,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data + b.data
+    shapes = tuple(t.data.shape if t.requires_grad else None for t in (a, b))
 
     def backward(g):
-        for t in (a, b):
-            if t.requires_grad:
-                yield t, _unbroadcast(g, t.data.shape)
+        return tuple(None if shape is None else _unbroadcast(g, shape) for shape in shapes)
 
     return _node(data, (a, b), backward, "add")
 
@@ -190,21 +218,26 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = a.data * b.data
+    shape_a, shape_b = a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand
+    for_a = b.data if a.requires_grad else None
+    for_b = a.data if b.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            yield a, _unbroadcast(g * b.data, a.data.shape)
-        if b.requires_grad:
-            yield b, _unbroadcast(g * a.data, b.data.shape)
+        return (
+            None if for_a is None else _unbroadcast(g * for_a, shape_a),
+            None if for_b is None else _unbroadcast(g * for_b, shape_b),
+        )
 
     return _node(data, (a, b), backward, "mul")
 
 
 def _power(a: Tensor, exponent: float) -> Tensor:
-    data = a.data ** exponent
+    x = a.data
+    data = x**exponent
 
     def backward(g):
-        return ((a, g * exponent * a.data ** (exponent - 1.0)),)
+        return (g * exponent * x ** (exponent - 1.0),)
 
     return _node(data, (a,), backward, "pow")
 
@@ -212,12 +245,16 @@ def _power(a: Tensor, exponent: float) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     data = np.matmul(a.data, b.data)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand
+    for_a = b.data if a.requires_grad else None
+    for_b = a.data if b.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            yield a, _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
-            yield b, _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        return (
+            None if for_a is None else _unbroadcast(np.matmul(g, np.swapaxes(for_a, -1, -2)), shape_a),
+            None if for_b is None else _unbroadcast(np.matmul(np.swapaxes(for_b, -1, -2), g), shape_b),
+        )
 
     return _node(data, (a, b), backward, "matmul")
 
@@ -227,27 +264,29 @@ def exp(a) -> Tensor:
     data = np.exp(a.data)
 
     def backward(g):
-        return ((a, g * data),)
+        return (g * data,)
 
     return _node(data, (a,), backward, "exp")
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
-    data = np.log(a.data)
+    x = a.data
+    data = np.log(x)
 
     def backward(g):
-        return ((a, g / a.data),)
+        return (g / x,)
 
     return _node(data, (a,), backward, "log")
 
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    data = np.maximum(a.data, 0.0)
+    x = a.data
+    data = np.maximum(x, 0.0)
 
     def backward(g):
-        return ((a, g * (a.data > 0.0)),)
+        return (g * (x > 0.0),)
 
     return _node(data, (a,), backward, "relu")
 
@@ -258,7 +297,7 @@ def sigmoid(a) -> Tensor:
     data = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
     def backward(g):
-        return ((a, g * data * (1.0 - data)),)
+        return (g * data * (1.0 - data),)
 
     return _node(data, (a,), backward, "sigmoid")
 
@@ -280,7 +319,7 @@ def gelu(a) -> Tensor:
 
     def backward(g):
         slope = 0.5 * (t + 1.0) + x * 0.5 * (1.0 - t * t) * _GELU_C * (1.0 + x * x * (3.0 * 0.044715))
-        return ((a, g * slope),)
+        return (g * slope,)
 
     return _node(data, (a,), backward, "gelu")
 
@@ -288,12 +327,13 @@ def gelu(a) -> Tensor:
 def reduce_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
     def backward(g):
         if axis is None:
-            return ((a, np.broadcast_to(g, a.data.shape).copy()),)
+            return (np.broadcast_to(g, shape).copy(),)
         g_exp = g if keepdims else np.expand_dims(g, axis)
-        return ((a, np.broadcast_to(g_exp, a.data.shape).copy()),)
+        return (np.broadcast_to(g_exp, shape).copy(),)
 
     return _node(data, (a,), backward, "sum")
 
@@ -307,9 +347,10 @@ def reduce_mean(a, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     data = a.data.reshape(shape)
+    shape_a = a.data.shape
 
     def backward(g):
-        return ((a, g.reshape(a.data.shape)),)
+        return (g.reshape(shape_a),)
 
     return _node(data, (a,), backward, "reshape")
 
@@ -325,7 +366,7 @@ def softmax(a, axis: int = -1) -> Tensor:
 
     def backward(g):
         dot = (g * data).sum(axis=axis, keepdims=True)
-        return ((a, data * (g - dot)),)
+        return (data * (g - dot),)
 
     return _node(data, (a,), backward, "softmax")
 
@@ -341,7 +382,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     probs = np.exp(data)
 
     def backward(g):
-        return ((a, g - probs * g.sum(axis=axis, keepdims=True)),)
+        return (g - probs * g.sum(axis=axis, keepdims=True),)
 
     return _node(data, (a,), backward, "log_softmax")
 
@@ -349,10 +390,11 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 def clamp(a, lo: float, hi: float) -> Tensor:
     """Clip to [lo, hi]; gradient is 1 strictly inside, 0 at and beyond bounds."""
     a = _wrap(a)
-    data = np.clip(a.data, lo, hi)
+    x = a.data
+    data = np.clip(x, lo, hi)
 
     def backward(g):
-        return ((a, g * ((a.data > lo) & (a.data < hi))),)
+        return (g * ((x > lo) & (x < hi)),)
 
     return _node(data, (a,), backward, "clamp")
 
@@ -362,12 +404,14 @@ def minimum(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     take_a = a.data <= b.data
     data = np.where(take_a, a.data, b.data)
+    shape_a = a.data.shape if a.requires_grad else None
+    shape_b = b.data.shape if b.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            yield a, _unbroadcast(g * take_a, a.data.shape)
-        if b.requires_grad:
-            yield b, _unbroadcast(g * ~take_a, b.data.shape)
+        return (
+            None if shape_a is None else _unbroadcast(g * take_a, shape_a),
+            None if shape_b is None else _unbroadcast(g * ~take_a, shape_b),
+        )
 
     return _node(data, (a, b), backward, "minimum")
 
@@ -381,12 +425,12 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     table = _wrap(table)
     idx = np.asarray(ids)
     data = table.data[idx]
+    rows, dim = table.data.shape
 
     def backward(g):
-        rows, dim = table.data.shape
         cells = idx.reshape(-1, 1) * dim + np.arange(dim)
         gt = np.bincount(cells.ravel(), weights=g.ravel(), minlength=rows * dim)
-        return ((table, gt.reshape(rows, dim)),)
+        return (gt.reshape(rows, dim),)
 
     return _node(data, (table,), backward, "embedding")
 
@@ -398,11 +442,12 @@ def gather_last(a, ids: np.ndarray) -> Tensor:
     if idx.shape != a.data.shape[:-1]:
         raise ValueError(f"index shape {idx.shape} must match {a.data.shape[:-1]}")
     data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    shape = a.data.shape
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape)
         np.put_along_axis(ga, idx[..., None], g[..., None], axis=-1)
-        return ((a, ga),)
+        return (ga,)
 
     return _node(data, (a,), backward, "gather_last")
 
@@ -420,15 +465,22 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale/shift."""
     x, gamma, beta = _wrap(x), _wrap(gamma), _wrap(beta)
     data, normed, inv = _layer_norm(x.data, gamma.data, beta.data, eps)
+    for_x = gamma.data if x.requires_grad else None
+    shape_gamma = gamma.data.shape if gamma.requires_grad else None
+    shape_beta = beta.data.shape if beta.requires_grad else None
 
     def backward(g):
-        g_normed = g * gamma.data
-        mean_g = g_normed.mean(axis=-1, keepdims=True)
-        mean_gn = (g_normed * normed).mean(axis=-1, keepdims=True)
+        if for_x is None:
+            gx = None
+        else:
+            g_normed = g * for_x
+            mean_g = g_normed.mean(axis=-1, keepdims=True)
+            mean_gn = (g_normed * normed).mean(axis=-1, keepdims=True)
+            gx = inv * (g_normed - mean_g - normed * mean_gn)
         return (
-            (x, inv * (g_normed - mean_g - normed * mean_gn)),
-            (gamma, _unbroadcast(g * normed, gamma.data.shape)),
-            (beta, _unbroadcast(g, beta.data.shape)),
+            gx,
+            None if shape_gamma is None else _unbroadcast(g * normed, shape_gamma),
+            None if shape_beta is None else _unbroadcast(g, shape_beta),
         )
 
     return _node(data, (x, gamma, beta), backward, "layer_norm")
@@ -475,17 +527,23 @@ def causal_attention(q, k, v, rows: np.ndarray, shape: tuple[int, int], heads: i
 
     qg, kg, vg = grid(q.data), grid(k.data), grid(v.data)
     out, p = _attention(qg, kg, vg)
+    need_v = v.requires_grad
+    # dQ reads K and dK reads Q; both read V through dP
+    for_q = kg if q.requires_grad else None
+    for_k = qg if k.requires_grad else None
+    for_qk = vg if q.requires_grad or k.requires_grad else None
 
     def backward(g):
         dout = grid(g)
-        if v.requires_grad:
-            yield v, packed(np.matmul(np.swapaxes(p, -1, -2), dout))
-        if q.requires_grad or k.requires_grad:
-            dp = np.matmul(dout, np.swapaxes(vg, -1, -2))
+        gv = packed(np.matmul(np.swapaxes(p, -1, -2), dout)) if need_v else None
+        gq = gk = None
+        if for_qk is not None:
+            dp = np.matmul(dout, np.swapaxes(for_qk, -1, -2))
             ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
-            if q.requires_grad:
-                yield q, packed(np.matmul(ds, kg))
-            if k.requires_grad:
-                yield k, packed(np.swapaxes(np.matmul(np.swapaxes(qg, -1, -2), ds), -1, -2))
+            if for_q is not None:
+                gq = packed(np.matmul(ds, for_q))
+            if for_k is not None:
+                gk = packed(np.swapaxes(np.matmul(np.swapaxes(for_k, -1, -2), ds), -1, -2))
+        return gq, gk, gv
 
     return _node(packed(out), (q, k, v), backward, "causal_attention")

@@ -2,7 +2,9 @@
 
 The binary ops are as they were before their backward skipped constant
 operands: each backward computes the gradient of both operands, and
-`Tensor.backward` discards the one that does not require a gradient.
+`Tensor.backward` discards the one that does not require a gradient. Their
+closures capture the operand `Tensor`s, as every op's did before the graph
+kept only the arrays its backward reads.
 `test_numerics.py` checks that the pruned ops give the trainable operand the
 same gradient bit for bit. `tanh` builds the composed GELU that the fused
 `nm.gelu` is checked against. `embedding` scatters its gradient with
@@ -17,7 +19,7 @@ def add(a, b):
     a, b = _wrap(a), _wrap(b)
 
     def backward(g):
-        return ((a, _unbroadcast(g, a.data.shape)), (b, _unbroadcast(g, b.data.shape)))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _node(a.data + b.data, (a, b), backward, "add")
 
@@ -26,10 +28,7 @@ def mul(a, b):
     a, b = _wrap(a), _wrap(b)
 
     def backward(g):
-        return (
-            (a, _unbroadcast(g * b.data, a.data.shape)),
-            (b, _unbroadcast(g * a.data, b.data.shape)),
-        )
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _node(a.data * b.data, (a, b), backward, "mul")
 
@@ -40,7 +39,7 @@ def matmul(a, b):
     def backward(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return ((a, _unbroadcast(ga, a.data.shape)), (b, _unbroadcast(gb, b.data.shape)))
+        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return _node(np.matmul(a.data, b.data), (a, b), backward, "matmul")
 
@@ -50,10 +49,7 @@ def minimum(a, b):
     take_a = a.data <= b.data
 
     def backward(g):
-        return (
-            (a, _unbroadcast(g * take_a, a.data.shape)),
-            (b, _unbroadcast(g * ~take_a, b.data.shape)),
-        )
+        return _unbroadcast(g * take_a, a.data.shape), _unbroadcast(g * ~take_a, b.data.shape)
 
     return _node(np.where(take_a, a.data, b.data), (a, b), backward, "minimum")
 
@@ -63,7 +59,7 @@ def tanh(a):
     data = np.tanh(a.data)
 
     def backward(g):
-        return ((a, g * (1.0 - data * data)),)
+        return (g * (1.0 - data * data),)
 
     return _node(data, (a,), backward, "tanh")
 
@@ -77,6 +73,6 @@ def embedding(table, ids):
     def backward(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        return ((table, gt),)
+        return (gt,)
 
     return _node(data, (table,), backward, "embedding")

@@ -52,7 +52,7 @@ def near_copy(rng, seq, max_len=40):
 
 @pytest.fixture
 def graph_nodes(monkeypatch):
-    """Every autodiff node made with parents while the test runs, in order."""
+    """Every `Tensor` made with a node record while the test runs, in order."""
     from amprl.numerics import tensor
 
     made = []
@@ -60,12 +60,34 @@ def graph_nodes(monkeypatch):
 
     def recording(*args):
         out = real(*args)
-        if out._parents:
+        if out._record is not None:
             made.append(out)
         return out
 
     monkeypatch.setattr(tensor, "_node", recording)
     return made
+
+
+def captured_tensors(loss):
+    """Every `Tensor` that a backward closure in `loss`'s graph captures,
+    directly or through a function it captures, and the records walked."""
+    from amprl.numerics.tensor import Tensor, _Record
+
+    found, records, stack = [], [], [loss._record]
+    while stack:
+        record = stack.pop()
+        if any(record is seen for seen in records):
+            continue
+        records.append(record)
+        stack.extend(p for p in record.parents if isinstance(p, _Record))
+        cells = list(record.backward.__closure__ or ())
+        while cells:
+            value = cells.pop().cell_contents
+            if isinstance(value, Tensor):
+                found.append(value)
+            elif callable(value):
+                cells.extend(getattr(value, "__closure__", None) or ())
+    return found, records
 
 
 @pytest.fixture

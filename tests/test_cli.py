@@ -2,10 +2,12 @@
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amprl.cli as cli
 import amprl.numerics as nm
 from amprl.cli import ENV_OUTPUT_DIR, _build_parser, main
 from amprl.mic import Embedder, LabeledSet, MicConfig, MicModel, write_labeled_tsv
@@ -98,6 +100,27 @@ def test_a_missing_required_file_flag_exits_2_and_makes_no_output_directory(tmp_
     assert main(_argv_around(tmp_path, command, flag) + ["--output-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {flag} is required\n"
     assert not out.exists()
+
+
+def test_repeated_main_calls_parse_each_subcommand_afresh(capsys, monkeypatch):
+    # the parser is built once per process, so no call may leave a value in it for the next
+    assert _build_parser() is _build_parser()
+    parsed = []
+
+    def stop(args):
+        parsed.append(vars(args).copy())
+        raise cli.ConfigError("parsed")
+
+    monkeypatch.setattr(cli, "_check_files", stop)
+    for turn in range(2):
+        for command, files in _subcommand_files().items():
+            given = {flag: Path(f"{flag[2:]}-{turn}") for flag, mode in files.items() if mode == "" or turn == 0}
+            argv = [command] + [part for flag, path in given.items() for part in (flag, str(path))]
+            assert main(argv + (["--seed", "5"] if turn == 0 else [])) == 2
+            args = parsed.pop()
+            assert (args["command"], args["seed"], args["files"]) == (command, 5 if turn == 0 else None, files)
+            assert {flag: args[flag[2:].replace("-", "_")] for flag in files} == {flag: given.get(flag) for flag in files}
+    assert capsys.readouterr().err == "config error: parsed\n" * 2 * len(_subcommand_files())
 
 
 @pytest.mark.parametrize("kind", ["absent", "directory"])

@@ -234,11 +234,15 @@ def _distance_cases(rng):
     bad_ref[4, 4] = np.nan
     yield "nan_reference", gen, bad_ref
     yield "one_dimension", rng.normal(size=(40, 1)), rng.normal(size=(3, 1))
+    # past 4,096 references a block holds the floor of 8 rows, not 8,192 // 4,500 = 1
+    many = rng.normal(size=(4500, 16))
+    near = many[rng.integers(0, 4500, size=20)] + rng.normal(size=(20, 16)) * np.repeat([0.0, 1e-9], 10)[:, None]
+    yield "many_references", np.vstack([near, rng.normal(size=(3, 16))]), many
 
 
-@pytest.mark.parametrize("cells", [None, 7, 1])
+@pytest.mark.parametrize("cells", [None, 7, 2**20])
 def test_embedding_distance_profile_matches_the_row_loop(monkeypatch, cells):
-    # 7 cells make blocks of one to a few rows, and 1 a block per row
+    # 7 cells fall to the floor of 8 rows per block, and 2**20 make one block of every row
     if cells is not None:
         monkeypatch.setattr(evalmetrics, "_DISTANCE_CELLS", cells)
     for name, gen, ref in _distance_cases(np.random.default_rng(32)):

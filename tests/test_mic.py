@@ -252,7 +252,7 @@ def test_scoring_and_validation_record_no_autodiff_graph(graph_nodes, monkeypatc
     evaluate(model, val)
     assert not graph_nodes
     recorded = model.probabilities(model.embedder.embed_many(val.peptides()))
-    assert recorded._parents and recorded.data.tobytes() == scores.tobytes()
+    assert recorded._record is not None and recorded.data.tobytes() == scores.tobytes()
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -280,9 +280,9 @@ def test_loaded_model_scores_without_an_autodiff_graph(tmp_path):
     probes = random_peptides(30, rng, min_len=1, max_len=40) + train.peptides()
     features = loaded.embedder.embed_many(probes)
     out = loaded.probabilities(features)
-    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert out._record is None and not out.requires_grad
     recorded = model.probabilities(features)  # the trained weights still require grad
-    assert recorded._parents
+    assert recorded._record is not None
     assert out.data.tobytes() == recorded.data.tobytes()
     assert loaded.score_many(probes).tobytes() == model.score_many(probes).tobytes()
 

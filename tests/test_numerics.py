@@ -5,6 +5,7 @@ import platform
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -209,8 +210,8 @@ def test_embedding_scatter_matches_add_at_bit_for_bit():
         g = rng.normal(size=ids.shape + (dim,)) * 10.0 ** rng.uniform(-8, 8, size=ids.shape + (dim,))
         g[rng.random(g.shape) < 0.3] = -0.0
         table = nm.Tensor(rng.normal(size=(rows, dim)), requires_grad=True)
-        ((_, got),) = nm.embedding(table, ids)._backward(g)
-        ((_, want),) = autodiff_oracle.embedding(table, ids)._backward(g)
+        (got,) = nm.embedding(table, ids)._record.backward(g)
+        (want,) = autodiff_oracle.embedding(table, ids)._record.backward(g)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -367,7 +368,7 @@ def test_backward_consumes_its_graph_and_a_second_backward_raises():
     loss = (hidden * hidden).sum()
     loss.backward()
     first = w.grad.copy()
-    assert hidden._parents == () and loss._parents == ()
+    assert hidden._record.parents == () and loss._record.parents == ()
     with pytest.raises(RuntimeError, match="consumed"):
         loss.backward()
     assert np.array_equal(w.grad, first)
@@ -390,6 +391,34 @@ def test_backward_through_a_consumed_subgraph_raises_before_any_gradient(built_b
     assert np.array_equal(w.grad, first) and v.grad is None
 
 
+def test_backward_on_a_leaf_scalar_sets_its_grad():
+    w = nm.Tensor(np.array(3.0), requires_grad=True)
+    w.backward()
+    assert w.grad.shape == () and w.grad == 1.0
+    w.backward()  # a leaf has no graph to consume, so its gradient accumulates
+    assert w.grad == 2.0
+    constant = nm.Tensor(2.0)
+    constant.backward()
+    assert constant.grad is None
+
+
+def test_a_matmul_output_that_feeds_a_bias_add_is_freed_and_gradients_hold():
+    rng = np.random.default_rng(33)
+    x, w, bias = _param(rng, 6, 5), _param(rng, 5, 3), _param(rng, 3)
+    twins = [nm.Tensor(t.data.copy(), requires_grad=True) for t in (x, w, bias)]
+    product = nm.matmul(x, w)
+    out = product + bias
+    freed = weakref.ref(product.data)
+    del product  # neither the add's backward nor the matmul's reads it
+    assert freed() is None
+    weights = nm.Tensor(rng.normal(size=out.shape))
+    (out * weights).sum().backward()
+    expected = autodiff_oracle.add(autodiff_oracle.matmul(twins[0], twins[1]), twins[2])
+    (expected * weights).sum().backward()
+    for t, twin in zip((x, w, bias), twins, strict=True):
+        assert t.grad.tobytes() == twin.grad.tobytes()
+
+
 def test_nonfinite_result_trips_error():
     a = nm.Tensor(np.array([-1.0]), requires_grad=True)
     with warnings.catch_warnings():
@@ -403,7 +432,7 @@ def test_no_grad_tensor_has_no_parents_and_the_same_data():
     recorded = nm.gelu(w * 3.0 + 1.0)
     with nm.no_grad():
         out = nm.gelu(w * 3.0 + 1.0)
-    assert out._parents == () and out._backward is None and not out.requires_grad
+    assert out._record is None and not out.requires_grad
     assert out.data.tobytes() == recorded.data.tobytes()
     with warnings.catch_warnings(), nm.no_grad():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -424,7 +453,7 @@ def test_no_grad_nests_and_decorates():
         after_inner = w * w  # leaving the inner block keeps the outer one in force
         decorated = doubled()
     assert not (inner.requires_grad or after_inner.requires_grad or decorated.requires_grad)
-    assert doubled()._parents == () and (w * 2.0)._parents
+    assert doubled()._record is None and (w * 2.0)._record is not None
 
 
 def test_no_grad_is_restored_after_an_exception():
@@ -616,9 +645,11 @@ def test_pruned_backward_matches_oracle_for_the_trainable_operand(case):
     oracle_args = (twin, b) if trainable is a else (a, twin)
     expected = getattr(autodiff_oracle, op)(*oracle_args)
     assert np.array_equal(out.data, expected.data)
-    # the backward closure yields a gradient for the trainable operand only (checked before
-    # backward, which consumes the closure)
-    assert [t is trainable for t, _ in out._backward(np.ones_like(out.data))] == [True]
+    # the record holds the trainable operand only, and its closure returns a gradient for
+    # that operand only (checked before backward, which consumes the record)
+    assert out._record.parents == tuple(t if t is trainable else None for t in (a, b))
+    grads = out._record.backward(np.ones_like(out.data))
+    assert [g is not None for g in grads] == [t is trainable for t in (a, b)]
     weights = nm.Tensor(rng.normal(size=out.shape))
     (out * weights).sum().backward()
     (expected * weights).sum().backward()

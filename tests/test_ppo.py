@@ -23,6 +23,7 @@ from amprl.ppo import (
 from amprl.reward import RewardConfig, make_reward_fn, process_rewards
 from amprl.rng import substream
 from amprl.sequences import Peptide
+from conftest import captured_tensors
 from descriptor_oracle import descriptor_vector
 
 TOY = ModelConfig(embed_dim=16, n_layers=1, n_heads=2, max_len=16, mlp_ratio=2, init_std=0.02)
@@ -198,6 +199,12 @@ def test_minibatch_losses_match_grid_oracle(case):
             assert np.array_equal(g, w)
         clipped += got.clip_fraction
     assert clipped > 0.0
+
+
+def test_ppo_backward_closures_capture_no_tensor():
+    policy, batch, cfg = _packed_case("unequal_lengths")
+    found, records = captured_tensors(_minibatch_losses(policy, batch, np.arange(batch.n), cfg).total)
+    assert len(records) > 30 and found == []
 
 
 def test_rollout_rewards_match_scorer():

@@ -29,14 +29,14 @@ def transpose(a, axes=None):
         data = np.swapaxes(a.data, -1, -2)
 
         def backward(g):
-            return ((a, np.swapaxes(g, -1, -2)),)
+            return (np.swapaxes(g, -1, -2),)
 
     else:
         inverse = np.argsort(axes)
         data = np.transpose(a.data, axes)
 
         def backward(g):
-            return ((a, np.transpose(g, inverse)),)
+            return (np.transpose(g, inverse),)
 
     return _node(data, (a,), backward, "transpose")
 
@@ -51,7 +51,7 @@ def place_rows(a, rows, n):
     data[rows] = a.data
 
     def backward(g):
-        return ((a, g[rows]),)
+        return (g[rows],)
 
     return _node(data, (a,), backward, "place_rows")
 
@@ -63,7 +63,7 @@ def take_rows(a, rows):
     def backward(g):
         ga = np.zeros_like(a.data)
         ga[rows] = g
-        return ((a, ga),)
+        return (ga,)
 
     return _node(a.data[rows], (a,), backward, "take_rows")
 
