@@ -171,12 +171,11 @@ def _cmd_rl(args, run: Run, out: Path) -> None:
         run.ppo,
         seed=run.seed,
         log_sink=out / "rl_log.tsv",
-        checkpoint_dir=out if run.ppo.checkpoint_every else None,
+        checkpoint_dir=out,
         scale=run.scales,
     )
     policy.save(out / "rl.ckpt")
-    last = logs[-1] if logs else {}
-    print(f"rl: {len(logs)} iterations, final mean reward {last.get('mean_reward')}")
+    print(f"rl: {len(logs)} iterations, final mean reward {logs[-1]['mean_reward']}")
 
 
 def _cmd_screen(args, run: Run, out: Path) -> None:

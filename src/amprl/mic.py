@@ -321,7 +321,7 @@ def train_mic(
 
     def batch_loss(rows):
         loss = focal_loss(model.probabilities(x_train[rows]), y_train[rows], a_train[rows], config.gamma_focal)
-        return loss, loss.item(), 1
+        return loss, (loss.item(), 1)
 
     @nm.no_grad()
     def validate():

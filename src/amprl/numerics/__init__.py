@@ -30,7 +30,7 @@ from .tensor import (
     sigmoid,
     softmax,
 )
-from .optim import Adam, check_schedule, train_epochs
+from .optim import Adam, adam_pass, check_schedule, train_epochs
 from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 
 
@@ -62,6 +62,7 @@ __all__ = [
     "log",
     "exp",
     "Adam",
+    "adam_pass",
     "check_schedule",
     "train_epochs",
     "save_checkpoint",

@@ -1,4 +1,4 @@
-"""Adam with bias correction, and the early-stopping loop both trainers run."""
+"""Adam with bias correction, the minibatch pass every trainer steps through, and early stopping."""
 from __future__ import annotations
 
 import math
@@ -80,13 +80,33 @@ def check_schedule(schedule) -> None:
         raise ValueError(f"lr must be positive, got {schedule.lr}")
 
 
+def adam_pass(opt: Adam, n: int, batch_size: int, batch_loss: Callable, rng: np.random.Generator) -> list:
+    """One Adam step per `batch_size` chunk of one `rng.permutation(n)`, in order.
+
+    `batch_loss(rows)` returns (loss tensor, record), or None to skip the
+    chunk: it takes no step, and its graph, unwalked, is freed as
+    `batch_loss` returns. Returns the records of the steps taken.
+    """
+    order = rng.permutation(n)
+    records = []
+    for start in range(0, n, batch_size):
+        out = batch_loss(order[start : start + batch_size])
+        if out is None:
+            continue
+        loss, record = out
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        records.append(record)
+    return records
+
+
 def train_epochs(
     params: Sequence[Tensor], n: int, batch_loss: Callable, validate: Callable, schedule, rng: np.random.Generator
 ) -> tuple[list[dict], int, float]:
-    """Adam over shuffled minibatches of n rows, stopped early; `schedule` gives lr, epochs, batch_size, patience.
+    """`adam_pass` epochs over n rows, stopped early; `schedule` gives lr, epochs, batch_size, patience.
 
-    Each epoch steps once per `batch_size` chunk of one `rng.permutation(n)`.
-    `batch_loss(rows)` returns (loss tensor, value, weight): the epoch's
+    `batch_loss(rows)` returns (loss tensor, (value, weight)): the epoch's
     train loss is the summed value over the summed weight. `validate()`
     returns (score, fields), higher being better; fields join the history
     row. The best epoch is the first that scores strictly above all earlier
@@ -98,17 +118,9 @@ def train_epochs(
     best_score, best_epoch = -math.inf, 0
     best_state = [p.data.copy() for p in params]
     for epoch in range(1, schedule.epochs + 1):
-        order = rng.permutation(n)
-        total, weight = 0.0, 0
-        for start in range(0, n, schedule.batch_size):
-            loss, value, w = batch_loss(order[start : start + schedule.batch_size])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += value
-            weight += w
+        records = adam_pass(opt, n, schedule.batch_size, batch_loss, rng)
         score, fields = validate()
-        history.append({"epoch": epoch, "train_loss": total / weight, **fields})
+        history.append({"epoch": epoch, "train_loss": sum(v for v, _ in records) / sum(w for _, w in records), **fields})
         if score > best_score:
             best_score, best_epoch = score, epoch
             best_state = [p.data.copy() for p in params]

@@ -351,7 +351,7 @@ def sequence_log_probs(model: PolicyModel, ids: np.ndarray) -> np.ndarray:
 
 @nm.no_grad()
 def perplexity(model: PolicyModel, peptides: list[Peptide]) -> float:
-    """exp(mean per-token negative log-likelihood) over the dataset, in chunks of 64."""
+    """exp(mean per-token negative log-likelihood) over the dataset, in chunks of 64; FloatingPointError if it overflows."""
     if not peptides:
         raise ValueError("perplexity needs at least one peptide")
     total = 0.0
@@ -360,7 +360,11 @@ def perplexity(model: PolicyModel, peptides: list[Peptide]) -> float:
         out = sft_loss(model, encode_batch(peptides[start : start + 64]))
         total += out.total.item()
         count += out.token_count
-    return float(np.exp(total / count))
+    with np.errstate(over="ignore"):
+        ppl = float(np.exp(total / count))
+    if ppl == np.inf:
+        raise FloatingPointError(f"perplexity overflows: mean per-token NLL {total / count:.6g}, the model has diverged")
+    return ppl
 
 
 # --- SFT training loop -------------------------------------------------------
@@ -402,7 +406,7 @@ def train_sft(
 
     def batch_loss(rows):
         out = sft_loss(model, encode_batch([train[i] for i in rows]))
-        return out.mean, out.total.item(), out.token_count
+        return out.mean, (out.total.item(), out.token_count)
 
     def validate():
         ppl = perplexity(model, val)

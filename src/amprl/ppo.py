@@ -16,7 +16,7 @@ from . import numerics as nm
 from .numerics.tensor import exp as t_exp, reduce_sum
 from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable
 from .policy import PAD, PolicyModel, encode_batch, sample
-from .reward import RewardBatch, RewardConfig, process_rewards
+from .reward import RewardBatch, RewardConfig, make_reward_fn, process_rewards
 from .rng import substream
 from .sequences import write_tsv
 
@@ -240,16 +240,14 @@ def train_rl(
     """Iterate rollout -> advantages -> clipped updates over the LoRA policy.
 
     The policy must already carry LoRA deltas (the base stays frozen), and
-    rewards use descriptors on `scale`. Updates whose mean |ratio - 1|
-    exceeds the guard are skipped and counted in the log row.
+    rewards use descriptors on `scale`. Each iteration runs `cfg.epochs`
+    `nm.adam_pass` passes over its rollout; a minibatch whose mean
+    |ratio - 1| exceeds the guard takes no step and is counted in the log row.
     """
     if not policy.lora:
         raise ValueError("RL fine-tuning requires a LoRA-attached policy")
-    from .reward import make_reward_fn
-
     reward_fn = make_reward_fn(scorer, reward_cfg, scale)
-    params = policy.trainable()
-    opt = nm.Adam(params, lr=cfg.lr)
+    opt = nm.Adam(policy.trainable(), lr=cfg.lr)
     rows_log: list[dict] = []
 
     for iteration in range(1, cfg.iterations + 1):
@@ -257,29 +255,19 @@ def train_rl(
         batch = rollout(policy, reward_fn, cfg, seed=it_seed)
         compute_advantages(batch, cfg)
 
-        shuffle_rng = substream(seed, f"ppo.shuffle.{iteration}")
-        policy_losses: list[float] = []
-        value_losses: list[float] = []
-        clip_fracs: list[float] = []
-        kls: list[float] = []
-        skipped = 0
-        for _ in range(cfg.epochs):
-            order = shuffle_rng.permutation(batch.n)
-            for start in range(0, batch.n, cfg.minibatch_size):
-                rows = order[start : start + cfg.minibatch_size]
-                losses = _minibatch_losses(policy, batch, rows, cfg)
-                if losses.mean_ratio_dev > cfg.ratio_guard:
-                    skipped += 1
-                    del losses  # its graph, unwalked, goes before the next forward
-                    continue
-                opt.zero_grad()
-                losses.total.backward()
-                opt.step()
-                policy_losses.append(losses.policy.item())
-                value_losses.append(losses.value.item())
-                clip_fracs.append(losses.clip_fraction)
-                kls.append(losses.approx_kl)
+        def step(rows):
+            losses = _minibatch_losses(policy, batch, rows, cfg)
+            if losses.mean_ratio_dev > cfg.ratio_guard:
+                return None
+            return losses.total, {
+                "policy_loss": losses.policy.item(),
+                "value_loss": losses.value.item(),
+                "clip_fraction": losses.clip_fraction,
+                "approx_kl": losses.approx_kl,
+            }
 
+        shuffle_rng = substream(seed, f"ppo.shuffle.{iteration}")
+        records = [r for _ in range(cfg.epochs) for r in nm.adam_pass(opt, batch.n, cfg.minibatch_size, step, shuffle_rng)]
         column = dict(zip(DESCRIPTORS, batch.rewards.descriptors.T))
         row = {
             "iteration": iteration,
@@ -291,11 +279,11 @@ def train_rl(
             "mean_moment": float(np.mean(column["hydrophobic_moment"])),
             "mean_pI": float(np.mean(column["isoelectric_point"])),
             "entropy": batch.mean_entropy,
-            "policy_loss": float(np.mean(policy_losses)) if policy_losses else 0.0,
-            "value_loss": float(np.mean(value_losses)) if value_losses else 0.0,
-            "clip_fraction": float(np.mean(clip_fracs)) if clip_fracs else 0.0,
-            "approx_kl": float(np.mean(kls)) if kls else 0.0,
-            "skipped_updates": skipped,
+            **{
+                k: float(np.mean([r[k] for r in records])) if records else 0.0
+                for k in ("policy_loss", "value_loss", "clip_fraction", "approx_kl")
+            },
+            "skipped_updates": cfg.epochs * len(range(0, batch.n, cfg.minibatch_size)) - len(records),
         }
         rows_log.append(row)
         if cfg.checkpoint_every and checkpoint_dir and iteration % cfg.checkpoint_every == 0:

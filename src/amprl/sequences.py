@@ -253,8 +253,8 @@ def write_tsv(header: Sequence[str], rows: Iterable[Sequence[str]], sink: str | 
 
 
 def write_json(payload, sink: str | Path | IO[str]) -> None:
-    """A JSON artifact: sorted keys, two-space indent, a final newline."""
-    _write_text(sink, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """A JSON artifact: sorted keys, two-space indent, a final newline; ValueError on a NaN or infinity."""
+    _write_text(sink, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _write_text(sink: str | Path | IO[str], text: str) -> None:

@@ -68,11 +68,13 @@ def graph_nodes(monkeypatch):
     return made
 
 
-def captured_tensors(loss):
-    """Every `Tensor` that a backward closure in `loss`'s graph captures,
-    directly or through a function it captures, and the records walked."""
+def captured_tensors(loss, kind=None):
+    """Every `Tensor` (or object of `kind`) that a backward closure in `loss`'s
+    graph captures, directly or through a function it captures, and the
+    records walked."""
     from amprl.numerics.tensor import Tensor, _Record
 
+    kind = kind or Tensor
     found, records, stack = [], [], [loss._record]
     while stack:
         record = stack.pop()
@@ -83,7 +85,7 @@ def captured_tensors(loss):
         cells = list(record.backward.__closure__ or ())
         while cells:
             value = cells.pop().cell_contents
-            if isinstance(value, Tensor):
+            if isinstance(value, kind):
                 found.append(value)
             elif callable(value):
                 cells.extend(getattr(value, "__closure__", None) or ())

@@ -286,6 +286,22 @@ def test_truncated_checkpoint_exits_one(tmp_path, capsys, keep):
     assert not (tmp_path / "out" / "scores.tsv").exists()
 
 
+def test_a_diverged_sft_run_exits_one_and_writes_no_model(tmp_path, capsys):
+    # at lr 10 the validation NLL grows past what exp can hold: no epoch has a finite perplexity
+    peptides = unique_random_peptides(24, np.random.default_rng(0), min_len=8, max_len=20)
+    write_fasta(peptides[:16], tmp_path / "train.fasta")
+    write_fasta(peptides[16:], tmp_path / "val.fasta")
+    cfg = tmp_path / "cfg.json"
+    model = {"embed_dim": 16, "n_layers": 1, "n_heads": 2, "max_len": 20, "mlp_ratio": 2}
+    cfg.write_text(json.dumps({"model": model, "sft": {"epochs": 4, "batch_size": 4, "lr": 10.0, "patience": 4}}))
+    out = tmp_path / "out"
+    argv = ["sft", "--train", str(tmp_path / "train.fasta"), "--val", str(tmp_path / "val.fasta"), "--config", str(cfg)]
+    assert main(argv + ["--output-dir", str(out)]) == 1
+    assert "error: perplexity overflows: mean per-token NLL " in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["resolved_config.json", "run_manifest.json"]
+    assert json.loads((out / "run_manifest.json").read_text())["exit_code"] == 1
+
+
 def test_manifest_records_the_exit_code_and_error_line_of_a_runtime_failure(tmp_path, capsys):
     path = _save_mic(tmp_path / "mic.ckpt")
     path.write_bytes(path.read_bytes()[:14])

@@ -1,11 +1,14 @@
 """PPO machinery: rollouts, GAE, the clipped objective, and training guards."""
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import amprl.numerics as nm
+import amprl.ppo as ppo
 import ppo_oracle
 import reward_oracle
 from amprl.policy import BOS, EOS, PAD, ModelConfig, PolicyModel, attach_lora, decode_tokens, sample
@@ -492,6 +495,34 @@ def test_ratio_guard_skips_divergent_minibatches():
     written = [int(row[header.index("skipped_updates")]) for row in rows]
     assert written == [row["skipped_updates"] for row in log]
     assert sum(written) > 0
+
+
+def test_a_guard_skipped_minibatch_frees_its_graph_before_the_next_forward(monkeypatch):
+    # weak references to the arrays each call's backward closures capture, bar the
+    # policy's own weights; with the cycle collector off only reference counts free them
+    real, calls = ppo._minibatch_losses, []
+
+    def watched(policy, batch, sel, cfg):
+        if calls:
+            assert all(ref() is None for ref in calls[-1][1])
+        losses = real(policy, batch, sel, cfg)
+        weights = [t.data for t in policy.named_tensors().values()]
+        captured = [
+            a for a in captured_tensors(losses.total, np.ndarray)[0] if not any(np.shares_memory(a, w) for w in weights)
+        ]
+        calls.append((losses.mean_ratio_dev > cfg.ratio_guard, [weakref.ref(a) for a in captured]))
+        return losses
+
+    monkeypatch.setattr(ppo, "_minibatch_losses", watched)
+    gc.disable()
+    try:
+        train_rl(_policy(6), LysineScorer(), RewardConfig(), _cfg(ratio_guard=3e-3, epochs=2, iterations=3, lr=5e-2), seed=4)
+    finally:
+        gc.enable()
+    assert all(ref() is None for _, refs in calls for ref in refs)  # the last call's too
+    skipped = [refs for was_skipped, refs in calls if was_skipped]
+    assert 0 < len(skipped) < len(calls)
+    assert all(len(refs) > 10 for refs in skipped)
 
 
 def test_write_training_log_format():

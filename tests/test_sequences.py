@@ -191,3 +191,11 @@ def test_write_json_sorts_keys_indents_two_spaces_and_ends_in_a_newline(tmp_path
     buf = io.StringIO()
     write_json([], buf)
     assert buf.getvalue() == "[]\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_a_nan_or_infinity_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "artifact.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json({"history": [{"val_perplexity": value}]}, path)
+    assert list(tmp_path.iterdir()) == []

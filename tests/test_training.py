@@ -1,6 +1,9 @@
-"""`numerics.train_epochs`, the one early-stopping loop of `train_sft` and
-`train_mic`: its schedule, and bit-for-bit agreement with the two loops it
-replaced (`training_oracle.py`)."""
+"""`numerics.adam_pass`, the one minibatch update loop, and
+`numerics.train_epochs`, the early-stopping loop of `train_sft` and
+`train_mic`: their schedule, and bit-for-bit agreement of `train_sft`,
+`train_mic` and `train_rl` with the loops they replaced
+(`training_oracle.py`)."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,8 +12,11 @@ import pytest
 import amprl.numerics as nm
 from amprl.mic import LabeledSet, MicConfig, train_mic
 from amprl.policy import ModelConfig, PolicyModel, SftConfig, encode_batch, sft_loss, train_sft
+from amprl.ppo import train_rl
+from amprl.reward import RewardConfig
 from amprl.sequences import Peptide
 
+import test_ppo
 import training_oracle
 from test_mic import _separable_set
 
@@ -24,7 +30,7 @@ def _scripted_run(scores, patience, n=5, batch_size=2, seed=0):
 
     def batch_loss(rows):
         seen.append(rows.copy())
-        return -p.sum(), 10.0 * len(rows) + rows.sum(), len(rows)
+        return -p.sum(), (10.0 * len(rows) + rows.sum(), len(rows))
 
     def validate():
         after_epoch.append(p.data.copy())
@@ -67,6 +73,25 @@ def test_each_epoch_shuffles_once_and_weights_the_train_loss():
         assert np.array_equal(np.concatenate(chunks), order)
         # summed value over summed weight, not the mean of the per-chunk ratios
         assert history[epoch]["train_loss"] == (10.0 * 5 + order.sum()) / 5
+
+
+def test_a_skipped_chunk_takes_no_step_and_leaves_no_record():
+    p = nm.Tensor(np.zeros(1), requires_grad=True)
+    opt = nm.Adam([p], lr=0.1)
+    seen = []
+
+    def batch_loss(rows):
+        seen.append(rows.copy())
+        if 0 in rows:
+            return None
+        return -p.sum(), rows.tolist()
+
+    records = nm.adam_pass(opt, 7, 3, batch_loss, np.random.default_rng(2))
+    order = np.random.default_rng(2).permutation(7)
+    assert [c.tolist() for c in seen] == [order[:3].tolist(), order[3:6].tolist(), order[6:].tolist()]
+    assert records == [c.tolist() for c in seen if 0 not in c]
+    assert opt.step_count == len(records) == 2
+    assert p.data[0] > 0.0
 
 
 def _sft_corpus():
@@ -175,3 +200,37 @@ def test_train_mic_matches_the_hand_written_loop(run):
 def test_configs_reject_a_schedule_train_epochs_cannot_run(config_type, key, value, message):
     with pytest.raises(ValueError, match=message):
         config_type(**{key: value})
+
+
+# run -> PpoConfig overrides: every minibatch steps, 12 per iteration, enough that a
+# 2-D mean over the steps sums in another order than the per-column one; the ratio
+# guard skips some but not all; the last minibatch of each pass is short (10 in fours)
+RL_RUNS = {
+    "no_skips": dict(ratio_guard=10.0, epochs=3, minibatch_size=2, iterations=3, lr=5e-2),
+    "some_skips": dict(ratio_guard=3e-3, epochs=2, iterations=3, lr=5e-2),
+    "ragged": dict(n_actors=10, minibatch_size=4, epochs=2, iterations=2, lr=5e-2),
+}
+
+
+@pytest.mark.parametrize("run", sorted(RL_RUNS))
+def test_train_rl_matches_the_hand_written_loop(tmp_path, run):
+    cfg = test_ppo._cfg(checkpoint_every=1, **RL_RUNS[run])
+    got_dir, want_dir = tmp_path / "got", tmp_path / "want"
+    args = (test_ppo.LysineScorer(), RewardConfig(), cfg)
+    got_policy, got = train_rl(test_ppo._policy(6), *args, seed=4, checkpoint_dir=got_dir)
+    want_policy, want = training_oracle.train_rl(test_ppo._policy(6), *args, seed=4, checkpoint_dir=want_dir)
+    assert got == want
+    got_tensors, want_tensors = got_policy.named_tensors(), want_policy.named_tensors()
+    assert sorted(got_tensors) == sorted(want_tensors)
+    _assert_same_tensors([got_tensors[k] for k in sorted(got_tensors)], [want_tensors[k] for k in sorted(want_tensors)])
+    names = sorted(path.name for path in want_dir.iterdir())
+    assert [name for name in names if name.endswith(".ckpt")] == [f"policy_iter{i:04d}.ckpt" for i in range(1, cfg.iterations + 1)]
+    assert sorted(path.name for path in got_dir.iterdir()) == names
+    for name in names:
+        assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes()
+    skipped = sum(row["skipped_updates"] for row in got)
+    per_iteration = cfg.epochs * math.ceil(cfg.n_actors / cfg.minibatch_size)
+    if run == "some_skips":
+        assert 0 < skipped < per_iteration * cfg.iterations
+    else:
+        assert skipped == 0

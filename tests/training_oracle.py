@@ -1,16 +1,25 @@
-"""The two hand-written training loops that `numerics.train_epochs` replaced,
-kept as test oracles.
+"""The hand-written training loops that `numerics.adam_pass` and
+`numerics.train_epochs` replaced, kept as test oracles.
 
-Each is the whole trainer as it stood: Adam, a seeded shuffle, minibatch
-steps, a best-state copy, a patience counter and a final restore.
-`test_training.py` runs them side by side with `policy.train_sft` and
-`mic.train_mic` and compares histories, best epochs and weights bit for bit.
+`train_sft` and `train_mic` are the whole trainers as they stood: Adam, a
+seeded shuffle, minibatch steps, a best-state copy, a patience counter and a
+final restore. `train_rl` is `ppo.train_rl` with its own minibatch loop, its
+four statistic lists and its skip counter. `test_training.py` runs them side
+by side with `policy.train_sft`, `mic.train_mic` and `ppo.train_rl` and
+compares histories or log rows, best epochs, weights and checkpoints bit for
+bit.
 """
+from pathlib import Path
+from typing import IO
+
 import numpy as np
 
 import amprl.numerics as nm
 from amprl.mic import Embedder, LabeledSet, MicConfig, MicModel, auroc, focal_loss
+from amprl.physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable
 from amprl.policy import PolicyModel, SftConfig, SftResult, encode_batch, perplexity, sft_loss
+from amprl.ppo import PpoConfig, _minibatch_losses, compute_advantages, rollout, write_training_log
+from amprl.reward import RewardConfig, make_reward_fn
 from amprl.rng import substream
 from amprl.sequences import Peptide
 
@@ -133,3 +142,80 @@ def train_mic(
     for p, saved in zip(model.trainable(), best_state):
         p.data = saved
     return model, history
+
+
+def train_rl(
+    policy: PolicyModel,
+    scorer,
+    reward_cfg: RewardConfig,
+    cfg: PpoConfig,
+    seed: int = 0,
+    log_sink: str | Path | IO[str] | None = None,
+    checkpoint_dir: str | Path | None = None,
+    scale: ScaleTable = DEFAULT_SCALE,
+) -> tuple[PolicyModel, list[dict]]:
+    """Iterate rollout -> advantages -> clipped updates over the LoRA policy.
+
+    The policy must already carry LoRA deltas (the base stays frozen), and
+    rewards use descriptors on `scale`. Updates whose mean |ratio - 1|
+    exceeds the guard are skipped and counted in the log row.
+    """
+    if not policy.lora:
+        raise ValueError("RL fine-tuning requires a LoRA-attached policy")
+    reward_fn = make_reward_fn(scorer, reward_cfg, scale)
+    params = policy.trainable()
+    opt = nm.Adam(params, lr=cfg.lr)
+    rows_log: list[dict] = []
+
+    for iteration in range(1, cfg.iterations + 1):
+        it_seed = int(substream(seed, f"ppo.rollout.{iteration}").integers(1 << 62))
+        batch = rollout(policy, reward_fn, cfg, seed=it_seed)
+        compute_advantages(batch, cfg)
+
+        shuffle_rng = substream(seed, f"ppo.shuffle.{iteration}")
+        policy_losses: list[float] = []
+        value_losses: list[float] = []
+        clip_fracs: list[float] = []
+        kls: list[float] = []
+        skipped = 0
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(batch.n)
+            for start in range(0, batch.n, cfg.minibatch_size):
+                rows = order[start : start + cfg.minibatch_size]
+                losses = _minibatch_losses(policy, batch, rows, cfg)
+                if losses.mean_ratio_dev > cfg.ratio_guard:
+                    skipped += 1
+                    del losses  # its graph, unwalked, goes before the next forward
+                    continue
+                opt.zero_grad()
+                losses.total.backward()
+                opt.step()
+                policy_losses.append(losses.policy.item())
+                value_losses.append(losses.value.item())
+                clip_fracs.append(losses.clip_fraction)
+                kls.append(losses.approx_kl)
+
+        column = dict(zip(DESCRIPTORS, batch.rewards.descriptors.T))
+        row = {
+            "iteration": iteration,
+            "mean_reward": float(np.mean(batch.rewards.r_total)),
+            "mean_s": float(np.mean(batch.rewards.s)),
+            "frac_active": float(np.mean(batch.rewards.s >= reward_cfg.breakpoint)),
+            "mean_charge": float(np.mean(column["net_charge"])),
+            "mean_hydrophobicity": float(np.mean(column["hydrophobicity"])),
+            "mean_moment": float(np.mean(column["hydrophobic_moment"])),
+            "mean_pI": float(np.mean(column["isoelectric_point"])),
+            "entropy": batch.mean_entropy,
+            "policy_loss": float(np.mean(policy_losses)) if policy_losses else 0.0,
+            "value_loss": float(np.mean(value_losses)) if value_losses else 0.0,
+            "clip_fraction": float(np.mean(clip_fracs)) if clip_fracs else 0.0,
+            "approx_kl": float(np.mean(kls)) if kls else 0.0,
+            "skipped_updates": skipped,
+        }
+        rows_log.append(row)
+        if cfg.checkpoint_every and checkpoint_dir and iteration % cfg.checkpoint_every == 0:
+            policy.save(Path(checkpoint_dir) / f"policy_iter{iteration:04d}.ckpt", meta={"iteration": iteration})
+
+    if log_sink is not None:
+        write_training_log(rows_log, log_sink)
+    return policy, rows_log
