@@ -11,7 +11,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .sequences import _read_text, write_tsv
+from .sequences import Lines, write_tsv
 
 CATEGORIES = ("potent", "transient", "gradual", "weak")
 
@@ -105,31 +105,30 @@ def read_assay_tsv(stream: str | Path | IO[str]) -> list[FluorescenceSeries]:
     """Read (peptide_id, time_min, sample_fluor, control_fluor) rows.
 
     Rows group by peptide id in file order; each group's time points must be
-    strictly increasing. A value that is not a finite number raises
-    ValueError naming its line. A Path is read as a file and a plain string
-    as the TSV text.
+    strictly increasing. The input is a `Lines` source; a value that is not
+    a finite number raises ValueError naming its line.
     """
-    lines = _read_text(stream).splitlines()
-    if not lines:
-        raise ValueError("assay file is empty")
-    header = tuple(lines[0].rstrip("\n").split("\t"))
+    lines = Lines(stream)
+    numbered = iter(lines)
+    _, first = next(numbered, (0, None))
+    if first is None:
+        raise lines.error(None, "assay file is empty")
+    header = tuple(first.split("\t"))
     if header != ASSAY_COLUMNS:
-        raise ValueError(f"expected header {ASSAY_COLUMNS}, got {header}")
+        raise lines.error(None, f"expected header {ASSAY_COLUMNS}, got {header}")
     groups: dict[str, list[tuple[float, float, float]]] = {}
     order: list[str] = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for n, line in numbered:
         parts = line.split("\t")
         if len(parts) != 4:
-            raise ValueError(f"line {n}: expected 4 fields, got {len(parts)}")
+            raise lines.error(n, f"expected 4 fields, got {len(parts)}")
         pid = parts[0]
         try:
             t, s, c = (float(v) for v in parts[1:])
         except ValueError as err:
-            raise ValueError(f"line {n}: non-numeric value ({err})") from None
+            raise lines.error(n, f"non-numeric value ({err})") from None
         if not all(math.isfinite(v) for v in (t, s, c)):
-            raise ValueError(f"line {n}: time and fluorescence must be finite, got {t}, {s}, {c}")
+            raise lines.error(n, f"time and fluorescence must be finite, got {t}, {s}, {c}")
         if pid not in groups:
             groups[pid] = []
             order.append(pid)

@@ -217,7 +217,7 @@ def build_run(cfg: dict) -> Run:
     sections = {name: _section(cfg, name) for name in SECTIONS}
     overrides = sections["scales"].overrides
     try:
-        sections["scales"] = DEFAULT_SCALE if overrides is None else load_scale_overrides(overrides)
+        sections["scales"] = DEFAULT_SCALE if overrides is None else load_scale_overrides(Path(overrides))
     except (ValueError, OSError) as err:
         raise ConfigError(f"scales: {err}") from None
     return Run(seed=seed, **sections)

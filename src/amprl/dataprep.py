@@ -17,7 +17,7 @@ import numpy as np
 from . import rng as _rng
 from .alignment import match_bound, search
 from .mic import LabeledSet
-from .sequences import Peptide, _read_text, encode, write_json
+from .sequences import Lines, Peptide, encode, write_json
 
 
 @dataclass
@@ -203,31 +203,31 @@ def read_cluster_assignments(stream: str | Path | IO[str], peptides: Sequence[Pe
     """Ingest an external (sequence_id, cluster_id) TSV as Cluster objects.
 
     Every peptide must appear exactly once; representatives are the longest
-    member of each cluster (ties broken lexicographically by sequence). A
-    Path is read as a file and a plain string as the TSV text.
+    member of each cluster (ties broken lexicographically by sequence). The
+    input is a `Lines` source; a line starting with "#" is a comment.
     """
-    text = _read_text(stream)
     by_id = {pep.id: pep for pep in peptides}
     if len(by_id) != len(peptides):
         raise ValueError("peptide ids must be unique for cluster ingestion")
     groups: dict[str, list[Peptide]] = {}
     seen: set[str] = set()
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
+    lines = Lines(stream)
+    for n, line in lines:
+        if line.startswith("#"):
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.split("\t")
         if len(parts) != 2:
-            raise ValueError(f"line {n}: expected sequence_id<TAB>cluster_id, got {line!r}")
+            raise lines.error(n, f"expected sequence_id<TAB>cluster_id, got {line!r}")
         seq_id, cluster_id = parts
         if seq_id not in by_id:
-            raise ValueError(f"line {n}: unknown sequence id {seq_id!r}")
+            raise lines.error(n, f"unknown sequence id {seq_id!r}")
         if seq_id in seen:
-            raise ValueError(f"line {n}: duplicate assignment for {seq_id!r}")
+            raise lines.error(n, f"duplicate assignment for {seq_id!r}")
         seen.add(seq_id)
         groups.setdefault(cluster_id, []).append(by_id[seq_id])
     missing = sorted(set(by_id) - seen)
     if missing:
-        raise ValueError(f"peptides missing a cluster assignment: {', '.join(missing[:5])}")
+        raise lines.error(None, f"peptides missing a cluster assignment: {', '.join(missing[:5])}")
     clusters = []
     for cluster_id in sorted(groups):
         members = groups[cluster_id]

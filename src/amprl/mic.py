@@ -15,7 +15,7 @@ from . import numerics as nm
 from .numerics.tensor import reduce_mean
 from .physchem import DEFAULT_SCALE, ScaleTable, descriptors
 from .rng import substream
-from .sequences import RESIDUE_LETTERS, RESIDUES, Peptide, _read_text, encode, write_tsv
+from .sequences import RESIDUES, Lines, Peptide, encode, write_tsv
 
 BUILTIN_DIM = 5 + 20 + 400
 
@@ -49,28 +49,23 @@ class LabeledSet:
 def read_labeled_tsv(stream: str | Path | IO[str], split: str = "") -> LabeledSet:
     """TSV with header `sequence<TAB>label`; labels active/inactive or 1/0.
 
-    A Path is read as a file and a plain string as the TSV text. Blank lines
-    are skipped but counted, so errors and `row<N>` ids name file lines. A
-    sequence is stripped and uppercased as `parse_fasta` does.
+    The input is a `Lines` source, so errors and `row<N>` ids name file
+    lines, and a sequence cell is read by `Lines.residues`.
     """
-    lines = [(n, ln) for n, ln in enumerate(_read_text(stream).splitlines(), start=1) if ln.strip()]
-    if not lines or lines[0][1].split("\t")[:2] != ["sequence", "label"]:
-        raise ValueError("labeled TSV must start with a 'sequence\\tlabel' header")
+    lines = Lines(stream)
+    rows = iter(lines)
+    _, header = next(rows, (0, ""))
+    if header.split("\t")[:2] != ["sequence", "label"]:
+        raise lines.error(None, "labeled TSV must start with a 'sequence\\tlabel' header")
     items: list[tuple[Peptide, int]] = []
     mapping = {"active": 1, "inactive": 0, "1": 1, "0": 0}
-    for lineno, line in lines[1:]:
+    for lineno, line in rows:
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ValueError(f"line {lineno}: expected sequence and label")
-        seq, label = parts[0].strip(), parts[1]
-        if label not in mapping:
-            raise ValueError(f"line {lineno}: unknown label {label!r}")
-        if not seq:
-            raise ValueError(f"line {lineno}: empty sequence")
-        bad = [ch for ch in seq if ch not in RESIDUE_LETTERS]
-        if bad:
-            raise ValueError(f"line {lineno}: invalid residue {bad[0]!r}")
-        items.append((Peptide(id=f"row{lineno}", residues=seq.upper()), mapping[label]))
+            raise lines.error(lineno, "expected sequence and label")
+        if parts[1] not in mapping:
+            raise lines.error(lineno, f"unknown label {parts[1]!r}")
+        items.append((Peptide(id=f"row{lineno}", residues=lines.residues(lineno, parts[0])), mapping[parts[1]]))
     return LabeledSet(items=items, split=split)
 
 
@@ -342,16 +337,12 @@ def auroc(scores, labels) -> float | None:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         return None
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(len(s), dtype=np.float64)
-    sorted_scores = s[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a score's rank is the mean of the 1-based sorted positions its ties span; return_index asks for
+    # first occurrences, so the sort is stable and NaNs, each its own group, keep their input order
+    _, _, group, counts = np.unique(s, return_index=True, return_inverse=True, return_counts=True, equal_nan=False)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    ranks = (0.5 * (first + last) + 1.0)[group]
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .sequences import DESCRIPTORS, RESIDUES, Peptide, encode
+from .sequences import DESCRIPTORS, RESIDUE_SET, RESIDUES, Lines, Peptide, encode
 
 # Eisenberg consensus hydropathy, one value per canonical residue.
 EISENBERG_HYDROPATHY = {
@@ -66,36 +66,37 @@ class ScaleConfig:
     overrides: str | None = None  # a file for `load_scale_overrides`; null keeps DEFAULT_SCALE
 
 
-def load_scale_overrides(path: str | Path, base: ScaleTable = DEFAULT_SCALE) -> ScaleTable:
-    """Apply key-value overrides from a text file.
+def load_scale_overrides(stream: str | Path | IO[str], base: ScaleTable = DEFAULT_SCALE) -> ScaleTable:
+    """Apply key-value overrides from a `Lines` source.
 
     Each non-blank, non-comment line reads `hydropathy <residue> <value>` or
     `pka <group> <value>` where group is a residue letter, n_term, or c_term.
     """
     hydropathy = dict(base.hydropathy)
     pka = dict(base.pka)
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    lines = Lines(stream)
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'table key value', got {line!r}")
+            raise lines.error(lineno, f"expected 'table key value', got {line!r}")
         table, key, value = parts
         try:
             num = float(value)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: value {value!r} is not a number") from None
+            raise lines.error(lineno, f"value {value!r} is not a number") from None
         if table == "hydropathy":
-            if key not in RESIDUES:
-                raise ValueError(f"{path}:{lineno}: unknown residue {key!r}")
+            if key not in RESIDUE_SET:
+                raise lines.error(lineno, f"unknown residue {key!r}")
             hydropathy[key] = num
         elif table == "pka":
             if key not in pka:
-                raise ValueError(f"{path}:{lineno}: unknown pKa group {key!r}")
+                raise lines.error(lineno, f"unknown pKa group {key!r}")
             pka[key] = num
         else:
-            raise ValueError(f"{path}:{lineno}: unknown table {table!r}")
+            raise lines.error(lineno, f"unknown table {table!r}")
     return ScaleTable(name=base.name, version=base.version + "+overrides", hydropathy=hydropathy, pka=pka)
 
 

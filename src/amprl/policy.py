@@ -473,6 +473,8 @@ def sample(
     and state values as the autodiff forward of the whole prefix.
     """
     _check_sampling(temperature, top_k)
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"max_len must be >= 1 when given, got {max_len}")
     cfg = model.config
     limit = cfg.max_len if max_len is None else min(max_len, cfg.max_len)
     rng = substream(seed, "policy.sample")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .mic import features_and_scores
 from .physchem import DEFAULT_SCALE, DESCRIPTORS, ScaleTable
 from .policy import _check_sampling, sample
 from .reward import RewardConfig
-from .sequences import RESIDUE_LETTERS, RESIDUE_SET, Peptide, PeptideTable, encode, write_fasta, write_json, write_records
+from .sequences import RESIDUE_SET, Lines, Peptide, PeptideTable, encode, write_fasta, write_json, write_records
 
 Window = tuple[float, float]
 
@@ -270,45 +270,37 @@ def diversity_select(rows: np.ndarray, k: int, points: np.ndarray) -> np.ndarray
     return rows[chosen]
 
 
-def read_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
+def read_external_scores(stream: str | Path | IO[str]) -> dict[str, dict[str, float]]:
     """JSONL of {"sequence": ..., "scores": {name: value}} keyed by sequence.
 
     Structure predictions, hemolysis predictions, and similar third-party
-    annotations all arrive through this one format. A sequence is stripped
-    and uppercased as `parse_fasta` does. ValueError names the line of a
-    sequence outside the 20 residues or given twice (and the first line),
-    and of any score that is not a finite JSON number.
+    annotations all arrive through this one format. The input is a `Lines`
+    source, and a sequence is read by `Lines.residues`. ValueError names the
+    line of a sequence given twice (and the first line), and of any score
+    that is not a finite JSON number.
     """
     table: dict[str, dict[str, float]] = {}
-    lines: dict[str, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for n, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    first: dict[str, int] = {}
+    lines = Lines(stream)
+    for n, line in lines:
         try:
             row = json.loads(line, parse_int=float)  # a 400-digit int becomes inf, not an OverflowError
         except json.JSONDecodeError as err:
-            raise ValueError(f"{path} line {n}: invalid JSON ({err})") from None
+            raise lines.error(n, f"invalid JSON ({err})") from None
         if not isinstance(row, dict) or "sequence" not in row or "scores" not in row:
-            raise ValueError(f"{path} line {n}: expected keys 'sequence' and 'scores'")
+            raise lines.error(n, "expected keys 'sequence' and 'scores'")
         if not isinstance(row["sequence"], str):
-            raise ValueError(f"{path} line {n}: 'sequence' must be a string")
+            raise lines.error(n, "'sequence' must be a string")
         if not isinstance(row["scores"], dict):
-            raise ValueError(f"{path} line {n}: 'scores' must be an object")
-        seq = row["sequence"].strip()
-        if not seq:
-            raise ValueError(f"{path} line {n}: empty sequence")
-        bad = [ch for ch in seq if ch not in RESIDUE_LETTERS]
-        if bad:
-            raise ValueError(f"{path} line {n}: invalid residue {bad[0]!r}")
-        seq = seq.upper()
-        if seq in lines:
-            raise ValueError(f"{path} line {n}: sequence {seq} repeats line {lines[seq]}")
+            raise lines.error(n, "'scores' must be an object")
+        seq = lines.residues(n, row["sequence"])
+        if seq in first:
+            raise lines.error(n, f"sequence {seq} repeats line {first[seq]}")
         for name, value in row["scores"].items():
             # bool is an int subclass, and NaN would pass every minimum filter
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{path} line {n}: score {name!r} must be a finite number, got {json.dumps(value)}")
-        lines[seq] = n
+                raise lines.error(n, f"score {name!r} must be a finite number, got {json.dumps(value)}")
+        first[seq] = n
         table[seq] = {str(k): float(v) for k, v in row["scores"].items()}
     return table
 

@@ -72,69 +72,79 @@ def encode(sequences: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return codes, lengths
 
 
-def _read_text(source: str | Path | IO[str]) -> str:
-    """A whole text input: a Path is a UTF-8 file, a str is the text itself, and a stream is read."""
-    if isinstance(source, Path):
-        return source.read_text(encoding="utf-8")
-    return source if isinstance(source, str) else source.read()
+@dataclass(frozen=True)
+class Lines:
+    """A text input's non-blank lines, each with its file line number, and the errors that name them.
 
+    A Path is read as a UTF-8 file in text mode, which also reads a lone
+    "\r" as "\n"; a str is the text itself, and anything else a stream or
+    iterable of lines. Only "\n" ends a line, and a "\r" before it is
+    dropped, so a form feed or U+2028 inside a row stays in the row. Blank
+    lines are skipped but counted, so a position reads `<file> line N` for
+    a Path and `line N` otherwise; it is formatted only for an error.
+    """
 
-def _iter_lines(stream: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
-    if isinstance(stream, (str, Path)):
-        yield from io.StringIO(_read_text(stream))
-    else:
-        yield from stream
+    source: str | Path | IO[str] | Iterable[str]
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        source = self.source
+        if isinstance(source, Path):
+            source = source.read_text(encoding="utf-8")
+        for n, line in enumerate(io.StringIO(source) if isinstance(source, str) else source, start=1):
+            if line.strip():
+                yield n, line.rstrip("\n").removesuffix("\r")
+
+    def error(self, n: int | None, message: str) -> ValueError:
+        """`message` at line n (None: the whole input), headed by the file's name when the input is a Path."""
+        where = "" if n is None else f"line {n}"
+        if isinstance(self.source, Path):
+            where = f"{self.source} {where}".rstrip()
+        return ValueError(f"{where}: {message}" if where else message)
+
+    def residues(self, n: int, cell: str, context: str = "") -> str:
+        """The residue cell at line n, stripped and uppercased; ValueError when it is empty or holds
+        a letter outside `RESIDUE_LETTERS` (`context` follows the letter in that message)."""
+        seq = cell.strip()
+        if not seq:
+            raise self.error(n, "empty sequence")
+        if not RESIDUE_LETTERS.issuperset(seq):
+            bad = next(ch for ch in seq if ch not in RESIDUE_LETTERS)
+            raise self.error(n, f"invalid residue {bad!r}{context}")
+        return seq.upper()
 
 
 def parse_fasta(stream: str | Path | IO[str] | Iterable[str], source: str = "natural") -> list[Peptide]:
-    """Parse FASTA records. Bodies may wrap across lines; order is preserved.
-
-    A plain string is treated as FASTA text; pass a Path to read a file.
+    """Parse FASTA records from a `Lines` source. Bodies may wrap across lines; order is preserved.
 
     Errors (missing header, empty body, invalid residue, repeated record id)
     report the offending line number; record ids must be unique.
     """
-    peptides: list[Peptide] = []
-    header: str | None = None
-    header_line = 0
+    lines = Lines(stream)
     id_lines: dict[str, int] = {}
-    body_parts: list[str] = []
+    bodies: dict[str, list[str]] = {}  # record id -> its body lines, in file order
+    header: str | None = None
 
-    def flush() -> None:
-        nonlocal header, body_parts
-        if header is None:
-            return
-        seq = "".join(body_parts)
-        if not seq:
-            raise ValueError(f"line {header_line}: record {header!r} has an empty sequence body")
-        peptides.append(Peptide(id=header, residues=seq, source=source))
-        header = None
-        body_parts = []
+    def check_body() -> None:
+        if header is not None and not bodies[header]:
+            raise lines.error(id_lines[header], f"record {header!r} has an empty sequence body")
 
-    for lineno, raw in enumerate(_iter_lines(stream), start=1):
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith(">"):
-            flush()
-            name = line[1:].split()[0] if line[1:].split() else ""
-            if not name:
-                raise ValueError(f"line {lineno}: header has no identifier")
-            if name in id_lines:
-                raise ValueError(f"line {lineno}: record id {name!r} repeats the header at line {id_lines[name]}")
-            id_lines[name] = lineno
-            header = name
-            header_line = lineno
+            check_body()
+            header = line[1:].split()[0] if line[1:].split() else ""
+            if not header:
+                raise lines.error(lineno, "header has no identifier")
+            if header in id_lines:
+                raise lines.error(lineno, f"record id {header!r} repeats the header at line {id_lines[header]}")
+            id_lines[header] = lineno
+            bodies[header] = []
+        elif header is None:
+            raise lines.error(lineno, "sequence data before any '>' header")
         else:
-            if header is None:
-                raise ValueError(f"line {lineno}: sequence data before any '>' header")
-            chunk = "".join(line.split())
-            for ch in chunk:
-                if ch not in RESIDUE_LETTERS:
-                    raise ValueError(f"line {lineno}: invalid residue {ch!r} in record {header!r}")
-            body_parts.append(chunk.upper())
-    flush()
-    return peptides
+            bodies[header].append(lines.residues(lineno, "".join(line.split()), f" in record {header!r}"))
+    check_body()
+    return [Peptide(id=name, residues="".join(body), source=source) for name, body in bodies.items()]
 
 
 def write_fasta(peptides: Iterable[Peptide], sink: str | Path | IO[str], width: int = 60) -> None:

@@ -734,7 +734,7 @@ def test_assay_rejects_a_value_that_is_not_finite(tmp_path, capsys, row):
     )
     out = tmp_path / "out"
     assert main(["assay", "--input", str(table), "--output-dir", str(out)]) == 1
-    assert "error: line 7: time and fluorescence must be finite" in capsys.readouterr().err
+    assert f"error: {table} line 7: time and fluorescence must be finite" in capsys.readouterr().err
     assert not (out / "assay_summary.tsv").exists()
 
 

@@ -180,6 +180,43 @@ def test_auroc_matches_pairwise_oracle_with_ties():
         assert auroc(scores, labels) == pytest.approx(_auroc_oracle(scores, labels), abs=1e-12)
 
 
+def _auroc_loop(scores, labels):
+    """`auroc` as it ranked scores before `np.unique`: one Python pass over the stably sorted scores."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    n_pos = int((y == 1).sum())
+    n_neg = int((y == 0).sum())
+    if n_pos == 0 or n_neg == 0:
+        return None
+    order = np.argsort(s, kind="stable")
+    ranks = np.empty(len(s), dtype=np.float64)
+    sorted_scores = s[order]
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = ranks[y == 1].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+@pytest.mark.parametrize("kind", ["distinct", "ties", "signed_zeros", "nans"])
+def test_auroc_matches_the_rank_loop_it_replaces_bit_for_bit(kind):
+    rng = np.random.default_rng(["distinct", "ties", "signed_zeros", "nans"].index(kind))
+    for _ in range(300):
+        n = int(rng.integers(1, 200))
+        scores = rng.random(n) if kind == "distinct" else rng.integers(0, 5, n) / 4.0
+        if kind == "signed_zeros":
+            scores[rng.random(n) < 0.3] = -0.0
+        if kind == "nans":
+            scores[rng.random(n) < 0.2] = np.nan
+        labels = rng.integers(0, 2, n)
+        got, want = auroc(scores, labels), _auroc_loop(scores, labels)
+        assert got is want is None or np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_auroc_edge_cases():
     assert auroc(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0])) == 1.0
     assert auroc(np.array([0.1, 0.2, 0.8, 0.9]), np.array([1, 1, 0, 0])) == 0.0

@@ -168,6 +168,13 @@ def test_sampling_is_reproducible_and_respects_budget():
         assert s.log_probs.shape == (len(s.peptide.residues) + 1,)
 
 
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_sample_refuses_a_residue_cap_below_one(max_len):
+    model = PolicyModel.init(TOY, seed=3)
+    with pytest.raises(ValueError, match=f"^max_len must be >= 1 when given, got {max_len}$"):
+        sample(model, 2, max_len=max_len, seed=0)
+
+
 def test_sample_ids_and_source():
     model = PolicyModel.init(TOY, seed=3)
     out = sample(model, 3, max_len=6, seed=0)
